@@ -536,7 +536,7 @@ def bound_approx_dynamics(
     ):
         if not actual.states.equals(linear.states):
             raise ValueError(f"actual MDP {label} does not share the spec's state space")
-        if actual.transitions.shape != linear.transitions.shape:
+        if actual.num_joint_actions != linear.num_joint_actions:
             raise ValueError(f"actual MDP {label} does not share the spec's action space")
         if actual.gamma != linear.gamma:
             raise ValueError(f"actual MDP {label} does not share the spec's discount")
@@ -545,8 +545,8 @@ def bound_approx_dynamics(
         float(np.max(np.abs(mmdp_y_actual.rewards - linear_y.rewards))),
     )
     eps_hat_p = max(
-        float(np.max(np.abs(mmdp_x_actual.transitions - linear_x.transitions))),
-        float(np.max(np.abs(mmdp_y_actual.transitions - linear_y.transitions))),
+        mmdp_x_actual.transition_gaps(linear_x)[0],
+        mmdp_y_actual.transition_gaps(linear_y)[0],
     )
     vt_x, _ = _solve(mmdp_x_actual, settings)
     vt_y, _ = _solve(mmdp_y_actual, settings)
@@ -643,10 +643,13 @@ def bound_lipschitz(
         raise ValueError("the two teams must have matching shapes")
     if reward_map.lipschitz_constants.shape[0] != team_x.num_agents:
         raise ValueError("one Lipschitz constant per member is required")
-    if not np.array_equal(mmdp_x.transitions, mmdp_y.transitions):
-        raise ValueError("the Lipschitz bound requires identical transition dynamics")
     if mmdp_x.gamma != mmdp_y.gamma or not mmdp_x.states.equals(mmdp_y.states):
         raise ValueError("the two tasks must share discount and state space")
+    if (
+        mmdp_x.num_joint_actions != mmdp_y.num_joint_actions
+        or mmdp_x.transition_gaps(mmdp_y)[0] != 0.0
+    ):
+        raise ValueError("the Lipschitz bound requires identical transition dynamics")
     member_gaps = np.abs(team_x.matrix() - team_y.matrix()).max(axis=1)
     weighted_diff = float(reward_map.lipschitz_constants @ member_gaps)
     vt_x, _ = _solve(mmdp_x, settings)

@@ -9,9 +9,11 @@ scaled by (1 - gamma), which makes the optimal value of reaching a tree in t
 steps exactly gamma^t times its utility despite the reward being state-only.
 
 Movement is deterministic (four directions plus stay; off-grid moves stay),
-agents may share cells, and the transition kernel is capability-independent:
-every capability component carries the same movement kernel, broadcast
-without copies.
+agents may share cells, and the transition kernel is capability-independent.
+It is stored in the indexed layout: an (S, A, 1) successor index with unit
+probabilities, which every capability component shares as a broadcast view,
+so memory grows with S * A rather than S * A * S and grid 6 with two agents
+(5184 states) solves exactly.
 """
 
 import json
@@ -182,7 +184,6 @@ def build_fruit_forage(config: FruitForageConfig) -> LinearMMDPSpec:
     cells = g * g
     num_masks = 2**d
     num_positions = cells**n
-    tree_cell_index = {r * g + c: j for j, (r, c) in enumerate(trees)}
 
     # per-agent movement table over flat cells
     move_table = np.zeros((cells, NUM_MOVE_ACTIONS), dtype=np.int64)
@@ -196,20 +197,16 @@ def build_fruit_forage(config: FruitForageConfig) -> LinearMMDPSpec:
 
     # state index = position-tuple index (agent 0 slowest) * num_masks + mask
     pos_dims = (cells,) * n
-    features = np.zeros((size, 2 * n + d))
-    scale = 1.0 / (g - 1)
-    for pos_index in range(num_positions):
-        pos = np.unravel_index(pos_index, pos_dims)
-        base = pos_index * num_masks
-        coords = []
-        for cell in pos:
-            r, c = divmod(int(cell), g)
-            coords.extend((r * scale, c * scale))
-        for mask in range(num_masks):
-            s = base + mask
-            features[s, : 2 * n] = coords
-            for j in range(d):
-                features[s, 2 * n + j] = (mask >> j) & 1
+    pos_cells = np.stack(
+        np.unravel_index(np.arange(num_positions), pos_dims), axis=1
+    )  # (num_positions, n)
+    rows, cols = np.divmod(pos_cells, g)
+    coords = np.stack([rows, cols], axis=2).reshape(num_positions, 2 * n) * (1.0 / (g - 1))
+    mask_bits = (np.arange(num_masks)[:, None] >> np.arange(d)) & 1  # (num_masks, d)
+    features = np.concatenate(
+        [np.repeat(coords, num_masks, axis=0), np.tile(mask_bits, (num_positions, 1))],
+        axis=1,
+    )
 
     num_joint = NUM_MOVE_ACTIONS**n
     action_dims = (NUM_MOVE_ACTIONS,) * n
@@ -217,29 +214,20 @@ def build_fruit_forage(config: FruitForageConfig) -> LinearMMDPSpec:
         np.unravel_index(np.arange(num_joint), action_dims), axis=1
     )  # (num_joint, n)
 
-    movement = np.zeros((size, num_joint, size))
-    for pos_index in range(num_positions):
-        pos = np.unravel_index(pos_index, pos_dims)
-        new_pos_cells = np.stack(
-            [move_table[pos[i], joint_moves[:, i]] for i in range(n)], axis=1
-        )  # (num_joint, n)
-        new_pos_index = np.ravel_multi_index(tuple(new_pos_cells.T), pos_dims)
-        newly_covered = np.zeros(num_joint, dtype=np.int64)
-        for u in range(num_joint):
-            bits = 0
-            for cell in new_pos_cells[u]:
-                j = tree_cell_index.get(int(cell))
-                if j is not None:
-                    bits |= 1 << j
-            newly_covered[u] = bits
-        base = pos_index * num_masks
-        for mask in range(num_masks):
-            s = base + mask
-            next_states = new_pos_index * num_masks + (mask | newly_covered)
-            movement[s, np.arange(num_joint), next_states] = 1.0
+    # new_cells[p, u, i]: agent i's cell after joint move u from position p
+    new_cells = move_table[pos_cells[:, None, :], joint_moves[None, :, :]]
+    new_pos_index = np.ravel_multi_index(tuple(np.moveaxis(new_cells, 2, 0)), pos_dims)
+    tree_bit = np.zeros(cells, dtype=np.int64)
+    for j, (r, c) in enumerate(trees):
+        tree_bit[r * g + c] = 1 << j
+    newly_covered = np.bitwise_or.reduce(tree_bit[new_cells], axis=2)  # (num_positions, num_joint)
+    masks = np.arange(num_masks)[None, :, None]
+    next_states = new_pos_index[:, None, :] * num_masks + (masks | newly_covered[:, None, :])
+    next_states = next_states.reshape(size, num_joint, 1)
 
-    # identical movement kernel per capability component, broadcast without copies
-    components = np.broadcast_to(movement, (d,) + movement.shape)
+    # one sure successor per row; every capability component shares the same
+    # unit probabilities as a broadcast view
+    components = np.broadcast_to(np.ones((size, num_joint, 1)), (d, size, num_joint, 1))
 
     # (1 - gamma) scaling turns the per-step mask payout into a one-time
     # discounted utility: reaching a tree at step t is worth gamma^t * utility
@@ -263,7 +251,7 @@ def build_fruit_forage(config: FruitForageConfig) -> LinearMMDPSpec:
         team=team,
         weights=weights,
         reward_kernel=RewardKernel(reward_w),
-        transition_kernel=TransitionKernel(components),
+        transition_kernel=TransitionKernel(components, next_states=next_states),
         states=StateSpace(features),
         num_agents=n,
         actions_per_agent=NUM_MOVE_ACTIONS,

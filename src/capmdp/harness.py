@@ -466,6 +466,7 @@ def certify_instance(config: ExperimentConfig, index: int):
                     "instance_index": index,
                     "bound_name": report.bound_name,
                     "report": json.loads(report.to_json()),
+                    "tol": config.tol,
                     **extras,
                 }
             )
@@ -559,10 +560,11 @@ def certify_instance(config: ExperimentConfig, index: int):
         f=lambda team, a=spec_x.weights.a: a @ team.matrix(),
         lipschitz_constants=spec_x.weights.a,
     )
-    shared = assemble_linear_mmdp(spec_x).transitions
+    shared = assemble_linear_mmdp(spec_x)
     lip_args = dict(
         reward_kernel=spec_x.reward_kernel,
-        transitions=shared,
+        transitions=shared.transitions,
+        next_states=shared.next_states,
         states=spec_x.states,
         num_agents=spec_x.num_agents,
         actions_per_agent=spec_x.actions_per_agent,
@@ -669,6 +671,7 @@ def run_fruit_forage(config: ExperimentConfig):
                     "instance_index": 0,
                     "bound_name": report.bound_name,
                     "report": json.loads(report.to_json()),
+                    "tol": config.tol,
                     "rebuild": {
                         "env": "fruit_forage",
                         "grid_size": grid_size,
@@ -982,7 +985,8 @@ def _replay_one(entry: dict) -> BoundReport:
     name = entry.get("bound_name")
     if name not in _REPLAYABLE:
         raise ConfigError(f"cannot replay unknown report kind {name!r}")
-    settings = SolveSettings()
+    # entries written before runs recorded their tol were solved at the default
+    settings = SolveSettings(tol=entry.get("tol", SolveSettings.tol))
     rebuild = entry.get("rebuild")
     if rebuild is not None:
         if rebuild.get("env") != "fruit_forage":
@@ -1047,10 +1051,11 @@ def _replay_one(entry: dict) -> BoundReport:
             f=lambda team, a=spec_x.weights.a: a @ team.matrix(),
             lipschitz_constants=spec_x.weights.a,
         )
-        shared = assemble_linear_mmdp(spec_x).transitions
+        shared = assemble_linear_mmdp(spec_x)
         args = dict(
             reward_kernel=spec_x.reward_kernel,
-            transitions=shared,
+            transitions=shared.transitions,
+            next_states=shared.next_states,
             states=spec_x.states,
             num_agents=spec_x.num_agents,
             actions_per_agent=spec_x.actions_per_agent,

@@ -3,9 +3,11 @@
 A team is a tuple of non-negative d-dimensional capability vectors plus a
 simplex of influence weights. The influence-weighted capability mixture
 selects, per capability component, a row-stochastic transition kernel and a
-row of the reward kernel, yielding one dense TabularMMDP per team. Lipschitz
-and polynomial reward forms cover teams whose effect on the reward is not a
-plain weighted sum.
+row of the reward kernel, yielding one TabularMMDP per team. The kernel's
+components share one layout: dense (S, A, S) tensors, or (S, A, K)
+probabilities over a successor index that every component shares; the
+assembled MDP keeps that layout. Lipschitz and polynomial reward forms
+cover teams whose effect on the reward is not a plain weighted sum.
 """
 
 import json
@@ -19,6 +21,7 @@ from .mdp import (
     StateSpace,
     TabularMMDP,
     check_distribution,
+    check_next_states,
 )
 
 SIMPLEX_ATOL = 1e-9
@@ -138,16 +141,34 @@ class RewardKernel:
 
 @dataclass(frozen=True, eq=False)
 class TransitionKernel:
-    """One row-stochastic transition tensor per capability component."""
+    """One row-stochastic transition kernel per capability component.
 
-    components: np.ndarray  # (capability_dim, num_states, num_joint_actions, num_states)
+    Dense layout (next_states None): components[j, s, u, s'] is component j's
+    probability of moving from s to s' under joint action u. Indexed layout:
+    components[j, s, u, k] is its probability of moving to next_states[s, u, k],
+    the same successor index for every component.
+    """
+
+    components: np.ndarray  # (d, S, A, S) dense, or (d, S, A, K) beside next_states
+    next_states: np.ndarray | None = None  # (S, A, K) successor index, or None
 
     def __post_init__(self):
         arr = np.asarray(self.components, dtype=float)
-        if arr.ndim != 4 or arr.shape[1] != arr.shape[3]:
-            raise ValueError(
-                "transition kernel must have shape (capability_dim, S, A, S)"
-            )
+        if self.next_states is None:
+            if arr.ndim != 4 or arr.shape[1] != arr.shape[3]:
+                raise ValueError(
+                    "transition kernel must have shape (capability_dim, S, A, S)"
+                )
+        else:
+            if arr.ndim != 4:
+                raise ValueError("transition kernel must have shape (capability_dim, S, A, K)")
+            next_states = check_next_states(self.next_states, arr.shape[1], arr.shape[2])
+            if next_states.shape != arr.shape[1:]:
+                raise ValueError(
+                    f"kernel components must have shape (capability_dim,) + "
+                    f"{next_states.shape}, got {arr.shape}"
+                )
+            object.__setattr__(self, "next_states", next_states)
         if np.any(arr < 0):
             j, s, u = np.argwhere((arr < 0).any(axis=3))[0]
             raise ValueError(f"kernel component {j} row (s={s}, u={u}) has a negative entry")
@@ -173,7 +194,10 @@ class TransitionKernel:
         return self.components.shape[2]
 
     def equals(self, other: "TransitionKernel") -> bool:
-        return np.array_equal(self.components, other.components)
+        """Same components in the same layout (array_equal(None, None) is True)."""
+        return np.array_equal(self.components, other.components) and np.array_equal(
+            self.next_states, other.next_states
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,6 +268,8 @@ class LinearMMDPSpec:
             "rho": self.rho.tolist(),
             "relax_simplex": self.relax_simplex,
         }
+        if self.transition_kernel.next_states is not None:
+            doc["next_states"] = self.transition_kernel.next_states.tolist()
         return json.dumps(doc)
 
     @classmethod
@@ -254,7 +280,12 @@ class LinearMMDPSpec:
             weights=InfluenceWeights(np.asarray(doc["weights"], dtype=float)),
             reward_kernel=RewardKernel(np.asarray(doc["reward_kernel"], dtype=float)),
             transition_kernel=TransitionKernel(
-                np.asarray(doc["transition_kernel"], dtype=float)
+                np.asarray(doc["transition_kernel"], dtype=float),
+                next_states=(
+                    np.asarray(doc["next_states"], dtype=np.int64)
+                    if "next_states" in doc
+                    else None
+                ),
             ),
             states=StateSpace(np.asarray(doc["features"], dtype=float)),
             num_agents=int(doc["num_agents"]),
@@ -271,7 +302,8 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
     Rewards are the raw capability mixture applied to the reward kernel. The
     transition mixture uses the same mixture, normalized to total one when
     relax_simplex admits non-simplex capabilities; assembled rows are always
-    validated, and a failing row is reported with its (s, u) pair.
+    validated, and a failing row is reported with its (s, u) pair. An indexed
+    kernel mixes its (d, S, A, K) probabilities and keeps its successor index.
     """
     if not spec.relax_simplex and not spec.team.all_simplex():
         bad = [i for i, m in enumerate(spec.team.members) if not m.strict_simplex]
@@ -297,6 +329,7 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
         transitions=transitions,
         gamma=spec.gamma,
         rho=spec.rho,
+        next_states=spec.transition_kernel.next_states,
     )
 
 
@@ -308,15 +341,16 @@ def reward_deviation_exact(mmdp_x: TabularMMDP, mmdp_y: TabularMMDP) -> float:
 
 
 def transition_deviation_exact(mmdp_x: TabularMMDP, mmdp_y: TabularMMDP) -> float:
-    """Largest L1 row distance between the two transition tensors.
+    """Largest L1 row distance between the two transition kernels.
 
-    This is twice the total-variation distance, maximized over (s, u).
+    This is twice the total-variation distance, maximized over (s, u). The
+    two kernels may use different layouts.
     """
     if not mmdp_x.states.equals(mmdp_y.states):
         raise ValueError("transition deviation requires a shared state space")
-    if mmdp_x.transitions.shape != mmdp_y.transitions.shape:
+    if mmdp_x.num_joint_actions != mmdp_y.num_joint_actions:
         raise ValueError("transition deviation requires matching action spaces")
-    return float(np.abs(mmdp_x.transitions - mmdp_y.transitions).sum(axis=2).max())
+    return mmdp_x.transition_gaps(mmdp_y)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,10 +459,12 @@ def assemble_lipschitz_mmdp(
     actions_per_agent: int,
     gamma: float,
     rho: np.ndarray,
+    next_states: np.ndarray | None = None,
 ) -> TabularMMDP:
     """Build the MDP whose rewards come from a Lipschitz capability map.
 
-    The transition tensor is capability-independent and shared across teams.
+    The transition kernel is capability-independent and shared across teams:
+    a dense (S, A, S) tensor, or (S, A, K) probabilities over next_states.
     """
     if reward_map.lipschitz_constants.shape[0] != team.num_agents:
         raise ValueError("one Lipschitz constant per team member is required")
@@ -444,6 +480,7 @@ def assemble_lipschitz_mmdp(
         transitions=np.asarray(transitions, dtype=float),
         gamma=gamma,
         rho=rho,
+        next_states=next_states,
     )
 
 
@@ -457,7 +494,15 @@ def perturb_dynamics(
     clipped and re-normalized, and any row whose realized entry deviation
     exceeds eps_p has its noise halved until it complies, so the output
     deviates from the input by at most eps_p per entry.
+
+    Needs a dense kernel: the noise covers every (s, u, s') entry, including
+    the zero ones an indexed kernel does not store.
     """
+    if mmdp.next_states is not None:
+        raise ValueError(
+            "perturb_dynamics needs a dense transition tensor; its noise covers every "
+            "(s, u, s') entry, which an indexed kernel does not store"
+        )
     if eps_r < 0 or eps_p < 0:
         raise ValueError("perturbation magnitudes must be non-negative")
     if eps_p >= 1.0:

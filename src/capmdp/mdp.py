@@ -3,8 +3,16 @@
 States are feature vectors in [0, 1]^k. All agents act simultaneously and
 share one team reward, so planning reduces to a single-agent MDP over the
 joint action space. Joint actions are indexed row-major over the per-agent
-action digits with agent 0 as the slowest-varying digit. Everything is dense
-numpy; these are desk-scale exact solvers, not large-scale ones.
+action digits with agent 0 as the slowest-varying digit.
+
+A transition kernel has one of two layouts. Dense, it is an (S, A, S)
+tensor of next-state probabilities. Indexed, an (S, A, K) integer array
+names each row's K successors and an (S, A, K) array holds their
+probabilities, so a sparse kernel such as a deterministic gridworld stores
+one entry per row instead of S. Every solver reads either layout through
+one expected-next-value map; with one sure successor per row, an indexed
+kernel solves bit for bit like its dense twin. These are exact desk-scale
+solvers, not large-scale approximate ones.
 """
 
 import json
@@ -66,21 +74,50 @@ class StateSpace:
         return np.array_equal(self.features, other.features)
 
 
+def check_next_states(next_states, num_states: int, num_joint_actions: int) -> np.ndarray:
+    """Validate an (S, A, K) successor index and return it as int64.
+
+    Raises ValueError naming the first (s, u) row that points outside the
+    state space.
+    """
+    idx = np.asarray(next_states)
+    if (
+        idx.ndim != 3
+        or idx.shape[:2] != (num_states, num_joint_actions)
+        or idx.shape[2] == 0
+        or not np.issubdtype(idx.dtype, np.integer)
+    ):
+        raise ValueError(
+            f"next_states must be an integer ({num_states}, {num_joint_actions}, K) array "
+            f"with K >= 1, got {idx.dtype} {idx.shape}"
+        )
+    outside = (idx < 0) | (idx >= num_states)
+    if np.any(outside):
+        s, u = np.argwhere(outside.any(axis=2))[0]
+        raise ValueError(
+            f"successor row (s={s}, u={u}) names a state outside [0, {num_states})"
+        )
+    return idx.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class TabularMMDP:
-    """Dense cooperative MDP: shared team reward, joint-action transitions.
+    """Cooperative MDP: shared team reward, joint-action transitions.
 
-    transitions[s, u, s'] is the probability of moving from state s to s'
-    under joint action index u. The reward depends on the state only.
+    Dense layout (next_states None): transitions[s, u, s'] is the probability
+    of moving from state s to s' under joint action index u. Indexed layout:
+    transitions[s, u, k] is the probability of moving to next_states[s, u, k];
+    a successor may repeat within a row. The reward depends on the state only.
     """
 
     states: StateSpace
     num_agents: int
     actions_per_agent: int
     rewards: np.ndarray      # (num_states,)
-    transitions: np.ndarray  # (num_states, num_joint_actions, num_states)
+    transitions: np.ndarray  # (S, A, S) dense, or (S, A, K) beside next_states
     gamma: float
     rho: np.ndarray          # initial state distribution, (num_states,)
+    next_states: np.ndarray | None = None  # (S, A, K) successor index, or None
 
     def __post_init__(self):
         if self.num_agents < 1 or self.actions_per_agent < 1:
@@ -93,10 +130,19 @@ class TabularMMDP:
         if not np.all(np.isfinite(rewards)):
             raise ValueError("rewards must be finite")
         trans = np.asarray(self.transitions, dtype=float)
-        if trans.shape != (s, a, s):
-            raise ValueError(
-                f"transitions must have shape ({s}, {a}, {s}), got {trans.shape}"
-            )
+        if self.next_states is None:
+            if trans.shape != (s, a, s):
+                raise ValueError(
+                    f"transitions must have shape ({s}, {a}, {s}), got {trans.shape}"
+                )
+        else:
+            next_states = check_next_states(self.next_states, s, a)
+            if trans.shape != next_states.shape:
+                raise ValueError(
+                    f"transitions must match next_states' shape {next_states.shape}, "
+                    f"got {trans.shape}"
+                )
+            object.__setattr__(self, "next_states", next_states)
         _check_transition_rows(trans)
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
@@ -134,6 +180,8 @@ class TabularMMDP:
             "gamma": self.gamma,
             "rho": self.rho.tolist(),
         }
+        if self.next_states is not None:
+            doc["next_states"] = self.next_states.tolist()
         return json.dumps(doc)
 
     @classmethod
@@ -147,22 +195,58 @@ class TabularMMDP:
             transitions=np.asarray(doc["transitions"], dtype=float),
             gamma=float(doc["gamma"]),
             rho=np.asarray(doc["rho"], dtype=float),
+            next_states=(
+                np.asarray(doc["next_states"], dtype=np.int64) if "next_states" in doc else None
+            ),
         )
 
     def equals(self, other: "TabularMMDP") -> bool:
+        """Same contents in the same layout (array_equal(None, None) is True)."""
         return (
             self.states.equals(other.states)
             and self.num_agents == other.num_agents
             and self.actions_per_agent == other.actions_per_agent
             and np.array_equal(self.rewards, other.rewards)
             and np.array_equal(self.transitions, other.transitions)
+            and np.array_equal(self.next_states, other.next_states)
             and self.gamma == other.gamma
             and np.array_equal(self.rho, other.rho)
         )
 
+    def transition_gaps(self, other: "TabularMMDP") -> tuple[float, float]:
+        """Largest per-successor and largest L1 row gap between two kernels.
+
+        Compares the distributions the kernels represent, whatever their
+        layouts: indexed rows are first merged by successor state. Both MDPs
+        must have the same numbers of states and joint actions.
+        """
+        if (
+            self.num_states != other.num_states
+            or self.num_joint_actions != other.num_joint_actions
+        ):
+            raise ValueError("transition gaps need matching state and joint-action counts")
+        if self.next_states is None and other.next_states is None:
+            gap = np.abs(self.transitions - other.transitions)
+            return float(gap.max()), float(gap.sum(axis=2).max())
+        num_states = self.num_states
+
+        def successors(mmdp):
+            if mmdp.next_states is not None:
+                return mmdp.next_states
+            return np.broadcast_to(np.arange(num_states), mmdp.transitions.shape)
+
+        index = np.concatenate([successors(self), successors(other)], axis=2)
+        signed = np.concatenate([self.transitions, -other.transitions], axis=2)
+        num_rows = num_states * self.num_joint_actions
+        row = np.arange(num_rows).repeat(index.shape[2])
+        keys, slot = np.unique(row * num_states + index.ravel(), return_inverse=True)
+        gap = np.abs(np.bincount(slot, weights=signed.ravel()))
+        row_l1 = np.bincount(keys // num_states, weights=gap, minlength=num_rows)
+        return float(gap.max()), float(row_l1.max())
+
 
 def _check_transition_rows(trans: np.ndarray, atol: float = DISTRIBUTION_ATOL):
-    """Reject a transition tensor whose rows are not distributions, naming (s, u)."""
+    """Reject (S, A, ...) transition rows that are not distributions, naming (s, u)."""
     neg = trans < 0
     if np.any(neg):
         s, u = np.argwhere(neg.any(axis=2))[0]
@@ -246,6 +330,32 @@ class SuccessorFeatures:
         object.__setattr__(self, "mu_scalar", s)
 
 
+def _next_value(transitions: np.ndarray, next_states: np.ndarray | None):
+    """The map v -> expected v at the next state, one result per kernel row.
+
+    transitions and next_states share their leading (row) axes. v is indexed
+    by state on its first axis and may carry more axes (one column per
+    feature). The layout is chosen here once, so a solve's sweeps run
+    without re-checking it.
+    """
+    if next_states is None:
+        return lambda v: transitions @ v
+
+    def expect(v):
+        probs = transitions.reshape(transitions.shape + (1,) * (v.ndim - 1))
+        return (probs * v[next_states]).sum(axis=transitions.ndim - 1)
+
+    return expect
+
+
+def _policy_next_value(mmdp: TabularMMDP, policy: JointPolicy):
+    """_next_value restricted to the rows a deterministic policy selects."""
+    policy.validate_for(mmdp)
+    rows = (np.arange(mmdp.num_states), policy.actions)
+    next_states = None if mmdp.next_states is None else mmdp.next_states[rows]
+    return _next_value(mmdp.transitions[rows], next_states)
+
+
 def value_iteration(
     mmdp: TabularMMDP, tol: float = 1e-9, max_iters: int = 10**6
 ) -> tuple[ValueTable, JointPolicy]:
@@ -264,17 +374,17 @@ def value_iteration(
     if tol <= 0:
         raise ValueError("tol must be positive")
     r = mmdp.rewards
-    p = mmdp.transitions
+    expect = _next_value(mmdp.transitions, mmdp.next_states)
     g = mmdp.gamma
     v = np.zeros(mmdp.num_states)
     residual = np.inf
     for _ in range(max_iters):
-        v_new = (r[:, None] + g * (p @ v)).max(axis=1)
+        v_new = (r[:, None] + g * expect(v)).max(axis=1)
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
         if residual <= tol:
             # one more backup keeps v, q, and the greedy policy exactly consistent
-            q = r[:, None] + g * (p @ v)
+            q = r[:, None] + g * expect(v)
             v = q.max(axis=1)
             policy = JointPolicy(actions=q.argmax(axis=1))
             return ValueTable(v=v, q=q), policy
@@ -291,14 +401,13 @@ def policy_evaluation(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    policy.validate_for(mmdp)
-    p_pi = mmdp.transitions[np.arange(mmdp.num_states), policy.actions]
+    expect = _policy_next_value(mmdp, policy)
     r = mmdp.rewards
     g = mmdp.gamma
     v = np.zeros(mmdp.num_states)
     residual = np.inf
     for _ in range(max_iters):
-        v_new = r + g * (p_pi @ v)
+        v_new = r + g * expect(v)
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
         if residual <= tol:
@@ -316,14 +425,13 @@ def successor_features(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    policy.validate_for(mmdp)
-    p_pi = mmdp.transitions[np.arange(mmdp.num_states), policy.actions]
+    expect = _policy_next_value(mmdp, policy)
     phi = mmdp.states.features
     g = mmdp.gamma
     mu = np.zeros_like(phi)
     residual = np.inf
     for _ in range(max_iters):
-        mu_new = phi + g * (p_pi @ mu)
+        mu_new = phi + g * expect(mu)
         residual = float(np.max(np.abs(mu_new - mu)))
         mu = mu_new
         if residual <= tol:

@@ -284,7 +284,7 @@ class MMDPEnvironment:
         self.mmdp = mmdp
         self.episode_limit = int(episode_limit)
         self._rng = np.random.default_rng(seed)
-        self.num_actions = mmdp.transitions.shape[1]
+        self.num_actions = mmdp.num_joint_actions
         self._state = 0
         self._steps = 0
         self._live = False
@@ -309,7 +309,9 @@ class MMDPEnvironment:
             raise ValueError(f"agent 0 submitted unavailable action {action}")
         reward = float(self.mmdp.rewards[self._state])
         row = self.mmdp.transitions[self._state, action]
-        self._state = int(self._rng.choice(self.mmdp.num_states, p=row))
+        k = int(self._rng.choice(len(row), p=row))
+        next_states = self.mmdp.next_states
+        self._state = k if next_states is None else int(next_states[self._state, action, k])
         self._steps += 1
         done = self._steps >= self.episode_limit
         return [self._state], reward, done

@@ -40,6 +40,7 @@ from capmdp import (
     successor_features,
     transition_deviation_exact,
 )
+from capmdp.envs.fruit_forage import desk_config, fruit_forage_state_count
 from capmdp.envs.predator_prey import (
     PredatorPreyConfig,
     build_predator_prey,
@@ -296,6 +297,18 @@ def test_criterion_08_fruit_forage_desk():
         for row in rows
     )
     _verdict(8, ok, f"{summary} in {elapsed:.1f}s")
+
+
+def test_fruit_forage_grid6_exact_certification():
+    """Grid 6, two agents: 5184 states, solved exactly on the successor index."""
+    config = ExperimentConfig(kind="fruit-forage", fruit_forage={"grid_size": 6, "num_agents": 2})
+    assert fruit_forage_state_count(desk_config("x", grid_size=6)) == 5184
+    rows, violations = run_fruit_forage(config)
+    assert [row["bound_name"] for row in rows] == [
+        "team_generalization", "policy_transfer", "population_decrease",
+    ]
+    assert not violations
+    assert all(row["satisfied"] for row in rows)
 
 
 def _bfs_capture_steps(pred: int, prey: int, g: int) -> int:

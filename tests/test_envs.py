@@ -88,13 +88,42 @@ def test_movement_is_deterministic_and_masks_only_grow():
     spec = build_fruit_forage(desk_config("x", grid_size=3))
     mmdp = assemble_linear_mmdp(spec)
     num_masks = 4
-    rows = mmdp.transitions.reshape(-1, mmdp.num_states)
-    assert np.array_equal(np.max(rows, axis=1), np.ones(len(rows)))
-    successors = np.argmax(mmdp.transitions, axis=2)
+    assert mmdp.next_states.shape == (mmdp.num_states, mmdp.num_joint_actions, 1)
+    assert np.all(mmdp.transitions == 1.0)
+    successors = mmdp.next_states[:, :, 0]
     for s in range(mmdp.num_states):
         mask = s % num_masks
         for u in range(mmdp.num_joint_actions):
             assert successors[s, u] % num_masks & mask == mask
+
+
+def test_successor_index_matches_per_state_enumeration():
+    config = FruitForageConfig(
+        grid_size=3, num_agents=2, num_fruit_types=2, team=((0.3, 0.7), (0.6, 0.4)),
+        tree_positions=((1, 1), (0, 2)),
+    )
+    spec = build_fruit_forage(config)
+    g, num_masks = 3, 4
+    moves = ((-1, 0), (0, -1), (1, 0), (0, 1), (0, 0))
+    trees = {4: 0, 2: 1}  # flat cell -> fruit type
+    ns = spec.transition_kernel.next_states
+    assert np.all(spec.transition_kernel.components == 1.0)
+    for s in range(spec.states.num_states):
+        pos, mask = divmod(s, num_masks)
+        cells = divmod(pos, g * g)
+        coords = [v * (1.0 / (g - 1)) for cell in cells for v in divmod(cell, g)]
+        assert list(spec.states.features[s]) == coords + [mask & 1, mask >> 1]
+        for u in range(25):
+            new_cells = []
+            for cell, action in zip(cells, divmod(u, 5)):
+                r, c = divmod(cell, g)
+                nr, nc = r + moves[action][0], c + moves[action][1]
+                new_cells.append(nr * g + nc if 0 <= nr < g and 0 <= nc < g else cell)
+            new_mask = mask
+            for cell in new_cells:
+                if cell in trees:
+                    new_mask |= 1 << trees[cell]
+            assert ns[s, u, 0] == (new_cells[0] * g * g + new_cells[1]) * num_masks + new_mask
 
 
 def test_off_grid_moves_stay_and_tree_arrival_sets_mask():
@@ -102,12 +131,14 @@ def test_off_grid_moves_stay_and_tree_arrival_sets_mask():
         grid_size=2, num_agents=1, num_fruit_types=1, team=((1.0,),), gamma=0.9,
     )
     mmdp = assemble_linear_mmdp(build_fruit_forage(config))
+    assert np.all(mmdp.transitions == 1.0)
+    successor = mmdp.next_states[:, :, 0]
     # state index = cell * 2 + mask; tree sits at cell 3 = (1, 1)
-    assert np.argmax(mmdp.transitions[0, 0]) == 0  # up from (0,0) stays
-    assert np.argmax(mmdp.transitions[0, 1]) == 0  # left from (0,0) stays
-    assert np.argmax(mmdp.transitions[0, 3]) == 2  # right lands on (0,1), mask clear
-    assert np.argmax(mmdp.transitions[2, 2]) == 7  # down from (0,1) hits the tree
-    assert np.argmax(mmdp.transitions[7, 4]) == 7  # staying keeps the set mask
+    assert successor[0, 0] == 0  # up from (0,0) stays
+    assert successor[0, 1] == 0  # left from (0,0) stays
+    assert successor[0, 3] == 2  # right lands on (0,1), mask clear
+    assert successor[2, 2] == 7  # down from (0,1) hits the tree
+    assert successor[7, 4] == 7  # staying keeps the set mask
 
 
 def test_reward_is_weighted_foraged_utility():

@@ -1,6 +1,7 @@
 """Experiment harness: configs, generators, runners, artifacts, CLI."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from capmdp import (
     ConfigError,
     ExperimentConfig,
     GeneratorRanges,
+    SolveSettings,
+    bound_team_generalization,
     certify_instance,
     default_config,
     determinism_hash,
@@ -20,6 +23,7 @@ from capmdp import (
     sample_polynomial_spec,
 )
 from capmdp.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+import capmdp.harness
 from capmdp.harness import (
     CORE_COLUMNS,
     run_fruit_forage,
@@ -367,6 +371,42 @@ def test_replay_recomputes_archived_entries(tmp_path):
         "team_generalization", "population_increase", "population_decrease",
     ]
     assert all(r.satisfied for r in reports)
+
+
+def test_replay_solves_at_the_archived_tol(tmp_path):
+    ranges = GeneratorRanges.from_doc(SMALL_RANGES_DOC)
+    spec_x, spec_y = generate_linear_pair(ranges, np.random.default_rng(5))
+    entry = {
+        "instance_index": 0,
+        "bound_name": "team_generalization",
+        "tol": 1e-6,
+        "spec_x": json.loads(spec_x.to_json()),
+        "spec_y": json.loads(spec_y.to_json()),
+    }
+    path = tmp_path / "violations.json"
+    path.write_text(json.dumps([entry]))
+    [replayed] = replay_violations(path)
+    assert replayed == bound_team_generalization(spec_x, spec_y, SolveSettings(tol=1e-6))
+    assert replayed != bound_team_generalization(spec_x, spec_y, SolveSettings())
+
+
+def test_archived_violations_record_tol_and_replay_exactly(tmp_path, monkeypatch):
+    real = capmdp.harness.bound_team_generalization
+    monkeypatch.setattr(
+        capmdp.harness,
+        "bound_team_generalization",
+        lambda *args: replace(real(*args), satisfied=False),
+    )
+    forage = ExperimentConfig(kind="fruit-forage", tol=1e-7, fruit_forage={"grid_size": 2})
+    for violations in (
+        certify_instance(small_config(tol=1e-7), 0)[1],
+        run_fruit_forage(forage)[1],
+    ):
+        assert [v["tol"] for v in violations] == [1e-7]
+        path = tmp_path / "violations.json"
+        path.write_text(json.dumps(violations))
+        [replayed] = replay_violations(path)
+        assert json.loads(replayed.to_json()) == violations[0]["report"]
 
 
 def test_replay_error_paths(tmp_path):
