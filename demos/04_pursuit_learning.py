@@ -16,7 +16,7 @@ import numpy as np
 import capmdp
 from capmdp.envs.predator_prey import (
     PredatorPreyConfig,
-    build_predator_prey,
+    PredatorPreyEnv,
     pp_task_suites,
 )
 
@@ -32,7 +32,7 @@ chase = PredatorPreyConfig(
 
 
 def chase_builder(task, capability_observable, seed):
-    return build_predator_prey(task, seed)
+    return PredatorPreyEnv(task, seed)
 
 
 schedule = capmdp.TrainSchedule(
@@ -71,7 +71,7 @@ def shortest_capture(pred: int, prey: int) -> int:
     raise AssertionError("a 3x3 grid is connected")
 
 
-env = build_predator_prey(chase, seed=0)
+env = PredatorPreyEnv(chase, seed=0)
 rng = np.random.default_rng(0)
 matched = 0
 total = 0
@@ -113,7 +113,7 @@ def suite_builder(task, capability_observable, seed):
         grid_size=5, capability_observable=capability_observable,
         episode_limit=40, prey_move_prob=0.7,
     )
-    return build_predator_prey(cfg, seed)
+    return PredatorPreyEnv(cfg, seed)
 
 
 team_schedule = capmdp.TrainSchedule(

@@ -1,13 +1,21 @@
 """Certified value-difference bounds between capability-parameterized teams.
 
-Every calculator assembles and exactly solves the tasks it compares, computes
-a closed-form bound from team-level quantities, and returns a BoundReport
-pairing the bound with the measured value difference. A report is satisfied
-when the measurement does not exceed the bound beyond a fixed additive
-tolerance; the certification harness treats any unsatisfied report as a
-violation worth archiving.
+Every calculator assembles the tasks it compares, gets their exact optimal
+solves, computes a closed-form bound from team-level quantities, and returns
+a BoundReport pairing the bound with the measured value difference. A report
+is satisfied when the measurement does not exceed the bound beyond a fixed
+additive tolerance; the certification harness treats any unsatisfied report
+as a violation worth archiving.
+
+Each calculator takes an optional ``solver=``, a Solver that memoizes optimal
+solves by MDP content. Calculators comparing tasks of one instance share
+most of their MDPs, so passing one Solver to all of them solves each
+distinct MDP once; a cached solve returns the same arrays a fresh solve
+would, made read-only. Without a solver every solve is fresh. A Solver is
+not locked: give each thread its own.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -172,7 +180,8 @@ def psi_with_permutation(
         raise ValueError("both teams must share one capability dimension")
     identity = tuple(range(n))
     if not minimize_over_permutations:
-        return _psi_fixed(team_x, weights_x.a, team_y, weights_y.a), identity
+        value = _psi_arrays(team_x.matrix(), weights_x.a, team_y.matrix(), weights_y.a)
+        return value, identity
     if n > PERMUTATION_GUARD:
         raise ValueError(
             f"permutation search over {n} members exceeds the guard of {PERMUTATION_GUARD}"
@@ -188,10 +197,6 @@ def psi_with_permutation(
             best = value
             best_perm = perm
     return float(best), best_perm
-
-
-def _psi_fixed(team_x, a_x, team_y, a_y) -> float:
-    return _psi_arrays(team_x.matrix(), a_x, team_y.matrix(), a_y)
 
 
 def _psi_arrays(mat_x, a_x, mat_y, a_y) -> float:
@@ -278,8 +283,77 @@ def _require_shared_frame(spec_x: LinearMMDPSpec, spec_y: LinearMMDPSpec):
         raise ValueError("the two specs must share one joint action space")
 
 
-def _solve(mmdp: TabularMMDP, settings: SolveSettings):
-    return value_iteration(mmdp, tol=settings.tol, max_iters=settings.max_iters)
+class Solver:
+    """Memo of optimal solves keyed by MDP content and solver settings.
+
+    The key digests the rewards, the transitions and the successor index
+    (shape, dtype and bytes of each), the discount, tol and max_iters: the
+    whole input of value_iteration. So an indexed kernel and its dense twin,
+    or one MDP at two tolerances, never share an entry. Cached arrays are
+    read-only, since every caller of a hit shares them.
+    """
+
+    def __init__(self):
+        self._solved = {}
+        self.solves = 0
+        self.hits = 0
+
+    def solve(self, mmdp: TabularMMDP, settings: SolveSettings):
+        """(ValueTable, JointPolicy) of value_iteration on mmdp at settings."""
+        key = _solve_key(mmdp, settings)
+        cached = self._solved.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        values, policy = value_iteration(mmdp, tol=settings.tol, max_iters=settings.max_iters)
+        for arr in (values.v, values.q, policy.actions):
+            arr.flags.writeable = False
+        self._solved[key] = cached = (values, policy)
+        self.solves += 1
+        return cached
+
+    def counts(self) -> dict:
+        return {"value_iteration_solves": self.solves, "cache_hits": self.hits}
+
+
+def _solve_key(mmdp: TabularMMDP, settings: SolveSettings) -> bytes:
+    digest = hashlib.sha256()
+    for arr in (mmdp.rewards, mmdp.transitions, mmdp.next_states):
+        if arr is None:
+            digest.update(b"none;")
+            continue
+        digest.update(f"{arr.shape}{arr.dtype.str};".encode())
+        digest.update(memoryview(np.ascontiguousarray(arr)).cast("B"))
+    digest.update(repr((mmdp.gamma, settings.tol, settings.max_iters)).encode())
+    return digest.digest()
+
+
+def _solve(mmdp: TabularMMDP, settings: SolveSettings, solver: Solver | None):
+    if solver is None:
+        return value_iteration(mmdp, tol=settings.tol, max_iters=settings.max_iters)
+    return solver.solve(mmdp, settings)
+
+
+def _value_scale(gf: float, smax: float, spec: LinearMMDPSpec, vmid: float) -> float:
+    """gamma_factor * (s_max + gamma * d * v_mid), the factor every linear bound shares."""
+    return gf * (smax + spec.gamma * spec.capability_dim * vmid)
+
+
+def _transfer_regret(mmdp, optimal: ValueTable, policy, rho, settings: SolveSettings, label):
+    """Regret of running policy on mmdp, against mmdp's optimal values.
+
+    Returns (value_optimal, value_executed, regret, per-state max regret).
+    A regret below -2 * tol means the solver contradicted itself.
+    """
+    executed = policy_evaluation(mmdp, policy, tol=settings.tol, max_iters=settings.max_iters)
+    value_optimal = optimal.scalar(rho)
+    value_executed = executed.scalar(rho)
+    actual = value_optimal - value_executed
+    if actual < -2.0 * settings.tol:
+        raise RuntimeError(
+            f"{label} policy beat the optimal value by {-actual:.3e}; solver inconsistency"
+        )
+    return value_optimal, value_executed, actual, float(np.max(optimal.v - executed.v))
 
 
 def _permutation_code(perm) -> float:
@@ -304,7 +378,10 @@ def _base_constituents(spec, psi_value, smax, vmid, perm):
 
 
 def bound_team_generalization(
-    spec_x: LinearMMDPSpec, spec_y: LinearMMDPSpec, settings: SolveSettings = SolveSettings()
+    spec_x: LinearMMDPSpec,
+    spec_y: LinearMMDPSpec,
+    settings: SolveSettings = SolveSettings(),
+    solver: Solver | None = None,
 ) -> BoundReport:
     """Bound |V*_x - V*_y| for two teams sharing every kernel.
 
@@ -314,8 +391,8 @@ def bound_team_generalization(
     max difference is reported alongside.
     """
     _require_shared_frame(spec_x, spec_y)
-    vt_x, _ = _solve(assemble_linear_mmdp(spec_x), settings)
-    vt_y, _ = _solve(assemble_linear_mmdp(spec_y), settings)
+    vt_x, _ = _solve(assemble_linear_mmdp(spec_x), settings, solver)
+    vt_y, _ = _solve(assemble_linear_mmdp(spec_y), settings, solver)
     psi_value, perm = psi_with_permutation(
         spec_x.team, spec_x.weights, spec_y.team, spec_y.weights,
         settings.psi_over_permutations,
@@ -323,7 +400,7 @@ def bound_team_generalization(
     smax = s_max(spec_x.reward_kernel, spec_x.states)
     vmid = v_mid(vt_y)
     gf, parts = _base_constituents(spec_x, psi_value, smax, vmid, perm)
-    bound = gf * (smax + spec_x.gamma * spec_x.capability_dim * vmid) * psi_value
+    bound = _value_scale(gf, smax, spec_x, vmid) * psi_value
     value_x = vt_x.scalar(spec_x.rho)
     value_y = vt_y.scalar(spec_y.rho)
     parts.update(
@@ -337,7 +414,10 @@ def bound_team_generalization(
 
 
 def bound_policy_transfer(
-    spec_x: LinearMMDPSpec, spec_y: LinearMMDPSpec, settings: SolveSettings = SolveSettings()
+    spec_x: LinearMMDPSpec,
+    spec_y: LinearMMDPSpec,
+    settings: SolveSettings = SolveSettings(),
+    solver: Solver | None = None,
 ) -> BoundReport:
     """Bound the regret of running the second team's optimal policy on the first.
 
@@ -346,10 +426,10 @@ def bound_policy_transfer(
     """
     _require_shared_frame(spec_x, spec_y)
     mmdp_x = assemble_linear_mmdp(spec_x)
-    vt_x, _ = _solve(mmdp_x, settings)
-    vt_y, policy_y = _solve(assemble_linear_mmdp(spec_y), settings)
-    transferred = policy_evaluation(
-        mmdp_x, policy_y, tol=settings.tol, max_iters=settings.max_iters
+    vt_x, _ = _solve(mmdp_x, settings, solver)
+    vt_y, policy_y = _solve(assemble_linear_mmdp(spec_y), settings, solver)
+    value_optimal, value_transferred, actual, state_max = _transfer_regret(
+        mmdp_x, vt_x, policy_y, spec_x.rho, settings, "transferred"
     )
     psi_value, perm = psi_with_permutation(
         spec_x.team, spec_x.weights, spec_y.team, spec_y.weights,
@@ -358,19 +438,12 @@ def bound_policy_transfer(
     smax = s_max(spec_x.reward_kernel, spec_x.states)
     vmid = v_mid(vt_y)
     gf, parts = _base_constituents(spec_x, psi_value, smax, vmid, perm)
-    bound = 2.0 * gf * (smax + spec_x.gamma * spec_x.capability_dim * vmid) * psi_value
-    value_optimal = vt_x.scalar(spec_x.rho)
-    value_transferred = transferred.scalar(spec_x.rho)
-    actual = value_optimal - value_transferred
-    if actual < -2.0 * settings.tol:
-        raise RuntimeError(
-            f"transferred policy beat the optimal value by {-actual:.3e}; solver inconsistency"
-        )
+    bound = 2.0 * _value_scale(gf, smax, spec_x, vmid) * psi_value
     parts.update(
         {
             "value_optimal": value_optimal,
             "value_transferred": value_transferred,
-            "actual_state_max": float(np.max(vt_x.v - transferred.v)),
+            "actual_state_max": state_max,
         }
     )
     return BoundReport.build("policy_transfer", parts, bound, actual)
@@ -380,6 +453,7 @@ def bound_out_of_distribution(
     distribution: TaskDistribution,
     query_spec: LinearMMDPSpec,
     settings: SolveSettings = SolveSettings(),
+    solver: Solver | None = None,
 ) -> BoundReport:
     """Bound the regret of the closest-task policy on an unseen team.
 
@@ -397,10 +471,10 @@ def bound_out_of_distribution(
     selected_team, selected_weights = distribution.support[selected]
     spec_sel = query_spec.with_team(selected_team, selected_weights)
     mmdp_query = assemble_linear_mmdp(query_spec)
-    vt_query, _ = _solve(mmdp_query, settings)
-    vt_sel, policy_sel = _solve(assemble_linear_mmdp(spec_sel), settings)
-    transferred = policy_evaluation(
-        mmdp_query, policy_sel, tol=settings.tol, max_iters=settings.max_iters
+    vt_query, _ = _solve(mmdp_query, settings, solver)
+    vt_sel, policy_sel = _solve(assemble_linear_mmdp(spec_sel), settings, solver)
+    value_optimal, value_transferred, actual, state_max = _transfer_regret(
+        mmdp_query, vt_query, policy_sel, query_spec.rho, settings, "selected"
     )
     distance = d_a_set_distance(
         query_spec.team, [team for team, _ in distribution.support], query_spec.weights
@@ -408,14 +482,7 @@ def bound_out_of_distribution(
     smax = s_max(query_spec.reward_kernel, query_spec.states)
     vmid = v_mid(vt_sel)
     gf = gamma_factor(query_spec.gamma)
-    bound = 2.0 * gf * (smax + query_spec.gamma * query_spec.capability_dim * vmid) * distance
-    value_optimal = vt_query.scalar(query_spec.rho)
-    value_transferred = transferred.scalar(query_spec.rho)
-    actual = value_optimal - value_transferred
-    if actual < -2.0 * settings.tol:
-        raise RuntimeError(
-            f"selected policy beat the optimal value by {-actual:.3e}; solver inconsistency"
-        )
+    bound = 2.0 * _value_scale(gf, smax, query_spec, vmid) * distance
     parts = {
         "d_a": distance,
         "selected_index": float(selected),
@@ -426,7 +493,7 @@ def bound_out_of_distribution(
         "capability_dim": float(query_spec.capability_dim),
         "value_optimal": value_optimal,
         "value_transferred": value_transferred,
-        "actual_state_max": float(np.max(vt_query.v - transferred.v)),
+        "actual_state_max": state_max,
     }
     return BoundReport.build("out_of_distribution", parts, bound, actual)
 
@@ -437,6 +504,7 @@ def bound_population_change(
     new_capability=None,
     new_weight: float | None = None,
     settings: SolveSettings = SolveSettings(),
+    solver: Solver | None = None,
 ) -> BoundReport:
     """Bound the optimal-value shift when the team loses or gains a member.
 
@@ -484,17 +552,12 @@ def bound_population_change(
     else:
         raise ValueError(f"unknown population-change mode {mode!r}")
 
-    vt_before, _ = _solve(assemble_linear_mmdp(spec), settings)
-    vt_after, _ = _solve(assemble_linear_mmdp(changed), settings)
+    vt_before, _ = _solve(assemble_linear_mmdp(spec), settings, solver)
+    vt_after, _ = _solve(assemble_linear_mmdp(changed), settings, solver)
     smax = s_max(spec.reward_kernel, spec.states)
     vmid = v_mid(vt_after)
     gf = gamma_factor(spec.gamma)
-    bound = (
-        gf
-        * (smax + spec.gamma * spec.capability_dim * vmid)
-        * changed_weight
-        * mixture_gap
-    )
+    bound = _value_scale(gf, smax, spec, vmid) * changed_weight * mixture_gap
     value_before = vt_before.scalar(spec.rho)
     value_after = vt_after.scalar(spec.rho)
     parts = {
@@ -518,6 +581,7 @@ def bound_approx_dynamics(
     mmdp_x_actual: TabularMMDP,
     mmdp_y_actual: TabularMMDP,
     settings: SolveSettings = SolveSettings(),
+    solver: Solver | None = None,
 ) -> BoundReport:
     """Team-generalization bound when the real dynamics are only nearly linear.
 
@@ -548,8 +612,8 @@ def bound_approx_dynamics(
         mmdp_x_actual.transition_gaps(linear_x)[0],
         mmdp_y_actual.transition_gaps(linear_y)[0],
     )
-    vt_x, _ = _solve(mmdp_x_actual, settings)
-    vt_y, _ = _solve(mmdp_y_actual, settings)
+    vt_x, _ = _solve(mmdp_x_actual, settings, solver)
+    vt_y, _ = _solve(mmdp_y_actual, settings, solver)
     psi_value, perm = psi_with_permutation(
         spec_x.team, spec_x.weights, spec_y.team, spec_y.weights,
         settings.psi_over_permutations,
@@ -557,7 +621,7 @@ def bound_approx_dynamics(
     smax = s_max(spec_x.reward_kernel, spec_x.states)
     vmid = v_mid(vt_y)
     gf, parts = _base_constituents(spec_x, psi_value, smax, vmid, perm)
-    bound = gf * (smax + spec_x.gamma * spec_x.capability_dim * vmid) * psi_value + (
+    bound = _value_scale(gf, smax, spec_x, vmid) * psi_value + (
         2.0 * gf * (eps_hat_r + spec_x.gamma * eps_hat_p * vmid)
     )
     value_x = vt_x.scalar(spec_x.rho)
@@ -578,6 +642,7 @@ def bound_capability_estimation(
     spec_true: LinearMMDPSpec,
     spec_inferred: LinearMMDPSpec,
     settings: SolveSettings = SolveSettings(),
+    solver: Solver | None = None,
 ) -> BoundReport:
     """Bound the regret of planning with estimated capabilities.
 
@@ -594,22 +659,15 @@ def bound_capability_estimation(
         np.max(np.abs(spec_true.team.matrix() - spec_inferred.team.matrix()))
     )
     mmdp_true = assemble_linear_mmdp(spec_true)
-    vt_true, _ = _solve(mmdp_true, settings)
-    vt_inferred, policy_inferred = _solve(assemble_linear_mmdp(spec_inferred), settings)
-    executed = policy_evaluation(
-        mmdp_true, policy_inferred, tol=settings.tol, max_iters=settings.max_iters
+    vt_true, _ = _solve(mmdp_true, settings, solver)
+    vt_inferred, policy_inferred = _solve(assemble_linear_mmdp(spec_inferred), settings, solver)
+    value_optimal, value_executed, actual, state_max = _transfer_regret(
+        mmdp_true, vt_true, policy_inferred, spec_true.rho, settings, "inferred"
     )
     smax = s_max(spec_true.reward_kernel, spec_true.states)
     vmid = v_mid(vt_inferred)
     gf = gamma_factor(spec_true.gamma)
-    bound = 2.0 * gf * (smax + spec_true.gamma * spec_true.capability_dim * vmid) * eps_t
-    value_optimal = vt_true.scalar(spec_true.rho)
-    value_executed = executed.scalar(spec_true.rho)
-    actual = value_optimal - value_executed
-    if actual < -2.0 * settings.tol:
-        raise RuntimeError(
-            f"inferred policy beat the optimal value by {-actual:.3e}; solver inconsistency"
-        )
+    bound = 2.0 * _value_scale(gf, smax, spec_true, vmid) * eps_t
     parts = {
         "eps_t": eps_t,
         "s_max": smax,
@@ -619,7 +677,7 @@ def bound_capability_estimation(
         "capability_dim": float(spec_true.capability_dim),
         "value_optimal": value_optimal,
         "value_executed": value_executed,
-        "actual_state_max": float(np.max(vt_true.v - executed.v)),
+        "actual_state_max": state_max,
     }
     return BoundReport.build("capability_estimation", parts, bound, actual)
 
@@ -632,6 +690,7 @@ def bound_lipschitz(
     mmdp_y: TabularMMDP,
     reward_kernel: RewardKernel,
     settings: SolveSettings = SolveSettings(),
+    solver: Solver | None = None,
 ) -> BoundReport:
     """Bound |V*_x - V*_y| when rewards come from a Lipschitz capability map.
 
@@ -652,8 +711,8 @@ def bound_lipschitz(
         raise ValueError("the Lipschitz bound requires identical transition dynamics")
     member_gaps = np.abs(team_x.matrix() - team_y.matrix()).max(axis=1)
     weighted_diff = float(reward_map.lipschitz_constants @ member_gaps)
-    vt_x, _ = _solve(mmdp_x, settings)
-    vt_y, _ = _solve(mmdp_y, settings)
+    vt_x, _ = _solve(mmdp_x, settings, solver)
+    vt_y, _ = _solve(mmdp_y, settings, solver)
     smax = s_max(reward_kernel, mmdp_x.states)
     gf = gamma_factor(mmdp_x.gamma)
     bound = gf * smax * weighted_diff

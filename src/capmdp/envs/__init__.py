@@ -17,7 +17,6 @@ from .predator_prey import (
     PPTaskSuite,
     PredatorPreyConfig,
     PredatorPreyEnv,
-    build_predator_prey,
     pp_task_suites,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "UTILITY_TEAM_Y",
     "UTILITY_TEAM_Z",
     "build_fruit_forage",
-    "build_predator_prey",
     "default_tree_positions",
     "desk_config",
     "fruit_forage_state_count",

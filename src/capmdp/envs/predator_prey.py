@@ -431,10 +431,3 @@ def pp_task_suites() -> dict:
         prey_health=prey,
     )
     return suites
-
-
-def build_predator_prey(
-    config: PredatorPreyConfig, seed: int, trajectory_log=None
-) -> PredatorPreyEnv:
-    """Construct a seeded environment instance."""
-    return PredatorPreyEnv(config, seed, trajectory_log=trajectory_log)

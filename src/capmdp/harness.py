@@ -10,11 +10,13 @@ re-runs be compared byte-for-byte.
 """
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +26,7 @@ import numpy as np
 from .bounds import (
     BoundReport,
     SolveSettings,
+    Solver,
     TaskDistribution,
     bound_approx_dynamics,
     bound_capability_estimation,
@@ -363,12 +366,6 @@ def generate_linear_pair(ranges: GeneratorRanges, rng: np.random.Generator):
     return spec_x, spec_y
 
 
-def generate_linear_instance(ranges: GeneratorRanges, rng: np.random.Generator) -> LinearMMDPSpec:
-    """One random task: simplex capabilities and weights on a random frame."""
-    spec, _ = generate_linear_pair(ranges, rng)
-    return spec
-
-
 def sample_simplex_team(rng: np.random.Generator, num_agents: int, dim: int) -> TeamComposition:
     return TeamComposition(tuple(rng.dirichlet(np.ones(dim)) for _ in range(num_agents)))
 
@@ -441,14 +438,18 @@ def _spec_doc(spec: LinearMMDPSpec) -> dict:
     return json.loads(spec.to_json())
 
 
-def certify_instance(config: ExperimentConfig, index: int):
+def certify_instance(config: ExperimentConfig, index: int, solver: Solver | None = None):
     """All bound reports for one randomly generated instance.
 
     Returns (rows, violations); every random draw flows from a generator
     seeded by (config.seed, index), so results are order-independent.
+    Every calculator shares one Solver (a fresh one unless given), so each
+    distinct MDP of the instance is solved once. A violation's payload is
+    built only when its report fails.
     """
     rng = np.random.default_rng([config.seed, index])
     settings = SolveSettings(tol=config.tol)
+    solver = Solver() if solver is None else solver
     spec_x, spec_y = generate_linear_pair(config.ranges, rng)
     num_agents = spec_x.team.num_agents
     dim = spec_x.capability_dim
@@ -457,6 +458,7 @@ def certify_instance(config: ExperimentConfig, index: int):
     violations = []
 
     def record(report, wall_time, extras):
+        """Append the report's row; extras() builds its violation payload."""
         row = {"instance": index, "wall_time": float(wall_time)}
         row.update(report.to_csv_row())
         rows.append(row)
@@ -467,19 +469,26 @@ def certify_instance(config: ExperimentConfig, index: int):
                     "bound_name": report.bound_name,
                     "report": json.loads(report.to_json()),
                     "tol": config.tol,
-                    **extras,
+                    **extras(),
                 }
             )
 
-    pair_extras = {"spec_x": _spec_doc(spec_x), "spec_y": _spec_doc(spec_y)}
+    # built by the first failing report that needs them, then shared
+    doc_x = functools.cache(functools.partial(_spec_doc, spec_x))
+    doc_y = functools.cache(functools.partial(_spec_doc, spec_y))
 
-    report, wt = _timed(bound_team_generalization, spec_x, spec_y, settings)
+    def pair_extras():
+        return {"spec_x": doc_x(), "spec_y": doc_y()}
+
+    report, wt = _timed(bound_team_generalization, spec_x, spec_y, settings, solver)
     record(report, wt, pair_extras)
-    report, wt = _timed(bound_policy_transfer, spec_x, spec_y, settings)
+    report, wt = _timed(bound_policy_transfer, spec_x, spec_y, settings, solver)
     record(report, wt, pair_extras)
 
-    report, wt = _timed(bound_population_change, spec_x, "remove-last", settings=settings)
-    record(report, wt, {"spec_x": pair_extras["spec_x"]})
+    report, wt = _timed(
+        bound_population_change, spec_x, "remove-last", settings=settings, solver=solver
+    )
+    record(report, wt, lambda: {"spec_x": doc_x()})
 
     new_capability = rng.dirichlet(np.ones(dim))
     new_weight = float(rng.uniform(0.05, 0.5))
@@ -490,12 +499,13 @@ def certify_instance(config: ExperimentConfig, index: int):
         new_capability=new_capability,
         new_weight=new_weight,
         settings=settings,
+        solver=solver,
     )
     record(
         report,
         wt,
-        {
-            "spec_x": pair_extras["spec_x"],
+        lambda: {
+            "spec_x": doc_x(),
             "new_capability": new_capability.tolist(),
             "new_weight": new_weight,
         },
@@ -508,11 +518,11 @@ def certify_instance(config: ExperimentConfig, index: int):
         for m in spec_x.team.members
     )
     spec_inferred = spec_x.with_team(TeamComposition(inferred_members), spec_x.weights)
-    report, wt = _timed(bound_capability_estimation, spec_x, spec_inferred, settings)
+    report, wt = _timed(bound_capability_estimation, spec_x, spec_inferred, settings, solver)
     record(
         report,
         wt,
-        {"spec_x": pair_extras["spec_x"], "spec_y": _spec_doc(spec_inferred)},
+        lambda: {"spec_x": doc_x(), "spec_y": _spec_doc(spec_inferred)},
     )
 
     support_teams = [spec_y.team] + [
@@ -522,12 +532,12 @@ def certify_instance(config: ExperimentConfig, index: int):
         support=tuple((team, spec_x.weights) for team in support_teams),
         probabilities=np.full(len(support_teams), 1.0 / len(support_teams)),
     )
-    report, wt = _timed(bound_out_of_distribution, distribution, spec_x, settings)
+    report, wt = _timed(bound_out_of_distribution, distribution, spec_x, settings, solver)
     record(
         report,
         wt,
-        {
-            "spec_x": pair_extras["spec_x"],
+        lambda: {
+            "spec_x": doc_x(),
             "support_teams": [t.matrix().tolist() for t in support_teams],
         },
     )
@@ -541,13 +551,13 @@ def certify_instance(config: ExperimentConfig, index: int):
         assemble_linear_mmdp(spec_y), config.eps_r, config.eps_p, seed_y
     )
     report, wt = _timed(
-        bound_approx_dynamics, spec_x, spec_y, actual_x, actual_y, settings
+        bound_approx_dynamics, spec_x, spec_y, actual_x, actual_y, settings, solver
     )
     record(
         report,
         wt,
-        {
-            **pair_extras,
+        lambda: {
+            **pair_extras(),
             "eps_r": config.eps_r,
             "eps_p": config.eps_p,
             "seed_x": seed_x,
@@ -582,6 +592,7 @@ def certify_instance(config: ExperimentConfig, index: int):
         mmdp_ly,
         spec_x.reward_kernel,
         settings,
+        solver,
     )
     record(report, wt, pair_extras)
 
@@ -609,8 +620,8 @@ def certify_instance(config: ExperimentConfig, index: int):
     record(
         report,
         wt,
-        {
-            "spec_x": pair_extras["spec_x"],
+        lambda: {
+            "spec_x": doc_x(),
             "poly": json.loads(poly.to_json()),
             "delta": delta,
             "member_index": member_index,
@@ -622,42 +633,50 @@ def certify_instance(config: ExperimentConfig, index: int):
 
 
 def _certify_worker(payload):
+    """One instance on its own Solver: ((rows, violations), solve counts)."""
     config, index = payload
-    return index, certify_instance(config, index)
+    solver = Solver()
+    return certify_instance(config, index, solver), solver.counts()
 
 
 # ---- experiment runners --------------------------------------------------------
 
 
-def run_verify_bounds(config: ExperimentConfig, jobs: int = 1):
+def run_verify_bounds(config: ExperimentConfig, jobs: int = 1, solve_counts=None):
     """Certify every generated instance; rows merge in instance-index order.
 
     Each worker derives its own generator from (master seed, instance index),
-    so parallel and serial runs produce identical row sets.
+    so parallel and serial runs produce identical row sets. Each instance
+    gets its own Solver, so no cache crosses threads; solve_counts, a
+    Counter, accumulates their counts when given.
     """
     rows = []
     violations = []
-    indices = range(config.num_instances)
+    payloads = [(config, i) for i in range(config.num_instances)]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(
-                pool.map(_certify_worker, [(config, i) for i in indices])
-            )
-        ordered = [results[i] for i in indices]
+            ordered = list(pool.map(_certify_worker, payloads))
     else:
-        ordered = [certify_instance(config, i) for i in indices]
-    for instance_rows, instance_violations in ordered:
+        ordered = [_certify_worker(payload) for payload in payloads]
+    for (instance_rows, instance_violations), counts in ordered:
         rows.extend(instance_rows)
         violations.extend(instance_violations)
+        if solve_counts is not None:
+            solve_counts.update(counts)
     return rows, violations
 
 
-def run_fruit_forage(config: ExperimentConfig):
-    """Desk-scale foraging certification: two team comparisons plus a removal."""
+def run_fruit_forage(config: ExperimentConfig, solve_counts=None):
+    """Desk-scale foraging certification: two team comparisons plus a removal.
+
+    The three calculators share one Solver; solve_counts, a Counter,
+    accumulates its counts when given.
+    """
     params = config.fruit_forage
     grid_size = int(params["grid_size"])
     num_agents = int(params["num_agents"])
     settings = SolveSettings(tol=config.tol)
+    solver = Solver()
     rows = []
     violations = []
 
@@ -683,15 +702,19 @@ def run_fruit_forage(config: ExperimentConfig):
 
     spec_x = build_fruit_forage(desk_config("x", grid_size, num_agents))
     spec_y = build_fruit_forage(desk_config("y", grid_size, num_agents))
-    report, wt = _timed(bound_team_generalization, spec_x, spec_y, settings)
+    report, wt = _timed(bound_team_generalization, spec_x, spec_y, settings, solver)
     record(report, wt, ("x", "y"))
-    report, wt = _timed(bound_policy_transfer, spec_x, spec_y, settings)
+    report, wt = _timed(bound_policy_transfer, spec_x, spec_y, settings, solver)
     record(report, wt, ("x", "y"))
     del spec_x, spec_y
 
     spec_z = build_fruit_forage(desk_config("z", grid_size, num_agents))
-    report, wt = _timed(bound_population_change, spec_z, "remove-last", settings=settings)
+    report, wt = _timed(
+        bound_population_change, spec_z, "remove-last", settings=settings, solver=solver
+    )
     record(report, wt, ("z",))
+    if solve_counts is not None:
+        solve_counts.update(solver.counts())
     return rows, violations
 
 
@@ -790,7 +813,7 @@ def run_predator_prey(config: ExperimentConfig):
     return rows, []
 
 
-def run_sweep(config: ExperimentConfig, jobs: int = 1):
+def run_sweep(config: ExperimentConfig, jobs: int = 1, solve_counts=None):
     rows = []
     violations = []
     for cell_index, cell in enumerate(config.sweep_cells):
@@ -811,7 +834,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1):
             eps_p=config.eps_p,
             ranges=GeneratorRanges.from_doc(ranges_doc),
         )
-        cell_rows, cell_violations = run_verify_bounds(cell_config, jobs=jobs)
+        cell_rows, cell_violations = run_verify_bounds(
+            cell_config, jobs=jobs, solve_counts=solve_counts
+        )
         for row in cell_rows:
             row = dict(row)
             row["cell_num_agents"] = n
@@ -911,8 +936,19 @@ def run_output_dir(config: ExperimentConfig, out_root) -> Path:
     return Path(out_root) / config.name / config.config_hash()
 
 
-def write_run_artifacts(config: ExperimentConfig, rows, violations, out_root, total_wall_time: float):
-    """Write config/results/summary (and violations) under a content-hash dir."""
+def write_run_artifacts(
+    config: ExperimentConfig,
+    rows,
+    violations,
+    out_root,
+    total_wall_time: float,
+    solve_counts=None,
+):
+    """Write config/results/summary (and violations) under a content-hash dir.
+
+    solve_counts, a mapping with value_iteration_solves and cache_hits,
+    becomes the summary's "solver" block, outside the rows and the hash.
+    """
     out_dir = run_output_dir(config, out_root)
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(out_dir / "config.json", json.dumps(config.to_doc(), indent=2, sort_keys=True))
@@ -928,6 +964,8 @@ def write_run_artifacts(config: ExperimentConfig, rows, violations, out_root, to
         "determinism_hash": determinism_hash(rows),
         "total_wall_time": float(total_wall_time),
     }
+    if solve_counts is not None:
+        summary["solver"] = dict(solve_counts)
     _atomic_write_text(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True))
     if violations:
         _atomic_write_text(out_dir / "violations.json", json.dumps(violations, indent=2))
@@ -949,19 +987,20 @@ def _stamp_rows(config: ExperimentConfig, rows) -> list:
 def run_experiment(config: ExperimentConfig, out_root, jobs: int = 1) -> list:
     """Run one configured experiment, write its artifacts, and return the rows."""
     start = time.perf_counter()
+    solve_counts = Counter(value_iteration_solves=0, cache_hits=0)
     if config.kind == "verify-bounds":
-        rows, violations = run_verify_bounds(config, jobs=jobs)
+        rows, violations = run_verify_bounds(config, jobs=jobs, solve_counts=solve_counts)
     elif config.kind == "fruit-forage":
-        rows, violations = run_fruit_forage(config)
+        rows, violations = run_fruit_forage(config, solve_counts=solve_counts)
     elif config.kind == "predator-prey":
         rows, violations = run_predator_prey(config)
     elif config.kind == "sweep":
-        rows, violations = run_sweep(config, jobs=jobs)
+        rows, violations = run_sweep(config, jobs=jobs, solve_counts=solve_counts)
     else:
         raise ConfigError(f"unknown experiment kind {config.kind!r}")
     total = time.perf_counter() - start
     _stamp_rows(config, rows)
-    write_run_artifacts(config, rows, violations, out_root, total)
+    write_run_artifacts(config, rows, violations, out_root, total, solve_counts)
     return rows
 
 

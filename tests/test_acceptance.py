@@ -26,7 +26,6 @@ from capmdp import (
     bound_team_generalization,
     default_config,
     gamma_factor,
-    generate_linear_instance,
     generate_linear_pair,
     perturb_dynamics,
     policy_evaluation,
@@ -43,7 +42,7 @@ from capmdp import (
 from capmdp.envs.fruit_forage import desk_config, fruit_forage_state_count
 from capmdp.envs.predator_prey import (
     PredatorPreyConfig,
-    build_predator_prey,
+    PredatorPreyEnv,
     pp_task_suites,
 )
 from capmdp.harness import (
@@ -150,7 +149,7 @@ def test_criterion_04_successor_feature_identity():
     worst = 0.0
     for i in range(100):
         rng = np.random.default_rng([404, i])
-        spec = generate_linear_instance(DEFAULT_RANGES, rng)
+        spec = generate_linear_pair(DEFAULT_RANGES, rng)[0]
         mmdp = assemble_linear_mmdp(spec)
         policy = JointPolicy(
             actions=rng.integers(0, mmdp.num_joint_actions, mmdp.num_states)
@@ -189,7 +188,7 @@ def test_criterion_06_perfect_substitutes():
     small_actual = 0
     for i in range(50):
         rng = np.random.default_rng([606, i])
-        spec = generate_linear_instance(DEFAULT_RANGES, rng)
+        spec = generate_linear_pair(DEFAULT_RANGES, rng)[0]
         a = spec.weights.a
         base_matrix = spec.team.drop_last().matrix()
         # mirror the removal computation so the mixture gap cancels bitwise
@@ -371,7 +370,7 @@ def test_criterion_09_pursuit_learning(tmp_path):
     )
 
     def builder(task, capability_observable, seed):
-        return build_predator_prey(task, seed)
+        return PredatorPreyEnv(task, seed)
 
     schedule = TrainSchedule(
         total_steps=200_000, alpha=0.05, epsilon_start=1.0, epsilon_end=0.05,
@@ -379,7 +378,7 @@ def test_criterion_09_pursuit_learning(tmp_path):
     )
     table = q_learning_train(builder, [chase], schedule, seed=42)
 
-    eval_env = build_predator_prey(chase, seed=0)
+    eval_env = PredatorPreyEnv(chase, seed=0)
     rng = np.random.default_rng(0)
     matched = 0
     total = 0

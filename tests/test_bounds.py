@@ -1,5 +1,7 @@
 """Bound calculators checked against hand values and exact-solver measurements."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,15 +13,20 @@ from capmdp import (
     GeneratorRanges,
     InfluenceWeights,
     LinearMMDPSpec,
+    LipschitzRewardSpec,
     RewardKernel,
     SolveSettings,
+    Solver,
     StateSpace,
+    TabularMMDP,
     TaskDistribution,
     TeamComposition,
     ValueTable,
     assemble_linear_mmdp,
+    assemble_lipschitz_mmdp,
     bound_approx_dynamics,
     bound_capability_estimation,
+    bound_lipschitz,
     bound_out_of_distribution,
     bound_policy_transfer,
     bound_polynomial_deviation,
@@ -30,12 +37,14 @@ from capmdp import (
     gamma_factor,
     generate_linear_pair,
     oracle_policy_select,
+    perturb_dynamics,
     psi,
     psi_with_permutation,
     reward_deviation_exact,
     s_max,
     transition_deviation_exact,
     v_mid,
+    value_iteration,
 )
 
 GAMMA_CROSSOVER = (np.sqrt(5.0) - 1.0) / 2.0
@@ -389,7 +398,6 @@ def test_shared_frame_mismatches_are_rejected():
     )
     with pytest.raises(ValueError, match="reward kernel"):
         bound_team_generalization(spec_x, broken)
-    import dataclasses
     slower = dataclasses.replace(spec_y, gamma=spec_y.gamma / 2)
     with pytest.raises(ValueError, match="discount"):
         bound_policy_transfer(spec_x, slower)
@@ -417,3 +425,140 @@ def test_polynomial_deviation_closed_form():
     assert bound_polynomial_deviation(1.0, 0, 5.0, 0.5) == 0.0
     with pytest.raises(ValueError, match="non-negative"):
         bound_polynomial_deviation(-1.0, 2, 1.0, 0.1)
+
+
+# ---- solver cache -------------------------------------------------------------------
+
+
+def test_solver_returns_a_repeated_solve_from_its_cache_read_only():
+    spec_x, _ = small_pair(5)
+    settings = SolveSettings()
+    solver = Solver()
+    first = solver.solve(assemble_linear_mmdp(spec_x), settings)
+    # a separately assembled MDP with the same content is the same entry
+    again = solver.solve(assemble_linear_mmdp(spec_x), settings)
+    assert again is first
+    assert (solver.solves, solver.hits) == (1, 1)
+    assert solver.counts() == {"value_iteration_solves": 1, "cache_hits": 1}
+    fresh_values, fresh_policy = value_iteration(assemble_linear_mmdp(spec_x))
+    values, policy = first
+    assert np.array_equal(values.v, fresh_values.v)
+    assert np.array_equal(values.q, fresh_values.q)
+    assert np.array_equal(policy.actions, fresh_policy.actions)
+    assert fresh_values.v.flags.writeable
+    for arr in (values.v, values.q, policy.actions):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def one_hot_twins(seed, num_states=5, num_joint=4):
+    """A deterministic (S, A, 1) indexed MDP and its dense one-hot twin."""
+    rng = np.random.default_rng(seed)
+    successors = rng.integers(0, num_states, (num_states, num_joint, 1))
+    dense = np.zeros((num_states, num_joint, num_states))
+    np.put_along_axis(dense, successors, 1.0, axis=2)
+    common = dict(
+        states=StateSpace(rng.uniform(0.0, 1.0, (num_states, 2))),
+        num_agents=1,
+        actions_per_agent=num_joint,
+        rewards=rng.uniform(0.0, 1.0, num_states),
+        gamma=0.9,
+        rho=np.full(num_states, 1.0 / num_states),
+    )
+    indexed = TabularMMDP(
+        transitions=np.ones((num_states, num_joint, 1)), next_states=successors, **common
+    )
+    return indexed, TabularMMDP(transitions=dense, **common)
+
+
+def test_solver_keys_on_settings_and_kernel_layout():
+    indexed, dense = one_hot_twins(3)
+    solver = Solver()
+    base = solver.solve(dense, SolveSettings())
+    solver.solve(dense, SolveSettings(tol=1e-6))
+    solver.solve(dense, SolveSettings(max_iters=10**5))
+    twin = solver.solve(indexed, SolveSettings())
+    assert (solver.solves, solver.hits) == (4, 0)
+    # the twins solve bit for bit alike, yet keep separate entries
+    assert np.array_equal(base[0].v, twin[0].v)
+    assert twin is not base
+    assert solver.solve(indexed, SolveSettings()) is twin
+    assert solver.solve(dense, SolveSettings(tol=1e-6)) is not base
+    assert (solver.solves, solver.hits) == (4, 2)
+    # same probabilities, other successors
+    shifted = dataclasses.replace(
+        indexed, next_states=(indexed.next_states + 1) % indexed.num_states
+    )
+    assert solver.solve(shifted, SolveSettings()) is not twin
+    assert (solver.solves, solver.hits) == (5, 2)
+
+
+def calculator_calls(seed):
+    """One call per calculator on a random pair, each taking a solver."""
+    spec_x, spec_y = small_pair(seed)
+    rng = np.random.default_rng(seed)
+    dim = spec_x.capability_dim
+    inferred = spec_x.with_team(
+        TeamComposition(
+            tuple(0.95 * m.c + 0.05 * rng.dirichlet(np.ones(dim)) for m in spec_x.team.members)
+        ),
+        spec_x.weights,
+    )
+    distribution = TaskDistribution(
+        support=((spec_y.team, spec_x.weights), (spec_x.team, spec_x.weights)),
+        probabilities=np.array([0.5, 0.5]),
+    )
+    actual_x = perturb_dynamics(assemble_linear_mmdp(spec_x), 0.01, 0.005, 1)
+    actual_y = perturb_dynamics(assemble_linear_mmdp(spec_y), 0.01, 0.005, 2)
+    reward_map = LipschitzRewardSpec(
+        f=lambda team, a=spec_x.weights.a: a @ team.matrix(),
+        lipschitz_constants=spec_x.weights.a,
+    )
+    shared = assemble_linear_mmdp(spec_x)
+    lip_args = dict(
+        reward_kernel=spec_x.reward_kernel, transitions=shared.transitions,
+        states=spec_x.states, num_agents=spec_x.num_agents,
+        actions_per_agent=spec_x.actions_per_agent, gamma=spec_x.gamma, rho=spec_x.rho,
+    )
+    mmdp_lx = assemble_lipschitz_mmdp(reward_map, spec_x.team, **lip_args)
+    mmdp_ly = assemble_lipschitz_mmdp(reward_map, spec_y.team, **lip_args)
+    settings = SolveSettings()
+    return [
+        lambda solver: bound_team_generalization(spec_x, spec_y, settings, solver=solver),
+        lambda solver: bound_policy_transfer(spec_x, spec_y, settings, solver=solver),
+        lambda solver: bound_population_change(
+            spec_x, "remove-last", settings=settings, solver=solver
+        ),
+        lambda solver: bound_population_change(
+            spec_x, "add-member", new_capability=np.full(dim, 1.0 / dim), new_weight=0.2,
+            settings=settings, solver=solver,
+        ),
+        lambda solver: bound_capability_estimation(spec_x, inferred, settings, solver=solver),
+        lambda solver: bound_out_of_distribution(distribution, spec_x, settings, solver=solver),
+        lambda solver: bound_approx_dynamics(
+            spec_x, spec_y, actual_x, actual_y, settings, solver=solver
+        ),
+        lambda solver: bound_lipschitz(
+            reward_map, spec_x.team, spec_y.team, mmdp_lx, mmdp_ly, spec_x.reward_kernel,
+            settings, solver=solver,
+        ),
+    ]
+
+
+def test_every_calculator_reports_alike_with_and_without_a_solver():
+    warm = Solver()
+    first_hits = 0
+    for call in calculator_calls(23):
+        plain = call(None)
+        assert call(Solver()) == plain
+        hits = warm.hits
+        assert call(warm) == plain
+        first_hits += warm.hits - hits
+        # both solves of a repeated call are hits
+        hits = warm.hits
+        assert call(warm) == plain
+        assert warm.hits == hits + 2
+    # x and y are solved once: policy transfer reuses both, and every later
+    # calculator that compares x to something reuses x
+    assert first_hits >= 6

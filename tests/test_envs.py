@@ -26,7 +26,6 @@ from capmdp.envs.predator_prey import (
     PPTask,
     PredatorPreyConfig,
     PredatorPreyEnv,
-    build_predator_prey,
     pp_task_suites,
 )
 
@@ -265,7 +264,7 @@ def test_rollout_invariants():
         for a in range(3) for b in range(3) if a + b <= 2
     }
     for seed in range(3):
-        env = build_predator_prey(config, seed=seed)
+        env = PredatorPreyEnv(config, seed=seed)
         rng = np.random.default_rng(seed + 100)
         obs = env.reset()
         captures = 0
@@ -289,7 +288,7 @@ def test_same_seed_reproduces_the_trajectory():
                                 predator_capabilities=(1, 2, 1, 2), prey_health=(2, 2, 2, 3))
     trails = []
     for seed in (7, 7, 8):
-        env = build_predator_prey(config, seed=seed)
+        env = PredatorPreyEnv(config, seed=seed)
         env.reset()
         trail = [env.predator_positions() + env.prey_positions()]
         for _ in range(20):
@@ -445,7 +444,7 @@ def test_trajectory_log_lines_can_pin_a_replay():
     log = io.StringIO()
     config = PredatorPreyConfig(grid_size=4, num_predators=2, num_prey=1,
                                 predator_capabilities=(1, 2), prey_health=(1,))
-    env = build_predator_prey(config, seed=5, trajectory_log=log)
+    env = PredatorPreyEnv(config, seed=5, trajectory_log=log)
     env.reset()
     rng = np.random.default_rng(0)
     for _ in range(4):
@@ -456,7 +455,7 @@ def test_trajectory_log_lines_can_pin_a_replay():
     assert [line["event"] for line in lines[1:]] == ["step"] * 4
     assert [line["t"] for line in lines[1:]] == [1, 2, 3, 4]
 
-    replay = build_predator_prey(config, seed=99)
+    replay = PredatorPreyEnv(config, seed=99)
     replay.reset(predator_positions=lines[0]["predators"], prey_positions=lines[0]["prey"])
     g = config.grid_size
     assert list(replay.predator_positions()) == [r * g + c for r, c in lines[0]["predators"]]

@@ -1,12 +1,14 @@
 """Experiment harness: configs, generators, runners, artifacts, CLI."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from capmdp import (
+    BoundReport,
     ConfigError,
     ExperimentConfig,
     GeneratorRanges,
@@ -22,7 +24,8 @@ from capmdp import (
     run_output_dir,
     sample_polynomial_spec,
 )
-from capmdp.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+import capmdp.cli
+from capmdp.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VIOLATION, main
 import capmdp.harness
 from capmdp.harness import (
     CORE_COLUMNS,
@@ -200,6 +203,38 @@ def test_parallel_and_serial_certification_agree():
     parallel_rows, _ = run_verify_bounds(config, jobs=3)
     assert determinism_hash(serial_rows) == determinism_hash(parallel_rows)
     assert [r["instance"] for r in serial_rows] == [r["instance"] for r in parallel_rows]
+
+
+def test_each_parallel_instance_solves_on_its_own_solver(monkeypatch):
+    real = capmdp.harness.certify_instance
+    solvers = []
+
+    def spy(config, index, solver):
+        solvers.append(solver)
+        return real(config, index, solver)
+
+    monkeypatch.setattr(capmdp.harness, "certify_instance", spy)
+    config = small_config(num_instances=6)
+    serial_counts = Counter()
+    parallel_counts = Counter()
+    run_verify_bounds(config, jobs=1, solve_counts=serial_counts)
+    run_verify_bounds(config, jobs=3, solve_counts=parallel_counts)
+    assert len({id(solver) for solver in solvers}) == 12
+    assert serial_counts == parallel_counts
+    assert serial_counts["value_iteration_solves"] == sum(s.solves for s in solvers[:6])
+
+
+def test_summary_counts_solves_and_cache_hits(tmp_path):
+    # 9 distinct MDPs per instance; 7 of its 16 solve requests repeat one
+    config = ExperimentConfig(kind="verify-bounds", num_instances=2)
+    run_experiment(config, tmp_path)
+    summary = json.loads((run_output_dir(config, tmp_path) / "summary.json").read_text())
+    assert summary["solver"] == {"value_iteration_solves": 18, "cache_hits": 14}
+    # team x and y are shared by the first two reports, z by nothing
+    forage = ExperimentConfig(kind="fruit-forage", fruit_forage={"grid_size": 2})
+    run_experiment(forage, tmp_path)
+    summary = json.loads((run_output_dir(forage, tmp_path) / "summary.json").read_text())
+    assert summary["solver"] == {"value_iteration_solves": 4, "cache_hits": 2}
 
 
 def test_sweep_pins_cell_dimensions():
@@ -407,6 +442,71 @@ def test_archived_violations_record_tol_and_replay_exactly(tmp_path, monkeypatch
         path.write_text(json.dumps(violations))
         [replayed] = replay_violations(path)
         assert json.loads(replayed.to_json()) == violations[0]["report"]
+
+
+# the tasks each report kind archives as spec_x and spec_y; capability
+# estimation archives its inferred task as spec_y
+ARCHIVED_SPECS = {
+    "team_generalization": ("spec_x", "spec_y"),
+    "policy_transfer": ("spec_x", "spec_y"),
+    "population_decrease": ("spec_x",),
+    "population_increase": ("spec_x",),
+    "capability_estimation": ("spec_x", "spec_inferred"),
+    "out_of_distribution": ("spec_x",),
+    "approx_dynamics": ("spec_x", "spec_y"),
+    "lipschitz": ("spec_x", "spec_y"),
+    "polynomial_deviation": ("spec_x",),
+}
+
+
+def test_every_report_kind_fails_archives_and_replays_exactly(tmp_path, monkeypatch, capsys):
+    build = BoundReport.build.__func__
+    monkeypatch.setattr(
+        BoundReport,
+        "build",
+        classmethod(lambda cls, *args: replace(build(cls, *args), satisfied=False)),
+    )
+    real_estimation = capmdp.harness.bound_capability_estimation
+    received = {}
+
+    def spy_estimation(spec_true, spec_inferred, *args):
+        received["spec_inferred"] = spec_inferred
+        return real_estimation(spec_true, spec_inferred, *args)
+
+    monkeypatch.setattr(capmdp.harness, "bound_capability_estimation", spy_estimation)
+    real_replay = capmdp.cli.replay_violations
+    replayed = []
+
+    def spy_replay(path):
+        replayed.extend(real_replay(path))
+        return replayed
+
+    monkeypatch.setattr(capmdp.cli, "replay_violations", spy_replay)
+
+    config = small_config(num_instances=1, tol=1e-8)
+    run_experiment(config, tmp_path)
+    path = run_output_dir(config, tmp_path) / "violations.json"
+    entries = json.loads(path.read_text())
+    assert [entry["bound_name"] for entry in entries] == [
+        "team_generalization", "policy_transfer", "population_decrease",
+        "population_increase", "capability_estimation", "out_of_distribution",
+        "approx_dynamics", "lipschitz", "polynomial_deviation",
+    ]
+    spec_x, spec_y = generate_linear_pair(config.ranges, np.random.default_rng([config.seed, 0]))
+    specs = {"spec_x": spec_x, "spec_y": spec_y, **received}
+    for entry in entries:
+        assert entry["tol"] == 1e-8
+        archived = [key for key in ("spec_x", "spec_y") if key in entry]
+        expected = ARCHIVED_SPECS[entry["bound_name"]]
+        assert len(archived) == len(expected)
+        for archived_key, spec_key in zip(archived, expected):
+            assert entry[archived_key] == json.loads(specs[spec_key].to_json())
+
+    assert main(["replay", str(path)]) == EXIT_VIOLATION
+    assert "replayed 9 reports, 9 still violated" in capsys.readouterr().out
+    assert len(replayed) == len(entries)
+    for report, entry in zip(replayed, entries):
+        assert json.loads(report.to_json()) == entry["report"]
 
 
 def test_replay_error_paths(tmp_path):

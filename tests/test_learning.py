@@ -15,7 +15,7 @@ from capmdp import (
     run_greedy_episode,
     value_iteration,
 )
-from capmdp.envs.predator_prey import PredatorPreyConfig, build_predator_prey
+from capmdp.envs.predator_prey import PredatorPreyConfig, PredatorPreyEnv
 
 CHAIN_PATH = "tests/data/two_state_chain.json"
 
@@ -198,7 +198,7 @@ def test_q_values_stay_inside_the_return_range():
     )
 
     def builder(task, capability_observable, seed):
-        return build_predator_prey(task, seed)
+        return PredatorPreyEnv(task, seed)
 
     schedule = TrainSchedule(
         total_steps=4000, alpha=0.1, epsilon_decay_steps=1000, gamma=0.9,
