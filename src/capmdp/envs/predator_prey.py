@@ -11,6 +11,7 @@ MDP, and none of the closed-form bound calculators accept it.
 
 import json
 from dataclasses import asdict, dataclass, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -123,6 +124,15 @@ class PredatorPreyEnv:
     trajectory_log, when given, is a writable text stream that receives one
     JSON line per reset and per step (positions as (row, col) pairs, so a
     logged reset line can pin a fresh environment for replay debugging).
+
+    The grid geometry is tabulated once, so a step costs lookups, not divmod:
+    _moves[cell] holds the four move targets (the cell itself off the grid),
+    _neighbours[cell] the frozenset of adjacent cells, and _views[cell] an
+    operator.itemgetter over the observed cells (the whole grid up to size 5,
+    else the radius-2 window, whose off-grid cells read one sentinel slot).
+    The legality mask is computed at most once per state and cached until the
+    next step or reset; step validation reads the cache, and
+    available_actions() returns a fresh copy of it.
     """
 
     num_actions = NUM_PP_ACTIONS
@@ -130,12 +140,39 @@ class PredatorPreyEnv:
     def __init__(self, config: PredatorPreyConfig, seed: int, trajectory_log=None):
         self.config = config
         self._rng = np.random.default_rng(seed)
-        self._g = config.grid_size
+        self._g = g = config.grid_size
         self._predators: list = []
         self._prey: list = []
         self._steps = 0
         self._live = False
+        self._mask = None
         self._trajectory_log = trajectory_log
+
+        cells = g * g
+        rc = [divmod(cell, g) for cell in range(cells)]
+
+        def index(r, c, off_grid):
+            return r * g + c if 0 <= r < g and 0 <= c < g else off_grid
+
+        self._moves = [
+            tuple(index(r + dr, c + dc, r * g + c) for dr, dc in _PP_MOVES) for r, c in rc
+        ]
+        self._neighbours = [
+            frozenset(t for t in moves if t != cell) for cell, moves in enumerate(self._moves)
+        ]
+        if g <= _FULL_VIEW_MAX_GRID:
+            self._views = [itemgetter(*range(cells))] * cells
+        else:
+            span = range(-_WINDOW_RADIUS, _WINDOW_RADIUS + 1)
+            self._views = [
+                itemgetter(*(index(r + dr, c + dc, cells) for dr in span for dc in span))
+                for r, c in rc
+            ]
+        caps = [float(c) for c in config.predator_capabilities]
+        self._teammates = [
+            tuple(c for j, c in enumerate(caps) if j != i) if config.capability_observable else None
+            for i in range(config.num_predators)
+        ]
 
     # ---- public state accessors -------------------------------------------------
 
@@ -173,61 +210,49 @@ class PredatorPreyEnv:
         self._prey = flat[self.config.num_predators :]
         self._steps = 0
         self._live = True
-        self._log(
-            {
-                "event": "reset",
-                "predators": self._cells_rc(self._predators),
-                "prey": self._cells_rc(self._prey),
-            }
-        )
+        self._mask = None
+        if self._trajectory_log is not None:
+            self._log(
+                event="reset",
+                predators=self._cells_rc(self._predators),
+                prey=self._cells_rc(self._prey),
+            )
         return self._observations()
 
     def available_actions(self) -> np.ndarray:
-        """Boolean legality mask of shape (num_predators, 6)."""
-        self._require_live()
-        occupied = set(self._predators) | set(self._prey)
-        mask = np.zeros((self.config.num_predators, NUM_PP_ACTIONS), dtype=bool)
-        for i, cell in enumerate(self._predators):
-            for action in range(4):
-                target = self._move_target(cell, action)
-                mask[i, action] = target != cell and target not in occupied
-            mask[i, ACTION_NOOP] = True
-            mask[i, ACTION_CAPTURE] = any(
-                self._adjacent(cell, prey_cell) for prey_cell in self._prey
-            )
-        return mask
+        """Boolean legality mask of shape (num_predators, 6), a fresh array per call."""
+        return self._legal().copy()
 
     def step(self, joint_action) -> tuple:
         """Advance one step; returns (observations, team reward, done)."""
-        self._require_live()
+        mask = self._legal()
         actions = [int(a) for a in joint_action]
         if len(actions) != self.config.num_predators:
             raise ValueError("one action per predator is required")
-        mask = self.available_actions()
         for i, action in enumerate(actions):
             if not (0 <= action < NUM_PP_ACTIONS) or not mask[i, action]:
                 raise ValueError(f"agent {i} submitted unavailable action {action}")
 
-        prey_snapshot = list(self._prey)
+        self._mask = None
+        predators = self._predators
         capturing = []
-        occupied = set(self._predators) | set(self._prey)
+        occupied = set(predators) | set(self._prey)
         for i, action in enumerate(actions):
             if action < 4:
-                target = self._move_target(self._predators[i], action)
+                target = self._moves[predators[i]][action]
                 # a legal-at-decision-time move can be blocked by an earlier mover
                 if target not in occupied:
-                    occupied.discard(self._predators[i])
+                    occupied.discard(predators[i])
                     occupied.add(target)
-                    self._predators[i] = target
+                    predators[i] = target
             elif action == ACTION_CAPTURE:
                 capturing.append(i)
 
         reward = 0.0
         captured = []
-        for p, prey_cell in enumerate(prey_snapshot):
-            attackers = [
-                i for i in capturing if self._adjacent(self._predators[i], prey_cell)
-            ]
+        for p, prey_cell in enumerate(self._prey):
+            near = self._neighbours[prey_cell]
+            attackers = [i for i in capturing if predators[i] in near]
             if not attackers:
                 continue
             strength = sum(self.config.predator_capabilities[i] for i in attackers)
@@ -243,47 +268,43 @@ class PredatorPreyEnv:
         self._move_prey()
         self._steps += 1
         done = self._steps >= self.config.episode_limit
-        self._log(
-            {
-                "event": "step",
-                "t": self._steps,
-                "actions": actions,
-                "reward": float(reward),
-                "captured": captured,
-                "predators": self._cells_rc(self._predators),
-                "prey": self._cells_rc(self._prey),
-                "done": done,
-            }
-        )
+        if self._trajectory_log is not None:
+            self._log(
+                event="step",
+                t=self._steps,
+                actions=actions,
+                reward=float(reward),
+                captured=captured,
+                predators=self._cells_rc(predators),
+                prey=self._cells_rc(self._prey),
+                done=done,
+            )
         return self._observations(), reward, done
 
     # ---- internals ----------------------------------------------------------------
 
-    def _require_live(self):
+    def _legal(self) -> np.ndarray:
+        """The cached legality mask of the current state (callers must not mutate it)."""
         if not self._live:
             raise RuntimeError("call reset() before interacting with the environment")
+        if self._mask is None:
+            occupied = set(self._predators) | set(self._prey)
+            prey = self._prey
+            self._mask = np.array(
+                [
+                    [t != cell and t not in occupied for t in self._moves[cell]]
+                    + [True, not self._neighbours[cell].isdisjoint(prey)]
+                    for cell in self._predators
+                ],
+                dtype=bool,
+            )
+        return self._mask
 
     def _cells_rc(self, cells) -> list:
         return [list(divmod(int(cell), self._g)) for cell in cells]
 
-    def _log(self, record: dict):
-        if self._trajectory_log is not None:
-            self._trajectory_log.write(json.dumps(record) + "\n")
-
-    def _move_target(self, cell: int, action: int) -> int:
-        g = self._g
-        r, c = divmod(cell, g)
-        dr, dc = _PP_MOVES[action]
-        nr, nc = r + dr, c + dc
-        if not (0 <= nr < g and 0 <= nc < g):
-            return cell
-        return nr * g + nc
-
-    def _adjacent(self, cell_a: int, cell_b: int) -> bool:
-        g = self._g
-        ra, ca = divmod(cell_a, g)
-        rb, cb = divmod(cell_b, g)
-        return abs(ra - rb) + abs(ca - cb) == 1
+    def _log(self, **record):
+        self._trajectory_log.write(json.dumps(record) + "\n")
 
     def _respawn_cell(self) -> int:
         cells = self._g * self._g
@@ -294,62 +315,36 @@ class PredatorPreyEnv:
         return int(empty[self._rng.integers(len(empty))])
 
     def _move_prey(self):
+        occupied = set(self._predators) | set(self._prey)
         for p, cell in enumerate(self._prey):
             if self._rng.random() >= self.config.prey_move_prob:
                 continue
-            occupied = set(self._predators) | set(self._prey)
-            legal = []
-            for action in range(4):
-                target = self._move_target(cell, action)
-                if target != cell and target not in occupied:
-                    legal.append(target)
+            legal = [t for t in self._moves[cell] if t != cell and t not in occupied]
             if legal:
-                self._prey[p] = int(legal[self._rng.integers(len(legal))])
+                target = legal[self._rng.integers(len(legal))]
+                occupied.discard(cell)
+                occupied.add(target)
+                self._prey[p] = target
 
     def _observations(self) -> list:
         g = self._g
-        grid = np.zeros(g * g, dtype=np.int64)
+        grid = [_CELL_EMPTY] * (g * g) + [_CELL_OFFGRID]
         for cell in self._predators:
             grid[cell] = _CELL_PREDATOR
         for cell in self._prey:
             grid[cell] = _CELL_PREY
-        observations = []
-        for i, cell in enumerate(self._predators):
-            if g <= _FULL_VIEW_MAX_GRID:
-                view = tuple(int(v) for v in grid)
-            else:
-                view = self._window_view(grid, cell)
-            teammates = None
-            if self.config.capability_observable:
-                teammates = tuple(
-                    float(c)
-                    for j, c in enumerate(self.config.predator_capabilities)
-                    if j != i
-                )
-            observations.append(
-                PPObservation(
-                    agent_id=i,
-                    num_cells=g * g,
-                    own_cell=int(cell),
-                    view=view,
-                    own_capability=float(self.config.predator_capabilities[i]),
-                    teammate_capabilities=teammates,
-                )
+        caps = self.config.predator_capabilities
+        return [
+            PPObservation(
+                agent_id=i,
+                num_cells=g * g,
+                own_cell=cell,
+                view=self._views[cell](grid),
+                own_capability=float(caps[i]),
+                teammate_capabilities=self._teammates[i],
             )
-        return observations
-
-    def _window_view(self, grid: np.ndarray, cell: int) -> tuple:
-        g = self._g
-        r0, c0 = divmod(cell, g)
-        view = []
-        for dr in range(-_WINDOW_RADIUS, _WINDOW_RADIUS + 1):
-            for dc in range(-_WINDOW_RADIUS, _WINDOW_RADIUS + 1):
-                r, c = r0 + dr, c0 + dc
-                if 0 <= r < g and 0 <= c < g:
-                    view.append(int(grid[r * g + c]))
-                else:
-                    view.append(_CELL_OFFGRID)
-        return tuple(view)
+            for i, cell in enumerate(self._predators)
+        ]
 
 
 @dataclass(frozen=True)

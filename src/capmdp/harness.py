@@ -1020,7 +1020,7 @@ _REPLAYABLE = (
 )
 
 
-def _replay_one(entry: dict) -> BoundReport:
+def _replay_one(entry: dict, solver: Solver) -> BoundReport:
     name = entry.get("bound_name")
     if name not in _REPLAYABLE:
         raise ConfigError(f"cannot replay unknown report kind {name!r}")
@@ -1038,11 +1038,13 @@ def _replay_one(entry: dict) -> BoundReport:
             for label in labels
         ]
         if name == "team_generalization":
-            return bound_team_generalization(specs[0], specs[1], settings)
+            return bound_team_generalization(specs[0], specs[1], settings, solver)
         if name == "policy_transfer":
-            return bound_policy_transfer(specs[0], specs[1], settings)
+            return bound_policy_transfer(specs[0], specs[1], settings, solver)
         if name == "population_decrease":
-            return bound_population_change(specs[0], "remove-last", settings=settings)
+            return bound_population_change(
+                specs[0], "remove-last", settings=settings, solver=solver
+            )
         raise ConfigError(f"cannot replay report {name!r} for a rebuilt environment")
 
     spec_x = LinearMMDPSpec.from_json(json.dumps(entry["spec_x"]))
@@ -1052,11 +1054,11 @@ def _replay_one(entry: dict) -> BoundReport:
         else None
     )
     if name == "team_generalization":
-        return bound_team_generalization(spec_x, spec_y, settings)
+        return bound_team_generalization(spec_x, spec_y, settings, solver)
     if name == "policy_transfer":
-        return bound_policy_transfer(spec_x, spec_y, settings)
+        return bound_policy_transfer(spec_x, spec_y, settings, solver)
     if name == "population_decrease":
-        return bound_population_change(spec_x, "remove-last", settings=settings)
+        return bound_population_change(spec_x, "remove-last", settings=settings, solver=solver)
     if name == "population_increase":
         return bound_population_change(
             spec_x,
@@ -1064,9 +1066,10 @@ def _replay_one(entry: dict) -> BoundReport:
             new_capability=np.asarray(entry["new_capability"], dtype=float),
             new_weight=float(entry["new_weight"]),
             settings=settings,
+            solver=solver,
         )
     if name == "capability_estimation":
-        return bound_capability_estimation(spec_x, spec_y, settings)
+        return bound_capability_estimation(spec_x, spec_y, settings, solver)
     if name == "out_of_distribution":
         teams = [
             TeamComposition(tuple(np.asarray(m, dtype=float) for m in team))
@@ -1076,7 +1079,7 @@ def _replay_one(entry: dict) -> BoundReport:
             support=tuple((team, spec_x.weights) for team in teams),
             probabilities=np.full(len(teams), 1.0 / len(teams)),
         )
-        return bound_out_of_distribution(distribution, spec_x, settings)
+        return bound_out_of_distribution(distribution, spec_x, settings, solver)
     if name == "approx_dynamics":
         actual_x = perturb_dynamics(
             assemble_linear_mmdp(spec_x), entry["eps_r"], entry["eps_p"], entry["seed_x"]
@@ -1084,7 +1087,7 @@ def _replay_one(entry: dict) -> BoundReport:
         actual_y = perturb_dynamics(
             assemble_linear_mmdp(spec_y), entry["eps_r"], entry["eps_p"], entry["seed_y"]
         )
-        return bound_approx_dynamics(spec_x, spec_y, actual_x, actual_y, settings)
+        return bound_approx_dynamics(spec_x, spec_y, actual_x, actual_y, settings, solver)
     if name == "lipschitz":
         reward_map = LipschitzRewardSpec(
             f=lambda team, a=spec_x.weights.a: a @ team.matrix(),
@@ -1105,7 +1108,7 @@ def _replay_one(entry: dict) -> BoundReport:
         mmdp_y = assemble_lipschitz_mmdp(reward_map, spec_y.team, **args)
         return bound_lipschitz(
             reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y,
-            spec_x.reward_kernel, settings,
+            spec_x.reward_kernel, settings, solver,
         )
     if name == "polynomial_deviation":
         poly = PolynomialRewardSpec.from_json(json.dumps(entry["poly"]))
@@ -1125,7 +1128,11 @@ def _replay_one(entry: dict) -> BoundReport:
 
 
 def replay_violations(path) -> list:
-    """Recompute every archived violation; returns the fresh reports in order."""
+    """Recompute every archived violation; returns the fresh reports in order.
+
+    The entries share one Solver, so an MDP that several entries need (the x
+    task of one instance, say) is solved once per tol.
+    """
     path = Path(path)
     try:
         entries = json.loads(path.read_text())
@@ -1133,4 +1140,5 @@ def replay_violations(path) -> list:
         raise ConfigError(f"cannot read violations file {path}: {exc}") from exc
     if not isinstance(entries, list):
         raise ConfigError("a violations file must hold a JSON list")
-    return [_replay_one(entry) for entry in entries]
+    solver = Solver()
+    return [_replay_one(entry, solver) for entry in entries]

@@ -80,21 +80,16 @@ class QTable:
         return self.visits.get(key, 0)
 
     def greedy_action(self, key: int, legal: np.ndarray, rng: np.random.Generator) -> int:
-        legal = np.asarray(legal, dtype=bool)
-        if legal.shape != (self.num_actions,) or not legal.any():
-            raise ValueError("legal mask must enable at least one action")
-        indices = np.flatnonzero(legal)
-        if self.visit_count(key) == 0:
-            return int(indices[rng.integers(len(indices))])
-        row = self.peek(key)
-        return int(indices[int(np.argmax(row[indices]))])
+        return _greedy(self, key, self._legal_indices(legal), rng)
 
     def max_legal(self, key: int, legal: np.ndarray) -> float:
-        row = self.peek(key)
-        indices = np.flatnonzero(np.asarray(legal, dtype=bool))
-        if len(indices) == 0:
+        return _max_legal(self, key, self._legal_indices(legal))
+
+    def _legal_indices(self, legal) -> list:
+        legal = np.asarray(legal, dtype=bool)
+        if legal.ndim != 1:
             raise ValueError("legal mask must enable at least one action")
-        return float(row[indices].max())
+        return _legal_lists(legal[None], self.num_actions)[0]
 
     def update(self, key: int, action: int, target: float, alpha: float):
         row = self.row(key)
@@ -132,6 +127,34 @@ class QTable:
         return table
 
 
+def _legal_lists(mask, num_actions: int) -> list:
+    """The legal action indices of each row of a (num_agents, num_actions) bool mask."""
+    mask = np.asarray(mask, dtype=bool)
+    rows = []
+    if mask.ndim == 2 and mask.shape[1] == num_actions:
+        rows = [[a for a, ok in enumerate(row) if ok] for row in mask.tolist()]
+    if not rows or not all(rows):
+        raise ValueError("legal mask must enable at least one action")
+    return rows
+
+
+def _greedy(table: QTable, key: int, legal: list, rng: np.random.Generator) -> int:
+    """QTable.greedy_action over a non-empty list of legal indices."""
+    if table.visits.get(key, 0) == 0:
+        return legal[rng.integers(len(legal))]
+    # max keeps the first of equal values: the lowest-index legal argmax
+    return max(legal, key=table.values[key].tolist().__getitem__)
+
+
+def _max_legal(table: QTable, key: int, legal: list) -> float:
+    """QTable.max_legal over a non-empty list of legal indices."""
+    entry = table.values.get(key)
+    if entry is None:
+        return 0.0
+    row = entry.tolist()
+    return max(row[a] for a in legal)
+
+
 def _obs_key(obs) -> int:
     if hasattr(obs, "key"):
         return int(obs.key())
@@ -167,26 +190,25 @@ def q_learning_train(
         env = envs[int(rng.integers(len(envs)))]
         observations = env.reset()
         keys = [_obs_key(o) for o in observations]
+        legal = _legal_lists(env.available_actions(), table.num_actions)
         done = False
         while not done and step < schedule.total_steps:
-            mask = env.available_actions()
             epsilon = schedule.epsilon_at(step)
             actions = []
             for i, key in enumerate(keys):
-                legal = mask[i]
                 if rng.random() < epsilon:
-                    indices = np.flatnonzero(legal)
-                    actions.append(int(indices[rng.integers(len(indices))]))
+                    actions.append(legal[i][rng.integers(len(legal[i]))])
                 else:
-                    actions.append(table.greedy_action(key, legal, rng))
+                    actions.append(_greedy(table, key, legal[i], rng))
             observations, reward, done = env.step(actions)
             next_keys = [_obs_key(o) for o in observations]
             if done:
                 targets = [reward] * len(keys)
             else:
-                next_mask = env.available_actions()
+                # the post-step mask is also the next step's decision mask
+                legal = _legal_lists(env.available_actions(), table.num_actions)
                 targets = [
-                    reward + schedule.gamma * table.max_legal(next_keys[i], next_mask[i])
+                    reward + schedule.gamma * _max_legal(table, next_keys[i], legal[i])
                     for i in range(len(keys))
                 ]
             for i, key in enumerate(keys):
@@ -205,10 +227,8 @@ def run_greedy_episode(table: QTable, env, rng: np.random.Generator) -> float:
     total = 0.0
     done = False
     while not done:
-        mask = env.available_actions()
-        actions = [
-            table.greedy_action(keys[i], mask[i], rng) for i in range(len(keys))
-        ]
+        legal = _legal_lists(env.available_actions(), table.num_actions)
+        actions = [_greedy(table, keys[i], legal[i], rng) for i in range(len(keys))]
         observations, reward, done = env.step(actions)
         keys = [_obs_key(o) for o in observations]
         total += float(reward)

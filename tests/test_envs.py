@@ -1,5 +1,6 @@
 """Gridworld environments: exact values, step semantics, serialization."""
 
+import hashlib
 import io
 import json
 
@@ -460,3 +461,145 @@ def test_trajectory_log_lines_can_pin_a_replay():
     g = config.grid_size
     assert list(replay.predator_positions()) == [r * g + c for r, c in lines[0]["predators"]]
     assert list(replay.prey_positions()) == [r * g + c for r, c in lines[0]["prey"]]
+
+
+# ---- pinned streams ------------------------------------------------------------------
+
+
+def pinned_stream_digests(config, seed, action_seed, steps):
+    """SHA-256 of the trajectory log, the legality masks and the observation keys.
+
+    Random legal actions from a seeded rng drive the env for `steps` steps,
+    resetting whenever an episode ends, so the streams cover resets,
+    captures, failed captures, respawns and prey moves.
+    """
+    log = io.StringIO()
+    env = PredatorPreyEnv(config, seed=seed, trajectory_log=log)
+    rng = np.random.default_rng(action_seed)
+    masks = hashlib.sha256()
+    keys = hashlib.sha256()
+    observations = env.reset()
+    for _ in range(steps):
+        keys.update(repr([o.key() for o in observations]).encode())
+        mask = env.available_actions()
+        masks.update(mask.tobytes())
+        actions = [int(rng.choice(np.flatnonzero(row))) for row in mask]
+        observations, _, done = env.step(actions)
+        if done:
+            observations = env.reset()
+    keys.update(repr([o.key() for o in observations]).encode())
+    text = log.getvalue()
+    events = [json.loads(line) for line in text.splitlines()]
+    captures = sum(len(e["captured"]) for e in events if e["event"] == "step")
+    return {
+        "log": hashlib.sha256(text.encode()).hexdigest(),
+        "masks": masks.hexdigest(),
+        "keys": keys.hexdigest(),
+        "captures": captures,
+    }
+
+
+PINNED_CONFIGS = {
+    "grid3-full": PredatorPreyConfig(
+        grid_size=3, num_predators=2, num_prey=2, predator_capabilities=(1, 2),
+        prey_health=(1, 2), penalty=-0.008, episode_limit=40,
+    ),
+    "grid5-full-aware": PredatorPreyConfig(
+        grid_size=5, num_predators=3, num_prey=3, predator_capabilities=(1, 2, 3),
+        prey_health=(1, 2, 3), penalty=-0.008, episode_limit=60,
+        capability_observable=True,
+    ),
+    "grid8-window": PredatorPreyConfig(
+        grid_size=8, num_predators=4, num_prey=4, predator_capabilities=(1, 2, 1, 2),
+        prey_health=(2, 2, 2, 3), penalty=-0.008, episode_limit=100,
+    ),
+    "grid6-window-aware": PredatorPreyConfig(
+        grid_size=6, num_predators=4, num_prey=4, predator_capabilities=(1, 1, 2, 3),
+        prey_health=(1, 2, 2, 3), episode_limit=50, prey_move_prob=0.5,
+        capability_observable=True,
+    ),
+}
+
+# recorded with the per-call divmod simulator; a change to any stream shows here
+PINNED_DIGESTS = {
+    "grid3-full": (
+        "2827a6cad389bb86c0fdcd7d5abc46b24005ef48e2a79d0a9263c483dfc79d64",
+        "1edd47c9b9a9bc28e73ba48a3acab93cf4cafb66929f1e51360edf04bb2b6a5a",
+        "59f886631ea7e45a8130113f7d084fc62c4118d61ce766c116dca579a5f3158b",
+        149,
+    ),
+    "grid5-full-aware": (
+        "9dca1c2a4ab46cfd6d730fc1822e39adade7ec1888d267798055f907022f9799",
+        "eb4158b4ed2173c4f2c673c4a70cbc891c78a585bea5b5cdd7dde374f7b7b807",
+        "fd4b37497444e28a671220eef9355e25d085f589ee2d1061a8dc5db4ebd2d968",
+        92,
+    ),
+    "grid8-window": (
+        "fe2f4d4b4a2183471c31c19bef4494fdcd6895b407a45a84d122c414c12e0ef9",
+        "4e2be9d09d0e8c06c56d49d98957e30b3f72826cb0df3fc0658ac291d6af1613",
+        "8aac7623bc01ab0aff981bb1d4d37521dc9c8969f9b1df31d614e187279b3fd2",
+        31,
+    ),
+    "grid6-window-aware": (
+        "24217373cf6dc2977180c1097b25797e4a47d5e735b5b7658ce66d1282a5488a",
+        "1ae9ce96ef1faa5f86a9a9f880f200fbb786266077651c803f38daded4120f04",
+        "0ce4048e982148035096d339b72683cece93e0bb872fabd89aabb31234f2d498",
+        74,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_trajectory_masks_and_keys_match_the_pinned_streams(name):
+    digests = pinned_stream_digests(PINNED_CONFIGS[name], seed=11, action_seed=12, steps=600)
+    log, masks, keys, captures = PINNED_DIGESTS[name]
+    assert digests == {"log": log, "masks": masks, "keys": keys, "captures": captures}
+
+
+def test_mutating_a_returned_mask_changes_neither_later_masks_nor_validation():
+    env = pinned_env([(0, 0)], [(0, 1)], caps=(1,), healths=(1,))
+    first = env.available_actions()
+    first[:] = False
+    second = env.available_actions()
+    assert second.dtype == bool and second is not first
+    assert second.tolist() == [[False, False, True, False, True, True]]
+    second[0, ACTION_CAPTURE] = False
+    second[0, ACTION_RIGHT] = True
+    with pytest.raises(ValueError, match="agent 0 submitted unavailable action 3"):
+        env.step([ACTION_RIGHT])  # the prey blocks the move whatever the copy says
+    _, reward, _ = env.step([ACTION_CAPTURE])
+    assert reward == 1.0
+
+
+def test_an_action_illegal_at_decision_time_names_its_agent():
+    env = pinned_env([(0, 0), (2, 2)], [(1, 0)], caps=(1, 1), healths=(1,))
+    with pytest.raises(ValueError, match="agent 1 submitted unavailable action 5"):
+        env.step([ACTION_NOOP, ACTION_CAPTURE])  # agent 1 has no adjacent prey
+    with pytest.raises(ValueError, match="agent 0 submitted unavailable action 2"):
+        env.step([ACTION_DOWN, ACTION_NOOP])  # the prey sits below agent 0
+    with pytest.raises(ValueError, match="agent 1 submitted unavailable action 6"):
+        env.step([ACTION_NOOP, NUM_PP_ACTIONS])
+    assert env.predator_positions() == (0, 8) and env.steps_taken == 0
+    fresh = PredatorPreyEnv(env.config, seed=3)
+    with pytest.raises(RuntimeError, match="reset"):
+        fresh.step([ACTION_NOOP, ACTION_NOOP])
+
+
+# positions after the capture step, respawn and prey moves included
+PINNED_CAPTURE = ([[1, 0], [0, 1], [3, 3]], [[2, 3], [3, 1]])
+
+
+def test_two_adjacent_attackers_settle_a_capture_as_pinned():
+    log = io.StringIO()
+    config = PredatorPreyConfig(
+        grid_size=4, num_predators=3, num_prey=2, predator_capabilities=(1, 2, 1),
+        prey_health=(3, 2), penalty=-0.008, prey_move_prob=1.0,
+    )
+    env = PredatorPreyEnv(config, seed=4, trajectory_log=log)
+    env.reset(predator_positions=[(1, 0), (0, 1), (3, 3)], prey_positions=[(1, 1), (3, 2)])
+    _, reward, _ = env.step([ACTION_CAPTURE, ACTION_CAPTURE, ACTION_CAPTURE])
+    # agents 0 and 1 pool 3 against prey 0; agent 2 alone bounces off prey 1
+    assert reward == pytest.approx(1.0 - 0.008)
+    step = json.loads(log.getvalue().splitlines()[-1])
+    assert step["captured"] == [0]
+    assert (step["predators"], step["prey"]) == PINNED_CAPTURE

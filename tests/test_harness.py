@@ -502,11 +502,26 @@ def test_every_report_kind_fails_archives_and_replays_exactly(tmp_path, monkeypa
         for archived_key, spec_key in zip(archived, expected):
             assert entry[archived_key] == json.loads(specs[spec_key].to_json())
 
+    solves = []
+    real_value_iteration = capmdp.bounds.value_iteration
+
+    def counting_value_iteration(mmdp, *args, **kwargs):
+        solves.append(mmdp)
+        return real_value_iteration(mmdp, *args, **kwargs)
+
+    monkeypatch.setattr(capmdp.bounds, "value_iteration", counting_value_iteration)
     assert main(["replay", str(path)]) == EXIT_VIOLATION
     assert "replayed 9 reports, 9 still violated" in capsys.readouterr().out
     assert len(replayed) == len(entries)
     for report, entry in zip(replayed, entries):
         assert json.loads(report.to_json()) == entry["report"]
+    # one Solver serves every entry, so each of the nine distinct MDPs the
+    # entries need is solved once (a fresh solver per entry solves 16 times)
+    contents = set()
+    for m in solves:
+        successors = None if m.next_states is None else m.next_states.tobytes()
+        contents.add((m.rewards.tobytes(), m.transitions.tobytes(), successors))
+    assert len(solves) == len(contents) == 9
 
 
 def test_replay_error_paths(tmp_path):

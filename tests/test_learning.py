@@ -1,5 +1,7 @@
 """Tabular Q-learning: table mechanics, training loop, evaluation helpers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,47 @@ def test_max_legal_respects_the_mask():
     assert table.max_legal(42, np.ones(3, dtype=bool)) == 0.0
     with pytest.raises(ValueError, match="at least one action"):
         table.max_legal(7, np.zeros(3, dtype=bool))
+
+
+def test_tied_rows_take_the_lowest_index_legal_argmax():
+    table = QTable(num_actions=6)
+    table.update(3, 5, target=1.0, alpha=1.0)
+    table.row(3)[:] = [0.5, 2.0, -1.0, 2.0, 2.0, 2.0]
+    rng = np.random.default_rng(0)
+    assert table.greedy_action(3, np.ones(6, dtype=bool), rng) == 1
+    assert table.greedy_action(3, np.array([1, 0, 1, 1, 1, 1], dtype=bool), rng) == 3
+    assert table.greedy_action(3, [True, False, True, False, False, True], rng) == 5
+    assert table.greedy_action(3, np.array([1, 0, 1, 0, 0, 0], dtype=bool), rng) == 0
+    table.row(4)[:] = 0.0
+    table.update(4, 2, target=0.0, alpha=1.0)  # visited, all-zero row
+    assert table.greedy_action(4, np.array([0, 0, 1, 1, 0, 1], dtype=bool), rng) == 2
+
+
+def test_unvisited_key_draws_one_integer_over_the_legal_actions():
+    table = QTable(num_actions=6)
+    table.row(8)[:] = [9.0, 0, 0, 0, 0, 0]  # stored values but no visit: still random
+    legal = np.array([True, False, True, False, True, True])
+    indices = [0, 2, 4, 5]
+    rng = np.random.default_rng(21)
+    mirror = np.random.default_rng(21)
+    for key in (8, 77, 2**70):
+        for _ in range(50):
+            assert table.greedy_action(key, legal, rng) == indices[mirror.integers(4)]
+    assert rng.random() == mirror.random()  # one draw per call, no more
+
+
+def test_max_legal_on_unseen_keys_and_bad_masks():
+    table = QTable(num_actions=4)
+    assert table.max_legal(5, np.array([False, True, False, False])) == 0.0
+    table.row(5)[:] = [-3.0, -2.0, -1.0, 4.0]
+    assert table.max_legal(5, [True, True, False, False]) == -2.0
+    assert table.max_legal(5, np.ones(4, dtype=bool)) == 4.0
+    rng = np.random.default_rng(0)
+    for bad in (np.zeros(4, dtype=bool), np.ones(3, dtype=bool), np.ones((1, 4), dtype=bool)):
+        with pytest.raises(ValueError, match="at least one action"):
+            table.greedy_action(5, bad, rng)
+        with pytest.raises(ValueError, match="at least one action"):
+            table.max_legal(5, bad)
 
 
 def test_save_and_load_round_trip(tmp_path):
@@ -209,6 +252,46 @@ def test_q_values_stay_inside_the_return_range():
     for row in table.values.values():
         assert np.all(row >= -1e-9)
         assert np.all(row <= ceiling + 1e-9)
+
+
+def pursuit_training_digest(capability_observable):
+    """SHA-256 over a pursuit-trained table's keys, values and visits, and eval returns."""
+    tasks = [
+        PredatorPreyConfig(
+            grid_size=6, num_predators=3, num_prey=2, predator_capabilities=caps,
+            prey_health=(2, 3), penalty=-0.008, episode_limit=40,
+            capability_observable=capability_observable,
+        )
+        for caps in ((1, 2, 1), (2, 2, 1))
+    ]
+
+    def builder(task, capability_observable, seed):
+        return PredatorPreyEnv(task, seed)
+
+    schedule = TrainSchedule(
+        total_steps=1500, alpha=0.2, epsilon_decay_steps=500, gamma=0.9,
+        eval_interval=500, eval_episodes=1,
+    )
+    table = q_learning_train(builder, tasks, schedule, seed=6)
+    digest = hashlib.sha256()
+    for key in sorted(table.values):
+        digest.update(f"{key}:{table.visits[key]}:".encode())
+        digest.update(table.values[key].tobytes())
+    returns = evaluate_policy_empirical(table, builder, tasks, episodes=2, seed=8)
+    digest.update(repr(returns).encode())
+    return len(table.values), digest.hexdigest()
+
+
+# recorded with the numpy-mask training loop; the list-based one must match it
+PINNED_TRAINING = {
+    False: (3760, "7790c8f51326c2e988b600012c8f10ff0cb748282a21d47d996725a22d729908"),
+    True: (3767, "2aa5b987e162110f87124cd59e2c320b0b45d931023889eb186d168362a250fe"),
+}
+
+
+@pytest.mark.parametrize("capability_observable", [False, True])
+def test_pursuit_training_reproduces_the_pinned_table(capability_observable):
+    assert pursuit_training_digest(capability_observable) == PINNED_TRAINING[capability_observable]
 
 
 # ---- evaluation -------------------------------------------------------------------
