@@ -37,7 +37,7 @@ def chase_builder(task, capability_observable, seed):
 
 schedule = capmdp.TrainSchedule(
     total_steps=60_000, alpha=0.05, epsilon_start=1.0, epsilon_end=0.05,
-    epsilon_decay_steps=20_000, gamma=0.9, eval_interval=20_000, eval_episodes=1,
+    epsilon_decay_steps=20_000, gamma=0.9, eval_interval=20_000,
 )
 print("training the chaser for", schedule.total_steps, "steps ...")
 table = capmdp.q_learning_train(chase_builder, [chase], schedule, seed=42)
@@ -118,7 +118,7 @@ def suite_builder(task, capability_observable, seed):
 
 team_schedule = capmdp.TrainSchedule(
     total_steps=4_000, alpha=0.1, epsilon_start=1.0, epsilon_end=0.05,
-    epsilon_decay_steps=1_500, gamma=0.99, eval_interval=1_000, eval_episodes=2,
+    epsilon_decay_steps=1_500, gamma=0.99, eval_interval=1_000,
 )
 
 for mode, observable in (("blind", False), ("aware", True)):

@@ -12,7 +12,7 @@ solves by MDP content. Calculators comparing tasks of one instance share
 most of their MDPs, so passing one Solver to all of them solves each
 distinct MDP once; a cached solve returns the same arrays a fresh solve
 would, made read-only. Without a solver every solve is fresh. A Solver is
-not locked: give each thread its own.
+not locked, so it must not be shared between threads.
 """
 
 import hashlib
@@ -339,6 +339,16 @@ def _value_scale(gf: float, smax: float, spec: LinearMMDPSpec, vmid: float) -> f
     return gf * (smax + spec.gamma * spec.capability_dim * vmid)
 
 
+def _value_gap(vt_x: ValueTable, vt_y: ValueTable, rho_x, rho_y):
+    """Gap between two tasks' optimal values.
+
+    Returns (value_x, value_y, |value_x - value_y|, per-state max gap).
+    """
+    value_x = vt_x.scalar(rho_x)
+    value_y = vt_y.scalar(rho_y)
+    return value_x, value_y, abs(value_x - value_y), float(np.max(np.abs(vt_x.v - vt_y.v)))
+
+
 def _transfer_regret(mmdp, optimal: ValueTable, policy, rho, settings: SolveSettings, label):
     """Regret of running policy on mmdp, against mmdp's optimal values.
 
@@ -401,16 +411,9 @@ def bound_team_generalization(
     vmid = v_mid(vt_y)
     gf, parts = _base_constituents(spec_x, psi_value, smax, vmid, perm)
     bound = _value_scale(gf, smax, spec_x, vmid) * psi_value
-    value_x = vt_x.scalar(spec_x.rho)
-    value_y = vt_y.scalar(spec_y.rho)
-    parts.update(
-        {
-            "value_x": value_x,
-            "value_y": value_y,
-            "actual_state_max": float(np.max(np.abs(vt_x.v - vt_y.v))),
-        }
-    )
-    return BoundReport.build("team_generalization", parts, bound, abs(value_x - value_y))
+    value_x, value_y, actual, state_max = _value_gap(vt_x, vt_y, spec_x.rho, spec_y.rho)
+    parts.update({"value_x": value_x, "value_y": value_y, "actual_state_max": state_max})
+    return BoundReport.build("team_generalization", parts, bound, actual)
 
 
 def bound_policy_transfer(
@@ -558,8 +561,9 @@ def bound_population_change(
     vmid = v_mid(vt_after)
     gf = gamma_factor(spec.gamma)
     bound = _value_scale(gf, smax, spec, vmid) * changed_weight * mixture_gap
-    value_before = vt_before.scalar(spec.rho)
-    value_after = vt_after.scalar(spec.rho)
+    value_before, value_after, actual, state_max = _value_gap(
+        vt_before, vt_after, spec.rho, spec.rho
+    )
     parts = {
         "changed_weight": changed_weight,
         "mixture_gap": mixture_gap,
@@ -570,9 +574,9 @@ def bound_population_change(
         "capability_dim": float(spec.capability_dim),
         "value_before": value_before,
         "value_after": value_after,
-        "actual_state_max": float(np.max(np.abs(vt_before.v - vt_after.v))),
+        "actual_state_max": state_max,
     }
-    return BoundReport.build(name, parts, bound, abs(value_before - value_after))
+    return BoundReport.build(name, parts, bound, actual)
 
 
 def bound_approx_dynamics(
@@ -624,18 +628,17 @@ def bound_approx_dynamics(
     bound = _value_scale(gf, smax, spec_x, vmid) * psi_value + (
         2.0 * gf * (eps_hat_r + spec_x.gamma * eps_hat_p * vmid)
     )
-    value_x = vt_x.scalar(spec_x.rho)
-    value_y = vt_y.scalar(spec_y.rho)
+    value_x, value_y, actual, state_max = _value_gap(vt_x, vt_y, spec_x.rho, spec_y.rho)
     parts.update(
         {
             "eps_hat_r": eps_hat_r,
             "eps_hat_p": eps_hat_p,
             "value_x": value_x,
             "value_y": value_y,
-            "actual_state_max": float(np.max(np.abs(vt_x.v - vt_y.v))),
+            "actual_state_max": state_max,
         }
     )
-    return BoundReport.build("approx_dynamics", parts, bound, abs(value_x - value_y))
+    return BoundReport.build("approx_dynamics", parts, bound, actual)
 
 
 def bound_capability_estimation(
@@ -716,8 +719,7 @@ def bound_lipschitz(
     smax = s_max(reward_kernel, mmdp_x.states)
     gf = gamma_factor(mmdp_x.gamma)
     bound = gf * smax * weighted_diff
-    value_x = vt_x.scalar(mmdp_x.rho)
-    value_y = vt_y.scalar(mmdp_y.rho)
+    value_x, value_y, actual, state_max = _value_gap(vt_x, vt_y, mmdp_x.rho, mmdp_y.rho)
     parts = {
         "lipschitz_weighted_diff": weighted_diff,
         "s_max": smax,
@@ -725,9 +727,9 @@ def bound_lipschitz(
         "gamma": mmdp_x.gamma,
         "value_x": value_x,
         "value_y": value_y,
-        "actual_state_max": float(np.max(np.abs(vt_x.v - vt_y.v))),
+        "actual_state_max": state_max,
     }
-    return BoundReport.build("lipschitz", parts, bound, abs(value_x - value_y))
+    return BoundReport.build("lipschitz", parts, bound, actual)
 
 
 def bound_polynomial_deviation(alpha: float, degree: int, smax: float, delta: float) -> float:

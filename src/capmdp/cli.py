@@ -37,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         runner.add_argument("--config", help="path to an experiment config JSON file")
         runner.add_argument("--seed", type=int, default=None, help="override the master seed")
         runner.add_argument("--out", default="runs", help="output root directory")
-        runner.add_argument("--jobs", type=int, default=1, help="parallel instance workers")
         runner.add_argument(
             "--format", choices=("csv", "json"), default=None, help="results file format"
         )
@@ -69,9 +68,7 @@ def _load_config(kind: str, args) -> ExperimentConfig:
 
 def _run(kind: str, args) -> int:
     config = _load_config(kind, args)
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
-    run_experiment(config, args.out, jobs=args.jobs)
+    run_experiment(config, args.out)
     out_dir = run_output_dir(config, args.out)
     summary = json.loads((out_dir / "summary.json").read_text())
     print(

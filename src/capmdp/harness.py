@@ -1,12 +1,13 @@
 """Experiment runner: random certification sweeps, environments, archives.
 
 Experiments are described by a small JSON config, run deterministically from a
-master seed (each instance derives its own generator so serial and parallel
-runs produce identical rows), and written atomically under
+master seed (each instance derives its own generator, so its rows do not
+depend on which instances ran before it), and written atomically under
 <out>/<name>/<config-hash>/ as results.csv (or .json), config.json,
 summary.json, and violations.json when any bound report comes back
 unsatisfied. A determinism hash over all rows except wall-clock columns lets
-re-runs be compared byte-for-byte.
+re-runs be compared byte-for-byte. Each kind of bound check is defined once,
+in CHECKS, and shared by the runners and by violation replay.
 """
 
 import csv
@@ -17,7 +18,7 @@ import json
 import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -425,153 +426,53 @@ def polynomial_deviation_report(
     return BoundReport.build("polynomial_deviation", parts, bound, measured)
 
 
-# ---- per-instance certification ---------------------------------------------------
+# ---- the checks ------------------------------------------------------------------
+#
+# One Check per report kind, keyed by bound_name. A case is a dict holding a
+# check's inputs under the field names its violation entry archives, in archive
+# order: spec_x / spec_y as live LinearMMDPSpecs, every other field as a value
+# with the JSON form _FIELDS gives it. certify_instance and run_fruit_forage
+# draw cases and run them; replay decodes an archived entry back into its case.
+# Check functions look the calculators up in this module's globals when they
+# run, so a name rebound on capmdp.harness (a test's monkeypatch, a tracer's
+# span) is the one that runs.
 
 
-def _timed(fn, *args, **kwargs):
-    start = time.perf_counter()
-    report = fn(*args, **kwargs)
-    return report, time.perf_counter() - start
+@dataclass(frozen=True)
+class Check:
+    """One report kind: the case fields it archives and how it runs a case."""
+
+    fields: tuple
+    run: Callable  # (case, SolveSettings, Solver | None) -> BoundReport
 
 
-def _spec_doc(spec: LinearMMDPSpec) -> dict:
-    return json.loads(spec.to_json())
-
-
-def certify_instance(config: ExperimentConfig, index: int, solver: Solver | None = None):
-    """All bound reports for one randomly generated instance.
-
-    Returns (rows, violations); every random draw flows from a generator
-    seeded by (config.seed, index), so results are order-independent.
-    Every calculator shares one Solver (a fresh one unless given), so each
-    distinct MDP of the instance is solved once. A violation's payload is
-    built only when its report fails.
-    """
-    rng = np.random.default_rng([config.seed, index])
-    settings = SolveSettings(tol=config.tol)
-    solver = Solver() if solver is None else solver
-    spec_x, spec_y = generate_linear_pair(config.ranges, rng)
-    num_agents = spec_x.team.num_agents
-    dim = spec_x.capability_dim
-
-    rows = []
-    violations = []
-
-    def record(report, wall_time, extras):
-        """Append the report's row; extras() builds its violation payload."""
-        row = {"instance": index, "wall_time": float(wall_time)}
-        row.update(report.to_csv_row())
-        rows.append(row)
-        if not report.satisfied:
-            violations.append(
-                {
-                    "instance_index": index,
-                    "bound_name": report.bound_name,
-                    "report": json.loads(report.to_json()),
-                    "tol": config.tol,
-                    **extras(),
-                }
-            )
-
-    # built by the first failing report that needs them, then shared
-    doc_x = functools.cache(functools.partial(_spec_doc, spec_x))
-    doc_y = functools.cache(functools.partial(_spec_doc, spec_y))
-
-    def pair_extras():
-        return {"spec_x": doc_x(), "spec_y": doc_y()}
-
-    report, wt = _timed(bound_team_generalization, spec_x, spec_y, settings, solver)
-    record(report, wt, pair_extras)
-    report, wt = _timed(bound_policy_transfer, spec_x, spec_y, settings, solver)
-    record(report, wt, pair_extras)
-
-    report, wt = _timed(
-        bound_population_change, spec_x, "remove-last", settings=settings, solver=solver
-    )
-    record(report, wt, lambda: {"spec_x": doc_x()})
-
-    new_capability = rng.dirichlet(np.ones(dim))
-    new_weight = float(rng.uniform(0.05, 0.5))
-    report, wt = _timed(
-        bound_population_change,
-        spec_x,
-        "add-member",
-        new_capability=new_capability,
-        new_weight=new_weight,
-        settings=settings,
-        solver=solver,
-    )
-    record(
-        report,
-        wt,
-        lambda: {
-            "spec_x": doc_x(),
-            "new_capability": new_capability.tolist(),
-            "new_weight": new_weight,
-        },
-    )
-
-    # estimation error: blend each member toward a random simplex point
-    blend = rng.uniform(0.0, 0.1)
-    inferred_members = tuple(
-        (1.0 - blend) * m.c + blend * rng.dirichlet(np.ones(dim))
-        for m in spec_x.team.members
-    )
-    spec_inferred = spec_x.with_team(TeamComposition(inferred_members), spec_x.weights)
-    report, wt = _timed(bound_capability_estimation, spec_x, spec_inferred, settings, solver)
-    record(
-        report,
-        wt,
-        lambda: {"spec_x": doc_x(), "spec_y": _spec_doc(spec_inferred)},
-    )
-
-    support_teams = [spec_y.team] + [
-        sample_simplex_team(rng, num_agents, dim) for _ in range(2)
-    ]
+def _out_of_distribution(case, settings, solver):
+    spec_x = case["spec_x"]
+    teams = case["support_teams"]
     distribution = TaskDistribution(
-        support=tuple((team, spec_x.weights) for team in support_teams),
-        probabilities=np.full(len(support_teams), 1.0 / len(support_teams)),
+        support=tuple((team, spec_x.weights) for team in teams),
+        probabilities=np.full(len(teams), 1.0 / len(teams)),
     )
-    report, wt = _timed(bound_out_of_distribution, distribution, spec_x, settings, solver)
-    record(
-        report,
-        wt,
-        lambda: {
-            "spec_x": doc_x(),
-            "support_teams": [t.matrix().tolist() for t in support_teams],
-        },
-    )
+    return bound_out_of_distribution(distribution, spec_x, settings, solver)
 
-    seed_x = int(rng.integers(2**31))
-    seed_y = int(rng.integers(2**31))
-    actual_x = perturb_dynamics(
-        assemble_linear_mmdp(spec_x), config.eps_r, config.eps_p, seed_x
-    )
-    actual_y = perturb_dynamics(
-        assemble_linear_mmdp(spec_y), config.eps_r, config.eps_p, seed_y
-    )
-    report, wt = _timed(
-        bound_approx_dynamics, spec_x, spec_y, actual_x, actual_y, settings, solver
-    )
-    record(
-        report,
-        wt,
-        lambda: {
-            **pair_extras(),
-            "eps_r": config.eps_r,
-            "eps_p": config.eps_p,
-            "seed_x": seed_x,
-            "seed_y": seed_y,
-        },
-    )
 
-    # reward-only variation: both teams share the x mixture's dynamics
+def _approx_dynamics(case, settings, solver):
+    spec_x, spec_y = case["spec_x"], case["spec_y"]
+    eps_r, eps_p = case["eps_r"], case["eps_p"]
+    actual_x = perturb_dynamics(assemble_linear_mmdp(spec_x), eps_r, eps_p, case["seed_x"])
+    actual_y = perturb_dynamics(assemble_linear_mmdp(spec_y), eps_r, eps_p, case["seed_y"])
+    return bound_approx_dynamics(spec_x, spec_y, actual_x, actual_y, settings, solver)
+
+
+def _lipschitz(case, settings, solver):
+    """Reward-only variation: both teams share the x mixture's dynamics."""
+    spec_x, spec_y = case["spec_x"], case["spec_y"]
     reward_map = LipschitzRewardSpec(
         f=lambda team, a=spec_x.weights.a: a @ team.matrix(),
         lipschitz_constants=spec_x.weights.a,
     )
     shared = assemble_linear_mmdp(spec_x)
-    lip_args = dict(
+    frame = dict(
         reward_kernel=spec_x.reward_kernel,
         transitions=shared.transitions,
         next_states=shared.next_states,
@@ -581,20 +482,188 @@ def certify_instance(config: ExperimentConfig, index: int, solver: Solver | None
         gamma=spec_x.gamma,
         rho=spec_x.rho,
     )
-    mmdp_lx = assemble_lipschitz_mmdp(reward_map, spec_x.team, **lip_args)
-    mmdp_ly = assemble_lipschitz_mmdp(reward_map, spec_y.team, **lip_args)
-    report, wt = _timed(
-        bound_lipschitz,
-        reward_map,
-        spec_x.team,
-        spec_y.team,
-        mmdp_lx,
-        mmdp_ly,
-        spec_x.reward_kernel,
-        settings,
-        solver,
+    mmdp_x = assemble_lipschitz_mmdp(reward_map, spec_x.team, **frame)
+    mmdp_y = assemble_lipschitz_mmdp(reward_map, spec_y.team, **frame)
+    return bound_lipschitz(
+        reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y,
+        spec_x.reward_kernel, settings, solver,
     )
-    record(report, wt, pair_extras)
+
+
+def _polynomial_deviation(case, settings, solver):
+    spec_x = case["spec_x"]
+    return polynomial_deviation_report(
+        case["poly"],
+        spec_x.team,
+        case["team_perturbed"],
+        case["member_index"],
+        case["delta"],
+        spec_x.reward_kernel,
+        spec_x.states,
+    )
+
+
+CHECKS = {
+    "team_generalization": Check(
+        ("spec_x", "spec_y"),
+        lambda case, settings, solver: bound_team_generalization(
+            case["spec_x"], case["spec_y"], settings, solver
+        ),
+    ),
+    "policy_transfer": Check(
+        ("spec_x", "spec_y"),
+        lambda case, settings, solver: bound_policy_transfer(
+            case["spec_x"], case["spec_y"], settings, solver
+        ),
+    ),
+    "population_decrease": Check(
+        ("spec_x",),
+        lambda case, settings, solver: bound_population_change(
+            case["spec_x"], "remove-last", settings=settings, solver=solver
+        ),
+    ),
+    "population_increase": Check(
+        ("spec_x", "new_capability", "new_weight"),
+        lambda case, settings, solver: bound_population_change(
+            case["spec_x"],
+            "add-member",
+            new_capability=case["new_capability"],
+            new_weight=case["new_weight"],
+            settings=settings,
+            solver=solver,
+        ),
+    ),
+    # spec_y is the task planned with the estimated capabilities
+    "capability_estimation": Check(
+        ("spec_x", "spec_y"),
+        lambda case, settings, solver: bound_capability_estimation(
+            case["spec_x"], case["spec_y"], settings, solver
+        ),
+    ),
+    "out_of_distribution": Check(("spec_x", "support_teams"), _out_of_distribution),
+    "approx_dynamics": Check(
+        ("spec_x", "spec_y", "eps_r", "eps_p", "seed_x", "seed_y"), _approx_dynamics
+    ),
+    "lipschitz": Check(("spec_x", "spec_y"), _lipschitz),
+    "polynomial_deviation": Check(
+        ("spec_x", "poly", "delta", "member_index", "team_perturbed"), _polynomial_deviation
+    ),
+}
+
+_SPECS = ("spec_x", "spec_y")
+
+
+def _spec_doc(spec: LinearMMDPSpec) -> dict:
+    return json.loads(spec.to_json())
+
+
+def _spec_from_doc(doc) -> LinearMMDPSpec:
+    return LinearMMDPSpec.from_json(json.dumps(doc))
+
+
+def _team_from_json(matrix) -> TeamComposition:
+    return TeamComposition(tuple(np.asarray(m, dtype=float) for m in matrix))
+
+
+# (to_json, from_json) of every case field
+_FIELDS = {
+    "spec_x": (_spec_doc, _spec_from_doc),
+    "spec_y": (_spec_doc, _spec_from_doc),
+    "new_capability": (np.ndarray.tolist, lambda v: np.asarray(v, dtype=float)),
+    "new_weight": (float, float),
+    "support_teams": (
+        lambda teams: [team.matrix().tolist() for team in teams],
+        lambda v: [_team_from_json(team) for team in v],
+    ),
+    "eps_r": (float, float),
+    "eps_p": (float, float),
+    "seed_x": (int, int),
+    "seed_y": (int, int),
+    "poly": (
+        lambda poly: json.loads(poly.to_json()),
+        lambda doc: PolynomialRewardSpec.from_json(json.dumps(doc)),
+    ),
+    "delta": (float, float),
+    "member_index": (int, int),
+    "team_perturbed": (lambda team: team.matrix().tolist(), _team_from_json),
+}
+
+
+def _run_checks(config: ExperimentConfig, index: int, cases, solver: Solver, archive):
+    """Run each (bound_name, case) through CHECKS; returns (rows, violations).
+
+    archive(bound_name, case) gives the fields a failing report's violation
+    entry stores beside the report; it runs only for a failing report. A
+    row's wall_time covers the whole check.
+    """
+    settings = SolveSettings(tol=config.tol)
+    rows = []
+    violations = []
+    for name, case in cases:
+        start = time.perf_counter()
+        report = CHECKS[name].run(case, settings, solver)
+        row = {"instance": index, "wall_time": time.perf_counter() - start}
+        row.update(report.to_csv_row())
+        rows.append(row)
+        if not report.satisfied:
+            violations.append(
+                {
+                    "instance_index": index,
+                    "bound_name": report.bound_name,
+                    "report": json.loads(report.to_json()),
+                    "tol": config.tol,
+                    **archive(name, case),
+                }
+            )
+    return rows, violations
+
+
+# ---- per-instance certification ---------------------------------------------------
+
+
+def _instance_cases(config: ExperimentConfig, index: int):
+    """(bound_name, case) of every check of one instance, drawn in a fixed order."""
+    rng = np.random.default_rng([config.seed, index])
+    spec_x, spec_y = generate_linear_pair(config.ranges, rng)
+    num_agents = spec_x.team.num_agents
+    dim = spec_x.capability_dim
+    pair = {"spec_x": spec_x, "spec_y": spec_y}
+    yield "team_generalization", pair
+    yield "policy_transfer", pair
+    yield "population_decrease", {"spec_x": spec_x}
+
+    new_capability = rng.dirichlet(np.ones(dim))
+    new_weight = float(rng.uniform(0.05, 0.5))
+    yield "population_increase", {
+        "spec_x": spec_x,
+        "new_capability": new_capability,
+        "new_weight": new_weight,
+    }
+
+    # estimation error: blend each member toward a random simplex point
+    blend = rng.uniform(0.0, 0.1)
+    inferred_members = tuple(
+        (1.0 - blend) * m.c + blend * rng.dirichlet(np.ones(dim))
+        for m in spec_x.team.members
+    )
+    spec_inferred = spec_x.with_team(TeamComposition(inferred_members), spec_x.weights)
+    yield "capability_estimation", {"spec_x": spec_x, "spec_y": spec_inferred}
+
+    support_teams = [spec_y.team] + [
+        sample_simplex_team(rng, num_agents, dim) for _ in range(2)
+    ]
+    yield "out_of_distribution", {"spec_x": spec_x, "support_teams": support_teams}
+
+    seed_x = int(rng.integers(2**31))
+    seed_y = int(rng.integers(2**31))
+    yield "approx_dynamics", {
+        **pair,
+        "eps_r": config.eps_r,
+        "eps_p": config.eps_p,
+        "seed_x": seed_x,
+        "seed_y": seed_y,
+    }
+    yield "lipschitz", pair
 
     degree = int(rng.integers(1, 4))
     poly = sample_polynomial_spec(rng, num_agents, degree)
@@ -606,113 +675,95 @@ def certify_instance(config: ExperimentConfig, index: int, solver: Solver | None
         0.0,
         1.0,
     )
-    team_perturbed = spec_x.team.replace_member(member_index, CapabilityVector(moved))
-    report, wt = _timed(
-        polynomial_deviation_report,
-        poly,
-        spec_x.team,
-        team_perturbed,
-        member_index,
-        delta,
-        spec_x.reward_kernel,
-        spec_x.states,
-    )
-    record(
-        report,
-        wt,
-        lambda: {
-            "spec_x": doc_x(),
-            "poly": json.loads(poly.to_json()),
-            "delta": delta,
-            "member_index": member_index,
-            "team_perturbed": team_perturbed.matrix().tolist(),
-        },
-    )
-
-    return rows, violations
+    yield "polynomial_deviation", {
+        "spec_x": spec_x,
+        "poly": poly,
+        "delta": delta,
+        "member_index": member_index,
+        "team_perturbed": spec_x.team.replace_member(member_index, CapabilityVector(moved)),
+    }
 
 
-def _certify_worker(payload):
-    """One instance on its own Solver: ((rows, violations), solve counts)."""
-    config, index = payload
-    solver = Solver()
-    return certify_instance(config, index, solver), solver.counts()
+def certify_instance(config: ExperimentConfig, index: int, solver: Solver | None = None):
+    """All bound reports for one randomly generated instance.
+
+    Returns (rows, violations); every random draw flows from a generator
+    seeded by (config.seed, index), so results are order-independent.
+    Every check shares one Solver (a fresh one unless given), so each
+    distinct MDP of the instance is solved once. A violation's payload is
+    built only when its report fails.
+    """
+    # built by the first failing report that needs it, then shared
+    spec_doc = functools.cache(_spec_doc)
+
+    def archive(name, case):
+        return {
+            key: spec_doc(value) if key in _SPECS else _FIELDS[key][0](value)
+            for key, value in case.items()
+        }
+
+    solver = Solver() if solver is None else solver
+    return _run_checks(config, index, _instance_cases(config, index), solver, archive)
 
 
 # ---- experiment runners --------------------------------------------------------
 
 
-def run_verify_bounds(config: ExperimentConfig, jobs: int = 1, solve_counts=None):
-    """Certify every generated instance; rows merge in instance-index order.
+def run_verify_bounds(config: ExperimentConfig, solve_counts=None):
+    """Certify every generated instance, in instance-index order.
 
-    Each worker derives its own generator from (master seed, instance index),
-    so parallel and serial runs produce identical row sets. Each instance
-    gets its own Solver, so no cache crosses threads; solve_counts, a
-    Counter, accumulates their counts when given.
+    Each instance gets its own Solver; solve_counts, a Counter, accumulates
+    their counts when given.
     """
     rows = []
     violations = []
-    payloads = [(config, i) for i in range(config.num_instances)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            ordered = list(pool.map(_certify_worker, payloads))
-    else:
-        ordered = [_certify_worker(payload) for payload in payloads]
-    for (instance_rows, instance_violations), counts in ordered:
+    for index in range(config.num_instances):
+        solver = Solver()
+        instance_rows, instance_violations = certify_instance(config, index, solver)
         rows.extend(instance_rows)
         violations.extend(instance_violations)
         if solve_counts is not None:
-            solve_counts.update(counts)
+            solve_counts.update(solver.counts())
     return rows, violations
+
+
+# the desk teams each fruit-forage check compares, as its case's spec_x[, spec_y]
+_FORAGE_TEAMS = {
+    "team_generalization": ("x", "y"),
+    "policy_transfer": ("x", "y"),
+    "population_decrease": ("z",),
+}
 
 
 def run_fruit_forage(config: ExperimentConfig, solve_counts=None):
     """Desk-scale foraging certification: two team comparisons plus a removal.
 
-    The three calculators share one Solver; solve_counts, a Counter,
-    accumulates its counts when given.
+    The three checks share one Solver; solve_counts, a Counter, accumulates
+    its counts when given. A violation archives the desk teams to rebuild.
     """
     params = config.fruit_forage
     grid_size = int(params["grid_size"])
     num_agents = int(params["num_agents"])
-    settings = SolveSettings(tol=config.tol)
     solver = Solver()
-    rows = []
-    violations = []
-
-    def record(report, wall_time, team_labels):
-        row = {"instance": 0, "wall_time": float(wall_time)}
-        row.update(report.to_csv_row())
-        rows.append(row)
-        if not report.satisfied:
-            violations.append(
-                {
-                    "instance_index": 0,
-                    "bound_name": report.bound_name,
-                    "report": json.loads(report.to_json()),
-                    "tol": config.tol,
-                    "rebuild": {
-                        "env": "fruit_forage",
-                        "grid_size": grid_size,
-                        "num_agents": num_agents,
-                        "team_labels": list(team_labels),
-                    },
-                }
-            )
-
-    spec_x = build_fruit_forage(desk_config("x", grid_size, num_agents))
-    spec_y = build_fruit_forage(desk_config("y", grid_size, num_agents))
-    report, wt = _timed(bound_team_generalization, spec_x, spec_y, settings, solver)
-    record(report, wt, ("x", "y"))
-    report, wt = _timed(bound_policy_transfer, spec_x, spec_y, settings, solver)
-    record(report, wt, ("x", "y"))
-    del spec_x, spec_y
-
-    spec_z = build_fruit_forage(desk_config("z", grid_size, num_agents))
-    report, wt = _timed(
-        bound_population_change, spec_z, "remove-last", settings=settings, solver=solver
+    build = functools.cache(
+        lambda label: build_fruit_forage(desk_config(label, grid_size, num_agents))
     )
-    record(report, wt, ("z",))
+    cases = (
+        (name, dict(zip(_SPECS, map(build, labels))))
+        for name, labels in _FORAGE_TEAMS.items()
+    )
+
+    def archive(name, case):
+        return {
+            "rebuild": {
+                "env": "fruit_forage",
+                "grid_size": grid_size,
+                "num_agents": num_agents,
+                "team_labels": list(_FORAGE_TEAMS[name]),
+            }
+        }
+
+    rows, violations = _run_checks(config, 0, cases, solver, archive)
     if solve_counts is not None:
         solve_counts.update(solver.counts())
     return rows, violations
@@ -813,7 +864,7 @@ def run_predator_prey(config: ExperimentConfig):
     return rows, []
 
 
-def run_sweep(config: ExperimentConfig, jobs: int = 1, solve_counts=None):
+def run_sweep(config: ExperimentConfig, solve_counts=None):
     rows = []
     violations = []
     for cell_index, cell in enumerate(config.sweep_cells):
@@ -834,9 +885,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1, solve_counts=None):
             eps_p=config.eps_p,
             ranges=GeneratorRanges.from_doc(ranges_doc),
         )
-        cell_rows, cell_violations = run_verify_bounds(
-            cell_config, jobs=jobs, solve_counts=solve_counts
-        )
+        cell_rows, cell_violations = run_verify_bounds(cell_config, solve_counts=solve_counts)
         for row in cell_rows:
             row = dict(row)
             row["cell_num_agents"] = n
@@ -984,18 +1033,18 @@ def _stamp_rows(config: ExperimentConfig, rows) -> list:
     return rows
 
 
-def run_experiment(config: ExperimentConfig, out_root, jobs: int = 1) -> list:
+def run_experiment(config: ExperimentConfig, out_root) -> list:
     """Run one configured experiment, write its artifacts, and return the rows."""
     start = time.perf_counter()
     solve_counts = Counter(value_iteration_solves=0, cache_hits=0)
     if config.kind == "verify-bounds":
-        rows, violations = run_verify_bounds(config, jobs=jobs, solve_counts=solve_counts)
+        rows, violations = run_verify_bounds(config, solve_counts=solve_counts)
     elif config.kind == "fruit-forage":
         rows, violations = run_fruit_forage(config, solve_counts=solve_counts)
     elif config.kind == "predator-prey":
         rows, violations = run_predator_prey(config)
     elif config.kind == "sweep":
-        rows, violations = run_sweep(config, jobs=jobs, solve_counts=solve_counts)
+        rows, violations = run_sweep(config, solve_counts=solve_counts)
     else:
         raise ConfigError(f"unknown experiment kind {config.kind!r}")
     total = time.perf_counter() - start
@@ -1007,124 +1056,62 @@ def run_experiment(config: ExperimentConfig, out_root, jobs: int = 1) -> list:
 # ---- violation replay ---------------------------------------------------------
 
 
-_REPLAYABLE = (
-    "team_generalization",
-    "policy_transfer",
-    "population_decrease",
-    "population_increase",
-    "capability_estimation",
-    "out_of_distribution",
-    "approx_dynamics",
-    "lipschitz",
-    "polynomial_deviation",
-)
+def _rebuilt_case(name: str, rebuild) -> dict:
+    """The case of a fruit-forage entry: its desk teams, rebuilt."""
+    if not isinstance(rebuild, dict):
+        raise ConfigError(f"a rebuild must be a JSON object, got {rebuild!r}")
+    if rebuild.get("env") != "fruit_forage":
+        raise ConfigError(f"cannot rebuild environment {rebuild.get('env')!r}")
+    labels = rebuild.get("team_labels")
+    if not isinstance(labels, list) or CHECKS[name].fields != _SPECS[: len(labels)]:
+        raise ConfigError(f"cannot replay report {name!r} for the rebuilt teams {labels!r}")
+    try:
+        grid_size = int(rebuild["grid_size"])
+        num_agents = int(rebuild["num_agents"])
+        specs = [
+            build_fruit_forage(desk_config(label, grid_size, num_agents)) for label in labels
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed rebuild for {name!r}: {exc!r}") from exc
+    return dict(zip(_SPECS, specs))
 
 
-def _replay_one(entry: dict, solver: Solver) -> BoundReport:
+def _entry_case(name: str, entry: dict) -> dict:
+    """The case of an entry that archives its fields."""
+    case = {}
+    for key in CHECKS[name].fields:
+        if key not in entry:
+            raise ConfigError(f"a {name!r} entry needs the field {key!r}")
+        try:
+            case[key] = _FIELDS[key][1](entry[key])
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed {key!r} in a {name!r} entry: {exc!r}") from exc
+    return case
+
+
+def _replay_one(entry, solver: Solver) -> BoundReport:
+    """Decode one violation entry into its case and run its check again.
+
+    A malformed entry raises ConfigError, and so does a case its check
+    rejects (the calculators raise ValueError on inconsistent inputs, such
+    as two specs that do not share a frame).
+    """
+    if not isinstance(entry, dict):
+        raise ConfigError(f"a violation entry must be a JSON object, got {entry!r}")
     name = entry.get("bound_name")
-    if name not in _REPLAYABLE:
+    if not isinstance(name, str) or name not in CHECKS:
         raise ConfigError(f"cannot replay unknown report kind {name!r}")
     # entries written before runs recorded their tol were solved at the default
-    settings = SolveSettings(tol=entry.get("tol", SolveSettings.tol))
+    try:
+        settings = SolveSettings(tol=entry.get("tol", SolveSettings.tol))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed 'tol' in a {name!r} entry: {exc!r}") from exc
     rebuild = entry.get("rebuild")
-    if rebuild is not None:
-        if rebuild.get("env") != "fruit_forage":
-            raise ConfigError(f"cannot rebuild environment {rebuild.get('env')!r}")
-        labels = rebuild["team_labels"]
-        specs = [
-            build_fruit_forage(
-                desk_config(label, int(rebuild["grid_size"]), int(rebuild["num_agents"]))
-            )
-            for label in labels
-        ]
-        if name == "team_generalization":
-            return bound_team_generalization(specs[0], specs[1], settings, solver)
-        if name == "policy_transfer":
-            return bound_policy_transfer(specs[0], specs[1], settings, solver)
-        if name == "population_decrease":
-            return bound_population_change(
-                specs[0], "remove-last", settings=settings, solver=solver
-            )
-        raise ConfigError(f"cannot replay report {name!r} for a rebuilt environment")
-
-    spec_x = LinearMMDPSpec.from_json(json.dumps(entry["spec_x"]))
-    spec_y = (
-        LinearMMDPSpec.from_json(json.dumps(entry["spec_y"]))
-        if "spec_y" in entry
-        else None
-    )
-    if name == "team_generalization":
-        return bound_team_generalization(spec_x, spec_y, settings, solver)
-    if name == "policy_transfer":
-        return bound_policy_transfer(spec_x, spec_y, settings, solver)
-    if name == "population_decrease":
-        return bound_population_change(spec_x, "remove-last", settings=settings, solver=solver)
-    if name == "population_increase":
-        return bound_population_change(
-            spec_x,
-            "add-member",
-            new_capability=np.asarray(entry["new_capability"], dtype=float),
-            new_weight=float(entry["new_weight"]),
-            settings=settings,
-            solver=solver,
-        )
-    if name == "capability_estimation":
-        return bound_capability_estimation(spec_x, spec_y, settings, solver)
-    if name == "out_of_distribution":
-        teams = [
-            TeamComposition(tuple(np.asarray(m, dtype=float) for m in team))
-            for team in entry["support_teams"]
-        ]
-        distribution = TaskDistribution(
-            support=tuple((team, spec_x.weights) for team in teams),
-            probabilities=np.full(len(teams), 1.0 / len(teams)),
-        )
-        return bound_out_of_distribution(distribution, spec_x, settings, solver)
-    if name == "approx_dynamics":
-        actual_x = perturb_dynamics(
-            assemble_linear_mmdp(spec_x), entry["eps_r"], entry["eps_p"], entry["seed_x"]
-        )
-        actual_y = perturb_dynamics(
-            assemble_linear_mmdp(spec_y), entry["eps_r"], entry["eps_p"], entry["seed_y"]
-        )
-        return bound_approx_dynamics(spec_x, spec_y, actual_x, actual_y, settings, solver)
-    if name == "lipschitz":
-        reward_map = LipschitzRewardSpec(
-            f=lambda team, a=spec_x.weights.a: a @ team.matrix(),
-            lipschitz_constants=spec_x.weights.a,
-        )
-        shared = assemble_linear_mmdp(spec_x)
-        args = dict(
-            reward_kernel=spec_x.reward_kernel,
-            transitions=shared.transitions,
-            next_states=shared.next_states,
-            states=spec_x.states,
-            num_agents=spec_x.num_agents,
-            actions_per_agent=spec_x.actions_per_agent,
-            gamma=spec_x.gamma,
-            rho=spec_x.rho,
-        )
-        mmdp_x = assemble_lipschitz_mmdp(reward_map, spec_x.team, **args)
-        mmdp_y = assemble_lipschitz_mmdp(reward_map, spec_y.team, **args)
-        return bound_lipschitz(
-            reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y,
-            spec_x.reward_kernel, settings, solver,
-        )
-    if name == "polynomial_deviation":
-        poly = PolynomialRewardSpec.from_json(json.dumps(entry["poly"]))
-        team_perturbed = TeamComposition(
-            tuple(np.asarray(m, dtype=float) for m in entry["team_perturbed"])
-        )
-        return polynomial_deviation_report(
-            poly,
-            spec_x.team,
-            team_perturbed,
-            int(entry["member_index"]),
-            float(entry["delta"]),
-            spec_x.reward_kernel,
-            spec_x.states,
-        )
-    raise ConfigError(f"cannot replay report kind {name!r}")
+    case = _entry_case(name, entry) if rebuild is None else _rebuilt_case(name, rebuild)
+    try:
+        return CHECKS[name].run(case, settings, solver)
+    except ValueError as exc:
+        raise ConfigError(f"the {name!r} entry is not a valid case: {exc}") from exc
 
 
 def replay_violations(path) -> list:

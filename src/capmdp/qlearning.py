@@ -26,7 +26,6 @@ class TrainSchedule:
     epsilon_decay_steps: int = 50_000
     gamma: float = 0.99
     eval_interval: int = 10_000
-    eval_episodes: int = 16
 
     def __post_init__(self):
         if self.total_steps < 1:
@@ -39,8 +38,8 @@ class TrainSchedule:
             raise ValueError("epsilon_decay_steps must be positive")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must lie in [0, 1)")
-        if self.eval_interval < 1 or self.eval_episodes < 1:
-            raise ValueError("eval_interval and eval_episodes must be positive")
+        if self.eval_interval < 1:
+            raise ValueError("eval_interval must be positive")
 
     def epsilon_at(self, step: int) -> float:
         frac = min(max(step, 0), self.epsilon_decay_steps) / self.epsilon_decay_steps

@@ -75,7 +75,7 @@ def _verdict(criterion: int, ok: bool, detail: str):
 def test_criterion_01_random_pair_certification():
     config = ExperimentConfig(kind="verify-bounds", seed=101, num_instances=200)
     start = time.perf_counter()
-    rows, _ = run_verify_bounds(config, jobs=4)
+    rows, _ = run_verify_bounds(config)
     elapsed = time.perf_counter() - start
     gated = [row for row in rows if row["bound_name"] in CRITERION_BOUNDS]
     bad = [row for row in gated if not row["satisfied"]]
@@ -374,7 +374,7 @@ def test_criterion_09_pursuit_learning(tmp_path):
 
     schedule = TrainSchedule(
         total_steps=200_000, alpha=0.05, epsilon_start=1.0, epsilon_end=0.05,
-        epsilon_decay_steps=50_000, gamma=0.9, eval_interval=50_000, eval_episodes=1,
+        epsilon_decay_steps=50_000, gamma=0.9, eval_interval=50_000,
     )
     table = q_learning_train(builder, [chase], schedule, seed=42)
 

@@ -197,15 +197,7 @@ def test_certify_instance_emits_every_bound_kind():
     assert determinism_hash(rows) != determinism_hash(other)
 
 
-def test_parallel_and_serial_certification_agree():
-    config = small_config(num_instances=6)
-    serial_rows, _ = run_verify_bounds(config, jobs=1)
-    parallel_rows, _ = run_verify_bounds(config, jobs=3)
-    assert determinism_hash(serial_rows) == determinism_hash(parallel_rows)
-    assert [r["instance"] for r in serial_rows] == [r["instance"] for r in parallel_rows]
-
-
-def test_each_parallel_instance_solves_on_its_own_solver(monkeypatch):
+def test_each_instance_solves_on_its_own_solver(monkeypatch):
     real = capmdp.harness.certify_instance
     solvers = []
 
@@ -215,13 +207,11 @@ def test_each_parallel_instance_solves_on_its_own_solver(monkeypatch):
 
     monkeypatch.setattr(capmdp.harness, "certify_instance", spy)
     config = small_config(num_instances=6)
-    serial_counts = Counter()
-    parallel_counts = Counter()
-    run_verify_bounds(config, jobs=1, solve_counts=serial_counts)
-    run_verify_bounds(config, jobs=3, solve_counts=parallel_counts)
-    assert len({id(solver) for solver in solvers}) == 12
-    assert serial_counts == parallel_counts
-    assert serial_counts["value_iteration_solves"] == sum(s.solves for s in solvers[:6])
+    counts = Counter()
+    run_verify_bounds(config, solve_counts=counts)
+    assert len({id(solver) for solver in solvers}) == 6
+    assert counts["value_iteration_solves"] == sum(s.solves for s in solvers)
+    assert counts["cache_hits"] == sum(s.hits for s in solvers)
 
 
 def test_summary_counts_solves_and_cache_hits(tmp_path):
@@ -444,36 +434,18 @@ def test_archived_violations_record_tol_and_replay_exactly(tmp_path, monkeypatch
         assert json.loads(replayed.to_json()) == violations[0]["report"]
 
 
-# the tasks each report kind archives as spec_x and spec_y; capability
-# estimation archives its inferred task as spec_y
-ARCHIVED_SPECS = {
-    "team_generalization": ("spec_x", "spec_y"),
-    "policy_transfer": ("spec_x", "spec_y"),
-    "population_decrease": ("spec_x",),
-    "population_increase": ("spec_x",),
-    "capability_estimation": ("spec_x", "spec_inferred"),
-    "out_of_distribution": ("spec_x",),
-    "approx_dynamics": ("spec_x", "spec_y"),
-    "lipschitz": ("spec_x", "spec_y"),
-    "polynomial_deviation": ("spec_x",),
-}
-
-
-def test_every_report_kind_fails_archives_and_replays_exactly(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def fail_every_report(monkeypatch):
     build = BoundReport.build.__func__
     monkeypatch.setattr(
         BoundReport,
         "build",
         classmethod(lambda cls, *args: replace(build(cls, *args), satisfied=False)),
     )
-    real_estimation = capmdp.harness.bound_capability_estimation
-    received = {}
 
-    def spy_estimation(spec_true, spec_inferred, *args):
-        received["spec_inferred"] = spec_inferred
-        return real_estimation(spec_true, spec_inferred, *args)
 
-    monkeypatch.setattr(capmdp.harness, "bound_capability_estimation", spy_estimation)
+def replay_through_cli(path, monkeypatch):
+    """(exit code, replayed reports) of `capmdp replay path`."""
     real_replay = capmdp.cli.replay_violations
     replayed = []
 
@@ -482,25 +454,60 @@ def test_every_report_kind_fails_archives_and_replays_exactly(tmp_path, monkeypa
         return replayed
 
     monkeypatch.setattr(capmdp.cli, "replay_violations", spy_replay)
+    return main(["replay", str(path)]), replayed
+
+
+ENTRY_HEAD = ("instance_index", "bound_name", "report", "tol")
+
+# every key a violation entry of each kind holds, in order; renaming or
+# dropping one breaks the replay of violations.json files already written
+ENTRY_KEYS = {
+    "team_generalization": (*ENTRY_HEAD, "spec_x", "spec_y"),
+    "policy_transfer": (*ENTRY_HEAD, "spec_x", "spec_y"),
+    "population_decrease": (*ENTRY_HEAD, "spec_x"),
+    "population_increase": (*ENTRY_HEAD, "spec_x", "new_capability", "new_weight"),
+    "capability_estimation": (*ENTRY_HEAD, "spec_x", "spec_y"),
+    "out_of_distribution": (*ENTRY_HEAD, "spec_x", "support_teams"),
+    "approx_dynamics": (
+        *ENTRY_HEAD, "spec_x", "spec_y", "eps_r", "eps_p", "seed_x", "seed_y",
+    ),
+    "lipschitz": (*ENTRY_HEAD, "spec_x", "spec_y"),
+    "polynomial_deviation": (
+        *ENTRY_HEAD, "spec_x", "poly", "delta", "member_index", "team_perturbed",
+    ),
+}
+
+
+def test_every_report_kind_fails_archives_and_replays_exactly(
+    tmp_path, monkeypatch, capsys, fail_every_report
+):
+    real_estimation = capmdp.harness.bound_capability_estimation
+    received = {}
+
+    def spy_estimation(spec_true, spec_inferred, *args):
+        received["spec_inferred"] = spec_inferred
+        return real_estimation(spec_true, spec_inferred, *args)
+
+    monkeypatch.setattr(capmdp.harness, "bound_capability_estimation", spy_estimation)
 
     config = small_config(num_instances=1, tol=1e-8)
     run_experiment(config, tmp_path)
     path = run_output_dir(config, tmp_path) / "violations.json"
     entries = json.loads(path.read_text())
-    assert [entry["bound_name"] for entry in entries] == [
-        "team_generalization", "policy_transfer", "population_decrease",
-        "population_increase", "capability_estimation", "out_of_distribution",
-        "approx_dynamics", "lipschitz", "polynomial_deviation",
-    ]
+    assert [entry["bound_name"] for entry in entries] == list(ENTRY_KEYS)
     spec_x, spec_y = generate_linear_pair(config.ranges, np.random.default_rng([config.seed, 0]))
-    specs = {"spec_x": spec_x, "spec_y": spec_y, **received}
     for entry in entries:
+        name = entry["bound_name"]
+        assert tuple(entry) == ENTRY_KEYS[name]
         assert entry["tol"] == 1e-8
-        archived = [key for key in ("spec_x", "spec_y") if key in entry]
-        expected = ARCHIVED_SPECS[entry["bound_name"]]
-        assert len(archived) == len(expected)
-        for archived_key, spec_key in zip(archived, expected):
-            assert entry[archived_key] == json.loads(specs[spec_key].to_json())
+        # capability estimation archives its inferred task as spec_y
+        specs = {
+            "spec_x": spec_x,
+            "spec_y": received["spec_inferred"] if name == "capability_estimation" else spec_y,
+        }
+        for key, spec in specs.items():
+            if key in entry:
+                assert entry[key] == json.loads(spec.to_json())
 
     solves = []
     real_value_iteration = capmdp.bounds.value_iteration
@@ -510,7 +517,8 @@ def test_every_report_kind_fails_archives_and_replays_exactly(tmp_path, monkeypa
         return real_value_iteration(mmdp, *args, **kwargs)
 
     monkeypatch.setattr(capmdp.bounds, "value_iteration", counting_value_iteration)
-    assert main(["replay", str(path)]) == EXIT_VIOLATION
+    code, replayed = replay_through_cli(path, monkeypatch)
+    assert code == EXIT_VIOLATION
     assert "replayed 9 reports, 9 still violated" in capsys.readouterr().out
     assert len(replayed) == len(entries)
     for report, entry in zip(replayed, entries):
@@ -522,6 +530,33 @@ def test_every_report_kind_fails_archives_and_replays_exactly(tmp_path, monkeypa
         successors = None if m.next_states is None else m.next_states.tobytes()
         contents.add((m.rewards.tobytes(), m.transitions.tobytes(), successors))
     assert len(solves) == len(contents) == 9
+
+
+def test_fruit_forage_reports_fail_archive_and_replay_exactly(
+    tmp_path, monkeypatch, capsys, fail_every_report
+):
+    config = ExperimentConfig(kind="fruit-forage", tol=1e-8, fruit_forage={"grid_size": 2})
+    run_experiment(config, tmp_path)
+    path = run_output_dir(config, tmp_path) / "violations.json"
+    entries = json.loads(path.read_text())
+    labels = {
+        "team_generalization": ["x", "y"],
+        "policy_transfer": ["x", "y"],
+        "population_decrease": ["z"],
+    }
+    assert [entry["bound_name"] for entry in entries] == list(labels)
+    for entry in entries:
+        assert tuple(entry) == (*ENTRY_HEAD, "rebuild")
+        assert entry["rebuild"] == {
+            "env": "fruit_forage", "grid_size": 2, "num_agents": 2,
+            "team_labels": labels[entry["bound_name"]],
+        }
+    code, replayed = replay_through_cli(path, monkeypatch)
+    assert code == EXIT_VIOLATION
+    assert "replayed 3 reports, 3 still violated" in capsys.readouterr().out
+    assert [json.loads(report.to_json()) for report in replayed] == [
+        entry["report"] for entry in entries
+    ]
 
 
 def test_replay_error_paths(tmp_path):
@@ -541,6 +576,37 @@ def test_replay_error_paths(tmp_path):
     )
     with pytest.raises(ConfigError, match="cannot rebuild environment"):
         replay_violations(alien)
+    malformed = {
+        "JSON object": [1],
+        "needs the field 'spec_x'": [{"bound_name": "team_generalization"}],
+        "malformed 'spec_x'": [{"bound_name": "team_generalization", "spec_x": {}}],
+        "rebuilt teams": [
+            {
+                "bound_name": "population_decrease",
+                "rebuild": {
+                    "env": "fruit_forage", "grid_size": 2, "num_agents": 2,
+                    "team_labels": [],
+                },
+            }
+        ],
+    }
+    ranges = GeneratorRanges.from_doc(SMALL_RANGES_DOC)
+    spec_x = generate_linear_pair(ranges, np.random.default_rng(1))[0]
+    spec_y = generate_linear_pair(ranges, np.random.default_rng(2))[1]
+    malformed["not a valid case"] = [
+        {
+            "bound_name": "team_generalization",
+            "spec_x": json.loads(spec_x.to_json()),
+            "spec_y": json.loads(spec_y.to_json()),
+        }
+    ]
+    for index, (message, entries) in enumerate(malformed.items()):
+        path = tmp_path / f"malformed{index}.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(ConfigError, match=message):
+            replay_violations(path)
+        # exit 1 would read as a report that is still violated
+        assert main(["replay", str(path)]) == EXIT_CONFIG
 
 
 # ---- command line -------------------------------------------------------------------
@@ -558,7 +624,7 @@ def test_cli_verify_bounds_run(tmp_path, capsys):
     config_path = write_config(tmp_path)
     code = main(
         ["verify-bounds", "--config", str(config_path), "--out", str(tmp_path / "runs"),
-         "--jobs", "2", "--seed", "4"]
+         "--seed", "4"]
     )
     captured = capsys.readouterr()
     assert code == EXIT_OK
@@ -587,7 +653,7 @@ def test_cli_config_errors(tmp_path, capsys):
     mismatched = write_config(tmp_path)
     assert main(["sweep", "--config", str(mismatched)]) == EXIT_CONFIG
     config_path = write_config(tmp_path)
-    assert main(["verify-bounds", "--config", str(config_path), "--jobs", "0"]) == EXIT_CONFIG
+    assert main(["verify-bounds", "--config", str(config_path), "--jobs", "1"]) == EXIT_CONFIG
     assert main(["replay", str(tmp_path / "absent.json")]) == EXIT_CONFIG
     assert main(["unknown-command"]) == EXIT_CONFIG
     assert main([]) == EXIT_CONFIG
@@ -618,7 +684,7 @@ def test_cli_replay_clean_file(tmp_path, capsys):
 def test_cli_surfaces_solver_failures(tmp_path, monkeypatch):
     from capmdp.mdp import SolverConvergenceError
 
-    def explode(config, out_root, jobs=1):
+    def explode(config, out_root):
         raise SolverConvergenceError("did not converge", residual=1.0, iterations=5)
 
     monkeypatch.setattr("capmdp.cli.run_experiment", explode)

@@ -29,7 +29,7 @@ def load_chain() -> TabularMMDP:
 
 SHORT = TrainSchedule(
     total_steps=3000, alpha=0.2, epsilon_start=1.0, epsilon_end=0.05,
-    epsilon_decay_steps=1000, gamma=0.5, eval_interval=1000, eval_episodes=4,
+    epsilon_decay_steps=1000, gamma=0.5, eval_interval=1000,
 )
 
 
@@ -219,7 +219,6 @@ def test_on_interval_callback_fires_on_schedule():
     mmdp = load_chain()
     schedule = TrainSchedule(
         total_steps=50, epsilon_decay_steps=10, gamma=0.5, eval_interval=10,
-        eval_episodes=1,
     )
     seen = []
     q_learning_train(
@@ -245,7 +244,7 @@ def test_q_values_stay_inside_the_return_range():
 
     schedule = TrainSchedule(
         total_steps=4000, alpha=0.1, epsilon_decay_steps=1000, gamma=0.9,
-        eval_interval=2000, eval_episodes=1,
+        eval_interval=2000,
     )
     table = q_learning_train(builder, [config], schedule, seed=1)
     ceiling = 1.0 / (1.0 - schedule.gamma)
@@ -270,7 +269,7 @@ def pursuit_training_digest(capability_observable):
 
     schedule = TrainSchedule(
         total_steps=1500, alpha=0.2, epsilon_decay_steps=500, gamma=0.9,
-        eval_interval=500, eval_episodes=1,
+        eval_interval=500,
     )
     table = q_learning_train(builder, tasks, schedule, seed=6)
     digest = hashlib.sha256()
