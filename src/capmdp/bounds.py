@@ -7,12 +7,17 @@ is satisfied when the measurement does not exceed the bound beyond a fixed
 additive tolerance; the certification harness treats any unsatisfied report
 as a violation worth archiving.
 
-Each calculator takes an optional ``solver=``, a Solver that memoizes optimal
+Each calculator is written once, as a generator (certify_*): it yields the
+tuple of MDPs it needs solved, receives their (ValueTable, JointPolicy)
+pairs, and returns its report. The certification harness advances every
+calculator of an instance to its request and answers them all with one
+Solver.solve_all. Each public bound_* function answers its calculator's
+request itself, on its optional ``solver=``: a Solver that memoizes optimal
 solves by MDP content. Calculators comparing tasks of one instance share
 most of their MDPs, so passing one Solver to all of them solves each
 distinct MDP once; a cached solve returns the same arrays a fresh solve
-would, made read-only. Without a solver every solve is fresh. A Solver is
-not locked, so it must not be shared between threads.
+would, made read-only. Without a solver a fresh one serves the call. A
+Solver is not locked, so it must not be shared between threads.
 """
 
 import hashlib
@@ -38,12 +43,17 @@ from .mdp import (
     ValueTable,
     check_distribution,
     policy_evaluation,
-    value_iteration,
+    value_iteration_stack,
 )
 
 BOUND_TOLERANCE = 1e-7
 PERMUTATION_GUARD = 8
 GAMMA_CROSSOVER = (math.sqrt(5.0) - 1.0) / 2.0
+# Largest (members x states x joint actions) value buffer of one stacked
+# solve. Past it a sweep's arithmetic outweighs its per-call overhead, so a
+# bigger stack saves no time and only holds more memory; a 1024-state,
+# 25-action fruit-forage MDP solves alone.
+STACK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -290,30 +300,71 @@ class Solver:
     (shape, dtype and bytes of each), the discount, tol and max_iters: the
     whole input of value_iteration. So an indexed kernel and its dense twin,
     or one MDP at two tolerances, never share an entry. Cached arrays are
-    read-only, since every caller of a hit shares them.
+    read-only, since every caller of a hit shares them. solve_all answers
+    many requests at once and solves the uncached ones in stacks; each
+    answer is bit for bit the one value_iteration gives alone.
     """
 
     def __init__(self):
         self._solved = {}
         self.solves = 0
         self.hits = 0
+        self.sweeps = 0
+        self.max_sweeps = 0
 
     def solve(self, mmdp: TabularMMDP, settings: SolveSettings):
         """(ValueTable, JointPolicy) of value_iteration on mmdp at settings."""
-        key = _solve_key(mmdp, settings)
-        cached = self._solved.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        values, policy = value_iteration(mmdp, tol=settings.tol, max_iters=settings.max_iters)
-        for arr in (values.v, values.q, policy.actions):
-            arr.flags.writeable = False
-        self._solved[key] = cached = (values, policy)
-        self.solves += 1
-        return cached
+        return self.solve_all([mmdp], settings)[0]
+
+    def solve_all(self, mmdps, settings: SolveSettings) -> list:
+        """solve() of each of mmdps, in order.
+
+        Requests with one content key are solved once; the MDPs not cached
+        yet are solved together, one value_iteration_stack per (layout,
+        kernel shape, discount), split so that no stack passes
+        STACK_ENTRIES. Solves and hits count as one solve() call per request
+        would count them.
+        """
+        keys = [_solve_key(mmdp, settings) for mmdp in mmdps]
+        todo = {}
+        for key, mmdp in zip(keys, mmdps):
+            if key in self._solved or key in todo:
+                self.hits += 1
+            else:
+                todo[key] = mmdp
+        groups = {}
+        for key, mmdp in todo.items():
+            shared = (mmdp.next_states is None, mmdp.transitions.shape, mmdp.gamma)
+            groups.setdefault(shared, []).append(key)
+        for (_, shape, _), group in groups.items():
+            size = max(1, STACK_ENTRIES // (shape[0] * shape[1]))
+            for start in range(0, len(group), size):
+                stack = group[start : start + size]
+                self._solve_stack([(key, todo[key]) for key in stack], settings)
+        return [self._solved[key] for key in keys]
+
+    def _solve_stack(self, stack, settings: SolveSettings):
+        """Solve a list of (key, mmdp) in one value_iteration_stack and cache them."""
+        solutions, sweeps = value_iteration_stack(
+            [mmdp for _, mmdp in stack], settings.tol, settings.max_iters
+        )
+        for (key, _), solution in zip(stack, solutions):
+            values, policy = solution
+            for arr in (values.v, values.q, policy.actions):
+                arr.flags.writeable = False
+            self._solved[key] = solution
+        self.solves += len(stack)
+        self.sweeps += sum(sweeps)
+        self.max_sweeps = max(self.max_sweeps, *sweeps)
 
     def counts(self) -> dict:
-        return {"value_iteration_solves": self.solves, "cache_hits": self.hits}
+        """Solves, cache hits, and the sweeps the solves took (total and most)."""
+        return {
+            "value_iteration_solves": self.solves,
+            "cache_hits": self.hits,
+            "sweeps": self.sweeps,
+            "max_sweeps": self.max_sweeps,
+        }
 
 
 def _solve_key(mmdp: TabularMMDP, settings: SolveSettings) -> bytes:
@@ -328,10 +379,22 @@ def _solve_key(mmdp: TabularMMDP, settings: SolveSettings) -> bytes:
     return digest.digest()
 
 
-def _solve(mmdp: TabularMMDP, settings: SolveSettings, solver: Solver | None):
-    if solver is None:
-        return value_iteration(mmdp, tol=settings.tol, max_iters=settings.max_iters)
-    return solver.solve(mmdp, settings)
+def resume(calculator, solutions) -> BoundReport:
+    """Send a calculator the solutions of its request; returns its report."""
+    try:
+        calculator.send(solutions)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("a calculator makes exactly one solve request")
+
+
+def _answer(calculator, settings: SolveSettings, solver: Solver | None = None) -> BoundReport:
+    """Run a calculator to its report, solving its request on solver.
+
+    Without a solver, a fresh Solver serves this one report.
+    """
+    solver = Solver() if solver is None else solver
+    return resume(calculator, solver.solve_all(next(calculator), settings))
 
 
 def _value_scale(gf: float, smax: float, spec: LinearMMDPSpec, vmid: float) -> float:
@@ -400,9 +463,13 @@ def bound_team_generalization(
     is the absolute difference of rho-weighted optimal values; the per-state
     max difference is reported alongside.
     """
+    return _answer(certify_team_generalization(spec_x, spec_y, settings), settings, solver)
+
+
+def certify_team_generalization(spec_x, spec_y, settings: SolveSettings = SolveSettings()):
+    """Calculator of bound_team_generalization; requests (x, y)."""
     _require_shared_frame(spec_x, spec_y)
-    vt_x, _ = _solve(assemble_linear_mmdp(spec_x), settings, solver)
-    vt_y, _ = _solve(assemble_linear_mmdp(spec_y), settings, solver)
+    (vt_x, _), (vt_y, _) = yield assemble_linear_mmdp(spec_x), assemble_linear_mmdp(spec_y)
     psi_value, perm = psi_with_permutation(
         spec_x.team, spec_x.weights, spec_y.team, spec_y.weights,
         settings.psi_over_permutations,
@@ -427,10 +494,14 @@ def bound_policy_transfer(
     Exactly twice the team-generalization bound. The measurement is
     V*_x - V^{pi*_y}_x, which can never fall below -2 * tol.
     """
+    return _answer(certify_policy_transfer(spec_x, spec_y, settings), settings, solver)
+
+
+def certify_policy_transfer(spec_x, spec_y, settings: SolveSettings = SolveSettings()):
+    """Calculator of bound_policy_transfer; requests (x, y)."""
     _require_shared_frame(spec_x, spec_y)
     mmdp_x = assemble_linear_mmdp(spec_x)
-    vt_x, _ = _solve(mmdp_x, settings, solver)
-    vt_y, policy_y = _solve(assemble_linear_mmdp(spec_y), settings, solver)
+    (vt_x, _), (vt_y, policy_y) = yield mmdp_x, assemble_linear_mmdp(spec_y)
     value_optimal, value_transferred, actual, state_max = _transfer_regret(
         mmdp_x, vt_x, policy_y, spec_x.rho, settings, "transferred"
     )
@@ -464,6 +535,15 @@ def bound_out_of_distribution(
     The selected task is the d_a-closest support member; the bound is the
     policy-transfer bound at distance d_a(query, support).
     """
+    return _answer(
+        certify_out_of_distribution(distribution, query_spec, settings), settings, solver
+    )
+
+
+def certify_out_of_distribution(
+    distribution: TaskDistribution, query_spec, settings: SolveSettings = SolveSettings()
+):
+    """Calculator of bound_out_of_distribution; requests (query, selected)."""
     a = query_spec.weights.a
     for team, weights in distribution.support:
         if weights.a.shape != a.shape or not np.allclose(weights.a, a, atol=1e-12):
@@ -474,8 +554,7 @@ def bound_out_of_distribution(
     selected_team, selected_weights = distribution.support[selected]
     spec_sel = query_spec.with_team(selected_team, selected_weights)
     mmdp_query = assemble_linear_mmdp(query_spec)
-    vt_query, _ = _solve(mmdp_query, settings, solver)
-    vt_sel, policy_sel = _solve(assemble_linear_mmdp(spec_sel), settings, solver)
+    (vt_query, _), (vt_sel, policy_sel) = yield mmdp_query, assemble_linear_mmdp(spec_sel)
     value_optimal, value_transferred, actual, state_max = _transfer_regret(
         mmdp_query, vt_query, policy_sel, query_spec.rho, settings, "selected"
     )
@@ -517,6 +596,21 @@ def bound_population_change(
     weight times the sup-norm gap between the unchanged mixture and the
     changed member's capabilities.
     """
+    return _answer(
+        certify_population_change(spec, mode, new_capability, new_weight, settings),
+        settings,
+        solver,
+    )
+
+
+def certify_population_change(
+    spec: LinearMMDPSpec,
+    mode: str,
+    new_capability=None,
+    new_weight: float | None = None,
+    settings: SolveSettings = SolveSettings(),
+):
+    """Calculator of bound_population_change; requests (before, after)."""
     if mode == "remove-last":
         if spec.team.num_agents < 2:
             raise ValueError("removing a member needs at least two members")
@@ -555,8 +649,9 @@ def bound_population_change(
     else:
         raise ValueError(f"unknown population-change mode {mode!r}")
 
-    vt_before, _ = _solve(assemble_linear_mmdp(spec), settings, solver)
-    vt_after, _ = _solve(assemble_linear_mmdp(changed), settings, solver)
+    (vt_before, _), (vt_after, _) = yield (
+        assemble_linear_mmdp(spec), assemble_linear_mmdp(changed)
+    )
     smax = s_max(spec.reward_kernel, spec.states)
     vmid = v_mid(vt_after)
     gf = gamma_factor(spec.gamma)
@@ -595,6 +690,17 @@ def bound_approx_dynamics(
     to the exact-linear bound. With zero deviations it reduces to the
     team-generalization report exactly.
     """
+    return _answer(
+        certify_approx_dynamics(spec_x, spec_y, mmdp_x_actual, mmdp_y_actual, settings),
+        settings,
+        solver,
+    )
+
+
+def certify_approx_dynamics(
+    spec_x, spec_y, mmdp_x_actual, mmdp_y_actual, settings: SolveSettings = SolveSettings()
+):
+    """Calculator of bound_approx_dynamics; requests the two actual MDPs."""
     _require_shared_frame(spec_x, spec_y)
     linear_x = assemble_linear_mmdp(spec_x)
     linear_y = assemble_linear_mmdp(spec_y)
@@ -616,8 +722,7 @@ def bound_approx_dynamics(
         mmdp_x_actual.transition_gaps(linear_x)[0],
         mmdp_y_actual.transition_gaps(linear_y)[0],
     )
-    vt_x, _ = _solve(mmdp_x_actual, settings, solver)
-    vt_y, _ = _solve(mmdp_y_actual, settings, solver)
+    (vt_x, _), (vt_y, _) = yield mmdp_x_actual, mmdp_y_actual
     psi_value, perm = psi_with_permutation(
         spec_x.team, spec_x.weights, spec_y.team, spec_y.weights,
         settings.psi_over_permutations,
@@ -653,6 +758,15 @@ def bound_capability_estimation(
     member-wise sup-norm estimation error; the bound is the policy-transfer
     bound with psi replaced by eps_t, using v_mid from the inferred task.
     """
+    return _answer(
+        certify_capability_estimation(spec_true, spec_inferred, settings), settings, solver
+    )
+
+
+def certify_capability_estimation(
+    spec_true, spec_inferred, settings: SolveSettings = SolveSettings()
+):
+    """Calculator of bound_capability_estimation; requests (true, inferred)."""
     _require_shared_frame(spec_true, spec_inferred)
     if spec_true.team.num_agents != spec_inferred.team.num_agents:
         raise ValueError("true and inferred teams must have the same size")
@@ -662,8 +776,9 @@ def bound_capability_estimation(
         np.max(np.abs(spec_true.team.matrix() - spec_inferred.team.matrix()))
     )
     mmdp_true = assemble_linear_mmdp(spec_true)
-    vt_true, _ = _solve(mmdp_true, settings, solver)
-    vt_inferred, policy_inferred = _solve(assemble_linear_mmdp(spec_inferred), settings, solver)
+    (vt_true, _), (vt_inferred, policy_inferred) = yield (
+        mmdp_true, assemble_linear_mmdp(spec_inferred)
+    )
     value_optimal, value_executed, actual, state_max = _transfer_regret(
         mmdp_true, vt_true, policy_inferred, spec_true.rho, settings, "inferred"
     )
@@ -701,6 +816,23 @@ def bound_lipschitz(
     variation); the bound is gamma_factor * s_max times the Lipschitz-weighted
     sum of member capability differences.
     """
+    return _answer(
+        certify_lipschitz(reward_map, team_x, team_y, mmdp_x, mmdp_y, reward_kernel, settings),
+        settings,
+        solver,
+    )
+
+
+def certify_lipschitz(
+    reward_map: LipschitzRewardSpec,
+    team_x: TeamComposition,
+    team_y: TeamComposition,
+    mmdp_x: TabularMMDP,
+    mmdp_y: TabularMMDP,
+    reward_kernel: RewardKernel,
+    settings: SolveSettings = SolveSettings(),
+):
+    """Calculator of bound_lipschitz; requests (mmdp_x, mmdp_y)."""
     if team_x.num_agents != team_y.num_agents or team_x.dim != team_y.dim:
         raise ValueError("the two teams must have matching shapes")
     if reward_map.lipschitz_constants.shape[0] != team_x.num_agents:
@@ -714,8 +846,7 @@ def bound_lipschitz(
         raise ValueError("the Lipschitz bound requires identical transition dynamics")
     member_gaps = np.abs(team_x.matrix() - team_y.matrix()).max(axis=1)
     weighted_diff = float(reward_map.lipschitz_constants @ member_gaps)
-    vt_x, _ = _solve(mmdp_x, settings, solver)
-    vt_y, _ = _solve(mmdp_y, settings, solver)
+    (vt_x, _), (vt_y, _) = yield mmdp_x, mmdp_y
     smax = s_max(reward_kernel, mmdp_x.states)
     gf = gamma_factor(mmdp_x.gamma)
     bound = gf * smax * weighted_diff

@@ -10,7 +10,7 @@ MDP, and none of the closed-form bound calculators accept it.
 """
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from operator import itemgetter
 
 import numpy as np
@@ -89,6 +89,9 @@ class PPObservation:
     off-grid 3) over the whole grid at small sizes or a radius-2 window
     otherwise. teammate_capabilities is None unless the environment exposes
     them. key() is injective over observations of one environment shape.
+    capability_digits caches _capability_digits(own_capability,
+    teammate_capabilities): an environment computes it once per agent, and
+    key() computes it when it is None.
     """
 
     agent_id: int
@@ -97,6 +100,7 @@ class PPObservation:
     view: tuple
     own_capability: float
     teammate_capabilities: tuple | None
+    capability_digits: tuple | None = field(default=None, compare=False, repr=False)
 
     def key(self) -> int:
         code = 1 if self.teammate_capabilities is not None else 0
@@ -104,11 +108,22 @@ class PPObservation:
         code = code * (self.num_cells + 1) + self.own_cell
         for cell in self.view:
             code = code * 4 + cell
-        code = code * _CAP_CODE_RADIX + _capability_code(self.own_capability)
-        if self.teammate_capabilities is not None:
-            for cap in self.teammate_capabilities:
-                code = code * _CAP_CODE_RADIX + _capability_code(cap)
-        return code
+        scale, digits = self.capability_digits or _capability_digits(
+            self.own_capability, self.teammate_capabilities
+        )
+        return code * scale + digits
+
+
+def _capability_digits(own: float, teammates: tuple | None) -> tuple:
+    """(radix ** count, digits) of the own then teammate capability codes.
+
+    key() appends them as base-_CAP_CODE_RADIX digits: code * scale + digits.
+    """
+    caps = (own,) + (teammates or ())
+    digits = 0
+    for cap in caps:
+        digits = digits * _CAP_CODE_RADIX + _capability_code(cap)
+    return _CAP_CODE_RADIX ** len(caps), digits
 
 
 def _capability_code(cap: float) -> int:
@@ -173,6 +188,13 @@ class PredatorPreyEnv:
             tuple(c for j, c in enumerate(caps) if j != i) if config.capability_observable else None
             for i in range(config.num_predators)
         ]
+        try:
+            self._capability_digits = [
+                _capability_digits(cap, mates) for cap, mates in zip(caps, self._teammates)
+            ]
+        except ValueError:
+            # an unencodable capability keeps failing in key(), not here
+            self._capability_digits = [None] * config.num_predators
 
     # ---- public state accessors -------------------------------------------------
 
@@ -342,6 +364,7 @@ class PredatorPreyEnv:
                 view=self._views[cell](grid),
                 own_capability=float(caps[i]),
                 teammate_capabilities=self._teammates[i],
+                capability_digits=self._capability_digits[i],
             )
             for i, cell in enumerate(self._predators)
         ]

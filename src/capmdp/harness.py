@@ -7,7 +7,11 @@ depend on which instances ran before it), and written atomically under
 summary.json, and violations.json when any bound report comes back
 unsatisfied. A determinism hash over all rows except wall-clock columns lets
 re-runs be compared byte-for-byte. Each kind of bound check is defined once,
-in CHECKS, and shared by the runners and by violation replay.
+in CHECKS, and shared by the runners and by violation replay. Both run
+checks the same way (_reports): every check of an instance is advanced to
+its solve request, one Solver.solve_all answers all the requests in stacked
+solves, and the checks then finish in order, so rows and archive entries
+keep their order and their bits.
 """
 
 import csv
@@ -29,14 +33,15 @@ from .bounds import (
     SolveSettings,
     Solver,
     TaskDistribution,
-    bound_approx_dynamics,
-    bound_capability_estimation,
-    bound_lipschitz,
-    bound_out_of_distribution,
-    bound_policy_transfer,
     bound_polynomial_deviation,
-    bound_population_change,
-    bound_team_generalization,
+    certify_approx_dynamics,
+    certify_capability_estimation,
+    certify_lipschitz,
+    certify_out_of_distribution,
+    certify_policy_transfer,
+    certify_population_change,
+    certify_team_generalization,
+    resume,
     s_max,
 )
 from .envs.fruit_forage import build_fruit_forage, desk_config
@@ -433,9 +438,11 @@ def polynomial_deviation_report(
 # order: spec_x / spec_y as live LinearMMDPSpecs, every other field as a value
 # with the JSON form _FIELDS gives it. certify_instance and run_fruit_forage
 # draw cases and run them; replay decodes an archived entry back into its case.
-# Check functions look the calculators up in this module's globals when they
-# run, so a name rebound on capmdp.harness (a test's monkeypatch, a tracer's
-# span) is the one that runs.
+# A check starts a bounds calculator: a generator that yields the MDPs it needs
+# solved once and returns its report when sent their solutions. Check
+# functions look the calculators up in this module's globals when they run, so
+# a name rebound on capmdp.harness (a test's monkeypatch, a tracer's span) is
+# the one that runs.
 
 
 @dataclass(frozen=True)
@@ -443,28 +450,28 @@ class Check:
     """One report kind: the case fields it archives and how it runs a case."""
 
     fields: tuple
-    run: Callable  # (case, SolveSettings, Solver | None) -> BoundReport
+    run: Callable  # (case, SolveSettings) -> calculator
 
 
-def _out_of_distribution(case, settings, solver):
+def _out_of_distribution(case, settings):
     spec_x = case["spec_x"]
     teams = case["support_teams"]
     distribution = TaskDistribution(
         support=tuple((team, spec_x.weights) for team in teams),
         probabilities=np.full(len(teams), 1.0 / len(teams)),
     )
-    return bound_out_of_distribution(distribution, spec_x, settings, solver)
+    return certify_out_of_distribution(distribution, spec_x, settings)
 
 
-def _approx_dynamics(case, settings, solver):
+def _approx_dynamics(case, settings):
     spec_x, spec_y = case["spec_x"], case["spec_y"]
     eps_r, eps_p = case["eps_r"], case["eps_p"]
     actual_x = perturb_dynamics(assemble_linear_mmdp(spec_x), eps_r, eps_p, case["seed_x"])
     actual_y = perturb_dynamics(assemble_linear_mmdp(spec_y), eps_r, eps_p, case["seed_y"])
-    return bound_approx_dynamics(spec_x, spec_y, actual_x, actual_y, settings, solver)
+    return certify_approx_dynamics(spec_x, spec_y, actual_x, actual_y, settings)
 
 
-def _lipschitz(case, settings, solver):
+def _lipschitz(case, settings):
     """Reward-only variation: both teams share the x mixture's dynamics."""
     spec_x, spec_y = case["spec_x"], case["spec_y"]
     reward_map = LipschitzRewardSpec(
@@ -484,13 +491,14 @@ def _lipschitz(case, settings, solver):
     )
     mmdp_x = assemble_lipschitz_mmdp(reward_map, spec_x.team, **frame)
     mmdp_y = assemble_lipschitz_mmdp(reward_map, spec_y.team, **frame)
-    return bound_lipschitz(
-        reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y,
-        spec_x.reward_kernel, settings, solver,
+    return certify_lipschitz(
+        reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y, spec_x.reward_kernel, settings
     )
 
 
-def _polynomial_deviation(case, settings, solver):
+def _polynomial_deviation(case, settings):
+    """A calculator that requests no solve."""
+    yield ()
     spec_x = case["spec_x"]
     return polynomial_deviation_report(
         case["poly"],
@@ -506,38 +514,35 @@ def _polynomial_deviation(case, settings, solver):
 CHECKS = {
     "team_generalization": Check(
         ("spec_x", "spec_y"),
-        lambda case, settings, solver: bound_team_generalization(
-            case["spec_x"], case["spec_y"], settings, solver
+        lambda case, settings: certify_team_generalization(
+            case["spec_x"], case["spec_y"], settings
         ),
     ),
     "policy_transfer": Check(
         ("spec_x", "spec_y"),
-        lambda case, settings, solver: bound_policy_transfer(
-            case["spec_x"], case["spec_y"], settings, solver
-        ),
+        lambda case, settings: certify_policy_transfer(case["spec_x"], case["spec_y"], settings),
     ),
     "population_decrease": Check(
         ("spec_x",),
-        lambda case, settings, solver: bound_population_change(
-            case["spec_x"], "remove-last", settings=settings, solver=solver
+        lambda case, settings: certify_population_change(
+            case["spec_x"], "remove-last", settings=settings
         ),
     ),
     "population_increase": Check(
         ("spec_x", "new_capability", "new_weight"),
-        lambda case, settings, solver: bound_population_change(
+        lambda case, settings: certify_population_change(
             case["spec_x"],
             "add-member",
             new_capability=case["new_capability"],
             new_weight=case["new_weight"],
             settings=settings,
-            solver=solver,
         ),
     ),
     # spec_y is the task planned with the estimated capabilities
     "capability_estimation": Check(
         ("spec_x", "spec_y"),
-        lambda case, settings, solver: bound_capability_estimation(
-            case["spec_x"], case["spec_y"], settings, solver
+        lambda case, settings: certify_capability_estimation(
+            case["spec_x"], case["spec_y"], settings
         ),
     ),
     "out_of_distribution": Check(("spec_x", "support_teams"), _out_of_distribution),
@@ -589,20 +594,40 @@ _FIELDS = {
 }
 
 
+def _reports(cases, settings: SolveSettings, solver: Solver):
+    """(bound_name, case, report, seconds) of each (bound_name, case), in order.
+
+    Every check is advanced to its solve request first, then one
+    solver.solve_all answers the union of the requests, and the checks
+    resume in case order. seconds is a check's own time, before and after
+    the shared solve.
+    """
+    started = []
+    wanted = []
+    for name, case in cases:
+        start = time.perf_counter()
+        calculator = CHECKS[name].run(case, settings)
+        request = next(calculator)
+        wanted.extend(request)
+        started.append((name, case, calculator, len(request), time.perf_counter() - start))
+    solutions = iter(solver.solve_all(wanted, settings))
+    for name, case, calculator, size, seconds in started:
+        start = time.perf_counter()
+        report = resume(calculator, [next(solutions) for _ in range(size)])
+        yield name, case, report, seconds + time.perf_counter() - start
+
+
 def _run_checks(config: ExperimentConfig, index: int, cases, solver: Solver, archive):
     """Run each (bound_name, case) through CHECKS; returns (rows, violations).
 
     archive(bound_name, case) gives the fields a failing report's violation
     entry stores beside the report; it runs only for a failing report. A
-    row's wall_time covers the whole check.
+    row's wall_time covers its check's own work, not the shared solve.
     """
-    settings = SolveSettings(tol=config.tol)
     rows = []
     violations = []
-    for name, case in cases:
-        start = time.perf_counter()
-        report = CHECKS[name].run(case, settings, solver)
-        row = {"instance": index, "wall_time": time.perf_counter() - start}
+    for name, case, report, seconds in _reports(cases, SolveSettings(tol=config.tol), solver):
+        row = {"instance": index, "wall_time": seconds}
         row.update(report.to_csv_row())
         rows.append(row)
         if not report.satisfied:
@@ -689,9 +714,10 @@ def certify_instance(config: ExperimentConfig, index: int, solver: Solver | None
 
     Returns (rows, violations); every random draw flows from a generator
     seeded by (config.seed, index), so results are order-independent.
-    Every check shares one Solver (a fresh one unless given), so each
-    distinct MDP of the instance is solved once. A violation's payload is
-    built only when its report fails.
+    Every check shares one Solver (a fresh one unless given), and one
+    solve_all call answers them all, so each distinct MDP of the instance is
+    solved once, in one stacked solve. A violation's payload is built only
+    when its report fails.
     """
     # built by the first failing report that needs it, then shared
     spec_doc = functools.cache(_spec_doc)
@@ -713,7 +739,7 @@ def run_verify_bounds(config: ExperimentConfig, solve_counts=None):
     """Certify every generated instance, in instance-index order.
 
     Each instance gets its own Solver; solve_counts, a Counter, accumulates
-    their counts when given.
+    their counts (_add_counts) when given.
     """
     rows = []
     violations = []
@@ -723,8 +749,15 @@ def run_verify_bounds(config: ExperimentConfig, solve_counts=None):
         rows.extend(instance_rows)
         violations.extend(instance_violations)
         if solve_counts is not None:
-            solve_counts.update(solver.counts())
+            _add_counts(solve_counts, solver)
     return rows, violations
+
+
+def _add_counts(total: Counter, solver: Solver):
+    """Add a solver's counts to a run's total; max_sweeps keeps the larger."""
+    counts = solver.counts()
+    total["max_sweeps"] = max(total["max_sweeps"], counts.pop("max_sweeps"))
+    total.update(counts)
 
 
 # the desk teams each fruit-forage check compares, as its case's spec_x[, spec_y]
@@ -765,7 +798,7 @@ def run_fruit_forage(config: ExperimentConfig, solve_counts=None):
 
     rows, violations = _run_checks(config, 0, cases, solver, archive)
     if solve_counts is not None:
-        solve_counts.update(solver.counts())
+        _add_counts(solve_counts, solver)
     return rows, violations
 
 
@@ -995,8 +1028,8 @@ def write_run_artifacts(
 ):
     """Write config/results/summary (and violations) under a content-hash dir.
 
-    solve_counts, a mapping with value_iteration_solves and cache_hits,
-    becomes the summary's "solver" block, outside the rows and the hash.
+    solve_counts, a mapping of Solver.counts() keys, becomes the summary's
+    "solver" block, outside the rows and the hash.
     """
     out_dir = run_output_dir(config, out_root)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -1036,7 +1069,7 @@ def _stamp_rows(config: ExperimentConfig, rows) -> list:
 def run_experiment(config: ExperimentConfig, out_root) -> list:
     """Run one configured experiment, write its artifacts, and return the rows."""
     start = time.perf_counter()
-    solve_counts = Counter(value_iteration_solves=0, cache_hits=0)
+    solve_counts = Counter(value_iteration_solves=0, cache_hits=0, sweeps=0, max_sweeps=0)
     if config.kind == "verify-bounds":
         rows, violations = run_verify_bounds(config, solve_counts=solve_counts)
     elif config.kind == "fruit-forage":
@@ -1109,9 +1142,10 @@ def _replay_one(entry, solver: Solver) -> BoundReport:
     rebuild = entry.get("rebuild")
     case = _entry_case(name, entry) if rebuild is None else _rebuilt_case(name, rebuild)
     try:
-        return CHECKS[name].run(case, settings, solver)
+        [(_, _, report, _)] = _reports([(name, case)], settings, solver)
     except ValueError as exc:
         raise ConfigError(f"the {name!r} entry is not a valid case: {exc}") from exc
+    return report
 
 
 def replay_violations(path) -> list:

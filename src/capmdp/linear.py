@@ -304,7 +304,13 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
     relax_simplex admits non-simplex capabilities; assembled rows are always
     validated, and a failing row is reported with its (s, u) pair. An indexed
     kernel mixes its (d, S, A, K) probabilities and keeps its successor index.
+
+    The MDP is built once per spec object and kept on it, so every check that
+    assembles one spec shares one TabularMMDP; its arrays are read-only.
     """
+    assembled = spec.__dict__.get("_assembled")
+    if assembled is not None:
+        return assembled
     if not spec.relax_simplex and not spec.team.all_simplex():
         bad = [i for i, m in enumerate(spec.team.members) if not m.strict_simplex]
         raise ValueError(
@@ -321,7 +327,7 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
     transitions = np.einsum(
         "j,jsut->sut", transition_mix, spec.transition_kernel.components
     )
-    return TabularMMDP(
+    assembled = TabularMMDP(
         states=spec.states,
         num_agents=spec.num_agents,
         actions_per_agent=spec.actions_per_agent,
@@ -331,6 +337,10 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
         rho=spec.rho,
         next_states=spec.transition_kernel.next_states,
     )
+    assembled.rewards.flags.writeable = False
+    assembled.transitions.flags.writeable = False
+    object.__setattr__(spec, "_assembled", assembled)
+    return assembled
 
 
 def reward_deviation_exact(mmdp_x: TabularMMDP, mmdp_y: TabularMMDP) -> float:
@@ -527,14 +537,22 @@ def perturb_dynamics(
 
 
 def _renormalized_rows(base: np.ndarray, noise: np.ndarray, eps_p: float) -> np.ndarray:
-    noise = noise.copy()
+    """base + noise, clipped and renormalized, halving noise in place on bad rows.
+
+    Works in two kernel-sized buffers, so a perturbation holds little more
+    than the kernel it returns.
+    """
+    result = np.empty_like(base)
+    gap = np.empty_like(base)
     for _ in range(80):
-        raw = np.clip(base + noise, 0.0, None)
-        sums = raw.sum(axis=2, keepdims=True)
+        np.add(base, noise, out=result)
+        np.clip(result, 0.0, None, out=result)
+        sums = result.sum(axis=2, keepdims=True)
         if np.any(sums <= 1e-12):
             raise ValueError("perturbation wiped out a transition row; eps_p is infeasible")
-        result = raw / sums
-        deviation = np.abs(result - base).max(axis=2)
+        np.divide(result, sums, out=result)
+        np.subtract(result, base, out=gap)
+        deviation = np.abs(gap, out=gap).max(axis=2)
         bad = deviation > eps_p
         if not np.any(bad):
             return result

@@ -13,6 +13,12 @@ one entry per row instead of S. Every solver reads either layout through
 one expected-next-value map; with one sure successor per row, an indexed
 kernel solves bit for bit like its dense twin. These are exact desk-scale
 solvers, not large-scale approximate ones.
+
+Every solver makes the same in-place sweep, x <- base + gamma * E[x], into
+preallocated buffers. value_iteration_stack runs that sweep for several MDPs
+of one layout, shape and discount at once, which removes most of the
+per-call overhead of small solves; each member still stops on its own sweep
+and gets exactly the arrays value_iteration, a stack of one, gives it.
 """
 
 import json
@@ -330,30 +336,115 @@ class SuccessorFeatures:
         object.__setattr__(self, "mu_scalar", s)
 
 
-def _next_value(transitions: np.ndarray, next_states: np.ndarray | None):
-    """The map v -> expected v at the next state, one result per kernel row.
+def _next_value(kernels, num_states: int, columns: int):
+    """The in-place map (v, out) -> expected v at the next state, per kernel row.
 
-    transitions and next_states share their leading (row) axes. v is indexed
-    by state on its first axis and may carry more axes (one column per
-    feature). The layout is chosen here once, so a solve's sweeps run
-    without re-checking it.
+    kernels lists the (transitions, next_states) pairs of B members of one
+    layout and shape: transitions is (*rows, S) with next_states None, or
+    (*rows, K) beside a successor index of the same shape. v is
+    (B, S, columns), one value column per state or one per feature, and out
+    receives the (B, *rows, columns) result. The layout is chosen here once,
+    so a solve's sweeps run without re-checking it. Each member's kernel is
+    read where it lies, never copied into a stack.
     """
-    if next_states is None:
-        return lambda v: transitions @ v
+    if kernels[0][1] is None:
+        # member b's product is the one BLAS call it makes alone, so no bit
+        # depends on the rest of the stack
+        vector = (1,) * (kernels[0][0].ndim - 2) + (num_states, columns)
+        matrices = [trans for trans, _ in kernels]
 
-    def expect(v):
-        probs = transitions.reshape(transitions.shape + (1,) * (v.ndim - 1))
-        return (probs * v[next_states]).sum(axis=transitions.ndim - 1)
+        def expect(v, out):
+            for member, matrix in enumerate(matrices):
+                np.matmul(matrix, v[member].reshape(vector), out=out[member])
+
+        return expect
+    probs = [trans[..., None] for trans, _ in kernels]
+    successors = [succ for _, succ in kernels]
+    gathered = np.empty(successors[0].shape + (columns,))
+
+    def expect(v, out):
+        for member, (prob, succ) in enumerate(zip(probs, successors)):
+            # successors were range-checked when the MDP was built
+            np.take(v[member], succ, axis=0, out=gathered, mode="clip")
+            np.multiply(gathered, prob, out=gathered)
+            np.sum(gathered, axis=-2, out=out[member])
 
     return expect
 
 
-def _policy_next_value(mmdp: TabularMMDP, policy: JointPolicy):
-    """_next_value restricted to the rows a deterministic policy selects."""
-    policy.validate_for(mmdp)
-    rows = (np.arange(mmdp.num_states), policy.actions)
-    next_states = None if mmdp.next_states is None else mmdp.next_states[rows]
-    return _next_value(mmdp.transitions[rows], next_states)
+def _backup(expect, v, base, gamma: float, out):
+    """out <- base + gamma * E[v], in place: the one sweep every solver makes."""
+    expect(v, out)
+    np.multiply(out, gamma, out=out)
+    np.add(out, base, out=out)
+
+
+def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
+    """value_iteration on several MDPs at once, in one stacked sweep loop.
+
+    The MDPs must share one layout, kernel shape and discount. A sweep backs
+    up every member with one kernel product per member and a handful of
+    whole-stack array calls, which spares most of the per-call overhead that
+    dominates a small solve. Each member stops at its own first sweep whose
+    change is <= tol and gets its own final backup; every operation acts on
+    each member's entries alone, so each result is bit for bit the one
+    value_iteration gives that MDP.
+
+    Returns:
+        (solutions, sweeps): one (ValueTable, JointPolicy) per MDP in input
+        order, and the number of sweeps each took to reach tol.
+
+    Raises:
+        SolverConvergenceError: if some member does not reach tol within
+            max_iters sweeps, with the worst residual among those members.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    mmdps = list(mmdps)
+    if not mmdps:
+        return [], []
+    first = mmdps[0]
+    shared = (first.next_states is None, first.transitions.shape, first.gamma)
+    if any((m.next_states is None, m.transitions.shape, m.gamma) != shared for m in mmdps):
+        raise ValueError("stacked MDPs must share one layout, kernel shape and discount")
+    b, s, a = len(mmdps), first.num_states, first.num_joint_actions
+    expect = _next_value([(m.transitions, m.next_states) for m in mmdps], s, 1)
+    r = np.stack([m.rewards for m in mmdps]).reshape(b, s, 1, 1)
+    g = first.gamma
+    q = np.empty((b, s, a, 1))
+    v = np.zeros((b, s, 1))
+    v_next = np.empty_like(v)
+    change = np.empty_like(v)
+    residual = np.full(b, np.inf)
+    short = np.ones(b, dtype=bool)  # members whose sweeps have not reached tol
+    hit = np.empty(b, dtype=bool)
+    solutions = [None] * b
+    sweeps = [0] * b
+    reached = ()  # the members whose last sweep reached tol
+    unsolved = b
+    for sweep in range(max_iters + 1):
+        _backup(expect, v, r, g, q)
+        # one more backup keeps v, q, and the greedy policy exactly consistent
+        for i in reached:
+            q_i = q[i, :, :, 0].copy()
+            solutions[i] = ValueTable(v=q_i.max(axis=1), q=q_i), JointPolicy(q_i.argmax(axis=1))
+            sweeps[i] = sweep
+        unsolved -= len(reached)
+        if not unsolved:
+            return solutions, sweeps
+        if sweep == max_iters:
+            raise SolverConvergenceError(
+                "value iteration did not converge", residual[short].max(), max_iters
+            )
+        np.maximum.reduce(q, axis=2, out=v_next)
+        np.subtract(v_next, v, out=change)
+        np.abs(change, out=change)
+        np.maximum.reduce(change, axis=(1, 2), out=residual)
+        v, v_next = v_next, v
+        np.less_equal(residual, tol, out=hit)
+        hit &= short
+        reached = np.flatnonzero(hit) if hit.any() else ()
+        short[hit] = False
 
 
 def value_iteration(
@@ -363,7 +454,8 @@ def value_iteration(
 
     Stops once the sup-norm change between sweeps is <= tol, which bounds the
     Bellman residual of the returned values by gamma * tol. Greedy ties break
-    toward the lowest joint action index.
+    toward the lowest joint action index. A stack of one in
+    value_iteration_stack.
 
     Returns:
         (ValueTable with v and q, greedy JointPolicy).
@@ -371,24 +463,33 @@ def value_iteration(
     Raises:
         SolverConvergenceError: if max_iters sweeps do not reach tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    r = mmdp.rewards
-    expect = _next_value(mmdp.transitions, mmdp.next_states)
-    g = mmdp.gamma
-    v = np.zeros(mmdp.num_states)
+    [solution], _ = value_iteration_stack([mmdp], tol, max_iters)
+    return solution
+
+
+def _policy_next_value(mmdp: TabularMMDP, policy: JointPolicy, columns: int):
+    """_next_value of the rows a deterministic policy selects, a stack of one."""
+    policy.validate_for(mmdp)
+    rows = (np.arange(mmdp.num_states), policy.actions)
+    next_states = None if mmdp.next_states is None else mmdp.next_states[rows]
+    return _next_value([(mmdp.transitions[rows], next_states)], mmdp.num_states, columns)
+
+
+def _fixed_point(expect, base, gamma: float, tol: float, max_iters: int, what: str):
+    """Sweep x <- base + gamma * E[x] from zero until a sweep moves x by <= tol."""
+    x = np.zeros_like(base)
+    x_next = np.empty_like(base)
+    change = np.empty_like(base)
     residual = np.inf
     for _ in range(max_iters):
-        v_new = (r[:, None] + g * expect(v)).max(axis=1)
-        residual = float(np.max(np.abs(v_new - v)))
-        v = v_new
+        _backup(expect, x, base, gamma, x_next)
+        np.subtract(x_next, x, out=change)
+        np.abs(change, out=change)
+        residual = float(np.maximum.reduce(change, axis=None))
+        x, x_next = x_next, x
         if residual <= tol:
-            # one more backup keeps v, q, and the greedy policy exactly consistent
-            q = r[:, None] + g * expect(v)
-            v = q.max(axis=1)
-            policy = JointPolicy(actions=q.argmax(axis=1))
-            return ValueTable(v=v, q=q), policy
-    raise SolverConvergenceError("value iteration did not converge", residual, max_iters)
+            return x[0]
+    raise SolverConvergenceError(f"{what} did not converge", residual, max_iters)
 
 
 def policy_evaluation(
@@ -401,18 +502,10 @@ def policy_evaluation(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    expect = _policy_next_value(mmdp, policy)
-    r = mmdp.rewards
-    g = mmdp.gamma
-    v = np.zeros(mmdp.num_states)
-    residual = np.inf
-    for _ in range(max_iters):
-        v_new = r + g * expect(v)
-        residual = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if residual <= tol:
-            return ValueTable(v=v)
-    raise SolverConvergenceError("policy evaluation did not converge", residual, max_iters)
+    expect = _policy_next_value(mmdp, policy, 1)
+    base = mmdp.rewards.reshape(1, -1, 1)
+    v = _fixed_point(expect, base, mmdp.gamma, tol, max_iters, "policy evaluation")
+    return ValueTable(v=v[:, 0])
 
 
 def successor_features(
@@ -425,15 +518,7 @@ def successor_features(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    expect = _policy_next_value(mmdp, policy)
     phi = mmdp.states.features
-    g = mmdp.gamma
-    mu = np.zeros_like(phi)
-    residual = np.inf
-    for _ in range(max_iters):
-        mu_new = phi + g * expect(mu)
-        residual = float(np.max(np.abs(mu_new - mu)))
-        mu = mu_new
-        if residual <= tol:
-            return SuccessorFeatures(mu_per_state=mu, mu_scalar=mmdp.rho @ mu)
-    raise SolverConvergenceError("successor features did not converge", residual, max_iters)
+    expect = _policy_next_value(mmdp, policy, phi.shape[1])
+    mu = _fixed_point(expect, phi[None], mmdp.gamma, tol, max_iters, "successor features")
+    return SuccessorFeatures(mu_per_state=mu, mu_scalar=mmdp.rho @ mu)

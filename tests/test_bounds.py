@@ -45,7 +45,9 @@ from capmdp import (
     transition_deviation_exact,
     v_mid,
     value_iteration,
+    value_iteration_stack,
 )
+import capmdp.bounds
 
 GAMMA_CROSSOVER = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -439,7 +441,11 @@ def test_solver_returns_a_repeated_solve_from_its_cache_read_only():
     again = solver.solve(assemble_linear_mmdp(spec_x), settings)
     assert again is first
     assert (solver.solves, solver.hits) == (1, 1)
-    assert solver.counts() == {"value_iteration_solves": 1, "cache_hits": 1}
+    # the hit adds no sweeps
+    _, [sweeps] = value_iteration_stack([assemble_linear_mmdp(spec_x)])
+    assert solver.counts() == {
+        "value_iteration_solves": 1, "cache_hits": 1, "sweeps": sweeps, "max_sweeps": sweeps,
+    }
     fresh_values, fresh_policy = value_iteration(assemble_linear_mmdp(spec_x))
     values, policy = first
     assert np.array_equal(values.v, fresh_values.v)
@@ -492,6 +498,43 @@ def test_solver_keys_on_settings_and_kernel_layout():
     )
     assert solver.solve(shifted, SolveSettings()) is not twin
     assert (solver.solves, solver.hits) == (5, 2)
+
+
+def test_solve_all_answers_every_request_from_stacked_solves(monkeypatch):
+    spec_x, _ = small_pair(5)
+    base = assemble_linear_mmdp(spec_x)
+    slow = dataclasses.replace(base, rewards=100.0 * base.rewards)
+    indexed, dense = one_hot_twins(3, num_states=7)
+    distinct = (base, slow, indexed, dense)
+    alone = [value_iteration_stack([mmdp]) for mmdp in distinct]
+    stacks = []
+
+    def spy(mmdps, *args):
+        stacks.append(len(mmdps))
+        return value_iteration_stack(mmdps, *args)
+
+    monkeypatch.setattr(capmdp.bounds, "value_iteration_stack", spy)
+    for entries, expected_stacks in ((capmdp.bounds.STACK_ENTRIES, [2, 1, 1]), (1, [1] * 4)):
+        monkeypatch.setattr(capmdp.bounds, "STACK_ENTRIES", entries)
+        stacks.clear()
+        solver = Solver()
+        answers = solver.solve_all([base, slow, indexed, base, dense, slow], SolveSettings())
+        # base and slow share layout, shape and discount; the twins do not
+        assert stacks == expected_stacks
+        assert answers[3] is answers[0] and answers[5] is answers[1]
+        for mmdp_index, (values, policy) in zip((0, 1, 2, 0, 3, 1), answers):
+            [(alone_values, alone_policy)], _ = alone[mmdp_index]
+            assert np.array_equal(values.q, alone_values.q)
+            assert np.array_equal(values.v, alone_values.v)
+            assert np.array_equal(policy.actions, alone_policy.actions)
+        sweeps = [n for _, [n] in alone]
+        assert sweeps[1] > sweeps[0]
+        assert solver.counts() == {
+            "value_iteration_solves": 4,
+            "cache_hits": 2,
+            "sweeps": sum(sweeps),
+            "max_sweeps": max(sweeps),
+        }
 
 
 def calculator_calls(seed):

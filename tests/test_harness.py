@@ -13,6 +13,7 @@ from capmdp import (
     ExperimentConfig,
     GeneratorRanges,
     SolveSettings,
+    Solver,
     bound_team_generalization,
     certify_instance,
     default_config,
@@ -212,6 +213,37 @@ def test_each_instance_solves_on_its_own_solver(monkeypatch):
     assert len({id(solver) for solver in solvers}) == 6
     assert counts["value_iteration_solves"] == sum(s.solves for s in solvers)
     assert counts["cache_hits"] == sum(s.hits for s in solvers)
+    assert counts["sweeps"] == sum(s.sweeps for s in solvers)
+    assert counts["max_sweeps"] == max(s.max_sweeps for s in solvers)
+
+
+def test_an_instance_answers_every_check_with_one_stacked_solve(monkeypatch):
+    requests = []
+    stacks = []
+    real_solve_all = Solver.solve_all
+    real_stack = capmdp.bounds.value_iteration_stack
+
+    def spy_solve_all(self, mmdps, settings):
+        requests.append(list(mmdps))
+        return real_solve_all(self, mmdps, settings)
+
+    def spy_stack(mmdps, *args):
+        solutions, sweeps = real_stack(mmdps, *args)
+        stacks.append(sweeps)
+        return solutions, sweeps
+
+    monkeypatch.setattr(Solver, "solve_all", spy_solve_all)
+    monkeypatch.setattr(capmdp.bounds, "value_iteration_stack", spy_stack)
+    solver = Solver()
+    rows, _ = certify_instance(default_config("verify-bounds"), 0, solver)
+    assert len(rows) == len(BOUND_NAMES)
+    [wanted] = requests
+    contents = {(m.rewards.tobytes(), m.transitions.tobytes()) for m in wanted}
+    assert (len(wanted), len(contents)) == (16, 9)
+    [sweeps] = stacks
+    assert len(sweeps) == 9
+    assert (solver.solves, solver.hits) == (9, 7)
+    assert (solver.sweeps, solver.max_sweeps) == (sum(sweeps), max(sweeps))
 
 
 def test_summary_counts_solves_and_cache_hits(tmp_path):
@@ -219,12 +251,16 @@ def test_summary_counts_solves_and_cache_hits(tmp_path):
     config = ExperimentConfig(kind="verify-bounds", num_instances=2)
     run_experiment(config, tmp_path)
     summary = json.loads((run_output_dir(config, tmp_path) / "summary.json").read_text())
-    assert summary["solver"] == {"value_iteration_solves": 18, "cache_hits": 14}
+    assert summary["solver"] == {
+        "value_iteration_solves": 18, "cache_hits": 14, "sweeps": 3607, "max_sweeps": 201,
+    }
     # team x and y are shared by the first two reports, z by nothing
     forage = ExperimentConfig(kind="fruit-forage", fruit_forage={"grid_size": 2})
     run_experiment(forage, tmp_path)
     summary = json.loads((run_output_dir(forage, tmp_path) / "summary.json").read_text())
-    assert summary["solver"] == {"value_iteration_solves": 4, "cache_hits": 2}
+    assert summary["solver"] == {
+        "value_iteration_solves": 4, "cache_hits": 2, "sweeps": 695, "max_sweeps": 187,
+    }
 
 
 def test_sweep_pins_cell_dimensions():
@@ -416,12 +452,13 @@ def test_replay_solves_at_the_archived_tol(tmp_path):
 
 
 def test_archived_violations_record_tol_and_replay_exactly(tmp_path, monkeypatch):
-    real = capmdp.harness.bound_team_generalization
-    monkeypatch.setattr(
-        capmdp.harness,
-        "bound_team_generalization",
-        lambda *args: replace(real(*args), satisfied=False),
-    )
+    build = BoundReport.build.__func__
+
+    def fail_team_generalization(cls, name, *args):
+        report = build(cls, name, *args)
+        return replace(report, satisfied=False) if name == "team_generalization" else report
+
+    monkeypatch.setattr(BoundReport, "build", classmethod(fail_team_generalization))
     forage = ExperimentConfig(kind="fruit-forage", tol=1e-7, fruit_forage={"grid_size": 2})
     for violations in (
         certify_instance(small_config(tol=1e-7), 0)[1],
@@ -481,14 +518,14 @@ ENTRY_KEYS = {
 def test_every_report_kind_fails_archives_and_replays_exactly(
     tmp_path, monkeypatch, capsys, fail_every_report
 ):
-    real_estimation = capmdp.harness.bound_capability_estimation
+    real_estimation = capmdp.harness.certify_capability_estimation
     received = {}
 
     def spy_estimation(spec_true, spec_inferred, *args):
         received["spec_inferred"] = spec_inferred
         return real_estimation(spec_true, spec_inferred, *args)
 
-    monkeypatch.setattr(capmdp.harness, "bound_capability_estimation", spy_estimation)
+    monkeypatch.setattr(capmdp.harness, "certify_capability_estimation", spy_estimation)
 
     config = small_config(num_instances=1, tol=1e-8)
     run_experiment(config, tmp_path)
@@ -510,13 +547,13 @@ def test_every_report_kind_fails_archives_and_replays_exactly(
                 assert entry[key] == json.loads(spec.to_json())
 
     solves = []
-    real_value_iteration = capmdp.bounds.value_iteration
+    real_stack = capmdp.bounds.value_iteration_stack
 
-    def counting_value_iteration(mmdp, *args, **kwargs):
-        solves.append(mmdp)
-        return real_value_iteration(mmdp, *args, **kwargs)
+    def counting_stack(mmdps, *args):
+        solves.extend(mmdps)
+        return real_stack(mmdps, *args)
 
-    monkeypatch.setattr(capmdp.bounds, "value_iteration", counting_value_iteration)
+    monkeypatch.setattr(capmdp.bounds, "value_iteration_stack", counting_stack)
     code, replayed = replay_through_cli(path, monkeypatch)
     assert code == EXIT_VIOLATION
     assert "replayed 9 reports, 9 still violated" in capsys.readouterr().out

@@ -67,6 +67,19 @@ def test_assembly_matches_term_by_term_summation():
     assert np.max(np.abs(mmdp.transitions - expected)) < 1e-12
 
 
+def test_a_spec_is_assembled_once_into_a_read_only_mdp():
+    spec = random_spec(np.random.default_rng(3))
+    mmdp = assemble_linear_mmdp(spec)
+    assert assemble_linear_mmdp(spec) is mmdp
+    for arr in (mmdp.rewards, mmdp.transitions):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    # another spec object with the same content gets its own, equal MDP
+    twin = spec.with_team(spec.team, spec.weights)
+    assert assemble_linear_mmdp(twin) is not mmdp
+    assert assemble_linear_mmdp(twin).equals(mmdp)
+
+
 def test_two_member_swap_assembles_identically():
     # relabeling members permutes a commutative mixture; only FMA rounding
     # inside the matvec can differ, so agreement must hold to the last ulp

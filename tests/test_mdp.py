@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from capmdp import (
     policy_evaluation,
     successor_features,
     value_iteration,
+    value_iteration_stack,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -270,3 +272,100 @@ def test_solver_convergence_error_carries_diagnostics():
         value_iteration(mmdp, tol=0.0)
     with pytest.raises(ValueError, match="tol"):
         policy_evaluation(mmdp, JointPolicy(actions=np.zeros(4, dtype=np.int64)), tol=-1.0)
+
+
+# ---- stacked solves ------------------------------------------------------------------
+
+
+def textbook_value_iteration(mmdp, tol=1e-9, max_iters=10**6):
+    """The plain one-MDP sweep loop: (final q, sweeps to tol), or (None, last residual)."""
+    r, g = mmdp.rewards, mmdp.gamma
+    if mmdp.next_states is None:
+        def expect(v):
+            return mmdp.transitions @ v
+    else:
+        def expect(v):
+            return (mmdp.transitions * v[mmdp.next_states]).sum(axis=2)
+    v = np.zeros(mmdp.num_states)
+    residual = np.inf
+    for sweep in range(1, max_iters + 1):
+        v_new = (r[:, None] + g * expect(v)).max(axis=1)
+        residual = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if residual <= tol:
+            return r[:, None] + g * expect(v), sweep
+    return None, residual
+
+
+def stack_members(rng, layout, count, num_states=6, num_joint=4):
+    """count MDPs of one layout, shape and discount whose reward scales span 1e4.
+
+    layout is "dense" or "indexed-K" (K successors per row). The scales make
+    the members reach tol on different sweeps.
+    """
+    members = []
+    for scale in np.geomspace(0.01, 100.0, count):
+        shape = (num_states, num_joint)
+        if layout == "dense":
+            transitions = rng.dirichlet(np.ones(num_states), size=shape)
+            next_states = None
+        else:
+            width = int(layout.split("-")[1])
+            transitions = rng.dirichlet(np.ones(width), size=shape)
+            next_states = rng.integers(0, num_states, shape + (width,))
+        members.append(
+            TabularMMDP(
+                states=StateSpace(rng.uniform(0.0, 1.0, (num_states, 2))),
+                num_agents=1,
+                actions_per_agent=num_joint,
+                rewards=scale * rng.uniform(0.0, 1.0, num_states),
+                transitions=transitions,
+                gamma=0.9,
+                rho=rng.dirichlet(np.ones(num_states)),
+                next_states=next_states,
+            )
+        )
+    return members
+
+
+@pytest.mark.parametrize("layout", ["dense", "indexed-1", "indexed-3"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_stacked_solve_matches_each_member_alone_bit_for_bit(layout, count):
+    members = stack_members(np.random.default_rng(count), layout, count)
+    solutions, sweeps = value_iteration_stack(members)
+    for mmdp, stacked, stacked_sweeps in zip(members, solutions, sweeps):
+        q, textbook_sweeps = textbook_value_iteration(mmdp)
+        assert stacked_sweeps == textbook_sweeps
+        for values, policy in (stacked, value_iteration(mmdp)):
+            assert np.array_equal(values.q, q)
+            assert np.array_equal(values.v, q.max(axis=1))
+            assert np.array_equal(policy.actions, q.argmax(axis=1))
+    # the members stop on their own sweeps
+    assert len(set(sweeps)) == count
+
+
+def test_a_stack_out_of_sweeps_reports_the_worst_unconverged_residual():
+    members = stack_members(np.random.default_rng(7), "dense", 4)
+    _, sweeps = value_iteration_stack(members)
+    limit = sorted(sweeps)[1]
+    with pytest.raises(SolverConvergenceError) as info:
+        value_iteration_stack(members, max_iters=limit)
+    unconverged = [m for m, n in zip(members, sweeps) if n > limit]
+    assert len(unconverged) == 2
+    assert info.value.iterations == limit
+    assert info.value.residual == max(
+        textbook_value_iteration(m, max_iters=limit)[1] for m in unconverged
+    )
+    # the slowest member's own sweep count is enough for the whole stack
+    assert value_iteration_stack(members, max_iters=max(sweeps))[1] == sweeps
+
+
+def test_a_stack_needs_one_layout_shape_and_discount():
+    rng = np.random.default_rng(3)
+    [dense] = stack_members(rng, "dense", 1)
+    [indexed] = stack_members(rng, "indexed-1", 1)
+    [wider] = stack_members(rng, "dense", 1, num_states=7)
+    for other in (indexed, wider, replace(dense, gamma=0.8)):
+        with pytest.raises(ValueError, match="share one layout"):
+            value_iteration_stack([dense, other])
+    assert value_iteration_stack([]) == ([], [])
