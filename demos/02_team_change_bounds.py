@@ -36,8 +36,12 @@ print("capability profile gap psi:", round(gap, 6))
 # optimal-value and transferred-policy guarantees
 # ---------------------------------------------------------------------------
 
-for make in (capmdp.bound_team_generalization, capmdp.bound_policy_transfer):
-    report = make(spec_x, spec_y)
+# a Solver runs each calculator at its solve tolerance and solves each
+# distinct MDP once, so the transfer report reuses both optimal solves
+solver = capmdp.Solver()
+
+for calculator in (capmdp.certify_team_generalization, capmdp.certify_policy_transfer):
+    report = solver.report(calculator, spec_x, spec_y)
     print(
         f"{report.bound_name}: bound {report.bound_value:.6f}"
         f"  actual {report.actual_value:.6f}"
@@ -48,15 +52,16 @@ for make in (capmdp.bound_team_generalization, capmdp.bound_policy_transfer):
 # population changes: drop the last member, then add a fresh one
 # ---------------------------------------------------------------------------
 
-removal = capmdp.bound_population_change(spec_x, "remove-last")
+removal = solver.report(capmdp.certify_population_change, spec_x, "remove-last")
 print(
     f"{removal.bound_name} (remove): bound {removal.bound_value:.6f}"
     f"  actual {removal.actual_value:.6f}  satisfied {removal.satisfied}"
 )
 
 newcomer = capmdp.CapabilityVector(spec_x.team.members[0].c.copy())
-addition = capmdp.bound_population_change(
-    spec_x, "add-member", new_capability=newcomer, new_weight=0.25
+addition = solver.report(
+    capmdp.certify_population_change,
+    spec_x, "add-member", new_capability=newcomer, new_weight=0.25,
 )
 print(
     f"{addition.bound_name} (add): bound {addition.bound_value:.6f}"
@@ -76,7 +81,7 @@ blended_team = spec_x.team.replace_member(
 )
 blended = spec_x.with_team(blended_team, spec_x.weights)
 
-no_op = capmdp.bound_population_change(blended, "remove-last")
+no_op = solver.report(capmdp.certify_population_change, blended, "remove-last")
 print(
     f"redundant member removal: bound {no_op.bound_value}"
     f"  actual {no_op.actual_value:.2e}"

@@ -45,10 +45,11 @@ print("simplex-relaxed team x:", spec_x.relax_simplex)
 # certify the three desk comparisons
 # ---------------------------------------------------------------------------
 
+solver = capmdp.Solver()
 reports = [
-    capmdp.bound_team_generalization(spec_x, spec_y),
-    capmdp.bound_policy_transfer(spec_x, spec_y),
-    capmdp.bound_population_change(spec_z, "remove-last"),
+    solver.report(capmdp.certify_team_generalization, spec_x, spec_y),
+    solver.report(capmdp.certify_policy_transfer, spec_x, spec_y),
+    solver.report(capmdp.certify_population_change, spec_z, "remove-last"),
 ]
 
 print(f"\n{'comparison':<24}{'bound':>12}{'actual':>12}  holds")

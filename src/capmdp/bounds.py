@@ -7,17 +7,17 @@ is satisfied when the measurement does not exceed the bound beyond a fixed
 additive tolerance; the certification harness treats any unsatisfied report
 as a violation worth archiving.
 
-Each calculator is written once, as a generator (certify_*): it yields the
-tuple of MDPs it needs solved, receives their (ValueTable, JointPolicy)
-pairs, and returns its report. The certification harness advances every
-calculator of an instance to its request and answers them all with one
-Solver.solve_all. Each public bound_* function answers its calculator's
-request itself, on its optional ``solver=``: a Solver that memoizes optimal
-solves by MDP content. Calculators comparing tasks of one instance share
-most of their MDPs, so passing one Solver to all of them solves each
-distinct MDP once; a cached solve returns the same arrays a fresh solve
-would, made read-only. Without a solver a fresh one serves the call. A
-Solver is not locked, so it must not be shared between threads.
+Each calculator is written once, as a generator (certify_*): called with
+its inputs and the solve tolerance, it yields the tuple of MDPs it needs
+solved, receives their (ValueTable, JointPolicy) pairs, and returns its
+report. A Solver runs calculators: it holds the one solve tolerance and
+memoizes optimal solves by MDP content. Solver.report runs one calculator
+to its report; the certification harness advances every calculator of an
+instance to its request and answers them all with one Solver.solve_all.
+Calculators comparing tasks of one instance share most of their MDPs, so
+running them on one Solver solves each distinct MDP once; a cached solve
+returns the same arrays a fresh solve would, made read-only. A Solver is
+not locked, so it must not be shared between threads.
 """
 
 import hashlib
@@ -54,19 +54,6 @@ GAMMA_CROSSOVER = (math.sqrt(5.0) - 1.0) / 2.0
 # bigger stack saves no time and only holds more memory; a 1024-state,
 # 25-action fruit-forage MDP solves alone.
 STACK_ENTRIES = 2**15
-
-
-@dataclass(frozen=True)
-class SolveSettings:
-    """Solver and reporting knobs shared by all bound calculators."""
-
-    tol: float = 1e-9
-    max_iters: int = 10**6
-    psi_over_permutations: bool = False
-
-    def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("tol must be positive and max_iters at least 1")
 
 
 @dataclass(frozen=True)
@@ -294,38 +281,44 @@ def _require_shared_frame(spec_x: LinearMMDPSpec, spec_y: LinearMMDPSpec):
 
 
 class Solver:
-    """Memo of optimal solves keyed by MDP content and solver settings.
+    """Runs calculators at one solve tolerance, memoizing optimal solves.
 
-    The key digests the rewards, the transitions and the successor index
-    (shape, dtype and bytes of each), the discount, tol and max_iters: the
-    whole input of value_iteration. So an indexed kernel and its dense twin,
-    or one MDP at two tolerances, never share an entry. Cached arrays are
-    read-only, since every caller of a hit shares them. solve_all answers
-    many requests at once and solves the uncached ones in stacks; each
-    answer is bit for bit the one value_iteration gives alone.
+    tol is the convergence tolerance of every value iteration and policy
+    evaluation the solver's calculators run. The memo key digests the
+    rewards, the transitions and the successor index (shape, dtype and
+    bytes of each) and the discount: with tol, the whole input of
+    value_iteration. So an indexed kernel and its dense twin never share an
+    entry. Cached arrays are read-only, since every caller of a hit shares
+    them. solve_all answers many requests at once and solves the uncached
+    ones in stacks; each answer is bit for bit the one value_iteration gives
+    alone.
     """
 
-    def __init__(self):
+    def __init__(self, tol: float = 1e-9):
+        if not math.isfinite(tol) or tol <= 0:
+            raise ValueError(f"tol must be positive and finite, got {tol!r}")
+        self.tol = tol
         self._solved = {}
         self.solves = 0
         self.hits = 0
         self.sweeps = 0
         self.max_sweeps = 0
 
-    def solve(self, mmdp: TabularMMDP, settings: SolveSettings):
-        """(ValueTable, JointPolicy) of value_iteration on mmdp at settings."""
-        return self.solve_all([mmdp], settings)[0]
+    def report(self, calculator, *args, **kwargs) -> BoundReport:
+        """Report of calculator(*args, tol=self.tol, **kwargs), solved here."""
+        running = calculator(*args, tol=self.tol, **kwargs)
+        return resume(running, self.solve_all(next(running)))
 
-    def solve_all(self, mmdps, settings: SolveSettings) -> list:
-        """solve() of each of mmdps, in order.
+    def solve_all(self, mmdps) -> list:
+        """(ValueTable, JointPolicy) of value_iteration on each of mmdps, in order.
 
         Requests with one content key are solved once; the MDPs not cached
         yet are solved together, one value_iteration_stack per (layout,
         kernel shape, discount), split so that no stack passes
-        STACK_ENTRIES. Solves and hits count as one solve() call per request
-        would count them.
+        STACK_ENTRIES. The first request of a key not cached yet counts as
+        a solve, every other request as a hit.
         """
-        keys = [_solve_key(mmdp, settings) for mmdp in mmdps]
+        keys = [_solve_key(mmdp) for mmdp in mmdps]
         todo = {}
         for key, mmdp in zip(keys, mmdps):
             if key in self._solved or key in todo:
@@ -340,14 +333,12 @@ class Solver:
             size = max(1, STACK_ENTRIES // (shape[0] * shape[1]))
             for start in range(0, len(group), size):
                 stack = group[start : start + size]
-                self._solve_stack([(key, todo[key]) for key in stack], settings)
+                self._solve_stack([(key, todo[key]) for key in stack])
         return [self._solved[key] for key in keys]
 
-    def _solve_stack(self, stack, settings: SolveSettings):
+    def _solve_stack(self, stack):
         """Solve a list of (key, mmdp) in one value_iteration_stack and cache them."""
-        solutions, sweeps = value_iteration_stack(
-            [mmdp for _, mmdp in stack], settings.tol, settings.max_iters
-        )
+        solutions, sweeps = value_iteration_stack([mmdp for _, mmdp in stack], self.tol)
         for (key, _), solution in zip(stack, solutions):
             values, policy = solution
             for arr in (values.v, values.q, policy.actions):
@@ -367,7 +358,7 @@ class Solver:
         }
 
 
-def _solve_key(mmdp: TabularMMDP, settings: SolveSettings) -> bytes:
+def _solve_key(mmdp: TabularMMDP) -> bytes:
     digest = hashlib.sha256()
     for arr in (mmdp.rewards, mmdp.transitions, mmdp.next_states):
         if arr is None:
@@ -375,7 +366,7 @@ def _solve_key(mmdp: TabularMMDP, settings: SolveSettings) -> bytes:
             continue
         digest.update(f"{arr.shape}{arr.dtype.str};".encode())
         digest.update(memoryview(np.ascontiguousarray(arr)).cast("B"))
-    digest.update(repr((mmdp.gamma, settings.tol, settings.max_iters)).encode())
+    digest.update(repr(mmdp.gamma).encode())
     return digest.digest()
 
 
@@ -386,15 +377,6 @@ def resume(calculator, solutions) -> BoundReport:
     except StopIteration as done:
         return done.value
     raise RuntimeError("a calculator makes exactly one solve request")
-
-
-def _answer(calculator, settings: SolveSettings, solver: Solver | None = None) -> BoundReport:
-    """Run a calculator to its report, solving its request on solver.
-
-    Without a solver, a fresh Solver serves this one report.
-    """
-    solver = Solver() if solver is None else solver
-    return resume(calculator, solver.solve_all(next(calculator), settings))
 
 
 def _value_scale(gf: float, smax: float, spec: LinearMMDPSpec, vmid: float) -> float:
@@ -412,17 +394,17 @@ def _value_gap(vt_x: ValueTable, vt_y: ValueTable, rho_x, rho_y):
     return value_x, value_y, abs(value_x - value_y), float(np.max(np.abs(vt_x.v - vt_y.v)))
 
 
-def _transfer_regret(mmdp, optimal: ValueTable, policy, rho, settings: SolveSettings, label):
+def _transfer_regret(mmdp, optimal: ValueTable, policy, rho, tol: float, label):
     """Regret of running policy on mmdp, against mmdp's optimal values.
 
     Returns (value_optimal, value_executed, regret, per-state max regret).
     A regret below -2 * tol means the solver contradicted itself.
     """
-    executed = policy_evaluation(mmdp, policy, tol=settings.tol, max_iters=settings.max_iters)
+    executed = policy_evaluation(mmdp, policy, tol=tol)
     value_optimal = optimal.scalar(rho)
     value_executed = executed.scalar(rho)
     actual = value_optimal - value_executed
-    if actual < -2.0 * settings.tol:
+    if actual < -2.0 * tol:
         raise RuntimeError(
             f"{label} policy beat the optimal value by {-actual:.3e}; solver inconsistency"
         )
@@ -436,7 +418,7 @@ def _permutation_code(perm) -> float:
     return float(code)
 
 
-def _base_constituents(spec, psi_value, smax, vmid, perm):
+def _base_constituents(spec, psi_value, smax, vmid):
     gf = gamma_factor(spec.gamma)
     parts = {
         "psi": psi_value,
@@ -445,73 +427,50 @@ def _base_constituents(spec, psi_value, smax, vmid, perm):
         "gamma_factor": gf,
         "gamma": spec.gamma,
         "capability_dim": float(spec.capability_dim),
-        "psi_permutation_code": _permutation_code(perm),
+        # psi compares the teams member by member, so this is always the
+        # identity's code; the column stays because dropping it would change
+        # every row's determinism_hash
+        "psi_permutation_code": _permutation_code(range(spec.team.num_agents)),
     }
     return gf, parts
 
 
-def bound_team_generalization(
-    spec_x: LinearMMDPSpec,
-    spec_y: LinearMMDPSpec,
-    settings: SolveSettings = SolveSettings(),
-    solver: Solver | None = None,
-) -> BoundReport:
+def certify_team_generalization(spec_x, spec_y, *, tol: float):
     """Bound |V*_x - V*_y| for two teams sharing every kernel.
 
     The bound is gamma_factor * (s_max + gamma * d * v_mid) * psi with v_mid
     taken from the second (reference) task's optimal values. The measurement
     is the absolute difference of rho-weighted optimal values; the per-state
-    max difference is reported alongside.
+    max difference is reported alongside. Requests (x, y).
     """
-    return _answer(certify_team_generalization(spec_x, spec_y, settings), settings, solver)
-
-
-def certify_team_generalization(spec_x, spec_y, settings: SolveSettings = SolveSettings()):
-    """Calculator of bound_team_generalization; requests (x, y)."""
     _require_shared_frame(spec_x, spec_y)
     (vt_x, _), (vt_y, _) = yield assemble_linear_mmdp(spec_x), assemble_linear_mmdp(spec_y)
-    psi_value, perm = psi_with_permutation(
-        spec_x.team, spec_x.weights, spec_y.team, spec_y.weights,
-        settings.psi_over_permutations,
-    )
+    psi_value = psi(spec_x.team, spec_x.weights, spec_y.team, spec_y.weights)
     smax = s_max(spec_x.reward_kernel, spec_x.states)
     vmid = v_mid(vt_y)
-    gf, parts = _base_constituents(spec_x, psi_value, smax, vmid, perm)
+    gf, parts = _base_constituents(spec_x, psi_value, smax, vmid)
     bound = _value_scale(gf, smax, spec_x, vmid) * psi_value
     value_x, value_y, actual, state_max = _value_gap(vt_x, vt_y, spec_x.rho, spec_y.rho)
     parts.update({"value_x": value_x, "value_y": value_y, "actual_state_max": state_max})
     return BoundReport.build("team_generalization", parts, bound, actual)
 
 
-def bound_policy_transfer(
-    spec_x: LinearMMDPSpec,
-    spec_y: LinearMMDPSpec,
-    settings: SolveSettings = SolveSettings(),
-    solver: Solver | None = None,
-) -> BoundReport:
+def certify_policy_transfer(spec_x, spec_y, *, tol: float):
     """Bound the regret of running the second team's optimal policy on the first.
 
     Exactly twice the team-generalization bound. The measurement is
-    V*_x - V^{pi*_y}_x, which can never fall below -2 * tol.
+    V*_x - V^{pi*_y}_x, which can never fall below -2 * tol. Requests (x, y).
     """
-    return _answer(certify_policy_transfer(spec_x, spec_y, settings), settings, solver)
-
-
-def certify_policy_transfer(spec_x, spec_y, settings: SolveSettings = SolveSettings()):
-    """Calculator of bound_policy_transfer; requests (x, y)."""
     _require_shared_frame(spec_x, spec_y)
     mmdp_x = assemble_linear_mmdp(spec_x)
     (vt_x, _), (vt_y, policy_y) = yield mmdp_x, assemble_linear_mmdp(spec_y)
     value_optimal, value_transferred, actual, state_max = _transfer_regret(
-        mmdp_x, vt_x, policy_y, spec_x.rho, settings, "transferred"
+        mmdp_x, vt_x, policy_y, spec_x.rho, tol, "transferred"
     )
-    psi_value, perm = psi_with_permutation(
-        spec_x.team, spec_x.weights, spec_y.team, spec_y.weights,
-        settings.psi_over_permutations,
-    )
+    psi_value = psi(spec_x.team, spec_x.weights, spec_y.team, spec_y.weights)
     smax = s_max(spec_x.reward_kernel, spec_x.states)
     vmid = v_mid(vt_y)
-    gf, parts = _base_constituents(spec_x, psi_value, smax, vmid, perm)
+    gf, parts = _base_constituents(spec_x, psi_value, smax, vmid)
     bound = 2.0 * _value_scale(gf, smax, spec_x, vmid) * psi_value
     parts.update(
         {
@@ -523,27 +482,14 @@ def certify_policy_transfer(spec_x, spec_y, settings: SolveSettings = SolveSetti
     return BoundReport.build("policy_transfer", parts, bound, actual)
 
 
-def bound_out_of_distribution(
-    distribution: TaskDistribution,
-    query_spec: LinearMMDPSpec,
-    settings: SolveSettings = SolveSettings(),
-    solver: Solver | None = None,
-) -> BoundReport:
+def certify_out_of_distribution(distribution: TaskDistribution, query_spec, *, tol: float):
     """Bound the regret of the closest-task policy on an unseen team.
 
     Requires identical influence weights across the support and the query.
     The selected task is the d_a-closest support member; the bound is the
-    policy-transfer bound at distance d_a(query, support).
+    policy-transfer bound at distance d_a(query, support). Requests (query,
+    selected).
     """
-    return _answer(
-        certify_out_of_distribution(distribution, query_spec, settings), settings, solver
-    )
-
-
-def certify_out_of_distribution(
-    distribution: TaskDistribution, query_spec, settings: SolveSettings = SolveSettings()
-):
-    """Calculator of bound_out_of_distribution; requests (query, selected)."""
     a = query_spec.weights.a
     for team, weights in distribution.support:
         if weights.a.shape != a.shape or not np.allclose(weights.a, a, atol=1e-12):
@@ -556,7 +502,7 @@ def certify_out_of_distribution(
     mmdp_query = assemble_linear_mmdp(query_spec)
     (vt_query, _), (vt_sel, policy_sel) = yield mmdp_query, assemble_linear_mmdp(spec_sel)
     value_optimal, value_transferred, actual, state_max = _transfer_regret(
-        mmdp_query, vt_query, policy_sel, query_spec.rho, settings, "selected"
+        mmdp_query, vt_query, policy_sel, query_spec.rho, tol, "selected"
     )
     distance = d_a_set_distance(
         query_spec.team, [team for team, _ in distribution.support], query_spec.weights
@@ -580,37 +526,22 @@ def certify_out_of_distribution(
     return BoundReport.build("out_of_distribution", parts, bound, actual)
 
 
-def bound_population_change(
+def certify_population_change(
     spec: LinearMMDPSpec,
     mode: str,
     new_capability=None,
     new_weight: float | None = None,
-    settings: SolveSettings = SolveSettings(),
-    solver: Solver | None = None,
-) -> BoundReport:
+    *,
+    tol: float,
+):
     """Bound the optimal-value shift when the team loses or gains a member.
 
     remove-last drops the final member and renormalizes the remaining
     influence weights; add-member appends a capability with a given weight
     and scales the old weights down. Either way the bound is the changed
     weight times the sup-norm gap between the unchanged mixture and the
-    changed member's capabilities.
+    changed member's capabilities. Requests (before, after).
     """
-    return _answer(
-        certify_population_change(spec, mode, new_capability, new_weight, settings),
-        settings,
-        solver,
-    )
-
-
-def certify_population_change(
-    spec: LinearMMDPSpec,
-    mode: str,
-    new_capability=None,
-    new_weight: float | None = None,
-    settings: SolveSettings = SolveSettings(),
-):
-    """Calculator of bound_population_change; requests (before, after)."""
     if mode == "remove-last":
         if spec.team.num_agents < 2:
             raise ValueError("removing a member needs at least two members")
@@ -674,33 +605,22 @@ def certify_population_change(
     return BoundReport.build(name, parts, bound, actual)
 
 
-def bound_approx_dynamics(
+def certify_approx_dynamics(
     spec_x: LinearMMDPSpec,
     spec_y: LinearMMDPSpec,
     mmdp_x_actual: TabularMMDP,
     mmdp_y_actual: TabularMMDP,
-    settings: SolveSettings = SolveSettings(),
-    solver: Solver | None = None,
-) -> BoundReport:
+    *,
+    tol: float,
+):
     """Team-generalization bound when the real dynamics are only nearly linear.
 
     Measures the worst reward deviation eps_hat_r and transition-entry
     deviation eps_hat_p between each actual MDP and its assembled linear
     form, then adds 2 * gamma_factor * (eps_hat_r + gamma * eps_hat_p * v_mid)
     to the exact-linear bound. With zero deviations it reduces to the
-    team-generalization report exactly.
+    team-generalization report exactly. Requests the two actual MDPs.
     """
-    return _answer(
-        certify_approx_dynamics(spec_x, spec_y, mmdp_x_actual, mmdp_y_actual, settings),
-        settings,
-        solver,
-    )
-
-
-def certify_approx_dynamics(
-    spec_x, spec_y, mmdp_x_actual, mmdp_y_actual, settings: SolveSettings = SolveSettings()
-):
-    """Calculator of bound_approx_dynamics; requests the two actual MDPs."""
     _require_shared_frame(spec_x, spec_y)
     linear_x = assemble_linear_mmdp(spec_x)
     linear_y = assemble_linear_mmdp(spec_y)
@@ -723,13 +643,10 @@ def certify_approx_dynamics(
         mmdp_y_actual.transition_gaps(linear_y)[0],
     )
     (vt_x, _), (vt_y, _) = yield mmdp_x_actual, mmdp_y_actual
-    psi_value, perm = psi_with_permutation(
-        spec_x.team, spec_x.weights, spec_y.team, spec_y.weights,
-        settings.psi_over_permutations,
-    )
+    psi_value = psi(spec_x.team, spec_x.weights, spec_y.team, spec_y.weights)
     smax = s_max(spec_x.reward_kernel, spec_x.states)
     vmid = v_mid(vt_y)
-    gf, parts = _base_constituents(spec_x, psi_value, smax, vmid, perm)
+    gf, parts = _base_constituents(spec_x, psi_value, smax, vmid)
     bound = _value_scale(gf, smax, spec_x, vmid) * psi_value + (
         2.0 * gf * (eps_hat_r + spec_x.gamma * eps_hat_p * vmid)
     )
@@ -746,27 +663,14 @@ def certify_approx_dynamics(
     return BoundReport.build("approx_dynamics", parts, bound, actual)
 
 
-def bound_capability_estimation(
-    spec_true: LinearMMDPSpec,
-    spec_inferred: LinearMMDPSpec,
-    settings: SolveSettings = SolveSettings(),
-    solver: Solver | None = None,
-) -> BoundReport:
+def certify_capability_estimation(spec_true, spec_inferred, *, tol: float):
     """Bound the regret of planning with estimated capabilities.
 
     Both specs must carry identical influence weights. eps_t is the largest
     member-wise sup-norm estimation error; the bound is the policy-transfer
     bound with psi replaced by eps_t, using v_mid from the inferred task.
+    Requests (true, inferred).
     """
-    return _answer(
-        certify_capability_estimation(spec_true, spec_inferred, settings), settings, solver
-    )
-
-
-def certify_capability_estimation(
-    spec_true, spec_inferred, settings: SolveSettings = SolveSettings()
-):
-    """Calculator of bound_capability_estimation; requests (true, inferred)."""
     _require_shared_frame(spec_true, spec_inferred)
     if spec_true.team.num_agents != spec_inferred.team.num_agents:
         raise ValueError("true and inferred teams must have the same size")
@@ -780,7 +684,7 @@ def certify_capability_estimation(
         mmdp_true, assemble_linear_mmdp(spec_inferred)
     )
     value_optimal, value_executed, actual, state_max = _transfer_regret(
-        mmdp_true, vt_true, policy_inferred, spec_true.rho, settings, "inferred"
+        mmdp_true, vt_true, policy_inferred, spec_true.rho, tol, "inferred"
     )
     smax = s_max(spec_true.reward_kernel, spec_true.states)
     vmid = v_mid(vt_inferred)
@@ -800,29 +704,6 @@ def certify_capability_estimation(
     return BoundReport.build("capability_estimation", parts, bound, actual)
 
 
-def bound_lipschitz(
-    reward_map: LipschitzRewardSpec,
-    team_x: TeamComposition,
-    team_y: TeamComposition,
-    mmdp_x: TabularMMDP,
-    mmdp_y: TabularMMDP,
-    reward_kernel: RewardKernel,
-    settings: SolveSettings = SolveSettings(),
-    solver: Solver | None = None,
-) -> BoundReport:
-    """Bound |V*_x - V*_y| when rewards come from a Lipschitz capability map.
-
-    Transitions must be identical between the two tasks (reward-only
-    variation); the bound is gamma_factor * s_max times the Lipschitz-weighted
-    sum of member capability differences.
-    """
-    return _answer(
-        certify_lipschitz(reward_map, team_x, team_y, mmdp_x, mmdp_y, reward_kernel, settings),
-        settings,
-        solver,
-    )
-
-
 def certify_lipschitz(
     reward_map: LipschitzRewardSpec,
     team_x: TeamComposition,
@@ -830,9 +711,15 @@ def certify_lipschitz(
     mmdp_x: TabularMMDP,
     mmdp_y: TabularMMDP,
     reward_kernel: RewardKernel,
-    settings: SolveSettings = SolveSettings(),
+    *,
+    tol: float,
 ):
-    """Calculator of bound_lipschitz; requests (mmdp_x, mmdp_y)."""
+    """Bound |V*_x - V*_y| when rewards come from a Lipschitz capability map.
+
+    Transitions must be identical between the two tasks (reward-only
+    variation); the bound is gamma_factor * s_max times the Lipschitz-weighted
+    sum of member capability differences. Requests (mmdp_x, mmdp_y).
+    """
     if team_x.num_agents != team_y.num_agents or team_x.dim != team_y.dim:
         raise ValueError("the two teams must have matching shapes")
     if reward_map.lipschitz_constants.shape[0] != team_x.num_agents:

@@ -8,10 +8,11 @@ summary.json, and violations.json when any bound report comes back
 unsatisfied. A determinism hash over all rows except wall-clock columns lets
 re-runs be compared byte-for-byte. Each kind of bound check is defined once,
 in CHECKS, and shared by the runners and by violation replay. Both run
-checks the same way (_reports): every check of an instance is advanced to
-its solve request, one Solver.solve_all answers all the requests in stacked
-solves, and the checks then finish in order, so rows and archive entries
-keep their order and their bits.
+checks the same way (_reports) on a Solver that holds the run's solve
+tolerance: every check of an instance is advanced to its solve request, one
+Solver.solve_all answers all the requests in stacked solves, and the checks
+then finish in order, so rows and archive entries keep their order and their
+bits.
 """
 
 import csv
@@ -19,6 +20,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from collections import Counter
@@ -30,7 +32,6 @@ import numpy as np
 
 from .bounds import (
     BoundReport,
-    SolveSettings,
     Solver,
     TaskDistribution,
     bound_polynomial_deviation,
@@ -44,7 +45,7 @@ from .bounds import (
     resume,
     s_max,
 )
-from .envs.fruit_forage import build_fruit_forage, desk_config
+from .envs.fruit_forage import build_fruit_forage, desk_config, fruit_forage_state_count
 from .envs.predator_prey import PredatorPreyEnv, pp_task_suites
 from .linear import (
     CapabilityVector,
@@ -194,12 +195,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.num_instances < 1:
             raise ConfigError("num_instances must be positive")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        if self.eps_r < 0 or not (0.0 <= self.eps_p < 1.0):
-            raise ConfigError("eps_r must be >= 0 and eps_p inside [0, 1)")
+        if not (0.0 < self.tol < math.inf):
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
+        if not (0.0 <= self.eps_r < math.inf) or not (0.0 <= self.eps_p < 1.0):
+            raise ConfigError("eps_r must be finite and >= 0, and eps_p inside [0, 1)")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
         object.__setattr__(
@@ -210,6 +213,11 @@ class ExperimentConfig:
             "predator_prey",
             _merge_params("predator_prey", _PP_DEFAULTS, self.predator_prey),
         )
+        for section, setup in (("fruit_forage", _forage_desk), ("predator_prey", _pursuit_setup)):
+            try:
+                setup(getattr(self, section))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
         if self.kind == "sweep" and not self.sweep_cells:
             raise ConfigError("a sweep needs at least one cell")
         cells = []
@@ -221,6 +229,8 @@ class ExperimentConfig:
                 raise ConfigError("each sweep cell needs num_agents and capability_dim")
             cells.append({k: int(v) for k, v in cell.items()})
         object.__setattr__(self, "sweep_cells", tuple(cells))
+        for index, cell in enumerate(self.sweep_cells):
+            _cell_config(self, index, cell)
 
     def to_doc(self) -> dict:
         return {
@@ -305,6 +315,57 @@ def _merge_params(section: str, defaults: dict, overrides: dict) -> dict:
     merged = dict(defaults)
     merged.update(overrides)
     return merged
+
+
+def _forage_desk(params: dict) -> tuple:
+    """(grid_size, num_agents) of a fruit_forage section.
+
+    Raises ValueError unless the desk teams (desk_config) can be built at
+    that size: grid_size >= 2, 1 <= num_agents <= the teams' members, and a
+    state space under the cap.
+    """
+    grid_size = int(params["grid_size"])
+    num_agents = int(params["num_agents"])
+    desk = desk_config("x", grid_size, num_agents)
+    if len(desk.team) != num_agents:
+        raise ValueError(f"the desk teams have {len(desk.team)} members, not {num_agents}")
+    states = fruit_forage_state_count(desk)
+    if states > desk.state_cap:
+        raise ValueError(f"the desk needs {states} states, above the cap of {desk.state_cap}")
+    return grid_size, num_agents
+
+
+def _pursuit_setup(params: dict) -> tuple:
+    """(suite, modes, schedule, eval episodes) of a predator_prey section.
+
+    Raises ValueError for a section that cannot run: an unknown suite or
+    mode, a schedule TrainSchedule rejects, no evaluation episode, or an
+    environment setting no task of the suite can be built with.
+    """
+    suites = pp_task_suites()
+    suite_name = str(params["suite"])
+    if suite_name not in suites:
+        raise ConfigError(f"unknown task suite {suite_name!r}; known: {sorted(suites)}")
+    suite = suites[suite_name]
+    mode = str(params["mode"])
+    if mode not in ("aware", "blind", "both"):
+        raise ConfigError(f"predator_prey mode must be aware, blind, or both, got {mode!r}")
+    modes = ("blind", "aware") if mode == "both" else (mode,)
+    schedule = TrainSchedule(
+        total_steps=int(params["total_steps"]),
+        alpha=float(params["alpha"]),
+        epsilon_start=float(params["epsilon_start"]),
+        epsilon_end=float(params["epsilon_end"]),
+        epsilon_decay_steps=int(params["epsilon_decay_steps"]),
+        gamma=float(params["gamma"]),
+        eval_interval=int(params["eval_interval"]),
+    )
+    episodes = int(params["eval_episodes"])
+    if episodes < 1:
+        raise ValueError(f"eval_episodes must be positive, got {episodes}")
+    for task in suite.train + suite.test:
+        _pp_env_config(params, task, capability_observable=False)
+    return suite, modes, schedule, episodes
 
 
 def default_config(kind: str, seed: int = 0) -> ExperimentConfig:
@@ -450,28 +511,28 @@ class Check:
     """One report kind: the case fields it archives and how it runs a case."""
 
     fields: tuple
-    run: Callable  # (case, SolveSettings) -> calculator
+    run: Callable  # (case, tol) -> calculator
 
 
-def _out_of_distribution(case, settings):
+def _out_of_distribution(case, tol):
     spec_x = case["spec_x"]
     teams = case["support_teams"]
     distribution = TaskDistribution(
         support=tuple((team, spec_x.weights) for team in teams),
         probabilities=np.full(len(teams), 1.0 / len(teams)),
     )
-    return certify_out_of_distribution(distribution, spec_x, settings)
+    return certify_out_of_distribution(distribution, spec_x, tol=tol)
 
 
-def _approx_dynamics(case, settings):
+def _approx_dynamics(case, tol):
     spec_x, spec_y = case["spec_x"], case["spec_y"]
     eps_r, eps_p = case["eps_r"], case["eps_p"]
     actual_x = perturb_dynamics(assemble_linear_mmdp(spec_x), eps_r, eps_p, case["seed_x"])
     actual_y = perturb_dynamics(assemble_linear_mmdp(spec_y), eps_r, eps_p, case["seed_y"])
-    return certify_approx_dynamics(spec_x, spec_y, actual_x, actual_y, settings)
+    return certify_approx_dynamics(spec_x, spec_y, actual_x, actual_y, tol=tol)
 
 
-def _lipschitz(case, settings):
+def _lipschitz(case, tol):
     """Reward-only variation: both teams share the x mixture's dynamics."""
     spec_x, spec_y = case["spec_x"], case["spec_y"]
     reward_map = LipschitzRewardSpec(
@@ -492,11 +553,11 @@ def _lipschitz(case, settings):
     mmdp_x = assemble_lipschitz_mmdp(reward_map, spec_x.team, **frame)
     mmdp_y = assemble_lipschitz_mmdp(reward_map, spec_y.team, **frame)
     return certify_lipschitz(
-        reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y, spec_x.reward_kernel, settings
+        reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y, spec_x.reward_kernel, tol=tol
     )
 
 
-def _polynomial_deviation(case, settings):
+def _polynomial_deviation(case, tol):
     """A calculator that requests no solve."""
     yield ()
     spec_x = case["spec_x"]
@@ -514,36 +575,30 @@ def _polynomial_deviation(case, settings):
 CHECKS = {
     "team_generalization": Check(
         ("spec_x", "spec_y"),
-        lambda case, settings: certify_team_generalization(
-            case["spec_x"], case["spec_y"], settings
-        ),
+        lambda case, tol: certify_team_generalization(case["spec_x"], case["spec_y"], tol=tol),
     ),
     "policy_transfer": Check(
         ("spec_x", "spec_y"),
-        lambda case, settings: certify_policy_transfer(case["spec_x"], case["spec_y"], settings),
+        lambda case, tol: certify_policy_transfer(case["spec_x"], case["spec_y"], tol=tol),
     ),
     "population_decrease": Check(
         ("spec_x",),
-        lambda case, settings: certify_population_change(
-            case["spec_x"], "remove-last", settings=settings
-        ),
+        lambda case, tol: certify_population_change(case["spec_x"], "remove-last", tol=tol),
     ),
     "population_increase": Check(
         ("spec_x", "new_capability", "new_weight"),
-        lambda case, settings: certify_population_change(
+        lambda case, tol: certify_population_change(
             case["spec_x"],
             "add-member",
             new_capability=case["new_capability"],
             new_weight=case["new_weight"],
-            settings=settings,
+            tol=tol,
         ),
     ),
     # spec_y is the task planned with the estimated capabilities
     "capability_estimation": Check(
         ("spec_x", "spec_y"),
-        lambda case, settings: certify_capability_estimation(
-            case["spec_x"], case["spec_y"], settings
-        ),
+        lambda case, tol: certify_capability_estimation(case["spec_x"], case["spec_y"], tol=tol),
     ),
     "out_of_distribution": Check(("spec_x", "support_teams"), _out_of_distribution),
     "approx_dynamics": Check(
@@ -594,10 +649,10 @@ _FIELDS = {
 }
 
 
-def _reports(cases, settings: SolveSettings, solver: Solver):
+def _reports(cases, solver: Solver):
     """(bound_name, case, report, seconds) of each (bound_name, case), in order.
 
-    Every check is advanced to its solve request first, then one
+    Every check is advanced to its solve request first, at solver.tol, then one
     solver.solve_all answers the union of the requests, and the checks
     resume in case order. seconds is a check's own time, before and after
     the shared solve.
@@ -606,27 +661,28 @@ def _reports(cases, settings: SolveSettings, solver: Solver):
     wanted = []
     for name, case in cases:
         start = time.perf_counter()
-        calculator = CHECKS[name].run(case, settings)
+        calculator = CHECKS[name].run(case, solver.tol)
         request = next(calculator)
         wanted.extend(request)
         started.append((name, case, calculator, len(request), time.perf_counter() - start))
-    solutions = iter(solver.solve_all(wanted, settings))
+    solutions = iter(solver.solve_all(wanted))
     for name, case, calculator, size, seconds in started:
         start = time.perf_counter()
         report = resume(calculator, [next(solutions) for _ in range(size)])
         yield name, case, report, seconds + time.perf_counter() - start
 
 
-def _run_checks(config: ExperimentConfig, index: int, cases, solver: Solver, archive):
+def _run_checks(index: int, cases, solver: Solver, archive):
     """Run each (bound_name, case) through CHECKS; returns (rows, violations).
 
     archive(bound_name, case) gives the fields a failing report's violation
-    entry stores beside the report; it runs only for a failing report. A
-    row's wall_time covers its check's own work, not the shared solve.
+    entry stores beside the report, and the entry records the solver's tol;
+    archive runs only for a failing report. A row's wall_time covers its
+    check's own work, not the shared solve.
     """
     rows = []
     violations = []
-    for name, case, report, seconds in _reports(cases, SolveSettings(tol=config.tol), solver):
+    for name, case, report, seconds in _reports(cases, solver):
         row = {"instance": index, "wall_time": seconds}
         row.update(report.to_csv_row())
         rows.append(row)
@@ -636,7 +692,7 @@ def _run_checks(config: ExperimentConfig, index: int, cases, solver: Solver, arc
                     "instance_index": index,
                     "bound_name": report.bound_name,
                     "report": json.loads(report.to_json()),
-                    "tol": config.tol,
+                    "tol": solver.tol,
                     **archive(name, case),
                 }
             )
@@ -714,10 +770,10 @@ def certify_instance(config: ExperimentConfig, index: int, solver: Solver | None
 
     Returns (rows, violations); every random draw flows from a generator
     seeded by (config.seed, index), so results are order-independent.
-    Every check shares one Solver (a fresh one unless given), and one
-    solve_all call answers them all, so each distinct MDP of the instance is
-    solved once, in one stacked solve. A violation's payload is built only
-    when its report fails.
+    Every check shares one Solver at config.tol (a fresh one unless given),
+    and one solve_all call answers them all, so each distinct MDP of the
+    instance is solved once, in one stacked solve. A violation's payload is
+    built only when its report fails.
     """
     # built by the first failing report that needs it, then shared
     spec_doc = functools.cache(_spec_doc)
@@ -728,8 +784,10 @@ def certify_instance(config: ExperimentConfig, index: int, solver: Solver | None
             for key, value in case.items()
         }
 
-    solver = Solver() if solver is None else solver
-    return _run_checks(config, index, _instance_cases(config, index), solver, archive)
+    solver = Solver(config.tol) if solver is None else solver
+    if solver.tol != config.tol:
+        raise ValueError(f"the solver's tol {solver.tol!r} is not the config's {config.tol!r}")
+    return _run_checks(index, _instance_cases(config, index), solver, archive)
 
 
 # ---- experiment runners --------------------------------------------------------
@@ -744,7 +802,7 @@ def run_verify_bounds(config: ExperimentConfig, solve_counts=None):
     rows = []
     violations = []
     for index in range(config.num_instances):
-        solver = Solver()
+        solver = Solver(config.tol)
         instance_rows, instance_violations = certify_instance(config, index, solver)
         rows.extend(instance_rows)
         violations.extend(instance_violations)
@@ -774,10 +832,8 @@ def run_fruit_forage(config: ExperimentConfig, solve_counts=None):
     The three checks share one Solver; solve_counts, a Counter, accumulates
     its counts when given. A violation archives the desk teams to rebuild.
     """
-    params = config.fruit_forage
-    grid_size = int(params["grid_size"])
-    num_agents = int(params["num_agents"])
-    solver = Solver()
+    grid_size, num_agents = _forage_desk(config.fruit_forage)
+    solver = Solver(config.tol)
     build = functools.cache(
         lambda label: build_fruit_forage(desk_config(label, grid_size, num_agents))
     )
@@ -796,21 +852,24 @@ def run_fruit_forage(config: ExperimentConfig, solve_counts=None):
             }
         }
 
-    rows, violations = _run_checks(config, 0, cases, solver, archive)
+    rows, violations = _run_checks(0, cases, solver, archive)
     if solve_counts is not None:
         _add_counts(solve_counts, solver)
     return rows, violations
 
 
+def _pp_env_config(params: dict, task, capability_observable: bool):
+    return task.to_config(
+        grid_size=int(params["grid_size"]),
+        capability_observable=capability_observable,
+        episode_limit=int(params["episode_limit"]),
+        prey_move_prob=float(params["prey_move_prob"]),
+    )
+
+
 def _pp_env_builder(params: dict):
     def build(task, capability_observable, seed):
-        cfg = task.to_config(
-            grid_size=int(params["grid_size"]),
-            capability_observable=capability_observable,
-            episode_limit=int(params["episode_limit"]),
-            prey_move_prob=float(params["prey_move_prob"]),
-        )
-        return PredatorPreyEnv(cfg, seed)
+        return PredatorPreyEnv(_pp_env_config(params, task, capability_observable), seed)
 
     return build
 
@@ -818,25 +877,7 @@ def _pp_env_builder(params: dict):
 def run_predator_prey(config: ExperimentConfig):
     """Train the shared learner on a task suite, blind and capability-aware."""
     params = config.predator_prey
-    suites = pp_task_suites()
-    suite_name = str(params["suite"])
-    if suite_name not in suites:
-        raise ConfigError(f"unknown task suite {suite_name!r}; known: {sorted(suites)}")
-    suite = suites[suite_name]
-    mode = str(params["mode"])
-    if mode not in ("aware", "blind", "both"):
-        raise ConfigError(f"predator_prey mode must be aware, blind, or both, got {mode!r}")
-    modes = ("blind", "aware") if mode == "both" else (mode,)
-    schedule = TrainSchedule(
-        total_steps=int(params["total_steps"]),
-        alpha=float(params["alpha"]),
-        epsilon_start=float(params["epsilon_start"]),
-        epsilon_end=float(params["epsilon_end"]),
-        epsilon_decay_steps=int(params["epsilon_decay_steps"]),
-        gamma=float(params["gamma"]),
-        eval_interval=int(params["eval_interval"]),
-    )
-    episodes = int(params["eval_episodes"])
+    suite, modes, schedule, episodes = _pursuit_setup(params)
     builder = _pp_env_builder(params)
     rows = []
 
@@ -897,32 +938,34 @@ def run_predator_prey(config: ExperimentConfig):
     return rows, []
 
 
+def _cell_config(config: ExperimentConfig, cell_index: int, cell: dict) -> ExperimentConfig:
+    """The verify-bounds config of one sweep cell: config's ranges with the cell's sizes pinned."""
+    ranges_doc = config.ranges.to_doc()
+    for key in ("num_agents", "capability_dim", "num_states"):
+        if key in cell:
+            ranges_doc[key] = [cell[key], cell[key]]
+    return ExperimentConfig(
+        kind="verify-bounds",
+        name=config.name,
+        seed=config.seed + cell_index,
+        num_instances=cell.get("num_instances", config.num_instances),
+        tol=config.tol,
+        eps_r=config.eps_r,
+        eps_p=config.eps_p,
+        ranges=GeneratorRanges.from_doc(ranges_doc),
+    )
+
+
 def run_sweep(config: ExperimentConfig, solve_counts=None):
     rows = []
     violations = []
     for cell_index, cell in enumerate(config.sweep_cells):
-        n = cell["num_agents"]
-        d = cell["capability_dim"]
-        overrides = {"num_agents": (n, n), "capability_dim": (d, d)}
-        if "num_states" in cell:
-            overrides["num_states"] = (cell["num_states"], cell["num_states"])
-        ranges_doc = config.ranges.to_doc()
-        ranges_doc.update({k: list(v) for k, v in overrides.items()})
-        cell_config = ExperimentConfig(
-            kind="verify-bounds",
-            name=config.name,
-            seed=config.seed + cell_index,
-            num_instances=cell.get("num_instances", config.num_instances),
-            tol=config.tol,
-            eps_r=config.eps_r,
-            eps_p=config.eps_p,
-            ranges=GeneratorRanges.from_doc(ranges_doc),
-        )
+        cell_config = _cell_config(config, cell_index, cell)
         cell_rows, cell_violations = run_verify_bounds(cell_config, solve_counts=solve_counts)
         for row in cell_rows:
             row = dict(row)
-            row["cell_num_agents"] = n
-            row["cell_capability_dim"] = d
+            row["cell_num_agents"] = cell["num_agents"]
+            row["cell_capability_dim"] = cell["capability_dim"]
             rows.append(row)
         violations.extend(cell_violations)
     return rows, violations
@@ -1122,12 +1165,14 @@ def _entry_case(name: str, entry: dict) -> dict:
     return case
 
 
-def _replay_one(entry, solver: Solver) -> BoundReport:
+def _replay_one(entry, solvers: dict) -> BoundReport:
     """Decode one violation entry into its case and run its check again.
 
-    A malformed entry raises ConfigError, and so does a case its check
-    rejects (the calculators raise ValueError on inconsistent inputs, such
-    as two specs that do not share a frame).
+    The check runs on solvers[tol], the Solver of the entry's tol, made on
+    first use. A malformed entry raises ConfigError, and so does a tol that
+    Solver rejects or a case its check rejects (the calculators raise
+    ValueError on inconsistent inputs, such as two specs that do not share a
+    frame).
     """
     if not isinstance(entry, dict):
         raise ConfigError(f"a violation entry must be a JSON object, got {entry!r}")
@@ -1135,14 +1180,16 @@ def _replay_one(entry, solver: Solver) -> BoundReport:
     if not isinstance(name, str) or name not in CHECKS:
         raise ConfigError(f"cannot replay unknown report kind {name!r}")
     # entries written before runs recorded their tol were solved at the default
+    tol = entry.get("tol", ExperimentConfig.tol)
     try:
-        settings = SolveSettings(tol=entry.get("tol", SolveSettings.tol))
+        if tol not in solvers:
+            solvers[tol] = Solver(tol)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed 'tol' in a {name!r} entry: {exc!r}") from exc
     rebuild = entry.get("rebuild")
     case = _entry_case(name, entry) if rebuild is None else _rebuilt_case(name, rebuild)
     try:
-        [(_, _, report, _)] = _reports([(name, case)], settings, solver)
+        [(_, _, report, _)] = _reports([(name, case)], solvers[tol])
     except ValueError as exc:
         raise ConfigError(f"the {name!r} entry is not a valid case: {exc}") from exc
     return report
@@ -1151,8 +1198,8 @@ def _replay_one(entry, solver: Solver) -> BoundReport:
 def replay_violations(path) -> list:
     """Recompute every archived violation; returns the fresh reports in order.
 
-    The entries share one Solver, so an MDP that several entries need (the x
-    task of one instance, say) is solved once per tol.
+    Entries of one tol share one Solver, so an MDP that several entries need
+    (the x task of one instance, say) is solved once per tol.
     """
     path = Path(path)
     try:
@@ -1161,5 +1208,5 @@ def replay_violations(path) -> list:
         raise ConfigError(f"cannot read violations file {path}: {exc}") from exc
     if not isinstance(entries, list):
         raise ConfigError("a violations file must hold a JSON list")
-    solver = Solver()
-    return [_replay_one(entry, solver) for entry in entries]
+    solvers = {}
+    return [_replay_one(entry, solvers) for entry in entries]

@@ -513,8 +513,8 @@ def perturb_dynamics(
             "perturb_dynamics needs a dense transition tensor; its noise covers every "
             "(s, u, s') entry, which an indexed kernel does not store"
         )
-    if eps_r < 0 or eps_p < 0:
-        raise ValueError("perturbation magnitudes must be non-negative")
+    if not (0.0 <= eps_r < np.inf and eps_p >= 0.0):
+        raise ValueError("perturbation magnitudes must be finite and non-negative")
     if eps_p >= 1.0:
         raise ValueError("transition perturbation >= 1 cannot keep rows valid")
     rng = np.random.default_rng(seed)

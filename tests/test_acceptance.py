@@ -16,14 +16,15 @@ from capmdp import (
     InfluenceWeights,
     JointPolicy,
     LipschitzRewardSpec,
+    Solver,
     TeamComposition,
     TrainSchedule,
     assemble_linear_mmdp,
     assemble_lipschitz_mmdp,
-    bound_approx_dynamics,
-    bound_lipschitz,
-    bound_population_change,
-    bound_team_generalization,
+    certify_approx_dynamics,
+    certify_lipschitz,
+    certify_population_change,
+    certify_team_generalization,
     default_config,
     gamma_factor,
     generate_linear_pair,
@@ -97,16 +98,17 @@ def test_criterion_02_perturbed_dynamics_bound():
         seed_y = int(rng.integers(2**31))
         actual_x = perturb_dynamics(assemble_linear_mmdp(spec_x), 0.02, 0.02, seed_x)
         actual_y = perturb_dynamics(assemble_linear_mmdp(spec_y), 0.02, 0.02, seed_y)
-        report = bound_approx_dynamics(spec_x, spec_y, actual_x, actual_y)
+        report = Solver().report(certify_approx_dynamics, spec_x, spec_y, actual_x, actual_y)
         bad += not report.satisfied
 
     exact = 0
     for i in range(5):
         rng = np.random.default_rng([203, i])
         spec_x, spec_y = generate_linear_pair(DEFAULT_RANGES, rng)
-        gen = bound_team_generalization(spec_x, spec_y)
-        reduced = bound_approx_dynamics(
-            spec_x, spec_y, assemble_linear_mmdp(spec_x), assemble_linear_mmdp(spec_y)
+        gen = Solver().report(certify_team_generalization, spec_x, spec_y)
+        reduced = Solver().report(
+            certify_approx_dynamics,
+            spec_x, spec_y, assemble_linear_mmdp(spec_x), assemble_linear_mmdp(spec_y),
         )
         exact += (
             reduced.bound_value == gen.bound_value
@@ -195,8 +197,8 @@ def test_criterion_06_perfect_substitutes():
         reduced = a[:-1] / (1.0 - float(a[-1]))
         substitute = reduced @ base_matrix
         team = spec.team.replace_member(spec.team.num_agents - 1, substitute)
-        report = bound_population_change(
-            spec.with_team(team, spec.weights), "remove-last"
+        report = Solver().report(
+            certify_population_change, spec.with_team(team, spec.weights), "remove-last"
         )
         exact_zero += report.bound_value == 0.0
         small_actual += report.actual_value <= 2e-9
@@ -237,8 +239,9 @@ def test_criterion_07_nonlinear_reward_families():
         )
         mmdp_x = assemble_lipschitz_mmdp(reward_map, spec_x.team, **frame)
         mmdp_y = assemble_lipschitz_mmdp(reward_map, spec_y.team, **frame)
-        report = bound_lipschitz(
-            reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y, spec_x.reward_kernel
+        report = Solver().report(
+            certify_lipschitz,
+            reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y, spec_x.reward_kernel,
         )
         lipschitz_bad += not report.satisfied
 

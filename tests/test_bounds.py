@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from capmdp import (
     BOUND_TOLERANCE,
     BoundReport,
+    ExperimentConfig,
     GeneratorRanges,
     InfluenceWeights,
     LinearMMDPSpec,
-    LipschitzRewardSpec,
     RewardKernel,
-    SolveSettings,
     Solver,
     StateSpace,
     TabularMMDP,
@@ -23,21 +22,19 @@ from capmdp import (
     TeamComposition,
     ValueTable,
     assemble_linear_mmdp,
-    assemble_lipschitz_mmdp,
-    bound_approx_dynamics,
-    bound_capability_estimation,
-    bound_lipschitz,
-    bound_out_of_distribution,
-    bound_policy_transfer,
+    certify_instance,
+    certify_approx_dynamics,
+    certify_capability_estimation,
+    certify_out_of_distribution,
+    certify_policy_transfer,
     bound_polynomial_deviation,
-    bound_population_change,
-    bound_team_generalization,
+    certify_population_change,
+    certify_team_generalization,
     d_a_metric,
     d_a_set_distance,
     gamma_factor,
     generate_linear_pair,
     oracle_policy_select,
-    perturb_dynamics,
     psi,
     psi_with_permutation,
     reward_deviation_exact,
@@ -48,6 +45,7 @@ from capmdp import (
     value_iteration_stack,
 )
 import capmdp.bounds
+from capmdp.harness import CHECKS, _instance_cases
 
 GAMMA_CROSSOVER = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -227,11 +225,12 @@ def test_report_json_round_trip_and_csv_row():
     assert row["psi"] == 0.25 and row["slack"] == 1.5
 
 
-def test_solve_settings_validation():
-    with pytest.raises(ValueError):
-        SolveSettings(tol=0.0)
-    with pytest.raises(ValueError):
-        SolveSettings(max_iters=0)
+def test_solver_tol_must_be_positive_and_finite():
+    assert Solver().tol == 1e-9
+    assert Solver(1e-6).tol == 1e-6
+    for tol in (0.0, -1e-9, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Solver(tol)
 
 
 # ---- value bounds for team changes --------------------------------------------------
@@ -240,7 +239,7 @@ def test_solve_settings_validation():
 def test_generalization_bound_holds_and_reports_constituents():
     for seed in range(5):
         spec_x, spec_y = small_pair(seed)
-        report = bound_team_generalization(spec_x, spec_y)
+        report = Solver().report(certify_team_generalization, spec_x, spec_y)
         assert report.satisfied
         c = report.constituents
         rebuilt = (
@@ -255,8 +254,8 @@ def test_generalization_bound_holds_and_reports_constituents():
 
 def test_transfer_bound_is_twice_the_generalization_bound():
     spec_x, spec_y = small_pair(3)
-    gen = bound_team_generalization(spec_x, spec_y)
-    transfer = bound_policy_transfer(spec_x, spec_y)
+    gen = Solver().report(certify_team_generalization, spec_x, spec_y)
+    transfer = Solver().report(certify_policy_transfer, spec_x, spec_y)
     assert transfer.bound_value == 2.0 * gen.bound_value
     assert transfer.satisfied
     assert transfer.actual_value >= -2e-9
@@ -264,8 +263,8 @@ def test_transfer_bound_is_twice_the_generalization_bound():
 
 def test_generalization_actual_is_symmetric():
     spec_x, spec_y = small_pair(7)
-    forward = bound_team_generalization(spec_x, spec_y)
-    backward = bound_team_generalization(spec_y, spec_x)
+    forward = Solver().report(certify_team_generalization, spec_x, spec_y)
+    backward = Solver().report(certify_team_generalization, spec_y, spec_x)
     assert forward.actual_value == backward.actual_value
     assert forward.satisfied and backward.satisfied
 
@@ -277,8 +276,8 @@ def test_singleton_distribution_reduces_to_policy_transfer():
     distribution = TaskDistribution(
         support=((spec_y.team, spec_x.weights),), probabilities=np.array([1.0])
     )
-    ood = bound_out_of_distribution(distribution, spec_x)
-    transfer = bound_policy_transfer(spec_x, spec_y)
+    ood = Solver().report(certify_out_of_distribution, distribution, spec_x)
+    transfer = Solver().report(certify_policy_transfer, spec_x, spec_y)
     assert ood.bound_value == transfer.bound_value
     assert ood.actual_value == transfer.actual_value
     assert ood.constituents["selected_index"] == 0.0
@@ -295,12 +294,12 @@ def test_out_of_distribution_requires_fixed_weights():
         support=((spec_y.team, other),), probabilities=np.array([1.0])
     )
     with pytest.raises(ValueError, match="fixed influence weights"):
-        bound_out_of_distribution(distribution, spec_x)
+        Solver().report(certify_out_of_distribution, distribution, spec_x)
 
 
 def test_population_decrease_bound_is_product_of_constituents():
     spec_x, _ = small_pair(17)
-    report = bound_population_change(spec_x, "remove-last")
+    report = Solver().report(certify_population_change, spec_x, "remove-last")
     assert report.satisfied
     c = report.constituents
     rebuilt = (
@@ -316,8 +315,8 @@ def test_population_decrease_bound_is_product_of_constituents():
 def test_population_increase_with_zero_weight_changes_nothing():
     spec_x, _ = small_pair(19)
     dim = spec_x.capability_dim
-    report = bound_population_change(
-        spec_x, "add-member",
+    report = Solver().report(
+        certify_population_change, spec_x, "add-member",
         new_capability=np.full(dim, 1.0 / dim), new_weight=0.0,
     )
     assert report.bound_value == 0.0
@@ -329,12 +328,13 @@ def test_population_change_argument_errors():
     spec_x, _ = small_pair(23)
     dim = spec_x.capability_dim
     with pytest.raises(ValueError, match="unknown population-change mode"):
-        bound_population_change(spec_x, "swap")
+        Solver().report(certify_population_change, spec_x, "swap")
     with pytest.raises(ValueError, match="needs new_capability"):
-        bound_population_change(spec_x, "add-member")
+        Solver().report(certify_population_change, spec_x, "add-member")
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
-        bound_population_change(
-            spec_x, "add-member", new_capability=np.full(dim, 1.0 / dim), new_weight=1.0
+        Solver().report(
+            certify_population_change, spec_x, "add-member",
+            new_capability=np.full(dim, 1.0 / dim), new_weight=1.0,
         )
     lonely = LinearMMDPSpec(
         team=TeamComposition((spec_x.team.members[0],)),
@@ -348,7 +348,7 @@ def test_population_change_argument_errors():
         rho=spec_x.rho,
     )
     with pytest.raises(ValueError, match="at least two"):
-        bound_population_change(lonely, "remove-last")
+        Solver().report(certify_population_change, lonely, "remove-last")
 
 
 def test_degenerate_removal_rejected_when_last_member_has_all_influence():
@@ -358,12 +358,12 @@ def test_degenerate_removal_rejected_when_last_member_has_all_influence():
     weights[-1] = 1.0
     loaded = spec_x.with_team(spec_x.team, InfluenceWeights(weights))
     with pytest.raises(ValueError, match="degenerate"):
-        bound_population_change(loaded, "remove-last")
+        Solver().report(certify_population_change, loaded, "remove-last")
 
 
 def test_capability_estimation_with_exact_estimates_is_zero():
     spec_x, _ = small_pair(31)
-    report = bound_capability_estimation(spec_x, spec_x)
+    report = Solver().report(certify_capability_estimation, spec_x, spec_x)
     assert report.constituents["eps_t"] == 0.0
     assert report.bound_value == 0.0
     assert report.actual_value <= 2e-9
@@ -374,14 +374,15 @@ def test_capability_estimation_requires_identical_weights():
     if np.allclose(spec_x.weights.a, spec_y.weights.a):
         pytest.skip("sampled pair happens to share weights")
     with pytest.raises(ValueError, match="identical influence weights"):
-        bound_capability_estimation(spec_x, spec_y)
+        Solver().report(certify_capability_estimation, spec_x, spec_y)
 
 
 def test_approx_dynamics_with_zero_deviation_reduces_exactly():
     spec_x, spec_y = small_pair(41)
-    gen = bound_team_generalization(spec_x, spec_y)
-    report = bound_approx_dynamics(
-        spec_x, spec_y, assemble_linear_mmdp(spec_x), assemble_linear_mmdp(spec_y)
+    gen = Solver().report(certify_team_generalization, spec_x, spec_y)
+    report = Solver().report(
+        certify_approx_dynamics,
+        spec_x, spec_y, assemble_linear_mmdp(spec_x), assemble_linear_mmdp(spec_y),
     )
     assert report.constituents["eps_hat_r"] == 0.0
     assert report.constituents["eps_hat_p"] == 0.0
@@ -399,10 +400,10 @@ def test_shared_frame_mismatches_are_rejected():
         gamma=spec_y.gamma, rho=spec_y.rho,
     )
     with pytest.raises(ValueError, match="reward kernel"):
-        bound_team_generalization(spec_x, broken)
+        Solver().report(certify_team_generalization, spec_x, broken)
     slower = dataclasses.replace(spec_y, gamma=spec_y.gamma / 2)
     with pytest.raises(ValueError, match="discount"):
-        bound_policy_transfer(spec_x, slower)
+        Solver().report(certify_policy_transfer, spec_x, slower)
 
 
 def test_deviation_chain_is_bounded_by_psi():
@@ -434,11 +435,10 @@ def test_polynomial_deviation_closed_form():
 
 def test_solver_returns_a_repeated_solve_from_its_cache_read_only():
     spec_x, _ = small_pair(5)
-    settings = SolveSettings()
     solver = Solver()
-    first = solver.solve(assemble_linear_mmdp(spec_x), settings)
+    [first] = solver.solve_all([assemble_linear_mmdp(spec_x)])
     # a separately assembled MDP with the same content is the same entry
-    again = solver.solve(assemble_linear_mmdp(spec_x), settings)
+    [again] = solver.solve_all([assemble_linear_mmdp(spec_x)])
     assert again is first
     assert (solver.solves, solver.hits) == (1, 1)
     # the hit adds no sweeps
@@ -478,26 +478,24 @@ def one_hot_twins(seed, num_states=5, num_joint=4):
     return indexed, TabularMMDP(transitions=dense, **common)
 
 
-def test_solver_keys_on_settings_and_kernel_layout():
+def test_solver_keys_on_kernel_content_and_layout():
     indexed, dense = one_hot_twins(3)
     solver = Solver()
-    base = solver.solve(dense, SolveSettings())
-    solver.solve(dense, SolveSettings(tol=1e-6))
-    solver.solve(dense, SolveSettings(max_iters=10**5))
-    twin = solver.solve(indexed, SolveSettings())
-    assert (solver.solves, solver.hits) == (4, 0)
+    base, twin = solver.solve_all([dense, indexed])
+    assert (solver.solves, solver.hits) == (2, 0)
     # the twins solve bit for bit alike, yet keep separate entries
     assert np.array_equal(base[0].v, twin[0].v)
     assert twin is not base
-    assert solver.solve(indexed, SolveSettings()) is twin
-    assert solver.solve(dense, SolveSettings(tol=1e-6)) is not base
-    assert (solver.solves, solver.hits) == (4, 2)
+    again_twin, again_base = solver.solve_all([indexed, dense])
+    assert again_twin is twin and again_base is base
+    assert (solver.solves, solver.hits) == (2, 2)
     # same probabilities, other successors
     shifted = dataclasses.replace(
         indexed, next_states=(indexed.next_states + 1) % indexed.num_states
     )
-    assert solver.solve(shifted, SolveSettings()) is not twin
-    assert (solver.solves, solver.hits) == (5, 2)
+    [moved] = solver.solve_all([shifted])
+    assert moved is not twin
+    assert (solver.solves, solver.hits) == (3, 2)
 
 
 def test_solve_all_answers_every_request_from_stacked_solves(monkeypatch):
@@ -518,7 +516,7 @@ def test_solve_all_answers_every_request_from_stacked_solves(monkeypatch):
         monkeypatch.setattr(capmdp.bounds, "STACK_ENTRIES", entries)
         stacks.clear()
         solver = Solver()
-        answers = solver.solve_all([base, slow, indexed, base, dense, slow], SolveSettings())
+        answers = solver.solve_all([base, slow, indexed, base, dense, slow])
         # base and slow share layout, shape and discount; the twins do not
         assert stacks == expected_stacks
         assert answers[3] is answers[0] and answers[5] is answers[1]
@@ -537,71 +535,40 @@ def test_solve_all_answers_every_request_from_stacked_solves(monkeypatch):
         }
 
 
-def calculator_calls(seed):
-    """One call per calculator on a random pair, each taking a solver."""
-    spec_x, spec_y = small_pair(seed)
-    rng = np.random.default_rng(seed)
-    dim = spec_x.capability_dim
-    inferred = spec_x.with_team(
-        TeamComposition(
-            tuple(0.95 * m.c + 0.05 * rng.dirichlet(np.ones(dim)) for m in spec_x.team.members)
-        ),
-        spec_x.weights,
-    )
-    distribution = TaskDistribution(
-        support=((spec_y.team, spec_x.weights), (spec_x.team, spec_x.weights)),
-        probabilities=np.array([0.5, 0.5]),
-    )
-    actual_x = perturb_dynamics(assemble_linear_mmdp(spec_x), 0.01, 0.005, 1)
-    actual_y = perturb_dynamics(assemble_linear_mmdp(spec_y), 0.01, 0.005, 2)
-    reward_map = LipschitzRewardSpec(
-        f=lambda team, a=spec_x.weights.a: a @ team.matrix(),
-        lipschitz_constants=spec_x.weights.a,
-    )
-    shared = assemble_linear_mmdp(spec_x)
-    lip_args = dict(
-        reward_kernel=spec_x.reward_kernel, transitions=shared.transitions,
-        states=spec_x.states, num_agents=spec_x.num_agents,
-        actions_per_agent=spec_x.actions_per_agent, gamma=spec_x.gamma, rho=spec_x.rho,
-    )
-    mmdp_lx = assemble_lipschitz_mmdp(reward_map, spec_x.team, **lip_args)
-    mmdp_ly = assemble_lipschitz_mmdp(reward_map, spec_y.team, **lip_args)
-    settings = SolveSettings()
-    return [
-        lambda solver: bound_team_generalization(spec_x, spec_y, settings, solver=solver),
-        lambda solver: bound_policy_transfer(spec_x, spec_y, settings, solver=solver),
-        lambda solver: bound_population_change(
-            spec_x, "remove-last", settings=settings, solver=solver
-        ),
-        lambda solver: bound_population_change(
-            spec_x, "add-member", new_capability=np.full(dim, 1.0 / dim), new_weight=0.2,
-            settings=settings, solver=solver,
-        ),
-        lambda solver: bound_capability_estimation(spec_x, inferred, settings, solver=solver),
-        lambda solver: bound_out_of_distribution(distribution, spec_x, settings, solver=solver),
-        lambda solver: bound_approx_dynamics(
-            spec_x, spec_y, actual_x, actual_y, settings, solver=solver
-        ),
-        lambda solver: bound_lipschitz(
-            reward_map, spec_x.team, spec_y.team, mmdp_lx, mmdp_ly, spec_x.reward_kernel,
-            settings, solver=solver,
-        ),
-    ]
+def test_a_solver_solves_at_its_own_tol(monkeypatch):
+    spec_x, spec_y = small_pair(5)
+    tols = []
+
+    def spy(mmdps, tol, *args):
+        tols.append(tol)
+        return value_iteration_stack(mmdps, tol, *args)
+
+    monkeypatch.setattr(capmdp.bounds, "value_iteration_stack", spy)
+    tight = Solver().report(certify_policy_transfer, spec_x, spec_y)
+    loose = Solver(1e-3).report(certify_policy_transfer, spec_x, spec_y)
+    assert tols == [1e-9, 1e-3]
+    assert loose.actual_value != tight.actual_value
 
 
-def test_every_calculator_reports_alike_with_and_without_a_solver():
-    warm = Solver()
-    first_hits = 0
-    for call in calculator_calls(23):
-        plain = call(None)
-        assert call(Solver()) == plain
-        hits = warm.hits
-        assert call(warm) == plain
-        first_hits += warm.hits - hits
-        # both solves of a repeated call are hits
-        hits = warm.hits
-        assert call(warm) == plain
-        assert warm.hits == hits + 2
-    # x and y are solved once: policy transfer reuses both, and every later
-    # calculator that compares x to something reuses x
-    assert first_hits >= 6
+def test_every_check_reports_alike_one_shot_warm_and_batched():
+    # Solver(tol).report runs one check alone; a warm solver shared by the
+    # checks of an instance, and certify_instance's one batched solve_all,
+    # must give each check the same report, bit for bit
+    config = ExperimentConfig(kind="verify-bounds", tol=1e-8, ranges=SMALL)
+    for index in range(3):
+        batched = Solver(config.tol)
+        rows, _ = certify_instance(config, index, batched)
+        cases = list(_instance_cases(config, index))
+        assert [row["bound_name"] for row in rows] == [name for name, _ in cases]
+        warm = Solver(config.tol)
+        for (name, case), row in zip(cases, rows):
+            alone = Solver(config.tol).report(CHECKS[name].run, case)
+            assert warm.report(CHECKS[name].run, case) == alone
+            assert row == {"instance": index, "wall_time": row["wall_time"], **alone.to_csv_row()}
+        # the warm solver solved each distinct MDP once, as the batched one did
+        assert warm.counts() == batched.counts()
+        # and answers every request of a second pass from its cache
+        for name, case in cases:
+            warm.report(CHECKS[name].run, case)
+        assert warm.solves == batched.solves
+        assert warm.hits == batched.hits + batched.solves + batched.hits

@@ -12,10 +12,9 @@ from capmdp import (
     ConfigError,
     ExperimentConfig,
     GeneratorRanges,
-    SolveSettings,
     Solver,
-    bound_team_generalization,
     certify_instance,
+    certify_team_generalization,
     default_config,
     determinism_hash,
     emit_results,
@@ -163,6 +162,55 @@ def test_config_parsing_and_errors():
         )
 
 
+def forage(**params):
+    return {"kind": "fruit-forage", "fruit_forage": params}
+
+
+def pursuit(**params):
+    return {"kind": "predator-prey", "predator_prey": params}
+
+
+CELL = {"num_agents": 2, "capability_dim": 2}
+
+
+def sweep(*cells):
+    return {"kind": "sweep", "sweep_cells": list(cells)}
+
+
+# id -> (config document, error message)
+UNRUNNABLE_CONFIGS = {
+    "tol-inf": ({"kind": "verify-bounds", "tol": float("inf")}, "tol"),
+    "tol-nan": ({"kind": "verify-bounds", "tol": float("nan")}, "tol"),
+    "eps_r-nan": ({"kind": "verify-bounds", "eps_r": float("nan")}, "eps_r"),
+    "eps_r-inf": ({"kind": "verify-bounds", "eps_r": float("inf")}, "eps_r"),
+    "seed-negative": ({"kind": "verify-bounds", "seed": -1}, "seed"),
+    # the bad cell comes second: no cell runs before it is rejected
+    "sweep-cell-agents-0": (sweep(dict(CELL), dict(CELL, num_agents=0)), "num_agents"),
+    "sweep-cell-instances-0": (sweep(dict(CELL, num_instances=0)), "num_instances"),
+    "forage-grid-0": (forage(grid_size=0), "grid_size"),
+    "forage-agents-x": (forage(num_agents="x"), "fruit_forage"),
+    "forage-agents-5": (forage(num_agents=5), "members"),
+    "forage-over-cap": (forage(grid_size=16), "cap"),
+    "pursuit-steps-0": (pursuit(total_steps=0), "total_steps"),
+    "pursuit-episodes-0": (pursuit(eval_episodes=0), "eval_episodes"),
+    "pursuit-grid-2": (pursuit(grid_size=2), "too small"),
+    "pursuit-mode": (pursuit(mode="sideways"), "mode"),
+}
+
+
+@pytest.mark.parametrize("case", UNRUNNABLE_CONFIGS)
+def test_configs_that_cannot_run_exit_2_before_any_work(tmp_path, case):
+    doc, message = UNRUNNABLE_CONFIGS[case]
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_doc(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "runs"
+    # exit 1 would read as a violated bound
+    assert main([doc["kind"], "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_config_hash_tracks_content():
     a = small_config()
     b = small_config()
@@ -217,15 +265,26 @@ def test_each_instance_solves_on_its_own_solver(monkeypatch):
     assert counts["max_sweeps"] == max(s.max_sweeps for s in solvers)
 
 
+def test_an_instance_solves_at_the_config_tol():
+    config = small_config(tol=1e-6)
+    fresh, _ = certify_instance(config, 0)
+    given, _ = certify_instance(config, 0, Solver(1e-6))
+    assert determinism_hash(given) == determinism_hash(fresh)
+    assert determinism_hash(fresh) != determinism_hash(certify_instance(small_config(), 0)[0])
+    # a solver at another tol would write rows the config does not describe
+    with pytest.raises(ValueError, match="not the config's"):
+        certify_instance(config, 0, Solver())
+
+
 def test_an_instance_answers_every_check_with_one_stacked_solve(monkeypatch):
     requests = []
     stacks = []
     real_solve_all = Solver.solve_all
     real_stack = capmdp.bounds.value_iteration_stack
 
-    def spy_solve_all(self, mmdps, settings):
+    def spy_solve_all(self, mmdps):
         requests.append(list(mmdps))
-        return real_solve_all(self, mmdps, settings)
+        return real_solve_all(self, mmdps)
 
     def spy_stack(mmdps, *args):
         solutions, sweeps = real_stack(mmdps, *args)
@@ -447,8 +506,8 @@ def test_replay_solves_at_the_archived_tol(tmp_path):
     path = tmp_path / "violations.json"
     path.write_text(json.dumps([entry]))
     [replayed] = replay_violations(path)
-    assert replayed == bound_team_generalization(spec_x, spec_y, SolveSettings(tol=1e-6))
-    assert replayed != bound_team_generalization(spec_x, spec_y, SolveSettings())
+    assert replayed == Solver(1e-6).report(certify_team_generalization, spec_x, spec_y)
+    assert replayed != Solver().report(certify_team_generalization, spec_x, spec_y)
 
 
 def test_archived_violations_record_tol_and_replay_exactly(tmp_path, monkeypatch):
@@ -521,9 +580,9 @@ def test_every_report_kind_fails_archives_and_replays_exactly(
     real_estimation = capmdp.harness.certify_capability_estimation
     received = {}
 
-    def spy_estimation(spec_true, spec_inferred, *args):
+    def spy_estimation(spec_true, spec_inferred, **kwargs):
         received["spec_inferred"] = spec_inferred
-        return real_estimation(spec_true, spec_inferred, *args)
+        return real_estimation(spec_true, spec_inferred, **kwargs)
 
     monkeypatch.setattr(capmdp.harness, "certify_capability_estimation", spy_estimation)
 
@@ -643,6 +702,13 @@ def test_replay_error_paths(tmp_path):
         with pytest.raises(ConfigError, match=message):
             replay_violations(path)
         # exit 1 would read as a report that is still violated
+        assert main(["replay", str(path)]) == EXIT_CONFIG
+    # an infinite tol would stop every solve after one sweep
+    for tol in (float("inf"), float("nan"), 0.0, -1e-9, "fine", [1e-9]):
+        path = tmp_path / "bad_tol.json"
+        path.write_text(json.dumps([{"bound_name": "team_generalization", "tol": tol}]))
+        with pytest.raises(ConfigError, match="malformed 'tol'"):
+            replay_violations(path)
         assert main(["replay", str(path)]) == EXIT_CONFIG
 
 

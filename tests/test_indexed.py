@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from capmdp import (
     LinearMMDPSpec,
     MMDPEnvironment,
-    SolveSettings,
+    Solver,
     StateSpace,
     TabularMMDP,
     TransitionKernel,
     assemble_linear_mmdp,
-    bound_approx_dynamics,
-    bound_team_generalization,
+    certify_approx_dynamics,
+    certify_team_generalization,
     perturb_dynamics,
     policy_evaluation,
     successor_features,
@@ -199,10 +199,10 @@ def test_approx_dynamics_accepts_dense_actuals_for_indexed_specs():
     spec_y = build_fruit_forage(desk_config("y", grid_size=2))
     actual_x = densify(assemble_linear_mmdp(spec_x))
     actual_y = densify(assemble_linear_mmdp(spec_y))
-    report = bound_approx_dynamics(spec_x, spec_y, actual_x, actual_y, SolveSettings())
+    report = Solver().report(certify_approx_dynamics, spec_x, spec_y, actual_x, actual_y)
     assert report.constituents["eps_hat_p"] == 0.0
     assert report.constituents["eps_hat_r"] == 0.0
-    exact = bound_team_generalization(spec_x, spec_y, SolveSettings())
+    exact = Solver().report(certify_team_generalization, spec_x, spec_y)
     assert report.bound_value == exact.bound_value
     assert report.actual_value == exact.actual_value
 

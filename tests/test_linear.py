@@ -239,6 +239,10 @@ def test_perturbation_rejects_infeasible_magnitudes():
     mmdp = assemble_linear_mmdp(random_spec(rng))
     with pytest.raises(ValueError, match="non-negative"):
         perturb_dynamics(mmdp, -0.1, 0.0, seed=0)
+    # a NaN radius would otherwise skip the noise it names
+    for eps_r, eps_p in ((np.nan, 0.0), (np.inf, 0.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            perturb_dynamics(mmdp, eps_r, eps_p, seed=0)
     with pytest.raises(ValueError, match=">= 1"):
         perturb_dynamics(mmdp, 0.0, 1.0, seed=0)
 
