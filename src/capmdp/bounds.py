@@ -7,16 +7,20 @@ is satisfied when the measurement does not exceed the bound beyond a fixed
 additive tolerance; the certification harness treats any unsatisfied report
 as a violation worth archiving.
 
-Each calculator is written once, as a generator (certify_*): called with
-its inputs and the solve tolerance, it yields the tuple of MDPs it needs
-solved, receives their (ValueTable, JointPolicy) pairs, and returns its
-report. A Solver runs calculators: it holds the one solve tolerance and
-memoizes optimal solves by MDP content. Solver.report runs one calculator
-to its report; the certification harness advances every calculator of an
-instance to its request and answers them all with one Solver.solve_all.
-Calculators comparing tasks of one instance share most of their MDPs, so
-running them on one Solver solves each distinct MDP once; a cached solve
-returns the same arrays a fresh solve would, made read-only. A Solver is
+Each calculator is written once, as a generator (certify_*) that makes two
+requests: called with its inputs and the solve tolerance, it yields the
+tuple of MDPs it needs solved and receives their (ValueTable, JointPolicy)
+pairs, then yields the tuple of (mmdp, policy) pairs it needs evaluated
+(empty when it evaluates none) and receives their ValueTables, and returns
+its report. A Solver runs calculators: it holds the one solve tolerance and
+memoizes optimal solves and policy evaluations by content. Solver.report
+runs one calculator to its report; the certification harness advances every
+calculator of an instance to its solve request, answers them all with one
+Solver.solve_all, advances them to their evaluation requests, and answers
+those with one Solver.evaluate_all. Calculators comparing tasks of one
+instance share most of their MDPs, so running them on one Solver solves each
+distinct MDP once and evaluates each distinct policy on it once; a cached
+answer is the same arrays a fresh one would be, made read-only. A Solver is
 not locked, so it must not be shared between threads.
 """
 
@@ -42,17 +46,19 @@ from .mdp import (
     TabularMMDP,
     ValueTable,
     check_distribution,
-    policy_evaluation,
+    policy_evaluation_stack,
     value_iteration_stack,
 )
 
 BOUND_TOLERANCE = 1e-7
 PERMUTATION_GUARD = 8
 GAMMA_CROSSOVER = (math.sqrt(5.0) - 1.0) / 2.0
-# Largest (members x states x joint actions) value buffer of one stacked
-# solve. Past it a sweep's arithmetic outweighs its per-call overhead, so a
-# bigger stack saves no time and only holds more memory; a 1024-state,
-# 25-action fruit-forage MDP solves alone.
+# Largest members x states x joint actions of one stacked solve or
+# evaluation: the entries of a value-iteration stack's value buffer, and a
+# dense stack's kernel copy holds states times as many. Past it a sweep's
+# arithmetic outweighs its per-call overhead, so a bigger stack saves no time
+# and only holds more memory; a 1024-state, 25-action fruit-forage MDP solves
+# and evaluates alone, its kernel never copied.
 STACK_ENTRIES = 2**15
 
 
@@ -281,17 +287,18 @@ def _require_shared_frame(spec_x: LinearMMDPSpec, spec_y: LinearMMDPSpec):
 
 
 class Solver:
-    """Runs calculators at one solve tolerance, memoizing optimal solves.
+    """Runs calculators at one solve tolerance, memoizing solves and evaluations.
 
     tol is the convergence tolerance of every value iteration and policy
-    evaluation the solver's calculators run. The memo key digests the
+    evaluation the solver's calculators run. The solve memo key digests the
     rewards, the transitions and the successor index (shape, dtype and
     bytes of each) and the discount: with tol, the whole input of
     value_iteration. So an indexed kernel and its dense twin never share an
-    entry. Cached arrays are read-only, since every caller of a hit shares
-    them. solve_all answers many requests at once and solves the uncached
-    ones in stacks; each answer is bit for bit the one value_iteration gives
-    alone.
+    entry. An evaluation's key is its MDP's solve key and the policy's
+    actions. Cached arrays are read-only, since every caller of a hit shares
+    them. solve_all and evaluate_all answer many requests at once and run
+    the uncached ones in stacks; each answer is bit for bit the one
+    value_iteration or policy_evaluation gives alone.
     """
 
     def __init__(self, tol: float = 1e-9):
@@ -299,15 +306,20 @@ class Solver:
             raise ValueError(f"tol must be positive and finite, got {tol!r}")
         self.tol = tol
         self._solved = {}
+        self._evaluated = {}
         self.solves = 0
         self.hits = 0
         self.sweeps = 0
         self.max_sweeps = 0
+        self.evaluations = 0
+        self.evaluation_hits = 0
+        self.evaluation_sweeps = 0
 
     def report(self, calculator, *args, **kwargs) -> BoundReport:
-        """Report of calculator(*args, tol=self.tol, **kwargs), solved here."""
+        """Report of calculator(*args, tol=self.tol, **kwargs), solved and evaluated here."""
         running = calculator(*args, tol=self.tol, **kwargs)
-        return resume(running, self.solve_all(next(running)))
+        evaluations = running.send(self.solve_all(next(running)))
+        return resume(running, self.evaluate_all(evaluations))
 
     def solve_all(self, mmdps) -> list:
         """(ValueTable, JointPolicy) of value_iteration on each of mmdps, in order.
@@ -318,44 +330,93 @@ class Solver:
         STACK_ENTRIES. The first request of a key not cached yet counts as
         a solve, every other request as a hit.
         """
+        mmdps = list(mmdps)
         keys = [_solve_key(mmdp) for mmdp in mmdps]
+        solutions, hits, sweeps = self._answer_all(keys, mmdps, mmdps, self._solved, _solve_stack)
+        self.solves += len(sweeps)
+        self.hits += hits
+        self.sweeps += sum(sweeps)
+        self.max_sweeps = max([self.max_sweeps, *sweeps])
+        return solutions
+
+    def evaluate_all(self, requests) -> list:
+        """ValueTable of policy_evaluation on each (mmdp, policy) of requests, in order.
+
+        Requests with one key (the MDP's solve key and the policy's actions)
+        are evaluated once, and the rest are stacked as solve_all stacks its
+        MDPs, one policy_evaluation_stack per stack. The first request of a
+        key not cached yet counts as an evaluation, every other request as
+        an evaluation hit.
+        """
+        requests = list(requests)
+        keys = [(_solve_key(mmdp), policy.actions.tobytes()) for mmdp, policy in requests]
+        mmdps = [mmdp for mmdp, _ in requests]
+        values, hits, sweeps = self._answer_all(
+            keys, requests, mmdps, self._evaluated, _evaluate_stack
+        )
+        self.evaluations += len(sweeps)
+        self.evaluation_hits += hits
+        self.evaluation_sweeps += sum(sweeps)
+        return values
+
+    def _answer_all(self, keys, requests, mmdps, cache, run_stack):
+        """Answer each keyed request from cache, running the uncached ones in stacks.
+
+        A stack holds requests whose MDPs (mmdps, one per request) share
+        layout, kernel shape and discount, at most STACK_ENTRIES members x
+        states x joint actions; run_stack(requests, tol) returns its answers
+        and their sweep counts. Returns (answers in request order, hits,
+        sweeps of each request run).
+        """
         todo = {}
-        for key, mmdp in zip(keys, mmdps):
-            if key in self._solved or key in todo:
-                self.hits += 1
+        hits = 0
+        for key, request, mmdp in zip(keys, requests, mmdps):
+            if key in cache or key in todo:
+                hits += 1
             else:
-                todo[key] = mmdp
+                todo[key] = request, mmdp
         groups = {}
-        for key, mmdp in todo.items():
+        for key, (_, mmdp) in todo.items():
             shared = (mmdp.next_states is None, mmdp.transitions.shape, mmdp.gamma)
             groups.setdefault(shared, []).append(key)
+        sweeps = []
         for (_, shape, _), group in groups.items():
             size = max(1, STACK_ENTRIES // (shape[0] * shape[1]))
             for start in range(0, len(group), size):
                 stack = group[start : start + size]
-                self._solve_stack([(key, todo[key]) for key in stack])
-        return [self._solved[key] for key in keys]
-
-    def _solve_stack(self, stack):
-        """Solve a list of (key, mmdp) in one value_iteration_stack and cache them."""
-        solutions, sweeps = value_iteration_stack([mmdp for _, mmdp in stack], self.tol)
-        for (key, _), solution in zip(stack, solutions):
-            values, policy = solution
-            for arr in (values.v, values.q, policy.actions):
-                arr.flags.writeable = False
-            self._solved[key] = solution
-        self.solves += len(stack)
-        self.sweeps += sum(sweeps)
-        self.max_sweeps = max(self.max_sweeps, *sweeps)
+                answers, stack_sweeps = run_stack([todo[key][0] for key in stack], self.tol)
+                cache.update(zip(stack, answers))
+                sweeps.extend(stack_sweeps)
+        return [cache[key] for key in keys], hits, sweeps
 
     def counts(self) -> dict:
-        """Solves, cache hits, and the sweeps the solves took (total and most)."""
+        """Solves, cache hits and their sweeps (total and most); evaluations, hits and sweeps."""
         return {
             "value_iteration_solves": self.solves,
             "cache_hits": self.hits,
             "sweeps": self.sweeps,
             "max_sweeps": self.max_sweeps,
+            "policy_evaluations": self.evaluations,
+            "evaluation_hits": self.evaluation_hits,
+            "evaluation_sweeps": self.evaluation_sweeps,
         }
+
+
+def _solve_stack(mmdps, tol: float):
+    """value_iteration_stack, its solutions made read-only for the cache."""
+    solutions, sweeps = value_iteration_stack(mmdps, tol)
+    for values, policy in solutions:
+        for arr in (values.v, values.q, policy.actions):
+            arr.flags.writeable = False
+    return solutions, sweeps
+
+
+def _evaluate_stack(pairs, tol: float):
+    """policy_evaluation_stack, its values made read-only for the cache."""
+    values, sweeps = policy_evaluation_stack(pairs, tol)
+    for table in values:
+        table.v.flags.writeable = False
+    return values, sweeps
 
 
 def _solve_key(mmdp: TabularMMDP) -> bytes:
@@ -370,13 +431,13 @@ def _solve_key(mmdp: TabularMMDP) -> bytes:
     return digest.digest()
 
 
-def resume(calculator, solutions) -> BoundReport:
-    """Send a calculator the solutions of its request; returns its report."""
+def resume(calculator, values) -> BoundReport:
+    """Send a calculator the values of its evaluation request; returns its report."""
     try:
-        calculator.send(solutions)
+        calculator.send(values)
     except StopIteration as done:
         return done.value
-    raise RuntimeError("a calculator makes exactly one solve request")
+    raise RuntimeError("a calculator makes exactly two requests: solves, then evaluations")
 
 
 def _value_scale(gf: float, smax: float, spec: LinearMMDPSpec, vmid: float) -> float:
@@ -394,13 +455,12 @@ def _value_gap(vt_x: ValueTable, vt_y: ValueTable, rho_x, rho_y):
     return value_x, value_y, abs(value_x - value_y), float(np.max(np.abs(vt_x.v - vt_y.v)))
 
 
-def _transfer_regret(mmdp, optimal: ValueTable, policy, rho, tol: float, label):
-    """Regret of running policy on mmdp, against mmdp's optimal values.
+def _transfer_regret(optimal: ValueTable, executed: ValueTable, rho, tol: float, label):
+    """Regret of a policy whose evaluation is executed, against the optimal values.
 
     Returns (value_optimal, value_executed, regret, per-state max regret).
     A regret below -2 * tol means the solver contradicted itself.
     """
-    executed = policy_evaluation(mmdp, policy, tol=tol)
     value_optimal = optimal.scalar(rho)
     value_executed = executed.scalar(rho)
     actual = value_optimal - value_executed
@@ -445,6 +505,7 @@ def certify_team_generalization(spec_x, spec_y, *, tol: float):
     """
     _require_shared_frame(spec_x, spec_y)
     (vt_x, _), (vt_y, _) = yield assemble_linear_mmdp(spec_x), assemble_linear_mmdp(spec_y)
+    yield ()
     psi_value = psi(spec_x.team, spec_x.weights, spec_y.team, spec_y.weights)
     smax = s_max(spec_x.reward_kernel, spec_x.states)
     vmid = v_mid(vt_y)
@@ -459,13 +520,15 @@ def certify_policy_transfer(spec_x, spec_y, *, tol: float):
     """Bound the regret of running the second team's optimal policy on the first.
 
     Exactly twice the team-generalization bound. The measurement is
-    V*_x - V^{pi*_y}_x, which can never fall below -2 * tol. Requests (x, y).
+    V*_x - V^{pi*_y}_x, which can never fall below -2 * tol. Requests (x, y),
+    then the evaluation of pi*_y on x.
     """
     _require_shared_frame(spec_x, spec_y)
     mmdp_x = assemble_linear_mmdp(spec_x)
     (vt_x, _), (vt_y, policy_y) = yield mmdp_x, assemble_linear_mmdp(spec_y)
+    [executed] = yield ((mmdp_x, policy_y),)
     value_optimal, value_transferred, actual, state_max = _transfer_regret(
-        mmdp_x, vt_x, policy_y, spec_x.rho, tol, "transferred"
+        vt_x, executed, spec_x.rho, tol, "transferred"
     )
     psi_value = psi(spec_x.team, spec_x.weights, spec_y.team, spec_y.weights)
     smax = s_max(spec_x.reward_kernel, spec_x.states)
@@ -488,7 +551,7 @@ def certify_out_of_distribution(distribution: TaskDistribution, query_spec, *, t
     Requires identical influence weights across the support and the query.
     The selected task is the d_a-closest support member; the bound is the
     policy-transfer bound at distance d_a(query, support). Requests (query,
-    selected).
+    selected), then the evaluation of the selected policy on the query.
     """
     a = query_spec.weights.a
     for team, weights in distribution.support:
@@ -501,8 +564,9 @@ def certify_out_of_distribution(distribution: TaskDistribution, query_spec, *, t
     spec_sel = query_spec.with_team(selected_team, selected_weights)
     mmdp_query = assemble_linear_mmdp(query_spec)
     (vt_query, _), (vt_sel, policy_sel) = yield mmdp_query, assemble_linear_mmdp(spec_sel)
+    [executed] = yield ((mmdp_query, policy_sel),)
     value_optimal, value_transferred, actual, state_max = _transfer_regret(
-        mmdp_query, vt_query, policy_sel, query_spec.rho, tol, "selected"
+        vt_query, executed, query_spec.rho, tol, "selected"
     )
     distance = d_a_set_distance(
         query_spec.team, [team for team, _ in distribution.support], query_spec.weights
@@ -583,6 +647,7 @@ def certify_population_change(
     (vt_before, _), (vt_after, _) = yield (
         assemble_linear_mmdp(spec), assemble_linear_mmdp(changed)
     )
+    yield ()
     smax = s_max(spec.reward_kernel, spec.states)
     vmid = v_mid(vt_after)
     gf = gamma_factor(spec.gamma)
@@ -643,6 +708,7 @@ def certify_approx_dynamics(
         mmdp_y_actual.transition_gaps(linear_y)[0],
     )
     (vt_x, _), (vt_y, _) = yield mmdp_x_actual, mmdp_y_actual
+    yield ()
     psi_value = psi(spec_x.team, spec_x.weights, spec_y.team, spec_y.weights)
     smax = s_max(spec_x.reward_kernel, spec_x.states)
     vmid = v_mid(vt_y)
@@ -669,7 +735,8 @@ def certify_capability_estimation(spec_true, spec_inferred, *, tol: float):
     Both specs must carry identical influence weights. eps_t is the largest
     member-wise sup-norm estimation error; the bound is the policy-transfer
     bound with psi replaced by eps_t, using v_mid from the inferred task.
-    Requests (true, inferred).
+    Requests (true, inferred), then the evaluation of the inferred policy on
+    the true task.
     """
     _require_shared_frame(spec_true, spec_inferred)
     if spec_true.team.num_agents != spec_inferred.team.num_agents:
@@ -683,8 +750,9 @@ def certify_capability_estimation(spec_true, spec_inferred, *, tol: float):
     (vt_true, _), (vt_inferred, policy_inferred) = yield (
         mmdp_true, assemble_linear_mmdp(spec_inferred)
     )
+    [executed] = yield ((mmdp_true, policy_inferred),)
     value_optimal, value_executed, actual, state_max = _transfer_regret(
-        mmdp_true, vt_true, policy_inferred, spec_true.rho, tol, "inferred"
+        vt_true, executed, spec_true.rho, tol, "inferred"
     )
     smax = s_max(spec_true.reward_kernel, spec_true.states)
     vmid = v_mid(vt_inferred)
@@ -734,6 +802,7 @@ def certify_lipschitz(
     member_gaps = np.abs(team_x.matrix() - team_y.matrix()).max(axis=1)
     weighted_diff = float(reward_map.lipschitz_constants @ member_gaps)
     (vt_x, _), (vt_y, _) = yield mmdp_x, mmdp_y
+    yield ()
     smax = s_max(reward_kernel, mmdp_x.states)
     gf = gamma_factor(mmdp_x.gamma)
     bound = gf * smax * weighted_diff

@@ -10,9 +10,10 @@ re-runs be compared byte-for-byte. Each kind of bound check is defined once,
 in CHECKS, and shared by the runners and by violation replay. Both run
 checks the same way (_reports) on a Solver that holds the run's solve
 tolerance: every check of an instance is advanced to its solve request, one
-Solver.solve_all answers all the requests in stacked solves, and the checks
-then finish in order, so rows and archive entries keep their order and their
-bits.
+Solver.solve_all answers all the requests in stacked solves, every check is
+advanced to its policy-evaluation request, one Solver.evaluate_all answers
+those in stacked evaluations, and the checks then finish in order, so rows
+and archive entries keep their order and their bits.
 """
 
 import csv
@@ -59,7 +60,7 @@ from .linear import (
     assemble_linear_mmdp,
     assemble_lipschitz_mmdp,
     perturb_dynamics,
-    polynomial_reward,
+    polynomial_weights,
 )
 from .mdp import StateSpace
 from .qlearning import (
@@ -474,11 +475,13 @@ def polynomial_deviation_report(
         raise ValueError(f"the perturbed member moved by {gap}, more than delta={delta}")
     smax = s_max(reward_kernel, states)
     bound = bound_polynomial_deviation(poly.alpha, poly.degree, smax, delta)
+    # the phi-independent weights of each team, built once: polynomial_reward
+    # at each state is float(weights @ (w @ phi))
+    weights = polynomial_weights(poly, team)
+    weights_perturbed = polynomial_weights(poly, team_perturbed)
+    w = reward_kernel.w
     measured = max(
-        abs(
-            polynomial_reward(poly, team, reward_kernel, phi)
-            - polynomial_reward(poly, team_perturbed, reward_kernel, phi)
-        )
+        abs(float(weights @ (w @ phi)) - float(weights_perturbed @ (w @ phi)))
         for phi in states.features
     )
     parts = {
@@ -500,7 +503,8 @@ def polynomial_deviation_report(
 # with the JSON form _FIELDS gives it. certify_instance and run_fruit_forage
 # draw cases and run them; replay decodes an archived entry back into its case.
 # A check starts a bounds calculator: a generator that yields the MDPs it needs
-# solved once and returns its report when sent their solutions. Check
+# solved, then the (mmdp, policy) pairs it needs evaluated, and returns its
+# report when sent their values. Check
 # functions look the calculators up in this module's globals when they run, so
 # a name rebound on capmdp.harness (a test's monkeypatch, a tracer's span) is
 # the one that runs.
@@ -558,7 +562,8 @@ def _lipschitz(case, tol):
 
 
 def _polynomial_deviation(case, tol):
-    """A calculator that requests no solve."""
+    """A calculator that requests no solve and no evaluation."""
+    yield ()
     yield ()
     spec_x = case["spec_x"]
     return polynomial_deviation_report(
@@ -652,10 +657,11 @@ _FIELDS = {
 def _reports(cases, solver: Solver):
     """(bound_name, case, report, seconds) of each (bound_name, case), in order.
 
-    Every check is advanced to its solve request first, at solver.tol, then one
-    solver.solve_all answers the union of the requests, and the checks
-    resume in case order. seconds is a check's own time, before and after
-    the shared solve.
+    Every check is advanced to its solve request first, at solver.tol, and
+    one solver.solve_all answers the union of the requests; then every check
+    is advanced to its evaluation request, and one solver.evaluate_all
+    answers the union of those; then the checks finish in case order.
+    seconds is a check's own time, outside the shared solve and evaluation.
     """
     started = []
     wanted = []
@@ -666,9 +672,19 @@ def _reports(cases, solver: Solver):
         wanted.extend(request)
         started.append((name, case, calculator, len(request), time.perf_counter() - start))
     solutions = iter(solver.solve_all(wanted))
+    evaluating = []
+    wanted = []
     for name, case, calculator, size, seconds in started:
         start = time.perf_counter()
-        report = resume(calculator, [next(solutions) for _ in range(size)])
+        request = calculator.send([next(solutions) for _ in range(size)])
+        wanted.extend(request)
+        evaluating.append(
+            (name, case, calculator, len(request), seconds + time.perf_counter() - start)
+        )
+    values = iter(solver.evaluate_all(wanted))
+    for name, case, calculator, size, seconds in evaluating:
+        start = time.perf_counter()
+        report = resume(calculator, [next(values) for _ in range(size)])
         yield name, case, report, seconds + time.perf_counter() - start
 
 
@@ -770,10 +786,12 @@ def certify_instance(config: ExperimentConfig, index: int, solver: Solver | None
 
     Returns (rows, violations); every random draw flows from a generator
     seeded by (config.seed, index), so results are order-independent.
-    Every check shares one Solver at config.tol (a fresh one unless given),
-    and one solve_all call answers them all, so each distinct MDP of the
-    instance is solved once, in one stacked solve. A violation's payload is
-    built only when its report fails.
+    Every check shares one Solver at config.tol (a fresh one unless given);
+    one solve_all call answers all their solve requests and one evaluate_all
+    call all their evaluation requests, so each distinct MDP of the instance
+    is solved once, in one stacked solve, and each distinct transferred
+    policy evaluated once, in one stacked evaluation. A violation's payload
+    is built only when its report fails.
     """
     # built by the first failing report that needs it, then shared
     spec_doc = functools.cache(_spec_doc)
@@ -1112,7 +1130,8 @@ def _stamp_rows(config: ExperimentConfig, rows) -> list:
 def run_experiment(config: ExperimentConfig, out_root) -> list:
     """Run one configured experiment, write its artifacts, and return the rows."""
     start = time.perf_counter()
-    solve_counts = Counter(value_iteration_solves=0, cache_hits=0, sweeps=0, max_sweeps=0)
+    # a fresh solver's counts: every key, each zero
+    solve_counts = Counter(Solver().counts())
     if config.kind == "verify-bounds":
         rows, violations = run_verify_bounds(config, solve_counts=solve_counts)
     elif config.kind == "fruit-forage":

@@ -425,6 +425,11 @@ def polynomial_reward(
     phi = np.asarray(state_features, dtype=float)
     if phi.shape != (reward_kernel.feature_dim,):
         raise ValueError("state features do not match the reward kernel")
+    return float(polynomial_weights(spec, team) @ (reward_kernel.w @ phi))
+
+
+def polynomial_weights(spec: PolynomialRewardSpec, team: TeamComposition) -> np.ndarray:
+    """The (capability_dim,) reward weights a polynomial gives a team, at every state."""
     weights = np.zeros(team.dim)
     caps = team.matrix()
     for idx, coef in sorted(spec.terms.items()):
@@ -437,7 +442,7 @@ def polynomial_reward(
             if k:
                 mono = mono * caps[i] ** k
         weights = weights + coef * mono
-    return float(weights @ (reward_kernel.w @ phi))
+    return weights
 
 
 @dataclass(frozen=True, eq=False)

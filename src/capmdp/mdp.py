@@ -15,10 +15,13 @@ kernel solves bit for bit like its dense twin. These are exact desk-scale
 solvers, not large-scale approximate ones.
 
 Every solver makes the same in-place sweep, x <- base + gamma * E[x], into
-preallocated buffers. value_iteration_stack runs that sweep for several MDPs
-of one layout, shape and discount at once, which removes most of the
-per-call overhead of small solves; each member still stops on its own sweep
-and gets exactly the arrays value_iteration, a stack of one, gives it.
+preallocated buffers. value_iteration_stack and policy_evaluation_stack run
+that sweep for several MDPs of one layout, shape and discount at once: dense
+kernels are stacked once, so a sweep makes one batched kernel product and a
+handful of whole-stack array calls however many members it backs up, which
+removes most of the per-call overhead of small solves. Each member still
+stops on its own sweep and gets exactly the arrays value_iteration or
+policy_evaluation, each a stack of one, gives it.
 """
 
 import json
@@ -344,18 +347,23 @@ def _next_value(kernels, num_states: int, columns: int):
     (*rows, K) beside a successor index of the same shape. v is
     (B, S, columns), one value column per state or one per feature, and out
     receives the (B, *rows, columns) result. The layout is chosen here once,
-    so a solve's sweeps run without re-checking it. Each member's kernel is
-    read where it lies, never copied into a stack.
+    so a solve's sweeps run without re-checking it. Dense kernels are copied
+    once into one (B, *rows, S) stack (a lone kernel is viewed, not copied),
+    so a sweep makes one matmul for the whole stack; indexed kernels are read
+    where they lie, member by member.
     """
     if kernels[0][1] is None:
-        # member b's product is the one BLAS call it makes alone, so no bit
-        # depends on the rest of the stack
-        vector = (1,) * (kernels[0][0].ndim - 2) + (num_states, columns)
-        matrices = [trans for trans, _ in kernels]
+        # matmul loops over the stack and runs the same product per (member,
+        # row block) that it runs on one member alone, so no bit depends on
+        # the rest of the stack
+        if len(kernels) == 1:
+            stacked = kernels[0][0][None]
+        else:
+            stacked = np.stack([trans for trans, _ in kernels])
+        vector = (len(kernels),) + (1,) * (stacked.ndim - 3) + (num_states, columns)
 
         def expect(v, out):
-            for member, matrix in enumerate(matrices):
-                np.matmul(matrix, v[member].reshape(vector), out=out[member])
+            np.matmul(stacked, v.reshape(vector), out=out)
 
         return expect
     probs = [trans[..., None] for trans, _ in kernels]
@@ -372,6 +380,14 @@ def _next_value(kernels, num_states: int, columns: int):
     return expect
 
 
+def _check_stack(mmdps):
+    """Reject a stack whose MDPs differ in layout, kernel shape or discount."""
+    first = mmdps[0]
+    shared = (first.next_states is None, first.transitions.shape, first.gamma)
+    if any((m.next_states is None, m.transitions.shape, m.gamma) != shared for m in mmdps):
+        raise ValueError("stacked MDPs must share one layout, kernel shape and discount")
+
+
 def _backup(expect, v, base, gamma: float, out):
     """out <- base + gamma * E[v], in place: the one sweep every solver makes."""
     expect(v, out)
@@ -383,7 +399,7 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
     """value_iteration on several MDPs at once, in one stacked sweep loop.
 
     The MDPs must share one layout, kernel shape and discount. A sweep backs
-    up every member with one kernel product per member and a handful of
+    up every member with one batched kernel product and a handful of
     whole-stack array calls, which spares most of the per-call overhead that
     dominates a small solve. Each member stops at its own first sweep whose
     change is <= tol and gets its own final backup; every operation acts on
@@ -403,10 +419,8 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
     mmdps = list(mmdps)
     if not mmdps:
         return [], []
+    _check_stack(mmdps)
     first = mmdps[0]
-    shared = (first.next_states is None, first.transitions.shape, first.gamma)
-    if any((m.next_states is None, m.transitions.shape, m.gamma) != shared for m in mmdps):
-        raise ValueError("stacked MDPs must share one layout, kernel shape and discount")
     b, s, a = len(mmdps), first.num_states, first.num_joint_actions
     expect = _next_value([(m.transitions, m.next_states) for m in mmdps], s, 1)
     r = np.stack([m.rewards for m in mmdps]).reshape(b, s, 1, 1)
@@ -467,29 +481,79 @@ def value_iteration(
     return solution
 
 
-def _policy_next_value(mmdp: TabularMMDP, policy: JointPolicy, columns: int):
-    """_next_value of the rows a deterministic policy selects, a stack of one."""
-    policy.validate_for(mmdp)
-    rows = (np.arange(mmdp.num_states), policy.actions)
-    next_states = None if mmdp.next_states is None else mmdp.next_states[rows]
-    return _next_value([(mmdp.transitions[rows], next_states)], mmdp.num_states, columns)
+def _policy_kernels(pairs):
+    """(transitions, next_states) of the rows each (mmdp, policy) pair's policy selects."""
+    kernels = []
+    for mmdp, policy in pairs:
+        policy.validate_for(mmdp)
+        rows = (np.arange(mmdp.num_states), policy.actions)
+        next_states = None if mmdp.next_states is None else mmdp.next_states[rows]
+        kernels.append((mmdp.transitions[rows], next_states))
+    return kernels
 
 
 def _fixed_point(expect, base, gamma: float, tol: float, max_iters: int, what: str):
-    """Sweep x <- base + gamma * E[x] from zero until a sweep moves x by <= tol."""
+    """Sweep x <- base + gamma * E[x] from zero for a (B, S, columns) stack.
+
+    Each member stops at its own first sweep that moves it by <= tol.
+    Returns (its (S, columns) fixed point, its sweep count) per member.
+    """
+    b = base.shape[0]
     x = np.zeros_like(base)
     x_next = np.empty_like(base)
     change = np.empty_like(base)
-    residual = np.inf
-    for _ in range(max_iters):
+    residual = np.full(b, np.inf)
+    short = np.ones(b, dtype=bool)  # members whose sweeps have not reached tol
+    hit = np.empty(b, dtype=bool)
+    points = [None] * b
+    sweeps = [0] * b
+    for sweep in range(1, max_iters + 1):
         _backup(expect, x, base, gamma, x_next)
         np.subtract(x_next, x, out=change)
         np.abs(change, out=change)
-        residual = float(np.maximum.reduce(change, axis=None))
+        np.maximum.reduce(change, axis=(1, 2), out=residual)
         x, x_next = x_next, x
-        if residual <= tol:
-            return x[0]
-    raise SolverConvergenceError(f"{what} did not converge", residual, max_iters)
+        np.less_equal(residual, tol, out=hit)
+        hit &= short
+        if hit.any():
+            for i in np.flatnonzero(hit):
+                points[i] = x[i].copy()
+                sweeps[i] = sweep
+            short[hit] = False
+            if not short.any():
+                return points, sweeps
+    raise SolverConvergenceError(f"{what} did not converge", residual[short].max(), max_iters)
+
+
+def policy_evaluation_stack(pairs, tol: float = 1e-9, max_iters: int = 10**6):
+    """policy_evaluation of several (mmdp, policy) pairs at once, in one stacked sweep loop.
+
+    The MDPs must share one layout, kernel shape and discount; the policies
+    may differ. Each member stops at its own first sweep whose change is
+    <= tol, and every operation acts on each member's entries alone, so each
+    result is bit for bit the one policy_evaluation gives that pair.
+
+    Returns:
+        (values, sweeps): one ValueTable per pair in input order, and the
+        number of sweeps each took to reach tol.
+
+    Raises:
+        SolverConvergenceError: if some member does not reach tol within
+            max_iters sweeps, with the worst residual among those members.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    pairs = list(pairs)
+    if not pairs:
+        return [], []
+    mmdps = [mmdp for mmdp, _ in pairs]
+    _check_stack(mmdps)
+    expect = _next_value(_policy_kernels(pairs), mmdps[0].num_states, 1)
+    base = np.stack([mmdp.rewards for mmdp in mmdps])[:, :, None]
+    points, sweeps = _fixed_point(
+        expect, base, mmdps[0].gamma, tol, max_iters, "policy evaluation"
+    )
+    return [ValueTable(v=v[:, 0]) for v in points], sweeps
 
 
 def policy_evaluation(
@@ -498,14 +562,10 @@ def policy_evaluation(
     """Fixed-point evaluation of a deterministic joint policy.
 
     Returns a ValueTable whose scalar(rho) gives the policy's expected value
-    from the initial distribution.
+    from the initial distribution. A stack of one in policy_evaluation_stack.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    expect = _policy_next_value(mmdp, policy, 1)
-    base = mmdp.rewards.reshape(1, -1, 1)
-    v = _fixed_point(expect, base, mmdp.gamma, tol, max_iters, "policy evaluation")
-    return ValueTable(v=v[:, 0])
+    [values], _ = policy_evaluation_stack([(mmdp, policy)], tol, max_iters)
+    return values
 
 
 def successor_features(
@@ -519,6 +579,6 @@ def successor_features(
     if tol <= 0:
         raise ValueError("tol must be positive")
     phi = mmdp.states.features
-    expect = _policy_next_value(mmdp, policy, phi.shape[1])
-    mu = _fixed_point(expect, phi[None], mmdp.gamma, tol, max_iters, "successor features")
+    expect = _next_value(_policy_kernels([(mmdp, policy)]), mmdp.num_states, phi.shape[1])
+    [mu], _ = _fixed_point(expect, phi[None], mmdp.gamma, tol, max_iters, "successor features")
     return SuccessorFeatures(mu_per_state=mu, mu_scalar=mmdp.rho @ mu)

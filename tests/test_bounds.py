@@ -13,6 +13,7 @@ from capmdp import (
     ExperimentConfig,
     GeneratorRanges,
     InfluenceWeights,
+    JointPolicy,
     LinearMMDPSpec,
     RewardKernel,
     Solver,
@@ -35,6 +36,7 @@ from capmdp import (
     gamma_factor,
     generate_linear_pair,
     oracle_policy_select,
+    policy_evaluation_stack,
     psi,
     psi_with_permutation,
     reward_deviation_exact,
@@ -445,6 +447,7 @@ def test_solver_returns_a_repeated_solve_from_its_cache_read_only():
     _, [sweeps] = value_iteration_stack([assemble_linear_mmdp(spec_x)])
     assert solver.counts() == {
         "value_iteration_solves": 1, "cache_hits": 1, "sweeps": sweeps, "max_sweeps": sweeps,
+        "policy_evaluations": 0, "evaluation_hits": 0, "evaluation_sweeps": 0,
     }
     fresh_values, fresh_policy = value_iteration(assemble_linear_mmdp(spec_x))
     values, policy = first
@@ -532,21 +535,85 @@ def test_solve_all_answers_every_request_from_stacked_solves(monkeypatch):
             "cache_hits": 2,
             "sweeps": sum(sweeps),
             "max_sweeps": max(sweeps),
+            "policy_evaluations": 0,
+            "evaluation_hits": 0,
+            "evaluation_sweeps": 0,
         }
+
+
+def test_evaluate_all_answers_every_request_from_stacked_evaluations(monkeypatch):
+    spec_x, _ = small_pair(5)
+    base = assemble_linear_mmdp(spec_x)
+    slow = dataclasses.replace(base, rewards=100.0 * base.rewards)
+    indexed, dense = one_hot_twins(3, num_states=7)
+    rng = np.random.default_rng(0)
+
+    def random_policy(mmdp):
+        return JointPolicy(rng.integers(0, mmdp.num_joint_actions, mmdp.num_states))
+
+    first, second = random_policy(base), random_policy(base)
+    assert not np.array_equal(first.actions, second.actions)
+    twin_policy = random_policy(dense)
+    distinct = [
+        (base, first), (base, second), (slow, first), (indexed, twin_policy), (dense, twin_policy),
+    ]
+    alone = [policy_evaluation_stack([pair]) for pair in distinct]
+    stacks = []
+
+    def spy(pairs, *args):
+        stacks.append(len(pairs))
+        return policy_evaluation_stack(pairs, *args)
+
+    monkeypatch.setattr(capmdp.bounds, "policy_evaluation_stack", spy)
+    # a policy with the same actions is the same request
+    requests = distinct[:3] + [(base, JointPolicy(first.actions.copy()))] + distinct[3:]
+    requests.append((slow, first))
+    for entries, expected_stacks in ((capmdp.bounds.STACK_ENTRIES, [3, 1, 1]), (1, [1] * 5)):
+        monkeypatch.setattr(capmdp.bounds, "STACK_ENTRIES", entries)
+        stacks.clear()
+        solver = Solver()
+        answers = solver.evaluate_all(requests)
+        # base and slow share layout, shape and discount; the twins do not
+        assert stacks == expected_stacks
+        assert answers[3] is answers[0] and answers[6] is answers[2]
+        for pair_index, values in zip((0, 1, 2, 0, 3, 4, 2), answers):
+            [alone_values], _ = alone[pair_index]
+            assert np.array_equal(values.v, alone_values.v)
+            assert not values.v.flags.writeable
+        sweeps = [n for _, [n] in alone]
+        assert solver.counts() == {
+            "value_iteration_solves": 0,
+            "cache_hits": 0,
+            "sweeps": 0,
+            "max_sweeps": 0,
+            "policy_evaluations": 5,
+            "evaluation_hits": 2,
+            "evaluation_sweeps": sum(sweeps),
+        }
+        # a second request is answered from the cache
+        [again] = solver.evaluate_all([distinct[1]])
+        assert again is answers[1]
+        assert (solver.evaluations, solver.evaluation_hits) == (5, 3)
 
 
 def test_a_solver_solves_at_its_own_tol(monkeypatch):
     spec_x, spec_y = small_pair(5)
     tols = []
+    evaluation_tols = []
 
     def spy(mmdps, tol, *args):
         tols.append(tol)
         return value_iteration_stack(mmdps, tol, *args)
 
+    def spy_evaluation(pairs, tol, *args):
+        evaluation_tols.append(tol)
+        return policy_evaluation_stack(pairs, tol, *args)
+
     monkeypatch.setattr(capmdp.bounds, "value_iteration_stack", spy)
+    monkeypatch.setattr(capmdp.bounds, "policy_evaluation_stack", spy_evaluation)
     tight = Solver().report(certify_policy_transfer, spec_x, spec_y)
     loose = Solver(1e-3).report(certify_policy_transfer, spec_x, spec_y)
-    assert tols == [1e-9, 1e-3]
+    assert tols == evaluation_tols == [1e-9, 1e-3]
     assert loose.actual_value != tight.actual_value
 
 

@@ -19,6 +19,8 @@ from capmdp import (
     determinism_hash,
     emit_results,
     generate_linear_pair,
+    polynomial_deviation_report,
+    polynomial_reward,
     replay_violations,
     run_experiment,
     run_output_dir,
@@ -28,7 +30,10 @@ import capmdp.cli
 from capmdp.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VIOLATION, main
 import capmdp.harness
 from capmdp.harness import (
+    CHECKS,
     CORE_COLUMNS,
+    Check,
+    _instance_cases,
     run_fruit_forage,
     run_predator_prey,
     run_sweep,
@@ -263,6 +268,9 @@ def test_each_instance_solves_on_its_own_solver(monkeypatch):
     assert counts["cache_hits"] == sum(s.hits for s in solvers)
     assert counts["sweeps"] == sum(s.sweeps for s in solvers)
     assert counts["max_sweeps"] == max(s.max_sweeps for s in solvers)
+    assert counts["policy_evaluations"] == sum(s.evaluations for s in solvers)
+    assert counts["evaluation_hits"] == sum(s.evaluation_hits for s in solvers)
+    assert counts["evaluation_sweeps"] == sum(s.evaluation_sweeps for s in solvers)
 
 
 def test_an_instance_solves_at_the_config_tol():
@@ -276,33 +284,104 @@ def test_an_instance_solves_at_the_config_tol():
         certify_instance(config, 0, Solver())
 
 
-def test_an_instance_answers_every_check_with_one_stacked_solve(monkeypatch):
-    requests = []
-    stacks = []
-    real_solve_all = Solver.solve_all
-    real_stack = capmdp.bounds.value_iteration_stack
+def spy_requests(monkeypatch):
+    """Record every solve_all and evaluate_all request list, and the sweeps of every stack."""
+    calls = {"solve_all": [], "evaluate_all": [], "solve_stacks": [], "evaluation_stacks": []}
+    for method in ("solve_all", "evaluate_all"):
+        real = getattr(Solver, method)
 
-    def spy_solve_all(self, mmdps):
-        requests.append(list(mmdps))
-        return real_solve_all(self, mmdps)
+        def spy(self, requests, real=real, seen=calls[method]):
+            seen.append(list(requests))
+            return real(self, requests)
 
-    def spy_stack(mmdps, *args):
-        solutions, sweeps = real_stack(mmdps, *args)
-        stacks.append(sweeps)
-        return solutions, sweeps
+        monkeypatch.setattr(Solver, method, spy)
+    for name, seen in (
+        ("value_iteration_stack", calls["solve_stacks"]),
+        ("policy_evaluation_stack", calls["evaluation_stacks"]),
+    ):
+        real = getattr(capmdp.bounds, name)
 
-    monkeypatch.setattr(Solver, "solve_all", spy_solve_all)
-    monkeypatch.setattr(capmdp.bounds, "value_iteration_stack", spy_stack)
+        def spy_stack(requests, *args, real=real, seen=seen):
+            answers, sweeps = real(requests, *args)
+            seen.append(sweeps)
+            return answers, sweeps
+
+        monkeypatch.setattr(capmdp.bounds, name, spy_stack)
+    return calls
+
+
+def answer_one_instance(monkeypatch, seed, index, distinct):
+    """Certify one default instance; it makes one solve_all and one evaluate_all.
+
+    distinct is the number of distinct transfer evaluations it needs.
+    """
+    calls = spy_requests(monkeypatch)
     solver = Solver()
-    rows, _ = certify_instance(default_config("verify-bounds"), 0, solver)
+    rows, _ = certify_instance(default_config("verify-bounds", seed), index, solver)
     assert len(rows) == len(BOUND_NAMES)
-    [wanted] = requests
+    [wanted] = calls["solve_all"]
     contents = {(m.rewards.tobytes(), m.transitions.tobytes()) for m in wanted}
     assert (len(wanted), len(contents)) == (16, 9)
-    [sweeps] = stacks
+    [sweeps] = calls["solve_stacks"]
     assert len(sweeps) == 9
     assert (solver.solves, solver.hits) == (9, 7)
     assert (solver.sweeps, solver.max_sweeps) == (sum(sweeps), max(sweeps))
+    # policy transfer, capability estimation and out of distribution each
+    # evaluate one policy on the x task, all three in one evaluate_all
+    [evaluated] = calls["evaluate_all"]
+    assert len(evaluated) == 3
+    assert all(mmdp is wanted[0] for mmdp, _ in evaluated)
+    assert len({policy.actions.tobytes() for _, policy in evaluated}) == distinct
+    [evaluation_sweeps] = calls["evaluation_stacks"]
+    assert len(evaluation_sweeps) == distinct
+    assert (solver.evaluations, solver.evaluation_hits) == (distinct, 3 - distinct)
+    assert solver.evaluation_sweeps == sum(evaluation_sweeps)
+
+
+def test_an_instance_answers_every_check_with_one_stacked_solve(monkeypatch):
+    answer_one_instance(monkeypatch, seed=0, index=0, distinct=3)
+
+
+def test_an_instance_evaluates_a_repeated_transfer_policy_once(monkeypatch):
+    # in instance 2 of config seed 59 two transfer checks evaluate one policy
+    answer_one_instance(monkeypatch, seed=59, index=2, distinct=2)
+
+
+def test_a_calculator_makes_exactly_two_requests(monkeypatch):
+    def three_requests(case, tol):
+        yield ()
+        yield ()
+        yield ()
+
+    monkeypatch.setitem(CHECKS, "lipschitz", Check(CHECKS["lipschitz"].fields, three_requests))
+    with pytest.raises(RuntimeError, match="exactly two requests"):
+        certify_instance(small_config(), 0)
+    with pytest.raises(RuntimeError, match="exactly two requests"):
+        Solver().report(three_requests, {})
+
+
+def test_polynomial_deviation_matches_the_per_state_reference():
+    config = small_config(ranges={**SMALL_RANGES_DOC, "num_agents": [2, 4], "num_states": [1, 9]})
+    checked = 0
+    for index in range(12):
+        cases = dict(_instance_cases(config, index))
+        case = cases["polynomial_deviation"]
+        spec_x = case["spec_x"]
+        poly, moved, kernel = case["poly"], case["team_perturbed"], spec_x.reward_kernel
+        report = polynomial_deviation_report(
+            poly, spec_x.team, moved, case["member_index"], case["delta"], kernel, spec_x.states
+        )
+        # the reward shift measured state by state, each weight vector rebuilt
+        reference = max(
+            abs(
+                polynomial_reward(poly, spec_x.team, kernel, phi)
+                - polynomial_reward(poly, moved, kernel, phi)
+            )
+            for phi in spec_x.states.features
+        )
+        assert report.actual_value == reference
+        checked += reference > 0
+    assert checked >= 6
 
 
 def test_summary_counts_solves_and_cache_hits(tmp_path):
@@ -312,6 +391,7 @@ def test_summary_counts_solves_and_cache_hits(tmp_path):
     summary = json.loads((run_output_dir(config, tmp_path) / "summary.json").read_text())
     assert summary["solver"] == {
         "value_iteration_solves": 18, "cache_hits": 14, "sweeps": 3607, "max_sweeps": 201,
+        "policy_evaluations": 6, "evaluation_hits": 0, "evaluation_sweeps": 1203,
     }
     # team x and y are shared by the first two reports, z by nothing
     forage = ExperimentConfig(kind="fruit-forage", fruit_forage={"grid_size": 2})
@@ -319,6 +399,7 @@ def test_summary_counts_solves_and_cache_hits(tmp_path):
     summary = json.loads((run_output_dir(forage, tmp_path) / "summary.json").read_text())
     assert summary["solver"] == {
         "value_iteration_solves": 4, "cache_hits": 2, "sweeps": 695, "max_sweeps": 187,
+        "policy_evaluations": 1, "evaluation_hits": 0, "evaluation_sweeps": 187,
     }
 
 
@@ -626,6 +707,17 @@ def test_every_report_kind_fails_archives_and_replays_exactly(
         successors = None if m.next_states is None else m.next_states.tobytes()
         contents.add((m.rewards.tobytes(), m.transitions.tobytes(), successors))
     assert len(solves) == len(contents) == 9
+
+
+def test_replay_makes_the_two_requests_of_each_entry(tmp_path, monkeypatch, fail_every_report):
+    config = small_config(num_instances=1)
+    run_experiment(config, tmp_path)
+    calls = spy_requests(monkeypatch)
+    replay_violations(run_output_dir(config, tmp_path) / "violations.json")
+    # each entry's check makes its solve request, then its evaluation
+    # request, as it does in certify_instance; the entries are in CHECKS order
+    assert [len(request) for request in calls["solve_all"]] == [2] * 8 + [0]
+    assert [len(request) for request in calls["evaluate_all"]] == [0, 1, 0, 0, 1, 1, 0, 0, 0]
 
 
 def test_fruit_forage_reports_fail_archive_and_replay_exactly(

@@ -19,6 +19,7 @@ from capmdp import (
     ValueTable,
     check_distribution,
     policy_evaluation,
+    policy_evaluation_stack,
     successor_features,
     value_iteration,
     value_iteration_stack,
@@ -329,7 +330,7 @@ def stack_members(rng, layout, count, num_states=6, num_joint=4):
 
 
 @pytest.mark.parametrize("layout", ["dense", "indexed-1", "indexed-3"])
-@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("count", [1, 3, 9])
 def test_a_stacked_solve_matches_each_member_alone_bit_for_bit(layout, count):
     members = stack_members(np.random.default_rng(count), layout, count)
     solutions, sweeps = value_iteration_stack(members)
@@ -360,6 +361,69 @@ def test_a_stack_out_of_sweeps_reports_the_worst_unconverged_residual():
     assert value_iteration_stack(members, max_iters=max(sweeps))[1] == sweeps
 
 
+def textbook_policy_evaluation(mmdp, actions, tol=1e-9, max_iters=10**6):
+    """The plain one-policy sweep loop: (v, sweeps to tol), or (None, last residual)."""
+    rows = (np.arange(mmdp.num_states), actions)
+    probs = mmdp.transitions[rows]
+    if mmdp.next_states is None:
+        def expect(v):
+            return probs @ v
+    else:
+        successors = mmdp.next_states[rows]
+
+        def expect(v):
+            return (probs * v[successors]).sum(axis=1)
+    v = np.zeros(mmdp.num_states)
+    residual = np.inf
+    for sweep in range(1, max_iters + 1):
+        v_new = mmdp.rewards + mmdp.gamma * expect(v)
+        residual = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if residual <= tol:
+            return v, sweep
+    return None, residual
+
+
+def random_policies(rng, members):
+    return [
+        JointPolicy(rng.integers(0, m.num_joint_actions, m.num_states)) for m in members
+    ]
+
+
+@pytest.mark.parametrize("layout", ["dense", "indexed-1", "indexed-3"])
+@pytest.mark.parametrize("count", [1, 3, 9])
+def test_a_stacked_evaluation_matches_each_policy_alone_bit_for_bit(layout, count):
+    rng = np.random.default_rng(count)
+    members = stack_members(rng, layout, count)
+    policies = random_policies(rng, members)
+    values, sweeps = policy_evaluation_stack(list(zip(members, policies)))
+    for mmdp, policy, stacked, stacked_sweeps in zip(members, policies, values, sweeps):
+        v, textbook_sweeps = textbook_policy_evaluation(mmdp, policy.actions)
+        assert stacked_sweeps == textbook_sweeps
+        assert np.array_equal(stacked.v, v)
+        assert np.array_equal(policy_evaluation(mmdp, policy).v, v)
+    # the members stop on their own sweeps (two random policies may tie)
+    assert len(set(sweeps)) == 1 if count == 1 else len(set(sweeps)) > count // 2
+
+
+def test_a_stacked_evaluation_out_of_sweeps_reports_the_worst_unconverged_residual():
+    rng = np.random.default_rng(7)
+    members = stack_members(rng, "dense", 4)
+    pairs = list(zip(members, random_policies(rng, members)))
+    _, sweeps = policy_evaluation_stack(pairs)
+    limit = sorted(sweeps)[1]
+    with pytest.raises(SolverConvergenceError, match="policy evaluation") as info:
+        policy_evaluation_stack(pairs, max_iters=limit)
+    unconverged = [pair for pair, n in zip(pairs, sweeps) if n > limit]
+    assert len(unconverged) == 2
+    assert info.value.iterations == limit
+    assert info.value.residual == max(
+        textbook_policy_evaluation(m, p.actions, max_iters=limit)[1] for m, p in unconverged
+    )
+    # the slowest member's own sweep count is enough for the whole stack
+    assert policy_evaluation_stack(pairs, max_iters=max(sweeps))[1] == sweeps
+
+
 def test_a_stack_needs_one_layout_shape_and_discount():
     rng = np.random.default_rng(3)
     [dense] = stack_members(rng, "dense", 1)
@@ -368,4 +432,10 @@ def test_a_stack_needs_one_layout_shape_and_discount():
     for other in (indexed, wider, replace(dense, gamma=0.8)):
         with pytest.raises(ValueError, match="share one layout"):
             value_iteration_stack([dense, other])
+        with pytest.raises(ValueError, match="share one layout"):
+            policy_evaluation_stack(
+                [(mmdp, JointPolicy(np.zeros(mmdp.num_states, dtype=np.int64)))
+                 for mmdp in (dense, other)]
+            )
     assert value_iteration_stack([]) == ([], [])
+    assert policy_evaluation_stack([]) == ([], [])
