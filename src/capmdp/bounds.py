@@ -25,7 +25,6 @@ not locked, so it must not be shared between threads.
 """
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -51,7 +50,6 @@ from .mdp import (
 )
 
 BOUND_TOLERANCE = 1e-7
-PERMUTATION_GUARD = 8
 GAMMA_CROSSOVER = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest members x states x joint actions of one stacked solve or
 # evaluation: the entries of a value-iteration stack's value buffer, and a
@@ -153,58 +151,21 @@ def psi(
     weights_x: InfluenceWeights,
     team_y: TeamComposition,
     weights_y: InfluenceWeights,
-    minimize_over_permutations: bool = False,
 ) -> float:
     """Two-term capability discrepancy between weighted teams.
 
     First term: sup-norm of the x-weighted member-by-member capability
     difference. Second term: sup-norm of the weight-difference mixture of the
-    y capabilities. Optionally minimized over relabelings of team y, which
-    leaves y's assembled dynamics unchanged.
+    y capabilities.
     """
-    value, _ = psi_with_permutation(
-        team_x, weights_x, team_y, weights_y, minimize_over_permutations
-    )
-    return value
-
-
-def psi_with_permutation(
-    team_x: TeamComposition,
-    weights_x: InfluenceWeights,
-    team_y: TeamComposition,
-    weights_y: InfluenceWeights,
-    minimize_over_permutations: bool = False,
-) -> tuple:
-    """psi plus the member order of team y that attained it."""
     n = team_x.num_agents
     if team_y.num_agents != n or weights_x.num_agents != n or weights_y.num_agents != n:
         raise ValueError("both teams and weight vectors must have the same size")
     if team_x.dim != team_y.dim:
         raise ValueError("both teams must share one capability dimension")
-    identity = tuple(range(n))
-    if not minimize_over_permutations:
-        value = _psi_arrays(team_x.matrix(), weights_x.a, team_y.matrix(), weights_y.a)
-        return value, identity
-    if n > PERMUTATION_GUARD:
-        raise ValueError(
-            f"permutation search over {n} members exceeds the guard of {PERMUTATION_GUARD}"
-        )
     mat_y = team_y.matrix()
-    best = np.inf
-    best_perm = identity
-    for perm in itertools.permutations(range(n)):
-        value = _psi_arrays(
-            team_x.matrix(), weights_x.a, mat_y[list(perm)], weights_y.a[list(perm)]
-        )
-        if value < best:
-            best = value
-            best_perm = perm
-    return float(best), best_perm
-
-
-def _psi_arrays(mat_x, a_x, mat_y, a_y) -> float:
-    term_members = float(np.max(np.abs(a_x @ (mat_x - mat_y))))
-    term_weights = float(np.max(np.abs((a_x - a_y) @ mat_y)))
+    term_members = float(np.max(np.abs(weights_x.a @ (team_x.matrix() - mat_y))))
+    term_weights = float(np.max(np.abs((weights_x.a - weights_y.a) @ mat_y)))
     return term_members + term_weights
 
 
@@ -302,7 +263,7 @@ class Solver:
     """
 
     def __init__(self, tol: float = 1e-9):
-        if not math.isfinite(tol) or tol <= 0:
+        if isinstance(tol, bool) or not math.isfinite(tol) or tol <= 0:
             raise ValueError(f"tol must be positive and finite, got {tol!r}")
         self.tol = tol
         self._solved = {}
@@ -440,11 +401,6 @@ def resume(calculator, values) -> BoundReport:
     raise RuntimeError("a calculator makes exactly two requests: solves, then evaluations")
 
 
-def _value_scale(gf: float, smax: float, spec: LinearMMDPSpec, vmid: float) -> float:
-    """gamma_factor * (s_max + gamma * d * v_mid), the factor every linear bound shares."""
-    return gf * (smax + spec.gamma * spec.capability_dim * vmid)
-
-
 def _value_gap(vt_x: ValueTable, vt_y: ValueTable, rho_x, rho_y):
     """Gap between two tasks' optimal values.
 
@@ -471,28 +427,37 @@ def _transfer_regret(optimal: ValueTable, executed: ValueTable, rho, tol: float,
     return value_optimal, value_executed, actual, float(np.max(optimal.v - executed.v))
 
 
-def _permutation_code(perm) -> float:
-    code = 0
-    for digit in perm:
-        code = code * 10 + int(digit)
-    return float(code)
+def _linear_scale(spec: LinearMMDPSpec, reference: ValueTable, leading: dict):
+    """gamma_factor * (s_max + gamma * d * v_mid), the factor every linear bound shares.
 
-
-def _base_constituents(spec, psi_value, smax, vmid):
+    v_mid comes from the reference task's optimal values. Returns the scale
+    and the report constituents: leading's entries, then s_max, v_mid,
+    gamma_factor, gamma and capability_dim.
+    """
+    smax = s_max(spec.reward_kernel, spec.states)
+    vmid = v_mid(reference)
     gf = gamma_factor(spec.gamma)
     parts = {
-        "psi": psi_value,
+        **leading,
         "s_max": smax,
         "v_mid": vmid,
         "gamma_factor": gf,
         "gamma": spec.gamma,
         "capability_dim": float(spec.capability_dim),
-        # psi compares the teams member by member, so this is always the
-        # identity's code; the column stays because dropping it would change
-        # every row's determinism_hash
-        "psi_permutation_code": _permutation_code(range(spec.team.num_agents)),
     }
-    return gf, parts
+    return gf * (smax + spec.gamma * spec.capability_dim * vmid), parts
+
+
+def _psi_scale(spec_x: LinearMMDPSpec, spec_y: LinearMMDPSpec, reference: ValueTable):
+    """_linear_scale of spec_x, led by psi between the two specs' teams."""
+    psi_value = psi(spec_x.team, spec_x.weights, spec_y.team, spec_y.weights)
+    scale, parts = _linear_scale(spec_x, reference, {"psi": psi_value})
+    # psi compares the teams member by member, so this is always the
+    # identity's code; the column stays because dropping it would change
+    # every row's determinism_hash
+    n = spec_x.team.num_agents
+    parts["psi_permutation_code"] = float(sum(d * 10 ** (n - 1 - d) for d in range(n)))
+    return scale, parts
 
 
 def certify_team_generalization(spec_x, spec_y, *, tol: float):
@@ -506,11 +471,8 @@ def certify_team_generalization(spec_x, spec_y, *, tol: float):
     _require_shared_frame(spec_x, spec_y)
     (vt_x, _), (vt_y, _) = yield assemble_linear_mmdp(spec_x), assemble_linear_mmdp(spec_y)
     yield ()
-    psi_value = psi(spec_x.team, spec_x.weights, spec_y.team, spec_y.weights)
-    smax = s_max(spec_x.reward_kernel, spec_x.states)
-    vmid = v_mid(vt_y)
-    gf, parts = _base_constituents(spec_x, psi_value, smax, vmid)
-    bound = _value_scale(gf, smax, spec_x, vmid) * psi_value
+    scale, parts = _psi_scale(spec_x, spec_y, vt_y)
+    bound = scale * parts["psi"]
     value_x, value_y, actual, state_max = _value_gap(vt_x, vt_y, spec_x.rho, spec_y.rho)
     parts.update({"value_x": value_x, "value_y": value_y, "actual_state_max": state_max})
     return BoundReport.build("team_generalization", parts, bound, actual)
@@ -530,11 +492,8 @@ def certify_policy_transfer(spec_x, spec_y, *, tol: float):
     value_optimal, value_transferred, actual, state_max = _transfer_regret(
         vt_x, executed, spec_x.rho, tol, "transferred"
     )
-    psi_value = psi(spec_x.team, spec_x.weights, spec_y.team, spec_y.weights)
-    smax = s_max(spec_x.reward_kernel, spec_x.states)
-    vmid = v_mid(vt_y)
-    gf, parts = _base_constituents(spec_x, psi_value, smax, vmid)
-    bound = 2.0 * _value_scale(gf, smax, spec_x, vmid) * psi_value
+    scale, parts = _psi_scale(spec_x, spec_y, vt_y)
+    bound = 2.0 * scale * parts["psi"]
     parts.update(
         {
             "value_optimal": value_optimal,
@@ -571,22 +530,17 @@ def certify_out_of_distribution(distribution: TaskDistribution, query_spec, *, t
     distance = d_a_set_distance(
         query_spec.team, [team for team, _ in distribution.support], query_spec.weights
     )
-    smax = s_max(query_spec.reward_kernel, query_spec.states)
-    vmid = v_mid(vt_sel)
-    gf = gamma_factor(query_spec.gamma)
-    bound = 2.0 * _value_scale(gf, smax, query_spec, vmid) * distance
-    parts = {
-        "d_a": distance,
-        "selected_index": float(selected),
-        "s_max": smax,
-        "v_mid": vmid,
-        "gamma_factor": gf,
-        "gamma": query_spec.gamma,
-        "capability_dim": float(query_spec.capability_dim),
-        "value_optimal": value_optimal,
-        "value_transferred": value_transferred,
-        "actual_state_max": state_max,
-    }
+    scale, parts = _linear_scale(
+        query_spec, vt_sel, {"d_a": distance, "selected_index": float(selected)}
+    )
+    bound = 2.0 * scale * distance
+    parts.update(
+        {
+            "value_optimal": value_optimal,
+            "value_transferred": value_transferred,
+            "actual_state_max": state_max,
+        }
+    )
     return BoundReport.build("out_of_distribution", parts, bound, actual)
 
 
@@ -648,25 +602,16 @@ def certify_population_change(
         assemble_linear_mmdp(spec), assemble_linear_mmdp(changed)
     )
     yield ()
-    smax = s_max(spec.reward_kernel, spec.states)
-    vmid = v_mid(vt_after)
-    gf = gamma_factor(spec.gamma)
-    bound = _value_scale(gf, smax, spec, vmid) * changed_weight * mixture_gap
+    scale, parts = _linear_scale(
+        spec, vt_after, {"changed_weight": changed_weight, "mixture_gap": mixture_gap}
+    )
+    bound = scale * changed_weight * mixture_gap
     value_before, value_after, actual, state_max = _value_gap(
         vt_before, vt_after, spec.rho, spec.rho
     )
-    parts = {
-        "changed_weight": changed_weight,
-        "mixture_gap": mixture_gap,
-        "s_max": smax,
-        "v_mid": vmid,
-        "gamma_factor": gf,
-        "gamma": spec.gamma,
-        "capability_dim": float(spec.capability_dim),
-        "value_before": value_before,
-        "value_after": value_after,
-        "actual_state_max": state_max,
-    }
+    parts.update(
+        {"value_before": value_before, "value_after": value_after, "actual_state_max": state_max}
+    )
     return BoundReport.build(name, parts, bound, actual)
 
 
@@ -709,12 +654,9 @@ def certify_approx_dynamics(
     )
     (vt_x, _), (vt_y, _) = yield mmdp_x_actual, mmdp_y_actual
     yield ()
-    psi_value = psi(spec_x.team, spec_x.weights, spec_y.team, spec_y.weights)
-    smax = s_max(spec_x.reward_kernel, spec_x.states)
-    vmid = v_mid(vt_y)
-    gf, parts = _base_constituents(spec_x, psi_value, smax, vmid)
-    bound = _value_scale(gf, smax, spec_x, vmid) * psi_value + (
-        2.0 * gf * (eps_hat_r + spec_x.gamma * eps_hat_p * vmid)
+    scale, parts = _psi_scale(spec_x, spec_y, vt_y)
+    bound = scale * parts["psi"] + (
+        2.0 * parts["gamma_factor"] * (eps_hat_r + spec_x.gamma * eps_hat_p * parts["v_mid"])
     )
     value_x, value_y, actual, state_max = _value_gap(vt_x, vt_y, spec_x.rho, spec_y.rho)
     parts.update(
@@ -754,21 +696,15 @@ def certify_capability_estimation(spec_true, spec_inferred, *, tol: float):
     value_optimal, value_executed, actual, state_max = _transfer_regret(
         vt_true, executed, spec_true.rho, tol, "inferred"
     )
-    smax = s_max(spec_true.reward_kernel, spec_true.states)
-    vmid = v_mid(vt_inferred)
-    gf = gamma_factor(spec_true.gamma)
-    bound = 2.0 * _value_scale(gf, smax, spec_true, vmid) * eps_t
-    parts = {
-        "eps_t": eps_t,
-        "s_max": smax,
-        "v_mid": vmid,
-        "gamma_factor": gf,
-        "gamma": spec_true.gamma,
-        "capability_dim": float(spec_true.capability_dim),
-        "value_optimal": value_optimal,
-        "value_executed": value_executed,
-        "actual_state_max": state_max,
-    }
+    scale, parts = _linear_scale(spec_true, vt_inferred, {"eps_t": eps_t})
+    bound = 2.0 * scale * eps_t
+    parts.update(
+        {
+            "value_optimal": value_optimal,
+            "value_executed": value_executed,
+            "actual_state_max": state_max,
+        }
+    )
     return BoundReport.build("capability_estimation", parts, bound, actual)
 
 

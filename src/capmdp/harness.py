@@ -274,6 +274,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config field(s) {sorted(unknown)}")
         if "kind" not in doc:
             raise ConfigError("the config is missing the required field 'kind'")
+        if isinstance(doc.get("tol"), bool):
+            raise ConfigError(f"tol must be a number, got {doc['tol']!r}")
         try:
             ranges = GeneratorRanges.from_doc(doc.get("ranges", {}))
             return cls(
@@ -1201,7 +1203,8 @@ def _replay_one(entry, solvers: dict) -> BoundReport:
     # entries written before runs recorded their tol were solved at the default
     tol = entry.get("tol", ExperimentConfig.tol)
     try:
-        if tol not in solvers:
+        # True == 1, so a boolean tol would find a tol-1 solver without Solver's check
+        if tol not in solvers or isinstance(tol, bool):
             solvers[tol] = Solver(tol)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed 'tol' in a {name!r} entry: {exc!r}") from exc

@@ -14,18 +14,21 @@ one expected-next-value map; with one sure successor per row, an indexed
 kernel solves bit for bit like its dense twin. These are exact desk-scale
 solvers, not large-scale approximate ones.
 
-Every solver makes the same in-place sweep, x <- base + gamma * E[x], into
-preallocated buffers. value_iteration_stack and policy_evaluation_stack run
-that sweep for several MDPs of one layout, shape and discount at once: dense
-kernels are stacked once, so a sweep makes one batched kernel product and a
-handful of whole-stack array calls however many members it backs up, which
-removes most of the per-call overhead of small solves. Each member still
-stops on its own sweep and gets exactly the arrays value_iteration or
-policy_evaluation, each a stack of one, gives it.
+Every solver runs one successive-approximation loop, _fixed_point, in
+place over preallocated buffers. Its sweep is the backup base + gamma * E[x]
+for policy evaluation and successor features; value iteration backs up into
+a joint-action q buffer and takes the max. The loop runs a stack of MDPs of
+one layout, shape and discount at once (value_iteration_stack,
+policy_evaluation_stack): dense kernels are stacked once, so a sweep makes
+one batched kernel product and a handful of whole-stack array calls however
+many members it backs up, which removes most of the per-call overhead of
+small solves. Each member still stops on its own sweep and gets exactly the
+arrays value_iteration or policy_evaluation, each a stack of one, gives it.
 """
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -388,23 +391,63 @@ def _check_stack(mmdps):
         raise ValueError("stacked MDPs must share one layout, kernel shape and discount")
 
 
-def _backup(expect, v, base, gamma: float, out):
-    """out <- base + gamma * E[v], in place: the one sweep every solver makes."""
+def _backup(expect, base, gamma: float, v, out):
+    """out <- base + gamma * E[v], in place: the one backup every solver makes."""
     expect(v, out)
     np.multiply(out, gamma, out=out)
     np.add(out, base, out=out)
 
 
+def _fixed_point(sweep, x, tol: float, max_iters: int, what: str):
+    """Iterate sweep(x, out), out <- F(x), from the zero (B, S, columns) stack x.
+
+    Each member stops at its own first sweep that moves it by <= tol; every
+    operation acts on each member's entries alone. Returns (its (S, columns)
+    fixed point, its sweep count) per member.
+
+    Raises:
+        SolverConvergenceError: if some member does not reach tol within
+            max_iters sweeps, with the worst residual among those members.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    b = x.shape[0]
+    x_next = np.empty_like(x)
+    change = np.empty_like(x)
+    residual = np.full(b, np.inf)
+    short = np.ones(b, dtype=bool)  # members whose sweeps have not reached tol
+    hit = np.empty(b, dtype=bool)
+    points = [None] * b
+    sweeps = [0] * b
+    for count in range(1, max_iters + 1):
+        sweep(x, x_next)
+        np.subtract(x_next, x, out=change)
+        np.abs(change, out=change)
+        np.maximum.reduce(change, axis=(1, 2), out=residual)
+        x, x_next = x_next, x
+        np.less_equal(residual, tol, out=hit)
+        hit &= short
+        if hit.any():
+            for i in np.flatnonzero(hit):
+                points[i] = x[i].copy()
+                sweeps[i] = count
+            short[hit] = False
+            if not short.any():
+                return points, sweeps
+    raise SolverConvergenceError(f"{what} did not converge", residual[short].max(), max_iters)
+
+
 def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
-    """value_iteration on several MDPs at once, in one stacked sweep loop.
+    """value_iteration on several MDPs at once, in the one stacked sweep loop.
 
     The MDPs must share one layout, kernel shape and discount. A sweep backs
-    up every member with one batched kernel product and a handful of
-    whole-stack array calls, which spares most of the per-call overhead that
-    dominates a small solve. Each member stops at its own first sweep whose
-    change is <= tol and gets its own final backup; every operation acts on
-    each member's entries alone, so each result is bit for bit the one
-    value_iteration gives that MDP.
+    up every member into one (B, S, A, 1) q buffer with one batched kernel
+    product and takes the max over joint actions, which spares most of the
+    per-call overhead that dominates a small solve. Each member stops at its
+    own first sweep whose change is <= tol; one more stacked backup of the
+    stopped values then gives each member its q, v and greedy policy. Every
+    operation acts on each member's entries alone, so each result is bit for
+    bit the one value_iteration gives that MDP.
 
     Returns:
         (solutions, sweeps): one (ValueTable, JointPolicy) per MDP in input
@@ -414,8 +457,6 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
         SolverConvergenceError: if some member does not reach tol within
             max_iters sweeps, with the worst residual among those members.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     mmdps = list(mmdps)
     if not mmdps:
         return [], []
@@ -424,41 +465,20 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
     b, s, a = len(mmdps), first.num_states, first.num_joint_actions
     expect = _next_value([(m.transitions, m.next_states) for m in mmdps], s, 1)
     r = np.stack([m.rewards for m in mmdps]).reshape(b, s, 1, 1)
-    g = first.gamma
     q = np.empty((b, s, a, 1))
-    v = np.zeros((b, s, 1))
-    v_next = np.empty_like(v)
-    change = np.empty_like(v)
-    residual = np.full(b, np.inf)
-    short = np.ones(b, dtype=bool)  # members whose sweeps have not reached tol
-    hit = np.empty(b, dtype=bool)
-    solutions = [None] * b
-    sweeps = [0] * b
-    reached = ()  # the members whose last sweep reached tol
-    unsolved = b
-    for sweep in range(max_iters + 1):
-        _backup(expect, v, r, g, q)
-        # one more backup keeps v, q, and the greedy policy exactly consistent
-        for i in reached:
-            q_i = q[i, :, :, 0].copy()
-            solutions[i] = ValueTable(v=q_i.max(axis=1), q=q_i), JointPolicy(q_i.argmax(axis=1))
-            sweeps[i] = sweep
-        unsolved -= len(reached)
-        if not unsolved:
-            return solutions, sweeps
-        if sweep == max_iters:
-            raise SolverConvergenceError(
-                "value iteration did not converge", residual[short].max(), max_iters
-            )
-        np.maximum.reduce(q, axis=2, out=v_next)
-        np.subtract(v_next, v, out=change)
-        np.abs(change, out=change)
-        np.maximum.reduce(change, axis=(1, 2), out=residual)
-        v, v_next = v_next, v
-        np.less_equal(residual, tol, out=hit)
-        hit &= short
-        reached = np.flatnonzero(hit) if hit.any() else ()
-        short[hit] = False
+
+    def sweep(v, out):
+        _backup(expect, r, first.gamma, v, q)
+        np.maximum.reduce(q, axis=2, out=out)
+
+    points, sweeps = _fixed_point(sweep, np.zeros((b, s, 1)), tol, max_iters, "value iteration")
+    # one more backup keeps v, q, and the greedy policy exactly consistent
+    _backup(expect, r, first.gamma, np.stack(points), q)
+    solutions = []
+    for q_i in q[:, :, :, 0]:
+        q_i = q_i.copy()
+        solutions.append((ValueTable(v=q_i.max(axis=1), q=q_i), JointPolicy(q_i.argmax(axis=1))))
+    return solutions, sweeps
 
 
 def value_iteration(
@@ -492,41 +512,8 @@ def _policy_kernels(pairs):
     return kernels
 
 
-def _fixed_point(expect, base, gamma: float, tol: float, max_iters: int, what: str):
-    """Sweep x <- base + gamma * E[x] from zero for a (B, S, columns) stack.
-
-    Each member stops at its own first sweep that moves it by <= tol.
-    Returns (its (S, columns) fixed point, its sweep count) per member.
-    """
-    b = base.shape[0]
-    x = np.zeros_like(base)
-    x_next = np.empty_like(base)
-    change = np.empty_like(base)
-    residual = np.full(b, np.inf)
-    short = np.ones(b, dtype=bool)  # members whose sweeps have not reached tol
-    hit = np.empty(b, dtype=bool)
-    points = [None] * b
-    sweeps = [0] * b
-    for sweep in range(1, max_iters + 1):
-        _backup(expect, x, base, gamma, x_next)
-        np.subtract(x_next, x, out=change)
-        np.abs(change, out=change)
-        np.maximum.reduce(change, axis=(1, 2), out=residual)
-        x, x_next = x_next, x
-        np.less_equal(residual, tol, out=hit)
-        hit &= short
-        if hit.any():
-            for i in np.flatnonzero(hit):
-                points[i] = x[i].copy()
-                sweeps[i] = sweep
-            short[hit] = False
-            if not short.any():
-                return points, sweeps
-    raise SolverConvergenceError(f"{what} did not converge", residual[short].max(), max_iters)
-
-
 def policy_evaluation_stack(pairs, tol: float = 1e-9, max_iters: int = 10**6):
-    """policy_evaluation of several (mmdp, policy) pairs at once, in one stacked sweep loop.
+    """policy_evaluation of several (mmdp, policy) pairs at once, in the one stacked sweep loop.
 
     The MDPs must share one layout, kernel shape and discount; the policies
     may differ. Each member stops at its own first sweep whose change is
@@ -541,8 +528,6 @@ def policy_evaluation_stack(pairs, tol: float = 1e-9, max_iters: int = 10**6):
         SolverConvergenceError: if some member does not reach tol within
             max_iters sweeps, with the worst residual among those members.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     pairs = list(pairs)
     if not pairs:
         return [], []
@@ -551,7 +536,8 @@ def policy_evaluation_stack(pairs, tol: float = 1e-9, max_iters: int = 10**6):
     expect = _next_value(_policy_kernels(pairs), mmdps[0].num_states, 1)
     base = np.stack([mmdp.rewards for mmdp in mmdps])[:, :, None]
     points, sweeps = _fixed_point(
-        expect, base, mmdps[0].gamma, tol, max_iters, "policy evaluation"
+        partial(_backup, expect, base, mmdps[0].gamma),
+        np.zeros_like(base), tol, max_iters, "policy evaluation",
     )
     return [ValueTable(v=v[:, 0]) for v in points], sweeps
 
@@ -576,9 +562,10 @@ def successor_features(
     Satisfies mu(s) = phi(s) + gamma * sum_s' P_pi(s'|s) mu(s'), so any reward
     that is linear in phi has value <w, mu(s)> for the matching weight vector.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    phi = mmdp.states.features
-    expect = _next_value(_policy_kernels([(mmdp, policy)]), mmdp.num_states, phi.shape[1])
-    [mu], _ = _fixed_point(expect, phi[None], mmdp.gamma, tol, max_iters, "successor features")
+    phi = mmdp.states.features[None]
+    expect = _next_value(_policy_kernels([(mmdp, policy)]), mmdp.num_states, phi.shape[2])
+    [mu], _ = _fixed_point(
+        partial(_backup, expect, phi, mmdp.gamma),
+        np.zeros_like(phi), tol, max_iters, "successor features",
+    )
     return SuccessorFeatures(mu_per_state=mu, mu_scalar=mmdp.rho @ mu)

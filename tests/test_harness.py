@@ -186,6 +186,7 @@ def sweep(*cells):
 UNRUNNABLE_CONFIGS = {
     "tol-inf": ({"kind": "verify-bounds", "tol": float("inf")}, "tol"),
     "tol-nan": ({"kind": "verify-bounds", "tol": float("nan")}, "tol"),
+    "tol-true": ({"kind": "verify-bounds", "tol": True}, "tol"),
     "eps_r-nan": ({"kind": "verify-bounds", "eps_r": float("nan")}, "eps_r"),
     "eps_r-inf": ({"kind": "verify-bounds", "eps_r": float("inf")}, "eps_r"),
     "seed-negative": ({"kind": "verify-bounds", "seed": -1}, "seed"),
@@ -401,6 +402,44 @@ def test_summary_counts_solves_and_cache_hits(tmp_path):
         "value_iteration_solves": 4, "cache_hits": 2, "sweeps": 695, "max_sweeps": 187,
         "policy_evaluations": 1, "evaluation_hits": 0, "evaluation_sweeps": 187,
     }
+
+
+# (determinism_hash, then solves, hits, sweeps, max sweeps, evaluations,
+# evaluation hits and evaluation sweeps) of three default CLI runs. A change
+# that keeps the arithmetic keeps all of them; one that reorders
+# floating-point work re-records them with a CHANGES.md note.
+PINNED_RUNS = {
+    "verify-bounds --seed 5": (
+        "ad49e7d6bad81dcc9a54d15aa970c7af3d4cf3bc15b6319ea791934767118962",
+        (450, 350, 88609, 204, 139, 11, 27376),
+    ),
+    "sweep": (
+        "ea3d80228b822777ed79e3643e1358897d4f9183207a26983097e60c7259e702",
+        (360, 280, 70791, 204, 104, 16, 20437),
+    ),
+    "fruit-forage": (
+        "74449fa1e454aaa0b7ab77384cc88dfb14610dd3798acd8934bce5b530dbda30",
+        (4, 2, 695, 187, 1, 0, 187),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", PINNED_RUNS)
+def test_default_runs_keep_their_pinned_hash_and_solver_counts(tmp_path, command):
+    assert main([*command.split(), "--out", str(tmp_path)]) == EXIT_OK
+    [path] = tmp_path.glob("*/*/summary.json")
+    summary = json.loads(path.read_text())
+    expected_hash, counts = PINNED_RUNS[command]
+    assert summary["determinism_hash"] == expected_hash
+    assert summary["solver"] == dict(
+        zip(
+            (
+                "value_iteration_solves", "cache_hits", "sweeps", "max_sweeps",
+                "policy_evaluations", "evaluation_hits", "evaluation_sweeps",
+            ),
+            counts,
+        )
+    )
 
 
 def test_sweep_pins_cell_dimensions():
@@ -796,12 +835,21 @@ def test_replay_error_paths(tmp_path):
         # exit 1 would read as a report that is still violated
         assert main(["replay", str(path)]) == EXIT_CONFIG
     # an infinite tol would stop every solve after one sweep
-    for tol in (float("inf"), float("nan"), 0.0, -1e-9, "fine", [1e-9]):
+    for tol in (float("inf"), float("nan"), 0.0, -1e-9, "fine", [1e-9], True):
         path = tmp_path / "bad_tol.json"
         path.write_text(json.dumps([{"bound_name": "team_generalization", "tol": tol}]))
         with pytest.raises(ConfigError, match="malformed 'tol'"):
             replay_violations(path)
         assert main(["replay", str(path)]) == EXIT_CONFIG
+    # True == 1, so a boolean tol must not reuse the solver of a tol-1 entry
+    spec_x, spec_y = generate_linear_pair(ranges, np.random.default_rng(5))
+    entry = {
+        "bound_name": "team_generalization", "tol": 1.0,
+        "spec_x": json.loads(spec_x.to_json()), "spec_y": json.loads(spec_y.to_json()),
+    }
+    path.write_text(json.dumps([entry, dict(entry, tol=True)]))
+    with pytest.raises(ConfigError, match="malformed 'tol'"):
+        replay_violations(path)
 
 
 # ---- command line -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tabular Q-learning: table mechanics, training loop, evaluation helpers."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +20,11 @@ from capmdp import (
 )
 from capmdp.envs.predator_prey import PredatorPreyConfig, PredatorPreyEnv
 
-CHAIN_PATH = "tests/data/two_state_chain.json"
+DATA = Path(__file__).parent / "data"
 
 
 def load_chain() -> TabularMMDP:
-    with open(CHAIN_PATH) as handle:
-        return TabularMMDP.from_json(handle.read())
+    return TabularMMDP.from_json((DATA / "two_state_chain.json").read_text())
 
 
 SHORT = TrainSchedule(
