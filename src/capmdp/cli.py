@@ -7,6 +7,7 @@ configuration problem, 3 when an exact solver fails to converge.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -57,13 +58,9 @@ def _load_config(kind: str, args) -> ExperimentConfig:
                 f"config kind {config.kind!r} does not match the {kind!r} subcommand"
             )
     else:
-        config = default_config(kind, seed=args.seed if args.seed is not None else 0)
-    doc = config.to_doc()
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.format is not None:
-        doc["output_format"] = args.format
-    return ExperimentConfig.from_doc(doc)
+        config = default_config(kind)
+    overrides = {"seed": args.seed, "output_format": args.format}
+    return replace(config, **{name: v for name, v in overrides.items() if v is not None})
 
 
 def _run(kind: str, args) -> int:

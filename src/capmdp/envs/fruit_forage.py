@@ -16,8 +16,7 @@ so memory grows with S * A rather than S * A * S and grid 6 with two agents
 (5184 states) solves exactly.
 """
 
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from ..linear import (
     TransitionKernel,
 )
 from ..mdp import StateSpace
+from ._json import JsonConfig
 
 # Four-agent, four-fruit utility compositions used by the certification
 # experiments. Utilities are non-negative but deliberately not simplex
@@ -59,7 +59,7 @@ STATE_CAP_DEFAULT = 200_000
 
 
 @dataclass(frozen=True)
-class FruitForageConfig:
+class FruitForageConfig(JsonConfig):
     """Layout and team for one foraging instance.
 
     tree_positions maps fruit type j to its (row, col) cell; None places the
@@ -87,26 +87,6 @@ class FruitForageConfig:
             raise ValueError("num_fruit_types must fit on the grid")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must lie in [0, 1)")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FruitForageConfig":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("fruit forage config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ValueError(f"unknown fruit forage config fields: {', '.join(unknown)}")
-        return cls(**{key: _nested_tuple(value) for key, value in doc.items()})
-
-
-def _nested_tuple(value):
-    if isinstance(value, list):
-        return tuple(_nested_tuple(item) for item in value)
-    return value
 
 
 def default_tree_positions(grid_size: int, num_fruit_types: int) -> tuple:

@@ -10,10 +10,12 @@ MDP, and none of the closed-form bound calculators accept it.
 """
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
+
+from ._json import JsonConfig
 
 NUM_PP_ACTIONS = 6  # up, left, down, right, no-op, capture
 ACTION_UP, ACTION_LEFT, ACTION_DOWN, ACTION_RIGHT, ACTION_NOOP, ACTION_CAPTURE = range(6)
@@ -26,7 +28,7 @@ _CAP_CODE_RADIX = 512
 
 
 @dataclass(frozen=True)
-class PredatorPreyConfig:
+class PredatorPreyConfig(JsonConfig):
     grid_size: int = 8
     num_predators: int = 4
     num_prey: int = 4
@@ -59,26 +61,6 @@ class PredatorPreyConfig:
             raise ValueError("episode_limit must be at least 1")
         if self.grid_size**2 < self.num_predators + self.num_prey:
             raise ValueError("the grid is too small for all pieces")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PredatorPreyConfig":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("predator prey config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ValueError(f"unknown predator prey config fields: {', '.join(unknown)}")
-        return cls(**{key: _nested_tuple(value) for key, value in doc.items()})
-
-
-def _nested_tuple(value):
-    if isinstance(value, list):
-        return tuple(_nested_tuple(item) for item in value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -378,23 +360,19 @@ class PPTask:
     prey_health: tuple
     penalty: float
 
-    def to_config(
-        self,
-        grid_size: int = 8,
-        capability_observable: bool = False,
-        episode_limit: int = 100,
-        prey_move_prob: float = 0.7,
-    ) -> PredatorPreyConfig:
+    def to_config(self, **settings) -> PredatorPreyConfig:
+        """The task's environment; settings are the other PredatorPreyConfig fields.
+
+        grid_size, episode_limit, prey_move_prob and capability_observable
+        default to PredatorPreyConfig's.
+        """
         return PredatorPreyConfig(
-            grid_size=grid_size,
             num_predators=len(self.predator_capabilities),
             num_prey=len(self.prey_health),
             predator_capabilities=self.predator_capabilities,
             prey_health=self.prey_health,
             penalty=self.penalty,
-            capability_observable=capability_observable,
-            episode_limit=episode_limit,
-            prey_move_prob=prey_move_prob,
+            **settings,
         )
 
 

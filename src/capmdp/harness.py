@@ -1,13 +1,19 @@
 """Experiment runner: random certification sweeps, environments, archives.
 
-Experiments are described by a small JSON config, run deterministically from a
-master seed (each instance derives its own generator, so its rows do not
-depend on which instances ran before it), and written atomically under
-<out>/<name>/<config-hash>/ as results.csv (or .json), config.json,
-summary.json, and violations.json when any bound report comes back
-unsatisfied. A determinism hash over all rows except wall-clock columns lets
-re-runs be compared byte-for-byte. Each kind of bound check is defined once,
-in CHECKS, and shared by the runners and by violation replay. Both run
+Experiments are described by a small JSON config. Each config field is
+declared once, with its name, type and default, on the dataclass that owns
+it: ExperimentConfig, GeneratorRanges, and for the fruit_forage and
+predator_prey sections desk_config, PredatorPreyConfig and TrainSchedule.
+One field-driven parse (_parse) reads every part of a config by those types
+and rejects unknown names and mistyped values (a boolean for a number, a
+string for a list) with ConfigError; to_doc writes the fields back. A run is
+deterministic from its master seed (each instance derives its own generator,
+so its rows do not depend on which instances ran before it) and is written
+atomically under <out>/<name>/<config-hash>/ as results.csv (or .json),
+config.json, summary.json, and violations.json when any bound report comes
+back unsatisfied. A determinism hash over all rows except wall-clock columns
+lets re-runs be compared byte-for-byte. Each kind of bound check is defined
+once, in CHECKS, and shared by the runners and by violation replay. Both run
 checks the same way (_reports) on a Solver that holds the run's solve
 tolerance: every check of an instance is advanced to its solve request, one
 Solver.solve_all answers all the requests in stacked solves, every check is
@@ -26,8 +32,9 @@ import os
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -47,7 +54,7 @@ from .bounds import (
     s_max,
 )
 from .envs.fruit_forage import build_fruit_forage, desk_config, fruit_forage_state_count
-from .envs.predator_prey import PredatorPreyEnv, pp_task_suites
+from .envs.predator_prey import PredatorPreyConfig, PredatorPreyEnv, pp_task_suites
 from .linear import (
     CapabilityVector,
     InfluenceWeights,
@@ -90,19 +97,81 @@ class ConfigError(ValueError):
     """A malformed or inconsistent experiment configuration."""
 
 
+# ---- config fields: read by their declared types, written back by _to_doc --------
+
+_NOUNS = {int: "an integer", float: "a number", tuple: "a JSON list", dict: "a JSON object"}
+_ACCEPTS = {int: (int, float, str), float: (int, float, str), tuple: (list, tuple), dict: dict}
+
+
+def _cast(what: str, kind, value):
+    """value read as a field of type kind, or ConfigError.
+
+    kind is str, int, float, dict, tuple, tuple[item, ...] or a config
+    dataclass (read with its from_doc). Numbers go through int()/float(), so
+    "5" reads as 5, but a boolean is no number; a tuple takes only a list and
+    a dict only an object.
+    """
+    origin = get_origin(kind) or kind
+    if origin is str:
+        return str(value)
+    if is_dataclass(origin):
+        return value if isinstance(value, origin) else origin.from_doc(value)
+    if isinstance(value, _ACCEPTS[origin]) and not isinstance(value, bool):
+        if origin is tuple and get_args(kind):
+            return tuple(_cast(f"{what} item", get_args(kind)[0], item) for item in value)
+        try:
+            return origin(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{what} must be {_NOUNS[origin]}, got {value!r}")
+
+
+def _parse(what: str, types: dict, doc) -> dict:
+    """doc's entries, each cast by types[name]; doc must be an object of known names."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {what} field(s) {sorted(unknown)}")
+    return {name: _cast(f"{what} field {name!r}", types[name], doc[name]) for name in doc}
+
+
+def _types(config) -> dict:
+    """name -> declared type of a config dataclass's fields."""
+    return {f.name: f.type for f in fields(config)}
+
+
+def _cast_fields(config, what: str):
+    """Cast a frozen config dataclass's fields in place, as _parse casts a document."""
+    for name, value in _parse(what, _types(config), vars(config)).items():
+        object.__setattr__(config, name, value)
+
+
+def _to_doc(value):
+    """The JSON form of a config value: a dataclass as an object, a tuple as a list."""
+    if is_dataclass(value):
+        return {f.name: _to_doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_doc(item) for item in value]
+    if isinstance(value, dict):
+        return {name: _to_doc(item) for name, item in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
 class GeneratorRanges:
     """Inclusive sampling ranges for random certification instances."""
 
-    num_states: tuple = (4, 20)
-    num_agents: tuple = (2, 4)
-    actions_per_agent: tuple = (2, 3)
-    capability_dim: tuple = (2, 4)
-    feature_dim: tuple = (2, 5)
+    num_states: tuple[int, ...] = (4, 20)
+    num_agents: tuple[int, ...] = (2, 4)
+    actions_per_agent: tuple[int, ...] = (2, 3)
+    capability_dim: tuple[int, ...] = (2, 4)
+    feature_dim: tuple[int, ...] = (2, 5)
     max_joint_actions: int = 81
     gamma: float = 0.9
 
     def __post_init__(self):
+        _cast_fields(self, "ranges")
         pairs = {
             "num_states": (self.num_states, 1),
             "num_agents": (self.num_agents, 1),
@@ -123,50 +192,46 @@ class GeneratorRanges:
             raise ConfigError(f"gamma must lie strictly inside (0, 1), got {self.gamma}")
 
     def to_doc(self) -> dict:
-        return {
-            "num_states": list(self.num_states),
-            "num_agents": list(self.num_agents),
-            "actions_per_agent": list(self.actions_per_agent),
-            "capability_dim": list(self.capability_dim),
-            "feature_dim": list(self.feature_dim),
-            "max_joint_actions": self.max_joint_actions,
-            "gamma": self.gamma,
-        }
+        return _to_doc(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "GeneratorRanges":
-        known = set(cls().to_doc())
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown ranges field(s) {sorted(unknown)}")
-        kwargs = {}
-        for name, value in doc.items():
-            if name in ("max_joint_actions",):
-                kwargs[name] = int(value)
-            elif name == "gamma":
-                kwargs[name] = float(value)
-            else:
-                kwargs[name] = tuple(int(v) for v in value)
-        return cls(**kwargs)
+        return cls(**_parse("ranges", _types(cls), doc))
 
 
-_PP_DEFAULTS = {
-    "suite": "unseen_team",
-    "mode": "both",
-    "grid_size": 8,
-    "episode_limit": 100,
-    "prey_move_prob": 0.7,
-    "total_steps": 200_000,
-    "alpha": 0.1,
-    "epsilon_start": 1.0,
-    "epsilon_end": 0.05,
-    "epsilon_decay_steps": 50_000,
-    "gamma": 0.99,
-    "eval_interval": 10_000,
-    "eval_episodes": 10,
+def _defaults(config, names=None) -> dict:
+    """name -> (type, default) of a default config's fields: all of them, or those named."""
+    return {
+        f.name: (f.type, getattr(config, f.name))
+        for f in fields(config)
+        if names is None or f.name in names
+    }
+
+
+# the PredatorPreyConfig fields a predator_prey section sets for every task
+_PP_ENV = ("grid_size", "episode_limit", "prey_move_prob")
+# name -> (type, default) of each section's fields
+_SECTIONS = {
+    "fruit_forage": _defaults(desk_config(), ("grid_size", "num_agents")),
+    "predator_prey": {
+        "suite": (str, "unseen_team"),
+        "mode": (str, "both"),
+        **_defaults(PredatorPreyConfig(), _PP_ENV),
+        **_defaults(TrainSchedule()),
+        "eval_episodes": (int, 10),
+    },
 }
+# the ranges a sweep cell can pin to one value
+_CELL_RANGES = ("num_agents", "capability_dim", "num_states")
+_CELL_TYPES = dict.fromkeys(_CELL_RANGES + ("num_instances",), int)
 
-_FF_DEFAULTS = {"grid_size": 4, "num_agents": 2}
+
+def _section_params(section: str, overrides) -> dict:
+    """A section's defaults, updated with its overrides cast by field type."""
+    schema = _SECTIONS[section]
+    params = {name: default for name, (_, default) in schema.items()}
+    params.update(_parse(section, {name: kind for name, (kind, _) in schema.items()}, overrides))
+    return params
 
 
 @dataclass(frozen=True)
@@ -188,6 +253,7 @@ class ExperimentConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
+        _cast_fields(self, "config")
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version must be {SCHEMA_VERSION}, got {self.schema_version}"
@@ -206,97 +272,31 @@ class ExperimentConfig:
             raise ConfigError("eps_r must be finite and >= 0, and eps_p inside [0, 1)")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
-        object.__setattr__(
-            self, "fruit_forage", _merge_params("fruit_forage", _FF_DEFAULTS, self.fruit_forage)
-        )
-        object.__setattr__(
-            self,
-            "predator_prey",
-            _merge_params("predator_prey", _PP_DEFAULTS, self.predator_prey),
-        )
         for section, setup in (("fruit_forage", _forage_desk), ("predator_prey", _pursuit_setup)):
+            params = _section_params(section, getattr(self, section))
+            object.__setattr__(self, section, params)
             try:
-                setup(getattr(self, section))
+                setup(params)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{section}: {exc}") from exc
         if self.kind == "sweep" and not self.sweep_cells:
             raise ConfigError("a sweep needs at least one cell")
-        cells = []
-        for cell in self.sweep_cells:
-            unknown = set(cell) - {"num_agents", "capability_dim", "num_states", "num_instances"}
-            if unknown:
-                raise ConfigError(f"unknown sweep cell field(s) {sorted(unknown)}")
-            if "num_agents" not in cell or "capability_dim" not in cell:
-                raise ConfigError("each sweep cell needs num_agents and capability_dim")
-            cells.append({k: int(v) for k, v in cell.items()})
-        object.__setattr__(self, "sweep_cells", tuple(cells))
-        for index, cell in enumerate(self.sweep_cells):
+        cells = tuple(_parse("sweep cell", _CELL_TYPES, cell) for cell in self.sweep_cells)
+        if any("num_agents" not in cell or "capability_dim" not in cell for cell in cells):
+            raise ConfigError("each sweep cell needs num_agents and capability_dim")
+        object.__setattr__(self, "sweep_cells", cells)
+        for index, cell in enumerate(cells):
             _cell_config(self, index, cell)
 
     def to_doc(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.kind,
-            "name": self.name,
-            "seed": self.seed,
-            "num_instances": self.num_instances,
-            "tol": self.tol,
-            "eps_r": self.eps_r,
-            "eps_p": self.eps_p,
-            "ranges": self.ranges.to_doc(),
-            "fruit_forage": dict(self.fruit_forage),
-            "predator_prey": dict(self.predator_prey),
-            "sweep_cells": [dict(c) for c in self.sweep_cells],
-            "output_format": self.output_format,
-        }
+        return _to_doc(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("the experiment config must be a JSON object")
-        known = {
-            "schema_version",
-            "kind",
-            "name",
-            "seed",
-            "num_instances",
-            "tol",
-            "eps_r",
-            "eps_p",
-            "ranges",
-            "fruit_forage",
-            "predator_prey",
-            "sweep_cells",
-            "output_format",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config field(s) {sorted(unknown)}")
-        if "kind" not in doc:
+        values = _parse("config", _types(cls), doc)
+        if "kind" not in values:
             raise ConfigError("the config is missing the required field 'kind'")
-        if isinstance(doc.get("tol"), bool):
-            raise ConfigError(f"tol must be a number, got {doc['tol']!r}")
-        try:
-            ranges = GeneratorRanges.from_doc(doc.get("ranges", {}))
-            return cls(
-                kind=str(doc["kind"]),
-                name=str(doc.get("name", "")),
-                seed=int(doc.get("seed", 0)),
-                schema_version=int(doc.get("schema_version", SCHEMA_VERSION)),
-                num_instances=int(doc.get("num_instances", 50)),
-                tol=float(doc.get("tol", 1e-9)),
-                eps_r=float(doc.get("eps_r", 0.01)),
-                eps_p=float(doc.get("eps_p", 0.005)),
-                ranges=ranges,
-                fruit_forage=dict(doc.get("fruit_forage", {})),
-                predator_prey=dict(doc.get("predator_prey", {})),
-                sweep_cells=tuple(doc.get("sweep_cells", [])),
-                output_format=str(doc.get("output_format", "csv")),
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**values)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -311,15 +311,6 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _merge_params(section: str, defaults: dict, overrides: dict) -> dict:
-    unknown = set(overrides) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown {section} field(s) {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(overrides)
-    return merged
-
-
 def _forage_desk(params: dict) -> tuple:
     """(grid_size, num_agents) of a fruit_forage section.
 
@@ -327,8 +318,7 @@ def _forage_desk(params: dict) -> tuple:
     that size: grid_size >= 2, 1 <= num_agents <= the teams' members, and a
     state space under the cap.
     """
-    grid_size = int(params["grid_size"])
-    num_agents = int(params["num_agents"])
+    grid_size, num_agents = params["grid_size"], params["num_agents"]
     desk = desk_config("x", grid_size, num_agents)
     if len(desk.team) != num_agents:
         raise ValueError(f"the desk teams have {len(desk.team)} members, not {num_agents}")
@@ -346,24 +336,16 @@ def _pursuit_setup(params: dict) -> tuple:
     environment setting no task of the suite can be built with.
     """
     suites = pp_task_suites()
-    suite_name = str(params["suite"])
+    suite_name = params["suite"]
     if suite_name not in suites:
         raise ConfigError(f"unknown task suite {suite_name!r}; known: {sorted(suites)}")
     suite = suites[suite_name]
-    mode = str(params["mode"])
+    mode = params["mode"]
     if mode not in ("aware", "blind", "both"):
         raise ConfigError(f"predator_prey mode must be aware, blind, or both, got {mode!r}")
     modes = ("blind", "aware") if mode == "both" else (mode,)
-    schedule = TrainSchedule(
-        total_steps=int(params["total_steps"]),
-        alpha=float(params["alpha"]),
-        epsilon_start=float(params["epsilon_start"]),
-        epsilon_end=float(params["epsilon_end"]),
-        epsilon_decay_steps=int(params["epsilon_decay_steps"]),
-        gamma=float(params["gamma"]),
-        eval_interval=int(params["eval_interval"]),
-    )
-    episodes = int(params["eval_episodes"])
+    schedule = TrainSchedule(**{name: params[name] for name in _types(TrainSchedule)})
+    episodes = params["eval_episodes"]
     if episodes < 1:
         raise ValueError(f"eval_episodes must be positive, got {episodes}")
     for task in suite.train + suite.test:
@@ -879,12 +861,8 @@ def run_fruit_forage(config: ExperimentConfig, solve_counts=None):
 
 
 def _pp_env_config(params: dict, task, capability_observable: bool):
-    return task.to_config(
-        grid_size=int(params["grid_size"]),
-        capability_observable=capability_observable,
-        episode_limit=int(params["episode_limit"]),
-        prey_move_prob=float(params["prey_move_prob"]),
-    )
+    settings = {name: params[name] for name in _PP_ENV}
+    return task.to_config(capability_observable=capability_observable, **settings)
 
 
 def _pp_env_builder(params: dict):
@@ -960,10 +938,7 @@ def run_predator_prey(config: ExperimentConfig):
 
 def _cell_config(config: ExperimentConfig, cell_index: int, cell: dict) -> ExperimentConfig:
     """The verify-bounds config of one sweep cell: config's ranges with the cell's sizes pinned."""
-    ranges_doc = config.ranges.to_doc()
-    for key in ("num_agents", "capability_dim", "num_states"):
-        if key in cell:
-            ranges_doc[key] = [cell[key], cell[key]]
+    pinned = {key: (cell[key], cell[key]) for key in _CELL_RANGES if key in cell}
     return ExperimentConfig(
         kind="verify-bounds",
         name=config.name,
@@ -972,7 +947,7 @@ def _cell_config(config: ExperimentConfig, cell_index: int, cell: dict) -> Exper
         tol=config.tol,
         eps_r=config.eps_r,
         eps_p=config.eps_p,
-        ranges=GeneratorRanges.from_doc(ranges_doc),
+        ranges=replace(config.ranges, **pinned),
     )
 
 
@@ -1163,8 +1138,8 @@ def _rebuilt_case(name: str, rebuild) -> dict:
     if not isinstance(labels, list) or CHECKS[name].fields != _SPECS[: len(labels)]:
         raise ConfigError(f"cannot replay report {name!r} for the rebuilt teams {labels!r}")
     try:
-        grid_size = int(rebuild["grid_size"])
-        num_agents = int(rebuild["num_agents"])
+        grid_size = _cast("grid_size", int, rebuild["grid_size"])
+        num_agents = _cast("num_agents", int, rebuild["num_agents"])
         specs = [
             build_fruit_forage(desk_config(label, grid_size, num_agents)) for label in labels
         ]

@@ -2,7 +2,7 @@
 
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from capmdp import (
     ExperimentConfig,
     GeneratorRanges,
     Solver,
+    TrainSchedule,
     certify_instance,
     certify_team_generalization,
     default_config,
@@ -28,6 +29,7 @@ from capmdp import (
 )
 import capmdp.cli
 from capmdp.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VIOLATION, main
+from capmdp.envs import PredatorPreyConfig, desk_config
 import capmdp.harness
 from capmdp.harness import (
     CHECKS,
@@ -167,6 +169,10 @@ def test_config_parsing_and_errors():
         )
 
 
+def with_ranges(**params):
+    return {"kind": "verify-bounds", "ranges": params}
+
+
 def forage(**params):
     return {"kind": "fruit-forage", "fruit_forage": params}
 
@@ -201,6 +207,19 @@ UNRUNNABLE_CONFIGS = {
     "pursuit-episodes-0": (pursuit(eval_episodes=0), "eval_episodes"),
     "pursuit-grid-2": (pursuit(grid_size=2), "too small"),
     "pursuit-mode": (pursuit(mode="sideways"), "mode"),
+    # int(True) is 1: a boolean is no number, and a string or pairs are no list or object
+    "num_instances-true": ({"kind": "verify-bounds", "num_instances": True}, "num_instances"),
+    "eps_r-true": ({"kind": "verify-bounds", "eps_r": True}, "eps_r"),
+    "seed-false": ({"kind": "verify-bounds", "seed": False}, "seed"),
+    "seed-inf": ({"kind": "verify-bounds", "seed": float("inf")}, "seed"),
+    "ranges-item-true": (with_ranges(num_states=[True, 3]), "num_states"),
+    "ranges-string": (with_ranges(num_states="45"), "num_states"),
+    "sweep-cell-agents-true": (sweep(dict(CELL), dict(CELL, num_agents=True)), "num_agents"),
+    "forage-agents-true": (forage(num_agents=True), "num_agents"),
+    "forage-pairs": (
+        {"kind": "fruit-forage", "fruit_forage": [["grid_size", 3]]}, "fruit_forage"
+    ),
+    "pursuit-steps-true": (pursuit(total_steps=True), "total_steps"),
 }
 
 
@@ -215,6 +234,69 @@ def test_configs_that_cannot_run_exit_2_before_any_work(tmp_path, case):
     # exit 1 would read as a violated bound
     assert main([doc["kind"], "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_config_fields_are_cast_by_their_declared_types():
+    # a config built directly is checked as a document is
+    with pytest.raises(ConfigError, match="tol"):
+        ExperimentConfig(kind="verify-bounds", tol=True)
+    with pytest.raises(ConfigError, match="ranges"):
+        ExperimentConfig(kind="verify-bounds", ranges=[[4, 20]])
+    built = ExperimentConfig(kind="verify-bounds", ranges=SMALL_RANGES_DOC, num_instances=2)
+    assert built == small_config()
+    # int() and float() still read numeric strings
+    config = small_config(seed="5", tol="1e-8")
+    assert (config.seed, config.tol) == (5, 1e-8)
+    pursuit_config = ExperimentConfig.from_doc(pursuit(alpha=1, total_steps="300"))
+    assert pursuit_config.predator_prey["alpha"] == 1.0
+    assert isinstance(pursuit_config.predator_prey["alpha"], float)
+    assert pursuit_config.predator_prey["total_steps"] == 300
+
+
+def test_section_defaults_come_from_the_classes_that_run_them():
+    config = default_config("predator-prey")
+    schedule = asdict(TrainSchedule())
+    assert {name: config.predator_prey[name] for name in schedule} == schedule
+    env = PredatorPreyConfig()
+    for name in ("grid_size", "episode_limit", "prey_move_prob"):
+        assert config.predator_prey[name] == getattr(env, name)
+    desk = desk_config()
+    assert config.fruit_forage == {"grid_size": desk.grid_size, "num_agents": desk.num_agents}
+
+
+# config_hash of each default config and of two benchmark documents: the hash
+# names every run directory and fills the config_hash column of every row
+PINNED_CONFIG_HASHES = {
+    "verify-bounds": "2a57f8097dd8",
+    "fruit-forage": "0ee17babc5a3",
+    "predator-prey": "b4ea79ee4e2b",
+    "sweep": "e44b21e3995f",
+}
+PINNED_BENCHMARK_HASHES = {
+    # pursuit-learn, config seed 0
+    "3a2bf550aecf": {
+        "kind": "predator-prey",
+        "seed": 0,
+        "predator_prey": {
+            "suite": "unseen_team", "mode": "both", "grid_size": 8,
+            "total_steps": 10_000, "epsilon_decay_steps": 2_500, "eval_episodes": 1,
+        },
+    },
+    # certify-random, config seed 14
+    "d8cdfa02de12": {"kind": "verify-bounds", "seed": 14, "num_instances": 50},
+}
+
+
+@pytest.mark.parametrize("kind", PINNED_CONFIG_HASHES)
+def test_default_configs_keep_their_pinned_hash_and_round_trip(kind):
+    config = default_config(kind)
+    assert config.config_hash() == PINNED_CONFIG_HASHES[kind]
+    assert ExperimentConfig.from_doc(config.to_doc()) == config
+
+
+@pytest.mark.parametrize("expected", PINNED_BENCHMARK_HASHES)
+def test_benchmark_configs_keep_their_pinned_hash(expected):
+    assert ExperimentConfig.from_doc(PINNED_BENCHMARK_HASHES[expected]).config_hash() == expected
 
 
 def test_config_hash_tracks_content():
@@ -852,6 +934,18 @@ def test_replay_error_paths(tmp_path):
         replay_violations(path)
 
 
+def test_replay_rejects_a_mistyped_rebuild(tmp_path):
+    # int(True) is 1: a boolean would replay a one-agent desk, not the archived one
+    rebuild = {
+        "env": "fruit_forage", "grid_size": 2, "num_agents": True, "team_labels": ["x", "y"],
+    }
+    path = tmp_path / "violations.json"
+    path.write_text(json.dumps([{"bound_name": "team_generalization", "rebuild": rebuild}]))
+    with pytest.raises(ConfigError, match="num_agents"):
+        replay_violations(path)
+    assert main(["replay", str(path)]) == EXIT_CONFIG
+
+
 # ---- command line -------------------------------------------------------------------
 
 
@@ -901,6 +995,16 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["unknown-command"]) == EXIT_CONFIG
     assert main([]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_cli_overrides_are_checked_like_the_config(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["verify-bounds", "--seed=-1", "--out", str(out)]) == EXIT_CONFIG
+    config_path = write_config(tmp_path)
+    code = main(["verify-bounds", "--config", str(config_path), "--seed=-2", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_cli_replay_clean_file(tmp_path, capsys):
