@@ -27,6 +27,7 @@ not locked, so it must not be shared between threads.
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,9 +256,11 @@ class Solver:
     rewards, the transitions and the successor index (shape, dtype and
     bytes of each) and the discount: with tol, the whole input of
     value_iteration. So an indexed kernel and its dense twin never share an
-    entry. An evaluation's key is its MDP's solve key and the policy's
-    actions. Cached arrays are read-only, since every caller of a hit shares
-    them. solve_all and evaluate_all answer many requests at once and run
+    entry. Each MDP object is digested once per solver, and its key reused
+    by every later request of that object; an MDP's arrays must not change
+    once it has been requested. An evaluation's key is its MDP's solve key
+    and the policy's actions. Cached arrays are read-only, since every
+    caller of a hit shares them. solve_all and evaluate_all answer many requests at once and run
     the uncached ones in stacks; each answer is bit for bit the one
     value_iteration or policy_evaluation gives alone.
     """
@@ -268,6 +271,7 @@ class Solver:
         self.tol = tol
         self._solved = {}
         self._evaluated = {}
+        self._keys = weakref.WeakKeyDictionary()  # MDP object -> its solve key
         self.solves = 0
         self.hits = 0
         self.sweeps = 0
@@ -292,7 +296,7 @@ class Solver:
         a solve, every other request as a hit.
         """
         mmdps = list(mmdps)
-        keys = [_solve_key(mmdp) for mmdp in mmdps]
+        keys = [self._key(mmdp) for mmdp in mmdps]
         solutions, hits, sweeps = self._answer_all(keys, mmdps, mmdps, self._solved, _solve_stack)
         self.solves += len(sweeps)
         self.hits += hits
@@ -310,7 +314,7 @@ class Solver:
         an evaluation hit.
         """
         requests = list(requests)
-        keys = [(_solve_key(mmdp), policy.actions.tobytes()) for mmdp, policy in requests]
+        keys = [(self._key(mmdp), policy.actions.tobytes()) for mmdp, policy in requests]
         mmdps = [mmdp for mmdp, _ in requests]
         values, hits, sweeps = self._answer_all(
             keys, requests, mmdps, self._evaluated, _evaluate_stack
@@ -319,6 +323,13 @@ class Solver:
         self.evaluation_hits += hits
         self.evaluation_sweeps += sum(sweeps)
         return values
+
+    def _key(self, mmdp: TabularMMDP) -> bytes:
+        """mmdp's solve key, digested on the object's first request only."""
+        key = self._keys.get(mmdp)
+        if key is None:
+            key = self._keys[mmdp] = _solve_key(mmdp)
+        return key
 
     def _answer_all(self, keys, requests, mmdps, cache, run_stack):
         """Answer each keyed request from cache, running the uncached ones in stacks.

@@ -262,6 +262,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
+        if self.name in (".", "..") or any(c in self.name for c in "/\\\0"):
+            # a run writes under <out>/<name>/: anything but one plain path
+            # component could place it outside <out>
+            raise ConfigError(f"name must be one path component, got {self.name!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.num_instances < 1:

@@ -16,13 +16,20 @@ solvers, not large-scale approximate ones.
 
 Every solver runs one successive-approximation loop, _fixed_point, in
 place over preallocated buffers. Its sweep is the backup base + gamma * E[x]
-for policy evaluation and successor features; value iteration backs up into
-a joint-action q buffer and takes the max. The loop runs a stack of MDPs of
-one layout, shape and discount at once (value_iteration_stack,
-policy_evaluation_stack): dense kernels are stacked once, so a sweep makes
-one batched kernel product and a handful of whole-stack array calls however
-many members it backs up, which removes most of the per-call overhead of
-small solves. Each member still stops on its own sweep and gets exactly the
+for policy evaluation and successor features. Value iteration takes the max
+of E[v] over joint actions first and then scales and adds the reward on the
+per-state maxima only: for gamma >= 0, x -> fl(r + fl(gamma * x)) is
+monotone under round-to-nearest, so it commutes with the max and the bits
+are those of max(r + gamma * E[v]). An indexed kernel is read
+joint-action-major for that max, from an (A, S, K) copy made per solve, and
+rows with one successor skip the sum over successors. The loop checks
+convergence once per block of sweeps, from the kept iterates of the block,
+so each member still stops on its own first sweep within tol. It runs a
+stack of MDPs of one layout, shape and discount at once
+(value_iteration_stack, policy_evaluation_stack): dense kernels are stacked
+once, so a sweep makes one batched kernel product and a handful of
+whole-stack array calls however many members it backs up, which removes
+most of the per-call overhead of small solves. Each member gets exactly the
 arrays value_iteration or policy_evaluation, each a stack of one, gives it.
 """
 
@@ -369,6 +376,20 @@ def _next_value(kernels, num_states: int, columns: int):
             np.matmul(stacked, v.reshape(vector), out=out)
 
         return expect
+    if kernels[0][1].shape[-1] == 1:
+        # a one-term sum is that term, and 1 * x is x: rows with one successor
+        # skip the sum over successors, and sure ones the product as well
+        probs = [None if np.all(trans == 1.0) else trans for trans, _ in kernels]
+        successors = [succ[..., 0] for _, succ in kernels]
+
+        def expect(v, out):
+            for member, (prob, succ) in enumerate(zip(probs, successors)):
+                # successors were range-checked when the MDP was built
+                np.take(v[member], succ, axis=0, out=out[member], mode="clip")
+                if prob is not None:
+                    np.multiply(out[member], prob, out=out[member])
+
+        return expect
     probs = [trans[..., None] for trans, _ in kernels]
     successors = [succ for _, succ in kernels]
     gathered = np.empty(successors[0].shape + (columns,))
@@ -398,12 +419,20 @@ def _backup(expect, base, gamma: float, v, out):
     np.add(out, base, out=out)
 
 
+# sweeps run between two convergence checks; a member's stop and sweep count
+# do not depend on it, only how many sweeps past the last stop a solve makes
+_BLOCK = 16
+
+
 def _fixed_point(sweep, x, tol: float, max_iters: int, what: str):
     """Iterate sweep(x, out), out <- F(x), from the zero (B, S, columns) stack x.
 
     Each member stops at its own first sweep that moves it by <= tol; every
-    operation acts on each member's entries alone. Returns (its (S, columns)
-    fixed point, its sweep count) per member.
+    operation acts on each member's entries alone. The iterates of a block of
+    _BLOCK sweeps are kept, and the residuals of the whole block are taken in
+    one pass, so a member may be swept past its stop but always returns the
+    iterate and count of its first sweep within tol. Returns (its
+    (S, columns) fixed point, its sweep count) per member.
 
     Raises:
         SolverConvergenceError: if some member does not reach tol within
@@ -412,42 +441,54 @@ def _fixed_point(sweep, x, tol: float, max_iters: int, what: str):
     if tol <= 0:
         raise ValueError("tol must be positive")
     b = x.shape[0]
-    x_next = np.empty_like(x)
-    change = np.empty_like(x)
-    residual = np.full(b, np.inf)
+    history = np.empty((_BLOCK + 1,) + x.shape)
+    history[0] = x
+    change = np.empty((_BLOCK,) + x.shape)
+    residual = np.full((_BLOCK, b), np.inf)
     short = np.ones(b, dtype=bool)  # members whose sweeps have not reached tol
-    hit = np.empty(b, dtype=bool)
     points = [None] * b
     sweeps = [0] * b
-    for count in range(1, max_iters + 1):
-        sweep(x, x_next)
-        np.subtract(x_next, x, out=change)
-        np.abs(change, out=change)
-        np.maximum.reduce(change, axis=(1, 2), out=residual)
-        x, x_next = x_next, x
-        np.less_equal(residual, tol, out=hit)
-        hit &= short
-        if hit.any():
-            for i in np.flatnonzero(hit):
-                points[i] = x[i].copy()
-                sweeps[i] = count
-            short[hit] = False
-            if not short.any():
-                return points, sweeps
-    raise SolverConvergenceError(f"{what} did not converge", residual[short].max(), max_iters)
+    done = size = 0
+    while done < max_iters:
+        size = min(_BLOCK, max_iters - done)
+        for step in range(size):
+            sweep(history[step], history[step + 1])
+        np.subtract(history[1 : size + 1], history[:size], out=change[:size])
+        np.abs(change[:size], out=change[:size])
+        np.maximum.reduce(change[:size], axis=(2, 3), out=residual[:size])
+        hit = (residual[:size] <= tol) & short
+        for i in np.flatnonzero(hit.any(axis=0)):
+            step = int(hit[:, i].argmax())
+            points[i] = history[step + 1, i].copy()
+            sweeps[i] = done + step + 1
+            short[i] = False
+        done += size
+        if not short.any():
+            return points, sweeps
+        history[0] = history[size]
+    # with no sweep at all (max_iters < 1), residual[-1] is still inf
+    worst = residual[size - 1][short].max()
+    raise SolverConvergenceError(f"{what} did not converge", worst, max_iters)
 
 
 def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
     """value_iteration on several MDPs at once, in the one stacked sweep loop.
 
-    The MDPs must share one layout, kernel shape and discount. A sweep backs
-    up every member into one (B, S, A, 1) q buffer with one batched kernel
-    product and takes the max over joint actions, which spares most of the
-    per-call overhead that dominates a small solve. Each member stops at its
-    own first sweep whose change is <= tol; one more stacked backup of the
-    stopped values then gives each member its q, v and greedy policy. Every
-    operation acts on each member's entries alone, so each result is bit for
-    bit the one value_iteration gives that MDP.
+    The MDPs must share one layout, kernel shape and discount. A sweep takes
+    every member's expected next values E[v] for all joint actions at once
+    (one batched kernel product for a dense stack) and their max over joint
+    actions, and only then scales and adds the reward on the (B, S) maxima.
+    That gives the bits of max(r + gamma * E[v]): for gamma >= 0, x ->
+    fl(r + fl(gamma * x)) is monotone under round-to-nearest, so it commutes
+    with the max. An indexed stack is read joint-action-major: each member's
+    successor index and probabilities are copied once, per solve, into
+    (A, S, K) order, so the max reduces over the outer axis; max is exact in
+    any order. Each member stops at its own first sweep whose change is
+    <= tol (the loop checks a block of sweeps at once; see _fixed_point);
+    one more stacked backup of the stopped values then builds each member's
+    full q, its v and its greedy policy. Every operation acts on each
+    member's entries alone, so each result is bit for bit the one
+    value_iteration gives that MDP.
 
     Returns:
         (solutions, sweeps): one (ValueTable, JointPolicy) per MDP in input
@@ -462,20 +503,35 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
         return [], []
     _check_stack(mmdps)
     first = mmdps[0]
-    b, s, a = len(mmdps), first.num_states, first.num_joint_actions
-    expect = _next_value([(m.transitions, m.next_states) for m in mmdps], s, 1)
-    r = np.stack([m.rewards for m in mmdps]).reshape(b, s, 1, 1)
-    q = np.empty((b, s, a, 1))
+    b, s = len(mmdps), first.num_states
+    r = np.stack([m.rewards for m in mmdps]).reshape(b, s, 1)
+    if first.next_states is None:
+        kernels = [(m.transitions, None) for m in mmdps]
+        joint = 2
+    else:
+        # joint-action-major copies, so the max reduces over the outer axis
+        kernels = [
+            (m.transitions.swapaxes(0, 1).copy(), m.next_states.swapaxes(0, 1).copy())
+            for m in mmdps
+        ]
+        joint = 1
+    expect = _next_value(kernels, s, 1)
+    # q[..., 0] is (B, S, A) dense and (B, A, S) indexed; joint is its joint-action axis
+    q = np.empty((b,) + kernels[0][0].shape[:2] + (1,))
+    del kernels  # expect keeps what its sweeps read, so unread copies go now
 
-    def sweep(v, out):
-        _backup(expect, r, first.gamma, v, q)
-        np.maximum.reduce(q, axis=2, out=out)
+    def best_next_value(v, out):
+        expect(v, q)
+        np.maximum.reduce(q, axis=joint, out=out)
 
-    points, sweeps = _fixed_point(sweep, np.zeros((b, s, 1)), tol, max_iters, "value iteration")
+    points, sweeps = _fixed_point(
+        partial(_backup, best_next_value, r, first.gamma),
+        np.zeros((b, s, 1)), tol, max_iters, "value iteration",
+    )
     # one more backup keeps v, q, and the greedy policy exactly consistent
-    _backup(expect, r, first.gamma, np.stack(points), q)
+    _backup(expect, np.expand_dims(r, joint), first.gamma, np.stack(points), q)
     solutions = []
-    for q_i in q[:, :, :, 0]:
+    for q_i in np.moveaxis(q[..., 0], joint, 2):
         q_i = q_i.copy()
         solutions.append((ValueTable(v=q_i.max(axis=1), q=q_i), JointPolicy(q_i.argmax(axis=1))))
     return solutions, sweeps

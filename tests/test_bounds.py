@@ -582,6 +582,45 @@ def test_evaluate_all_answers_every_request_from_stacked_evaluations(monkeypatch
         assert (solver.evaluations, solver.evaluation_hits) == (5, 3)
 
 
+def test_a_solver_digests_each_mdp_object_once(monkeypatch):
+    digested = []
+    solve_key = capmdp.bounds._solve_key
+
+    def counting_key(mmdp):
+        digested.append(mmdp)
+        return solve_key(mmdp)
+
+    monkeypatch.setattr(capmdp.bounds, "_solve_key", counting_key)
+    spec_x, _ = small_pair(5)
+    base = assemble_linear_mmdp(spec_x)
+    twin = dataclasses.replace(base)  # the same content in another object
+    policy = JointPolicy(np.zeros(base.num_states, dtype=np.int64))
+    solver = Solver()
+    solver.solve_all([base, base, twin])
+    solver.evaluate_all([(base, policy), (twin, policy)])
+    solver.solve_all([base])
+    # content keys the cache: the twin is a hit, though digested on its own
+    assert digested == [base, twin]
+    _, [sweeps] = value_iteration_stack([base])
+    _, [evaluation_sweeps] = policy_evaluation_stack([(base, policy)])
+    assert solver.counts() == {
+        "value_iteration_solves": 1, "cache_hits": 3, "sweeps": sweeps, "max_sweeps": sweeps,
+        "policy_evaluations": 1, "evaluation_hits": 1, "evaluation_sweeps": evaluation_sweeps,
+    }
+    # another solver keys the object afresh
+    Solver().solve_all([base])
+    assert digested == [base, twin, base]
+    # the checks of several instances request one MDP object many times
+    digested.clear()
+    config = ExperimentConfig(kind="verify-bounds", tol=1e-8, ranges=SMALL)
+    solver = Solver(config.tol)
+    for index in range(3):
+        certify_instance(config, index, solver)
+    assert len({id(mmdp) for mmdp in digested}) == len(digested)
+    requests = solver.solves + solver.hits + solver.evaluations + solver.evaluation_hits
+    assert requests > len(digested)
+
+
 def test_a_solver_solves_at_its_own_tol(monkeypatch):
     spec_x, spec_y = small_pair(5)
     tols = []

@@ -220,6 +220,13 @@ UNRUNNABLE_CONFIGS = {
         {"kind": "fruit-forage", "fruit_forage": [["grid_size", 3]]}, "fruit_forage"
     ),
     "pursuit-steps-true": (pursuit(total_steps=True), "total_steps"),
+    # a run writes under <out>/<name>/, so a name is one plain path component
+    "name-parent": ({"kind": "verify-bounds", "name": "../escaped"}, "name"),
+    "name-dotdot": ({"kind": "verify-bounds", "name": ".."}, "name"),
+    "name-dot": ({"kind": "verify-bounds", "name": "."}, "name"),
+    "name-nested": ({"kind": "verify-bounds", "name": "a/b"}, "name"),
+    "name-absolute": ({"kind": "verify-bounds", "name": "/capmdp-escaped"}, "name"),
+    "name-backslash": ({"kind": "verify-bounds", "name": "a\\b"}, "name"),
 }
 
 

@@ -24,6 +24,7 @@ from capmdp import (
     value_iteration,
     value_iteration_stack,
 )
+import capmdp.mdp
 
 DATA = Path(__file__).parent / "data"
 
@@ -439,3 +440,129 @@ def test_a_stack_needs_one_layout_shape_and_discount():
             )
     assert value_iteration_stack([]) == ([], [])
     assert policy_evaluation_stack([]) == ([], [])
+
+
+# ---- the sweep's arithmetic ----------------------------------------------------------
+# value iteration takes the max over joint actions before the scale and the reward,
+# reads indexed kernels joint-action-major, skips the one-term sum of K = 1 rows, and
+# checks convergence once per block of sweeps; each must keep the textbook loop's bits
+
+
+def assert_textbook_solve(members, tol=1e-9, max_iters=10**6):
+    """Stacked and lone value iteration and evaluation give the textbook loops' bits."""
+    solutions, sweeps = value_iteration_stack(members, tol, max_iters)
+    policies = random_policies(np.random.default_rng(0), members)
+    values, evaluation_sweeps = policy_evaluation_stack(
+        list(zip(members, policies)), tol, max_iters
+    )
+    for mmdp, stacked, n, policy, value, m in zip(
+        members, solutions, sweeps, policies, values, evaluation_sweeps
+    ):
+        q, textbook_sweeps = textbook_value_iteration(mmdp, tol, max_iters)
+        assert n == textbook_sweeps
+        for table, greedy in (stacked, value_iteration(mmdp, tol, max_iters)):
+            assert np.array_equal(table.q, q)
+            assert np.array_equal(table.v, q.max(axis=1))
+            assert np.array_equal(greedy.actions, q.argmax(axis=1))
+        v, textbook_sweeps = textbook_policy_evaluation(mmdp, policy.actions, tol, max_iters)
+        assert m == textbook_sweeps
+        assert np.array_equal(value.v, v)
+    return solutions, sweeps
+
+
+@pytest.mark.parametrize("layout", ["dense", "indexed-1", "indexed-3"])
+@pytest.mark.parametrize("sign", ["negative", "zero", "mixed"])
+@pytest.mark.parametrize("gamma", [0.0, 0.9])
+def test_the_sweep_keeps_the_textbook_bits_for_any_reward_sign(layout, sign, gamma):
+    rng = np.random.default_rng(11)
+    members = []
+    for mmdp in stack_members(rng, layout, 4):
+        rewards = {
+            "negative": -mmdp.rewards,
+            "zero": np.zeros(mmdp.num_states),
+            "mixed": mmdp.rewards - mmdp.rewards.mean(),
+        }[sign]
+        members.append(replace(mmdp, rewards=rewards, gamma=gamma))
+    _, sweeps = assert_textbook_solve(members)
+    if gamma == 0.0 or sign == "zero":
+        # the second sweep repeats the first
+        assert set(sweeps) == {1 if sign == "zero" else 2}
+
+
+def with_duplicate_actions(mmdp):
+    """mmdp with joint action 3 a copy of 1 and action 2 a copy of 0: exact q ties."""
+    order = np.array([0, 1, 0, 1])
+    next_states = None if mmdp.next_states is None else mmdp.next_states[:, order]
+    return replace(mmdp, transitions=mmdp.transitions[:, order], next_states=next_states)
+
+
+@pytest.mark.parametrize("layout", ["dense", "indexed-1", "indexed-3"])
+def test_tied_joint_actions_keep_the_lowest_index(layout):
+    rng = np.random.default_rng(4)
+    members = [with_duplicate_actions(m) for m in stack_members(rng, layout, 3)]
+    solutions, _ = assert_textbook_solve(members)
+    for values, policy in solutions:
+        assert np.array_equal(values.q[:, 2:], values.q[:, :2])
+        assert np.all(policy.actions < 2)
+
+
+def test_sure_and_unsure_single_successors_keep_the_textbook_bits():
+    rng = np.random.default_rng(6)
+    members = []
+    for mmdp in stack_members(rng, "indexed-1", 4):
+        # probabilities below 1 by up to 9e-10 still sum to 1 within the row check
+        shape = mmdp.transitions.shape
+        short = rng.uniform(0.0, 9e-10, shape) * (rng.random(shape) < 0.5)
+        members.append(replace(mmdp, transitions=1.0 - short))
+    assert not np.all(members[0].transitions == 1.0)
+    # a sure member beside unsure ones
+    members.append(stack_members(rng, "indexed-1", 1)[0])
+    assert_textbook_solve(members)
+    for mmdp in members:
+        policy = random_policies(rng, [mmdp])[0]
+        rows = (np.arange(mmdp.num_states), policy.actions)
+        probs, successors = mmdp.transitions[rows][:, 0, None], mmdp.next_states[rows][:, 0]
+        phi = mmdp.states.features
+        mu = np.zeros_like(phi)
+        while True:
+            mu_new = phi + mmdp.gamma * (probs * mu[successors])
+            residual = np.max(np.abs(mu_new - mu))
+            mu = mu_new
+            if residual <= 1e-9:
+                break
+        assert np.array_equal(successor_features(mmdp, policy).mu_per_state, mu)
+
+
+@pytest.mark.parametrize("layout", ["dense", "indexed-1"])
+def test_a_member_reaching_tol_on_a_block_boundary_stops_there(layout):
+    block = capmdp.mdp._BLOCK
+    members = stack_members(np.random.default_rng(9), layout, 3)
+    # the tol the first member first reaches on the block's last sweep
+    _, tol = textbook_value_iteration(members[0], max_iters=block)
+    assert textbook_value_iteration(members[0], tol)[1] == block
+    _, sweeps = assert_textbook_solve(members, tol)
+    assert sweeps[0] == block and max(sweeps) > block
+    for boundary in (block, 2 * block):
+        policy = random_policies(np.random.default_rng(0), members[:1])[0]
+        _, tol = textbook_policy_evaluation(members[0], policy.actions, max_iters=boundary)
+        [value], [n] = policy_evaluation_stack([(members[0], policy)], tol)
+        assert n == boundary
+        assert np.array_equal(
+            value.v, textbook_policy_evaluation(members[0], policy.actions, tol)[0]
+        )
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 5, 17, 35])
+def test_a_sweep_limit_off_the_block_reports_the_textbook_residual(max_iters):
+    assert max_iters % capmdp.mdp._BLOCK != 0 or max_iters == 0
+    members = stack_members(np.random.default_rng(7), "indexed-1", 3)
+    with pytest.raises(SolverConvergenceError, match="value iteration") as info:
+        value_iteration_stack(members, max_iters=max_iters)
+    assert info.value.iterations == max_iters
+    assert info.value.residual == max(
+        textbook_value_iteration(m, max_iters=max_iters)[1] for m in members
+    )
+    # a limit that is just enough ends inside a block, with the textbook answers
+    _, sweeps = value_iteration_stack(members)
+    assert_textbook_solve(members, max_iters=max(sweeps))
+    assert max(sweeps) % capmdp.mdp._BLOCK != 0
