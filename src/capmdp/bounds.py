@@ -12,16 +12,20 @@ requests: called with its inputs and the solve tolerance, it yields the
 tuple of MDPs it needs solved and receives their (ValueTable, JointPolicy)
 pairs, then yields the tuple of (mmdp, policy) pairs it needs evaluated
 (empty when it evaluates none) and receives their ValueTables, and returns
-its report. A Solver runs calculators: it holds the one solve tolerance and
-memoizes optimal solves and policy evaluations by content. Solver.report
-runs one calculator to its report; the certification harness advances every
-calculator of an instance to its solve request, answers them all with one
-Solver.solve_all, advances them to their evaluation requests, and answers
-those with one Solver.evaluate_all. Calculators comparing tasks of one
-instance share most of their MDPs, so running them on one Solver solves each
-distinct MDP once and evaluates each distinct policy on it once; a cached
-answer is the same arrays a fresh one would be, made read-only. A Solver is
-not locked, so it must not be shared between threads.
+its report. A calculator takes only the inputs its bound reads: the
+out-of-distribution check takes the training support as bare teams, acting
+with the query's influence weights, since its bound depends on the support
+only through the team distance d_a. A Solver runs calculators: it holds the
+one solve tolerance and memoizes optimal solves and policy evaluations by
+content. Solver.report runs one calculator to its report; the certification
+harness advances every calculator of an instance to its solve request,
+answers them all with one Solver.solve_all, advances them to their
+evaluation requests, and answers those with one Solver.evaluate_all.
+Calculators comparing tasks of one instance share most of their MDPs, so
+running them on one Solver solves each distinct MDP once and evaluates each
+distinct policy on it once; a cached answer is the same arrays a fresh one
+would be, made read-only. A Solver is not locked, so it must not be shared
+between threads.
 """
 
 import hashlib
@@ -45,8 +49,8 @@ from .mdp import (
     StateSpace,
     TabularMMDP,
     ValueTable,
-    check_distribution,
     policy_evaluation_stack,
+    stack_key,
     value_iteration_stack,
 )
 
@@ -122,31 +126,6 @@ class BoundReport:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class TaskDistribution:
-    """Finite distribution over (team, influence weights) tasks."""
-
-    support: tuple
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        support = tuple(self.support)
-        if not support:
-            raise ValueError("a task distribution needs a non-empty support")
-        for team, weights in support:
-            if not isinstance(team, TeamComposition) or not isinstance(weights, InfluenceWeights):
-                raise ValueError("support entries must be (TeamComposition, InfluenceWeights)")
-        probs = check_distribution(self.probabilities, "task probabilities")
-        if probs.shape[0] != len(support):
-            raise ValueError("one probability per support entry is required")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probabilities", probs)
-
-    @property
-    def size(self) -> int:
-        return len(self.support)
-
-
 def psi(
     team_x: TeamComposition,
     weights_x: InfluenceWeights,
@@ -208,26 +187,6 @@ def d_a_metric(
     if team_x.dim != team_y.dim:
         raise ValueError("teams must share one capability dimension")
     return float(np.max(np.abs(weights.a @ (team_x.matrix() - team_y.matrix()))))
-
-
-def d_a_set_distance(
-    team: TeamComposition, support_teams, weights: InfluenceWeights
-) -> float:
-    """Distance from a team to the closest member of a finite task set."""
-    support_teams = list(support_teams)
-    if not support_teams:
-        raise ValueError("the support set must be non-empty")
-    return min(d_a_metric(team, other, weights) for other in support_teams)
-
-
-def oracle_policy_select(
-    distribution: TaskDistribution, query: TeamComposition, weights: InfluenceWeights
-) -> int:
-    """Index of the support task closest to the query (lowest index on ties)."""
-    distances = [
-        d_a_metric(query, team, weights) for team, _ in distribution.support
-    ]
-    return int(np.argmin(distances))
 
 
 def _require_shared_frame(spec_x: LinearMMDPSpec, spec_y: LinearMMDPSpec):
@@ -335,7 +294,8 @@ class Solver:
         """Answer each keyed request from cache, running the uncached ones in stacks.
 
         A stack holds requests whose MDPs (mmdps, one per request) share
-        layout, kernel shape and discount, at most STACK_ENTRIES members x
+        one mdp.stack_key (layout, kernel shape and discount), in the order
+        their keys first appear, at most STACK_ENTRIES members x
         states x joint actions; run_stack(requests, tol) returns its answers
         and their sweep counts. Returns (answers in request order, hits,
         sweeps of each request run).
@@ -349,8 +309,7 @@ class Solver:
                 todo[key] = request, mmdp
         groups = {}
         for key, (_, mmdp) in todo.items():
-            shared = (mmdp.next_states is None, mmdp.transitions.shape, mmdp.gamma)
-            groups.setdefault(shared, []).append(key)
+            groups.setdefault(stack_key(mmdp), []).append(key)
         sweeps = []
         for (_, shape, _), group in groups.items():
             size = max(1, STACK_ENTRIES // (shape[0] * shape[1]))
@@ -515,31 +474,25 @@ def certify_policy_transfer(spec_x, spec_y, *, tol: float):
     return BoundReport.build("policy_transfer", parts, bound, actual)
 
 
-def certify_out_of_distribution(distribution: TaskDistribution, query_spec, *, tol: float):
-    """Bound the regret of the closest-task policy on an unseen team.
+def certify_out_of_distribution(support_teams, query_spec, *, tol: float):
+    """Bound the regret of the closest support team's policy on an unseen team.
 
-    Requires identical influence weights across the support and the query.
-    The selected task is the d_a-closest support member; the bound is the
-    policy-transfer bound at distance d_a(query, support). Requests (query,
+    Every support team acts with the query's influence weights. The selected
+    task is the d_a-closest support team (the lowest index on ties), and the
+    bound is the policy-transfer bound at that distance d_a. Requests (query,
     selected), then the evaluation of the selected policy on the query.
     """
-    a = query_spec.weights.a
-    for team, weights in distribution.support:
-        if weights.a.shape != a.shape or not np.allclose(weights.a, a, atol=1e-12):
-            raise ValueError("out-of-distribution bound needs fixed influence weights")
-        if team.dim != query_spec.team.dim:
-            raise ValueError("support teams must share the query's capability dimension")
-    selected = oracle_policy_select(distribution, query_spec.team, query_spec.weights)
-    selected_team, selected_weights = distribution.support[selected]
-    spec_sel = query_spec.with_team(selected_team, selected_weights)
+    if not support_teams:
+        raise ValueError("the support must hold at least one team")
+    distances = [d_a_metric(query_spec.team, team, query_spec.weights) for team in support_teams]
+    selected = int(np.argmin(distances))
+    distance = distances[selected]
+    spec_sel = query_spec.with_team(support_teams[selected], query_spec.weights)
     mmdp_query = assemble_linear_mmdp(query_spec)
     (vt_query, _), (vt_sel, policy_sel) = yield mmdp_query, assemble_linear_mmdp(spec_sel)
     [executed] = yield ((mmdp_query, policy_sel),)
     value_optimal, value_transferred, actual, state_max = _transfer_regret(
         vt_query, executed, query_spec.rho, tol, "selected"
-    )
-    distance = d_a_set_distance(
-        query_spec.team, [team for team, _ in distribution.support], query_spec.weights
     )
     scale, parts = _linear_scale(
         query_spec, vt_sel, {"d_a": distance, "selected_index": float(selected)}
@@ -595,8 +548,6 @@ def certify_population_change(
         if not isinstance(new_capability, CapabilityVector):
             new_capability = CapabilityVector(np.asarray(new_capability, dtype=float))
         enlarged_team = spec.team.append_member(new_capability)
-        if enlarged_team.members[-1].dim != spec.team.dim:
-            raise ValueError("the new capability must match the team's dimension")
         mixture_gap = float(
             np.max(np.abs(spec.weights.a @ spec.team.matrix() - enlarged_team.members[-1].c))
         )

@@ -13,7 +13,9 @@ agents may share cells, and the transition kernel is capability-independent.
 It is stored in the indexed layout: an (S, A, 1) successor index with unit
 probabilities, which every capability component shares as a broadcast view,
 so memory grows with S * A rather than S * A * S and grid 6 with two agents
-(5184 states) solves exactly.
+(5184 states) solves exactly. No layout of more than STATE_CAP states is
+enumerated: fruit_forage_state_count rejects it, for build_fruit_forage and
+for the experiment config's fruit_forage section alike.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,6 @@ from ..linear import (
     TransitionKernel,
 )
 from ..mdp import StateSpace
-from ._json import JsonConfig
 
 # Four-agent, four-fruit utility compositions used by the certification
 # experiments. Utilities are non-negative but deliberately not simplex
@@ -55,11 +56,11 @@ UTILITY_TEAM_Z = (
 NUM_MOVE_ACTIONS = 5  # up, left, down, right, stay
 _MOVES = ((-1, 0), (0, -1), (1, 0), (0, 1), (0, 0))
 
-STATE_CAP_DEFAULT = 200_000
+STATE_CAP = 200_000
 
 
 @dataclass(frozen=True)
-class FruitForageConfig(JsonConfig):
+class FruitForageConfig:
     """Layout and team for one foraging instance.
 
     tree_positions maps fruit type j to its (row, col) cell; None places the
@@ -76,7 +77,6 @@ class FruitForageConfig(JsonConfig):
     tree_positions: tuple | None = None
     start_positions: tuple | None = None
     gamma: float = 0.9
-    state_cap: int = STATE_CAP_DEFAULT
 
     def __post_init__(self):
         if self.grid_size < 2:
@@ -122,16 +122,25 @@ def desk_config(team_label: str = "x", grid_size: int = 4, num_agents: int = 2) 
 
 
 def fruit_forage_state_count(config: FruitForageConfig) -> int:
-    cells = config.grid_size**2
-    return cells**config.num_agents * 2**config.num_fruit_types
+    """Number of states of config's layout.
+
+    Raises:
+        ValueError: when the count exceeds STATE_CAP.
+    """
+    size = (config.grid_size**2) ** config.num_agents * 2**config.num_fruit_types
+    if size > STATE_CAP:
+        raise ValueError(
+            f"fruit forage instance needs {size} states, above the cap of {STATE_CAP}"
+        )
+    return size
 
 
 def build_fruit_forage(config: FruitForageConfig) -> LinearMMDPSpec:
     """Enumerate the foraging MDP into an exactly-linear spec.
 
     Raises:
-        ValueError: when the enumerated state space exceeds the configured
-            cap, or the layout is inconsistent with the team.
+        ValueError: when the enumerated state space exceeds STATE_CAP, or
+            the layout is inconsistent with the team.
     """
     team = TeamComposition(tuple(np.asarray(m, dtype=float) for m in config.team))
     d = config.num_fruit_types
@@ -142,10 +151,6 @@ def build_fruit_forage(config: FruitForageConfig) -> LinearMMDPSpec:
     if team.dim != d:
         raise ValueError(f"team utilities have {team.dim} components, expected {d} fruit types")
     size = fruit_forage_state_count(config)
-    if size > config.state_cap:
-        raise ValueError(
-            f"fruit forage instance needs {size} states, above the cap of {config.state_cap}"
-        )
     trees = config.tree_positions
     if trees is None:
         trees = default_tree_positions(g, d)

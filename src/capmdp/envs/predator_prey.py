@@ -15,8 +15,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._json import JsonConfig
-
 NUM_PP_ACTIONS = 6  # up, left, down, right, no-op, capture
 ACTION_UP, ACTION_LEFT, ACTION_DOWN, ACTION_RIGHT, ACTION_NOOP, ACTION_CAPTURE = range(6)
 _PP_MOVES = ((-1, 0), (0, -1), (1, 0), (0, 1))
@@ -28,7 +26,7 @@ _CAP_CODE_RADIX = 512
 
 
 @dataclass(frozen=True)
-class PredatorPreyConfig(JsonConfig):
+class PredatorPreyConfig:
     grid_size: int = 8
     num_predators: int = 4
     num_prey: int = 4

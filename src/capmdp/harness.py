@@ -41,7 +41,6 @@ import numpy as np
 from .bounds import (
     BoundReport,
     Solver,
-    TaskDistribution,
     bound_polynomial_deviation,
     certify_approx_dynamics,
     certify_capability_estimation,
@@ -319,16 +318,14 @@ def _forage_desk(params: dict) -> tuple:
     """(grid_size, num_agents) of a fruit_forage section.
 
     Raises ValueError unless the desk teams (desk_config) can be built at
-    that size: grid_size >= 2, 1 <= num_agents <= the teams' members, and a
-    state space under the cap.
+    that size: grid_size >= 2, 1 <= num_agents <= the teams' members, and
+    at most fruit_forage.STATE_CAP states.
     """
     grid_size, num_agents = params["grid_size"], params["num_agents"]
     desk = desk_config("x", grid_size, num_agents)
     if len(desk.team) != num_agents:
         raise ValueError(f"the desk teams have {len(desk.team)} members, not {num_agents}")
-    states = fruit_forage_state_count(desk)
-    if states > desk.state_cap:
-        raise ValueError(f"the desk needs {states} states, above the cap of {desk.state_cap}")
+    fruit_forage_state_count(desk)  # raises above the cap
     return grid_size, num_agents
 
 
@@ -490,12 +487,12 @@ def polynomial_deviation_report(
 # order: spec_x / spec_y as live LinearMMDPSpecs, every other field as a value
 # with the JSON form _FIELDS gives it. certify_instance and run_fruit_forage
 # draw cases and run them; replay decodes an archived entry back into its case.
-# A check starts a bounds calculator: a generator that yields the MDPs it needs
+# A check starts a bounds calculator on its case's fields as they are archived,
+# with no input made up beside them: a generator that yields the MDPs it needs
 # solved, then the (mmdp, policy) pairs it needs evaluated, and returns its
-# report when sent their values. Check
-# functions look the calculators up in this module's globals when they run, so
-# a name rebound on capmdp.harness (a test's monkeypatch, a tracer's span) is
-# the one that runs.
+# report when sent their values. Check functions look the calculators up in this
+# module's globals when they run, so a name rebound on capmdp.harness (a test's
+# monkeypatch, a tracer's span) is the one that runs.
 
 
 @dataclass(frozen=True)
@@ -504,16 +501,6 @@ class Check:
 
     fields: tuple
     run: Callable  # (case, tol) -> calculator
-
-
-def _out_of_distribution(case, tol):
-    spec_x = case["spec_x"]
-    teams = case["support_teams"]
-    distribution = TaskDistribution(
-        support=tuple((team, spec_x.weights) for team in teams),
-        probabilities=np.full(len(teams), 1.0 / len(teams)),
-    )
-    return certify_out_of_distribution(distribution, spec_x, tol=tol)
 
 
 def _approx_dynamics(case, tol):
@@ -593,7 +580,12 @@ CHECKS = {
         ("spec_x", "spec_y"),
         lambda case, tol: certify_capability_estimation(case["spec_x"], case["spec_y"], tol=tol),
     ),
-    "out_of_distribution": Check(("spec_x", "support_teams"), _out_of_distribution),
+    "out_of_distribution": Check(
+        ("spec_x", "support_teams"),
+        lambda case, tol: certify_out_of_distribution(
+            case["support_teams"], case["spec_x"], tol=tol
+        ),
+    ),
     "approx_dynamics": Check(
         ("spec_x", "spec_y", "eps_r", "eps_p", "seed_x", "seed_y"), _approx_dynamics
     ),

@@ -97,9 +97,6 @@ class TeamComposition:
     def append_member(self, capability: CapabilityVector) -> "TeamComposition":
         return TeamComposition(self.members + (capability,))
 
-    def permuted(self, order) -> "TeamComposition":
-        return TeamComposition(tuple(self.members[i] for i in order))
-
 
 @dataclass(frozen=True, eq=False)
 class InfluenceWeights:

@@ -404,11 +404,15 @@ def _next_value(kernels, num_states: int, columns: int):
     return expect
 
 
+def stack_key(mmdp: TabularMMDP) -> tuple:
+    """(dense layout?, kernel shape, discount): MDPs stack together only when these match."""
+    return mmdp.next_states is None, mmdp.transitions.shape, mmdp.gamma
+
+
 def _check_stack(mmdps):
     """Reject a stack whose MDPs differ in layout, kernel shape or discount."""
-    first = mmdps[0]
-    shared = (first.next_states is None, first.transitions.shape, first.gamma)
-    if any((m.next_states is None, m.transitions.shape, m.gamma) != shared for m in mmdps):
+    shared = stack_key(mmdps[0])
+    if any(stack_key(m) != shared for m in mmdps):
         raise ValueError("stacked MDPs must share one layout, kernel shape and discount")
 
 

@@ -19,7 +19,6 @@ from capmdp import (
     Solver,
     StateSpace,
     TabularMMDP,
-    TaskDistribution,
     TeamComposition,
     ValueTable,
     assemble_linear_mmdp,
@@ -32,10 +31,8 @@ from capmdp import (
     certify_population_change,
     certify_team_generalization,
     d_a_metric,
-    d_a_set_distance,
     gamma_factor,
     generate_linear_pair,
-    oracle_policy_select,
     policy_evaluation_stack,
     psi,
     reward_deviation_exact,
@@ -163,35 +160,32 @@ def test_d_a_is_a_pseudometric(seed):
     assert d_a_metric(x, y, w) >= 0.0
 
 
+def toward_vertex(team, share):
+    """team with each member moved share of the way to the first simplex vertex."""
+    vertex = np.eye(team.dim)[0]
+    return TeamComposition(tuple((1.0 - share) * m.c + share * vertex for m in team.members))
+
+
 def test_d_a_set_distance_and_selection():
-    w = InfluenceWeights(np.array([1.0]))
-    query = make_team([(0.5, 0.5)])
-    support = [
-        make_team([(0.0, 0.0)]),   # distance 0.5
-        make_team([(0.7, 0.5)]),   # distance 0.2
-        make_team([(0.5, 0.7)]),   # distance 0.2, tie broken toward index 1
-    ]
-    assert d_a_set_distance(query, support, w) == pytest.approx(0.2, abs=1e-15)
-    distribution = TaskDistribution(
-        support=tuple((team, w) for team in support),
-        probabilities=np.full(3, 1.0 / 3.0),
-    )
-    assert oracle_policy_select(distribution, query, w) == 1
-    with pytest.raises(ValueError, match="non-empty"):
-        d_a_set_distance(query, [], w)
+    spec_x, _ = small_pair(5)
+    far, near = toward_vertex(spec_x.team, 0.5), toward_vertex(spec_x.team, 0.1)
+    twin = TeamComposition(near.members)  # an equal team: an exact tie with near
+    distance = d_a_metric(spec_x.team, near, spec_x.weights)
+    assert 0.0 < distance < d_a_metric(spec_x.team, far, spec_x.weights)
+    for support, selected in (([far, near, twin], 1), ([twin, near, far], 0)):
+        report = Solver().report(certify_out_of_distribution, support, spec_x)
+        assert report.constituents["selected_index"] == float(selected)
+        assert report.constituents["d_a"] == distance
+        assert report.satisfied
 
 
-def test_task_distribution_validation():
-    team = make_team([(1.0, 0.0)])
-    w = InfluenceWeights(np.array([1.0]))
-    dist = TaskDistribution(support=((team, w),), probabilities=np.array([1.0]))
-    assert dist.size == 1
-    with pytest.raises(ValueError, match="non-empty"):
-        TaskDistribution(support=(), probabilities=np.array([]))
-    with pytest.raises(ValueError, match="support entries"):
-        TaskDistribution(support=((team, "w"),), probabilities=np.array([1.0]))
-    with pytest.raises(ValueError, match="one probability"):
-        TaskDistribution(support=((team, w),), probabilities=np.array([0.5, 0.5]))
+def test_out_of_distribution_rejects_an_empty_or_mismatched_support():
+    spec_x, spec_y = small_pair(13)
+    with pytest.raises(ValueError, match="at least one team"):
+        Solver().report(certify_out_of_distribution, [], spec_x)
+    wider = TeamComposition(tuple(np.append(m.c, 0.0) for m in spec_y.team.members))
+    with pytest.raises(ValueError, match="capability dimension"):
+        Solver().report(certify_out_of_distribution, [spec_y.team, wider], spec_x)
 
 
 # ---- bound reports -------------------------------------------------------------------
@@ -259,30 +253,14 @@ def test_generalization_actual_is_symmetric():
 
 def test_singleton_distribution_reduces_to_policy_transfer():
     spec_x, spec_y_raw = small_pair(11)
-    # fixed weights across query and support, as the distribution bound requires
+    # the support acts with the query's weights, so compare against that task
     spec_y = spec_y_raw.with_team(spec_y_raw.team, spec_x.weights)
-    distribution = TaskDistribution(
-        support=((spec_y.team, spec_x.weights),), probabilities=np.array([1.0])
-    )
-    ood = Solver().report(certify_out_of_distribution, distribution, spec_x)
+    ood = Solver().report(certify_out_of_distribution, [spec_y.team], spec_x)
     transfer = Solver().report(certify_policy_transfer, spec_x, spec_y)
     assert ood.bound_value == transfer.bound_value
     assert ood.actual_value == transfer.actual_value
     assert ood.constituents["selected_index"] == 0.0
-
-
-def test_out_of_distribution_requires_fixed_weights():
-    spec_x, spec_y = small_pair(13)
-    other = InfluenceWeights(
-        np.roll(spec_x.weights.a, 1) if spec_x.team.num_agents > 1 else spec_x.weights.a
-    )
-    if np.allclose(other.a, spec_x.weights.a):
-        other = InfluenceWeights(np.array([0.9, 0.1] + [0.0] * (spec_x.team.num_agents - 2)))
-    distribution = TaskDistribution(
-        support=((spec_y.team, other),), probabilities=np.array([1.0])
-    )
-    with pytest.raises(ValueError, match="fixed influence weights"):
-        Solver().report(certify_out_of_distribution, distribution, spec_x)
+    assert ood.constituents["d_a"] == d_a_metric(spec_x.team, spec_y.team, spec_x.weights)
 
 
 def test_population_decrease_bound_is_product_of_constituents():

@@ -163,14 +163,6 @@ def test_uniform_start_spreads_over_empty_mask_states():
     assert np.all(mmdp.rho[1::2] == 0.0)
 
 
-def test_fruit_forage_config_json_round_trip():
-    config = desk_config("y", grid_size=3)
-    copy = FruitForageConfig.from_json(config.to_json())
-    assert copy == config
-    with pytest.raises(ValueError, match="unknown fruit forage config fields: speed"):
-        FruitForageConfig.from_json(json.dumps({"speed": 3}))
-
-
 def test_fruit_forage_layout_validation():
     base = dict(grid_size=3, num_agents=1, num_fruit_types=2, team=((0.5, 0.5),))
     with pytest.raises(ValueError, match="distinct"):
@@ -429,16 +421,6 @@ def test_config_validation():
     with pytest.raises(ValueError, match="too small"):
         PredatorPreyConfig(grid_size=2, num_predators=3, num_prey=2,
                            predator_capabilities=(1, 1, 1), prey_health=(1, 1))
-
-
-def test_predator_prey_config_json_round_trip():
-    config = PredatorPreyConfig(grid_size=4, num_predators=2, num_prey=2,
-                                predator_capabilities=(1, 2), prey_health=(2, 3),
-                                penalty=-0.008)
-    copy = PredatorPreyConfig.from_json(config.to_json())
-    assert copy == config
-    with pytest.raises(ValueError, match="unknown predator prey config fields"):
-        PredatorPreyConfig.from_json(json.dumps({"grid": 8}))
 
 
 def test_trajectory_log_lines_can_pin_a_replay():

@@ -87,7 +87,7 @@ def test_two_member_swap_assembles_identically():
         rng = np.random.default_rng(seed)
         spec = random_spec(rng, num_agents=2)
         swapped = spec.with_team(
-            spec.team.permuted((1, 0)),
+            TeamComposition(spec.team.members[::-1]),
             InfluenceWeights(spec.weights.a[[1, 0]]),
         )
         a = assemble_linear_mmdp(spec)
@@ -372,8 +372,6 @@ def test_team_composition_operations():
     assert team.append_member(CapabilityVector(np.array([0.3, 0.7]))).num_agents == 4
     replaced = team.replace_member(1, CapabilityVector(np.array([0.0, 1.0])))
     assert np.array_equal(replaced.matrix()[1], [0.0, 1.0])
-    reordered = team.permuted((2, 0, 1))
-    assert np.array_equal(reordered.matrix()[0], [1.0, 0.0])
     with pytest.raises(ValueError, match="at least one"):
         TeamComposition(())
     with pytest.raises(ValueError, match="dimension"):
