@@ -15,6 +15,8 @@ from operator import itemgetter
 
 import numpy as np
 
+from ..qlearning import checked_action
+
 NUM_PP_ACTIONS = 6  # up, left, down, right, no-op, capture
 ACTION_UP, ACTION_LEFT, ACTION_DOWN, ACTION_RIGHT, ACTION_NOOP, ACTION_CAPTURE = range(6)
 _PP_MOVES = ((-1, 0), (0, -1), (1, 0), (0, 1))
@@ -23,6 +25,8 @@ _CELL_EMPTY, _CELL_PREDATOR, _CELL_PREY, _CELL_OFFGRID = range(4)
 _FULL_VIEW_MAX_GRID = 5
 _WINDOW_RADIUS = 2
 _CAP_CODE_RADIX = 512
+# bytes(view).translate(_BASE4) spells the view's cell codes as base-4 digits
+_BASE4 = bytes.maketrans(b"\x00\x01\x02\x03", b"0123")
 
 
 @dataclass(frozen=True)
@@ -68,10 +72,10 @@ class PPObservation:
     view is a row-major tuple of cell codes (empty 0, predator 1, prey 2,
     off-grid 3) over the whole grid at small sizes or a radius-2 window
     otherwise. teammate_capabilities is None unless the environment exposes
-    them. key() is injective over observations of one environment shape.
-    capability_digits caches _capability_digits(own_capability,
-    teammate_capabilities): an environment computes it once per agent, and
-    key() computes it when it is None.
+    them. key() is injective over observations of one environment shape, and
+    raises ValueError for a view cell outside 0..3. capability_digits caches
+    _capability_digits(own_capability, teammate_capabilities): an environment
+    computes it once per agent, and key() computes it when it is None.
     """
 
     agent_id: int
@@ -86,8 +90,9 @@ class PPObservation:
         code = 1 if self.teammate_capabilities is not None else 0
         code = code * 16 + self.agent_id
         code = code * (self.num_cells + 1) + self.own_cell
-        for cell in self.view:
-            code = code * 4 + cell
+        # append the view's cells (codes 0..3) as base-4 digits in one conversion
+        view = self.view
+        code = code << 2 * len(view) | int(bytes(view).translate(_BASE4) or b"0", 4)
         scale, digits = self.capability_digits or _capability_digits(
             self.own_capability, self.teammate_capabilities
         )
@@ -125,9 +130,12 @@ class PredatorPreyEnv:
     _neighbours[cell] the frozenset of adjacent cells, and _views[cell] an
     operator.itemgetter over the observed cells (the whole grid up to size 5,
     else the radius-2 window, whose off-grid cells read one sentinel slot).
-    The legality mask is computed at most once per state and cached until the
-    next step or reset; step validation reads the cache, and
-    available_actions() returns a fresh copy of it.
+
+    Legality is held as action indices: reset and step compute each
+    state's legal actions once, as one ascending tuple of action indices per
+    predator, and legal_actions() returns them. step validates against the
+    same tuples, and available_actions() builds a fresh boolean mask from
+    them on each call.
     """
 
     num_actions = NUM_PP_ACTIONS
@@ -139,8 +147,7 @@ class PredatorPreyEnv:
         self._predators: list = []
         self._prey: list = []
         self._steps = 0
-        self._live = False
-        self._mask = None
+        self._legal = None  # the current state's legal action tuples; None before reset
         self._trajectory_log = trajectory_log
 
         cells = g * g
@@ -164,17 +171,29 @@ class PredatorPreyEnv:
                 for r, c in rc
             ]
         caps = [float(c) for c in config.predator_capabilities]
-        self._teammates = [
+        teammates = [
             tuple(c for j, c in enumerate(caps) if j != i) if config.capability_observable else None
             for i in range(config.num_predators)
         ]
         try:
-            self._capability_digits = [
-                _capability_digits(cap, mates) for cap, mates in zip(caps, self._teammates)
-            ]
+            digits = [_capability_digits(cap, mates) for cap, mates in zip(caps, teammates)]
         except ValueError:
             # an unencodable capability keeps failing in key(), not here
-            self._capability_digits = [None] * config.num_predators
+            digits = [None] * config.num_predators
+        # each agent's observation fields in declaration order; a step fills in
+        # own_cell and view
+        self._observation_fields = [
+            {
+                "agent_id": i,
+                "num_cells": cells,
+                "own_cell": None,
+                "view": None,
+                "own_capability": caps[i],
+                "teammate_capabilities": teammates[i],
+                "capability_digits": digits[i],
+            }
+            for i in range(config.num_predators)
+        ]
 
     # ---- public state accessors -------------------------------------------------
 
@@ -211,8 +230,7 @@ class PredatorPreyEnv:
         self._predators = flat[: self.config.num_predators]
         self._prey = flat[self.config.num_predators :]
         self._steps = 0
-        self._live = True
-        self._mask = None
+        self._legal = self._legal_tuples(set(flat))
         if self._trajectory_log is not None:
             self._log(
                 event="reset",
@@ -221,30 +239,51 @@ class PredatorPreyEnv:
             )
         return self._observations()
 
+    def legal_actions(self) -> tuple:
+        """One ascending tuple of legal action indices per predator.
+
+        The tuples are the ones step validates against; they hold until the
+        next step or reset.
+        """
+        if self._legal is None:
+            raise RuntimeError("call reset() before interacting with the environment")
+        return self._legal
+
     def available_actions(self) -> np.ndarray:
         """Boolean legality mask of shape (num_predators, 6), a fresh array per call."""
-        return self._legal().copy()
+        legal = self.legal_actions()
+        mask = np.zeros((len(legal), NUM_PP_ACTIONS), dtype=bool)
+        for row, indices in zip(mask, legal):
+            row[list(indices)] = True
+        return mask
 
     def step(self, joint_action) -> tuple:
-        """Advance one step; returns (observations, team reward, done)."""
-        mask = self._legal()
-        actions = [int(a) for a in joint_action]
-        if len(actions) != self.config.num_predators:
+        """Advance one step; returns (observations, team reward, done).
+
+        Each action must be a Python or numpy integer (not a bool) that is
+        legal for its agent in the current state.
+        """
+        legal = self.legal_actions()
+        actions = list(joint_action)
+        if len(actions) != len(legal):
             raise ValueError("one action per predator is required")
         for i, action in enumerate(actions):
-            if not (0 <= action < NUM_PP_ACTIONS) or not mask[i, action]:
-                raise ValueError(f"agent {i} submitted unavailable action {action}")
+            if type(action) is not int or action not in legal[i]:
+                actions[i] = checked_action(action, legal[i], i)
 
-        self._mask = None
+        config = self.config
         predators = self._predators
+        prey = self._prey
+        occupied = set(predators)
+        occupied.update(prey)
         capturing = []
-        occupied = set(predators) | set(self._prey)
         for i, action in enumerate(actions):
             if action < 4:
-                target = self._moves[predators[i]][action]
+                cell = predators[i]
+                target = self._moves[cell][action]
                 # a legal-at-decision-time move can be blocked by an earlier mover
                 if target not in occupied:
-                    occupied.discard(predators[i])
+                    occupied.discard(cell)
                     occupied.add(target)
                     predators[i] = target
             elif action == ACTION_CAPTURE:
@@ -252,24 +291,39 @@ class PredatorPreyEnv:
 
         reward = 0.0
         captured = []
-        for p, prey_cell in enumerate(self._prey):
-            near = self._neighbours[prey_cell]
-            attackers = [i for i in capturing if predators[i] in near]
-            if not attackers:
+        if capturing:
+            for p, prey_cell in enumerate(prey):
+                near = self._neighbours[prey_cell]
+                attackers = [i for i in capturing if predators[i] in near]
+                if not attackers:
+                    continue
+                strength = sum(config.predator_capabilities[i] for i in attackers)
+                if strength >= config.prey_health[p]:
+                    reward += config.capture_reward
+                    captured.append(p)
+                else:
+                    reward += config.penalty
+            if captured:
+                for p in captured:
+                    prey[p] = self._respawn_cell()
+                occupied = set(predators)
+                occupied.update(prey)
+
+        # prey moves: one draw per prey, and one more to pick among its free moves
+        rng = self._rng
+        for p, cell in enumerate(prey):
+            if rng.random() >= config.prey_move_prob:
                 continue
-            strength = sum(self.config.predator_capabilities[i] for i in attackers)
-            if strength >= self.config.prey_health[p]:
-                reward += self.config.capture_reward
-                captured.append(p)
-            else:
-                reward += self.config.penalty
+            free = [t for t in self._moves[cell] if t != cell and t not in occupied]
+            if free:
+                target = free[rng.integers(len(free))]
+                occupied.discard(cell)
+                occupied.add(target)
+                prey[p] = target
 
-        for p in captured:
-            self._prey[p] = self._respawn_cell()
-
-        self._move_prey()
+        self._legal = self._legal_tuples(occupied)
         self._steps += 1
-        done = self._steps >= self.config.episode_limit
+        done = self._steps >= config.episode_limit
         if self._trajectory_log is not None:
             self._log(
                 event="step",
@@ -278,29 +332,26 @@ class PredatorPreyEnv:
                 reward=float(reward),
                 captured=captured,
                 predators=self._cells_rc(predators),
-                prey=self._cells_rc(self._prey),
+                prey=self._cells_rc(prey),
                 done=done,
             )
         return self._observations(), reward, done
 
     # ---- internals ----------------------------------------------------------------
 
-    def _legal(self) -> np.ndarray:
-        """The cached legality mask of the current state (callers must not mutate it)."""
-        if not self._live:
-            raise RuntimeError("call reset() before interacting with the environment")
-        if self._mask is None:
-            occupied = set(self._predators) | set(self._prey)
-            prey = self._prey
-            self._mask = np.array(
-                [
-                    [t != cell and t not in occupied for t in self._moves[cell]]
-                    + [True, not self._neighbours[cell].isdisjoint(prey)]
-                    for cell in self._predators
-                ],
-                dtype=bool,
-            )
-        return self._mask
+    def _legal_tuples(self, occupied: set) -> tuple:
+        """The legal actions of each predator, given every occupied cell."""
+        prey = self._prey
+        legal = []
+        for cell in self._predators:
+            indices = [
+                a for a, t in enumerate(self._moves[cell]) if t != cell and t not in occupied
+            ]
+            indices.append(ACTION_NOOP)
+            if not self._neighbours[cell].isdisjoint(prey):
+                indices.append(ACTION_CAPTURE)
+            legal.append(tuple(indices))
+        return tuple(legal)
 
     def _cells_rc(self, cells) -> list:
         return [list(divmod(int(cell), self._g)) for cell in cells]
@@ -316,38 +367,25 @@ class PredatorPreyEnv:
             raise RuntimeError("no empty cell is available for a respawn")
         return int(empty[self._rng.integers(len(empty))])
 
-    def _move_prey(self):
-        occupied = set(self._predators) | set(self._prey)
-        for p, cell in enumerate(self._prey):
-            if self._rng.random() >= self.config.prey_move_prob:
-                continue
-            legal = [t for t in self._moves[cell] if t != cell and t not in occupied]
-            if legal:
-                target = legal[self._rng.integers(len(legal))]
-                occupied.discard(cell)
-                occupied.add(target)
-                self._prey[p] = target
-
     def _observations(self) -> list:
-        g = self._g
-        grid = [_CELL_EMPTY] * (g * g) + [_CELL_OFFGRID]
+        grid = [_CELL_EMPTY] * (self._g * self._g) + [_CELL_OFFGRID]
         for cell in self._predators:
             grid[cell] = _CELL_PREDATOR
         for cell in self._prey:
             grid[cell] = _CELL_PREY
-        caps = self.config.predator_capabilities
-        return [
-            PPObservation(
-                agent_id=i,
-                num_cells=g * g,
-                own_cell=cell,
-                view=self._views[cell](grid),
-                own_capability=float(caps[i]),
-                teammate_capabilities=self._teammates[i],
-                capability_digits=self._capability_digits[i],
-            )
-            for i, cell in enumerate(self._predators)
-        ]
+        views = self._views
+        observations = []
+        # the frozen dataclass's __init__ sets each field through
+        # object.__setattr__; filling the new instance's __dict__ is a third
+        # of the cost and makes an equal observation
+        for fields, cell in zip(self._observation_fields, self._predators):
+            obs = object.__new__(PPObservation)
+            values = obs.__dict__
+            values.update(fields)
+            values["own_cell"] = cell
+            values["view"] = views[cell](grid)
+            observations.append(obs)
+        return observations
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 
 One Q-table is trained from the experience of every agent on every task in a
 rotation, keyed by each agent's own observation encoding. Works with any
-environment exposing reset() -> observations, available_actions() -> bool
-mask of shape (num_agents, num_actions), and step(actions) ->
-(observations, team_reward, done). Observations are either objects with a
-key() method or plain integers.
+environment exposing num_actions, reset() -> observations, legal_actions()
+-> one sequence of legal action indices per agent, ascending, and
+step(actions) -> (observations, team_reward, done). The legal actions read
+after a step are the next step's decision set, and every agent needs at least
+one. Observations are either objects with a key() method or plain integers.
+step raises ValueError for an action outside its agent's legal set, and for
+a bool or any other non-integer value; checked_action is that check.
 """
 
 import json
@@ -51,7 +54,9 @@ class QTable:
 
     Unseen keys hold an implicit all-zero row. Greedy action selection at a
     never-updated key falls back to a uniform random choice among the legal
-    actions; at an updated key it takes the first (lowest index) legal argmax.
+    actions (one rng.integers draw); at an updated key it takes the first
+    (lowest index) legal argmax. q_learning_train and run_greedy_episode
+    apply the same rule to the table's rows directly.
     """
 
     def __init__(self, num_actions: int):
@@ -79,16 +84,29 @@ class QTable:
         return self.visits.get(key, 0)
 
     def greedy_action(self, key: int, legal: np.ndarray, rng: np.random.Generator) -> int:
-        return _greedy(self, key, self._legal_indices(legal), rng)
+        indices = self._legal_indices(legal)
+        if not self.visits.get(key):
+            return indices[rng.integers(len(indices))]
+        # max keeps the first of equal values: the lowest-index legal argmax
+        return max(indices, key=self.values[key].tolist().__getitem__)
 
     def max_legal(self, key: int, legal: np.ndarray) -> float:
-        return _max_legal(self, key, self._legal_indices(legal))
+        indices = self._legal_indices(legal)
+        entry = self.values.get(key)
+        if entry is None:
+            return 0.0
+        return max(map(entry.tolist().__getitem__, indices))
 
     def _legal_indices(self, legal) -> list:
         legal = np.asarray(legal, dtype=bool)
-        if legal.ndim != 1:
+        if legal.shape != (self.num_actions,):
+            raise ValueError(
+                f"legal mask must have shape ({self.num_actions},), got {legal.shape}"
+            )
+        indices = np.flatnonzero(legal).tolist()
+        if not indices:
             raise ValueError("legal mask must enable at least one action")
-        return _legal_lists(legal[None], self.num_actions)[0]
+        return indices
 
     def update(self, key: int, action: int, target: float, alpha: float):
         row = self.row(key)
@@ -126,38 +144,27 @@ class QTable:
         return table
 
 
-def _legal_lists(mask, num_actions: int) -> list:
-    """The legal action indices of each row of a (num_agents, num_actions) bool mask."""
-    mask = np.asarray(mask, dtype=bool)
-    rows = []
-    if mask.ndim == 2 and mask.shape[1] == num_actions:
-        rows = [[a for a, ok in enumerate(row) if ok] for row in mask.tolist()]
-    if not rows or not all(rows):
-        raise ValueError("legal mask must enable at least one action")
-    return rows
+def checked_action(action, legal, agent: int) -> int:
+    """action as a plain int when it is a Python or numpy integer (not a bool) in legal.
+
+    Anything else raises ValueError naming the agent and the action.
+    """
+    if isinstance(action, (int, np.integer)) and not isinstance(action, bool) and action in legal:
+        return int(action)
+    raise ValueError(f"agent {agent} submitted unavailable action {action}")
 
 
-def _greedy(table: QTable, key: int, legal: list, rng: np.random.Generator) -> int:
-    """QTable.greedy_action over a non-empty list of legal indices."""
-    if table.visits.get(key, 0) == 0:
-        return legal[rng.integers(len(legal))]
-    # max keeps the first of equal values: the lowest-index legal argmax
-    return max(legal, key=table.values[key].tolist().__getitem__)
+def _keys(observations) -> list:
+    """The table keys of one step's observations: key() objects or plain integers."""
+    return [int(o.key()) if hasattr(o, "key") else int(o) for o in observations]
 
 
-def _max_legal(table: QTable, key: int, legal: list) -> float:
-    """QTable.max_legal over a non-empty list of legal indices."""
-    entry = table.values.get(key)
-    if entry is None:
-        return 0.0
-    row = entry.tolist()
-    return max(row[a] for a in legal)
-
-
-def _obs_key(obs) -> int:
-    if hasattr(obs, "key"):
-        return int(obs.key())
-    return int(obs)
+def _legal_rows(env):
+    """env.legal_actions(), checked to give every agent at least one action."""
+    legal = env.legal_actions()
+    if not all(legal):
+        raise ValueError("every agent needs at least one legal action")
+    return legal
 
 
 def q_learning_train(
@@ -182,36 +189,48 @@ def q_learning_train(
         for i, task in enumerate(tasks)
     ]
     table = QTable(num_actions=envs[0].num_actions)
+    values, visits = table.values, table.visits
     rng = np.random.default_rng([seed, len(tasks)])
+    alpha, gamma = schedule.alpha, schedule.gamma
 
     step = 0
     while step < schedule.total_steps:
         env = envs[int(rng.integers(len(envs)))]
-        observations = env.reset()
-        keys = [_obs_key(o) for o in observations]
-        legal = _legal_lists(env.available_actions(), table.num_actions)
+        keys = _keys(env.reset())
+        legal = _legal_rows(env)
         done = False
         while not done and step < schedule.total_steps:
             epsilon = schedule.epsilon_at(step)
             actions = []
-            for i, key in enumerate(keys):
-                if rng.random() < epsilon:
-                    actions.append(legal[i][rng.integers(len(legal[i]))])
+            for key, indices in zip(keys, legal):
+                # explore, or stand at a never-updated key: one uniform draw
+                if rng.random() < epsilon or not visits.get(key):
+                    actions.append(indices[rng.integers(len(indices))])
                 else:
-                    actions.append(_greedy(table, key, legal[i], rng))
+                    # max keeps the first of equal values: the lowest-index legal argmax
+                    actions.append(max(indices, key=values[key].tolist().__getitem__))
             observations, reward, done = env.step(actions)
-            next_keys = [_obs_key(o) for o in observations]
+            next_keys = _keys(observations)
             if done:
                 targets = [reward] * len(keys)
             else:
-                # the post-step mask is also the next step's decision mask
-                legal = _legal_lists(env.available_actions(), table.num_actions)
-                targets = [
-                    reward + schedule.gamma * _max_legal(table, next_keys[i], legal[i])
-                    for i in range(len(keys))
-                ]
-            for i, key in enumerate(keys):
-                table.update(key, actions[i], targets[i], schedule.alpha)
+                # the post-step legal actions are also the next step's decision set
+                legal = _legal_rows(env)
+                targets = []
+                for key, indices in zip(next_keys, legal):
+                    entry = values.get(key)
+                    best = 0.0 if entry is None else max(map(entry.tolist().__getitem__, indices))
+                    targets.append(reward + gamma * best)
+            # every target reads the table as it stood before this step's updates
+            for key, action, target in zip(keys, actions, targets):
+                entry = values.get(key)
+                if entry is None:
+                    entry = values[key] = np.zeros(table.num_actions)
+                    visits[key] = 1
+                else:
+                    visits[key] += 1
+                value = entry.item(action)
+                entry[action] = value + alpha * (target - value)
             keys = next_keys
             step += 1
             if on_interval is not None and step % schedule.eval_interval == 0:
@@ -221,15 +240,20 @@ def q_learning_train(
 
 def run_greedy_episode(table: QTable, env, rng: np.random.Generator) -> float:
     """Roll out the table's greedy policy for one episode; returns the return."""
-    observations = env.reset()
-    keys = [_obs_key(o) for o in observations]
+    values, visits = table.values, table.visits
+    keys = _keys(env.reset())
     total = 0.0
     done = False
     while not done:
-        legal = _legal_lists(env.available_actions(), table.num_actions)
-        actions = [_greedy(table, keys[i], legal[i], rng) for i in range(len(keys))]
+        actions = [
+            # max keeps the first of equal values: the lowest-index legal argmax
+            max(indices, key=values[key].tolist().__getitem__)
+            if visits.get(key)
+            else indices[rng.integers(len(indices))]
+            for key, indices in zip(keys, _legal_rows(env))
+        ]
         observations, reward, done = env.step(actions)
-        keys = [_obs_key(o) for o in observations]
+        keys = _keys(observations)
         total += float(reward)
     return total
 
@@ -304,6 +328,7 @@ class MMDPEnvironment:
         self.episode_limit = int(episode_limit)
         self._rng = np.random.default_rng(seed)
         self.num_actions = mmdp.num_joint_actions
+        self._legal = (range(self.num_actions),)
         self._state = 0
         self._steps = 0
         self._live = False
@@ -314,18 +339,17 @@ class MMDPEnvironment:
         self._live = True
         return [self._state]
 
-    def available_actions(self) -> np.ndarray:
-        return np.ones((1, self.num_actions), dtype=bool)
+    def legal_actions(self) -> tuple:
+        """Every joint action, as the one agent's legal indices."""
+        return self._legal
 
     def step(self, joint_action) -> tuple:
         if not self._live:
             raise RuntimeError("call reset() before interacting with the environment")
-        actions = [int(a) for a in joint_action]
+        actions = list(joint_action)
         if len(actions) != 1:
             raise ValueError("this environment takes one joint action index")
-        action = actions[0]
-        if not (0 <= action < self.num_actions):
-            raise ValueError(f"agent 0 submitted unavailable action {action}")
+        action = checked_action(actions[0], self._legal[0], 0)
         reward = float(self.mmdp.rewards[self._state])
         row = self.mmdp.transitions[self._state, action]
         k = int(self._rng.choice(len(row), p=row))

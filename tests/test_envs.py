@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from capmdp.envs.predator_prey import (
     ACTION_DOWN,
     ACTION_NOOP,
     ACTION_RIGHT,
+    ACTION_UP,
     NUM_PP_ACTIONS,
     PPTask,
     PredatorPreyConfig,
@@ -328,6 +330,19 @@ def test_observation_keys_separate_awareness_and_capabilities():
     assert other[0].key() != blind[0].key()  # own capability enters the key
 
 
+def test_observation_key_appends_the_view_as_base4_digits():
+    env = pinned_env([(0, 0)], [(0, 1)], caps=(1,), healths=(1,), grid_size=2)
+    (obs,) = env.reset(predator_positions=[(0, 0)], prey_positions=[(0, 1)])
+    assert obs.view == (1, 2, 0, 0)
+    # blind, agent 0 at cell 0 of 4; then the view's digits; then the capability code 8
+    assert obs.key() == int("1200", 4) * 512 + 8
+    moved = replace(obs, own_cell=3)
+    assert moved.key() == (3 * 4**4 + int("1200", 4)) * 512 + 8
+    assert replace(moved, view=()).key() == 3 * 512 + 8
+    with pytest.raises(ValueError):
+        replace(obs, view=(1, 4)).key()
+
+
 def test_capability_outside_encodable_range_is_rejected():
     env = pinned_env([(0, 0)], [(2, 2)], caps=(64,), healths=(1,))
     (obs,) = env.reset(predator_positions=[(0, 0)], prey_positions=[(2, 2)])
@@ -390,11 +405,22 @@ def test_step_errors():
         env.step([ACTION_CAPTURE])  # nothing adjacent
     with pytest.raises(ValueError, match="one action per predator"):
         env.step([ACTION_NOOP, ACTION_NOOP])
+    # bools and floats are refused, not truncated: int(4.9) would be a no-op
+    # and int(True) a move left
+    for bad in (4.9, 4.0, True, np.True_, np.float64(4.0), "4", None):
+        with pytest.raises(ValueError, match="agent 0 submitted unavailable action"):
+            env.step([bad])
+    assert env.steps_taken == 0 and env.predator_positions() == (4,)
+    for good in (ACTION_NOOP, np.int64(ACTION_NOOP), np.uint8(ACTION_UP)):
+        env.step([good])
+    assert env.steps_taken == 3 and env.predator_positions() == (1,)
     fresh = PredatorPreyEnv(env.config, seed=1)
     with pytest.raises(RuntimeError, match="reset"):
         fresh.step([ACTION_NOOP])
     with pytest.raises(RuntimeError, match="reset"):
         fresh.available_actions()
+    with pytest.raises(RuntimeError, match="reset"):
+        fresh.legal_actions()
 
 
 def test_episode_ends_exactly_at_the_limit():
@@ -465,6 +491,8 @@ def pinned_stream_digests(config, seed, action_seed, steps):
         keys.update(repr([o.key() for o in observations]).encode())
         mask = env.available_actions()
         masks.update(mask.tobytes())
+        # the mask and the env's own legal tuples agree at every step
+        assert [tuple(np.flatnonzero(row).tolist()) for row in mask] == list(env.legal_actions())
         actions = [int(rng.choice(np.flatnonzero(row))) for row in mask]
         observations, _, done = env.step(actions)
         if done:

@@ -493,10 +493,24 @@ def test_summary_counts_solves_and_cache_hits(tmp_path):
     }
 
 
+# a short pursuit run on grid 8 (the window view), blind and aware: it pins
+# the env's RNG streams and the trainer's table updates end to end
+PINNED_PURSUIT_CONFIG = {
+    "kind": "predator-prey",
+    "predator_prey": {
+        "mode": "both",
+        "grid_size": 8,
+        "total_steps": 2000,
+        "epsilon_decay_steps": 500,
+        "eval_episodes": 1,
+    },
+}
+
 # (determinism_hash, then solves, hits, sweeps, max sweeps, evaluations,
-# evaluation hits and evaluation sweeps) of three default CLI runs. A change
-# that keeps the arithmetic keeps all of them; one that reorders
-# floating-point work re-records them with a CHANGES.md note.
+# evaluation hits and evaluation sweeps) of three default CLI runs and the
+# pursuit run above. A change that keeps the arithmetic keeps all of them;
+# one that reorders floating-point work re-records them with a CHANGES.md
+# note.
 PINNED_RUNS = {
     "verify-bounds --seed 5": (
         "ad49e7d6bad81dcc9a54d15aa970c7af3d4cf3bc15b6319ea791934767118962",
@@ -510,11 +524,17 @@ PINNED_RUNS = {
         "74449fa1e454aaa0b7ab77384cc88dfb14610dd3798acd8934bce5b530dbda30",
         (4, 2, 695, 187, 1, 0, 187),
     ),
+    "predator-prey --config pursuit.json": (
+        "cc766b3c5fd2e9fa1472de08d52024d7f17fe7ce944cefa7ff51543db733cce3",
+        (0, 0, 0, 0, 0, 0, 0),
+    ),
 }
 
 
 @pytest.mark.parametrize("command", PINNED_RUNS)
-def test_default_runs_keep_their_pinned_hash_and_solver_counts(tmp_path, command):
+def test_default_runs_keep_their_pinned_hash_and_solver_counts(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pursuit.json").write_text(json.dumps(PINNED_PURSUIT_CONFIG))
     assert main([*command.split(), "--out", str(tmp_path)]) == EXIT_OK
     [path] = tmp_path.glob("*/*/summary.json")
     summary = json.loads(path.read_text())

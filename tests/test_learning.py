@@ -115,11 +115,17 @@ def test_max_legal_on_unseen_keys_and_bad_masks():
     assert table.max_legal(5, [True, True, False, False]) == -2.0
     assert table.max_legal(5, np.ones(4, dtype=bool)) == 4.0
     rng = np.random.default_rng(0)
-    for bad in (np.zeros(4, dtype=bool), np.ones(3, dtype=bool), np.ones((1, 4), dtype=bool)):
-        with pytest.raises(ValueError, match="at least one action"):
-            table.greedy_action(5, bad, rng)
-        with pytest.raises(ValueError, match="at least one action"):
-            table.max_legal(5, bad)
+    empty = np.zeros(4, dtype=bool)
+    with pytest.raises(ValueError, match="at least one action"):
+        table.greedy_action(5, empty, rng)
+    with pytest.raises(ValueError, match="at least one action"):
+        table.max_legal(5, empty)
+    for bad, shape in (((3,), r"\(3,\)"), ((1, 4), r"\(1, 4\)")):
+        message = rf"must have shape \(4,\), got {shape}"
+        with pytest.raises(ValueError, match=message):
+            table.greedy_action(5, np.ones(bad, dtype=bool), rng)
+        with pytest.raises(ValueError, match=message):
+            table.max_legal(5, np.ones(bad, dtype=bool))
 
 
 def test_save_and_load_round_trip(tmp_path):
@@ -201,10 +207,9 @@ def test_training_never_selects_masked_actions():
     mmdp = load_chain()
 
     class LastActionForbidden(MMDPEnvironment):
-        def available_actions(self):
-            mask = super().available_actions()
-            mask[:, -1] = False
-            return mask
+        def legal_actions(self):
+            last = self.num_actions - 1
+            return [[a for a in row if a != last] for row in super().legal_actions()]
 
     def builder(task, capability_observable, seed):
         return LastActionForbidden(task, episode_limit=10, seed=seed)
@@ -340,12 +345,15 @@ def test_mmdp_environment_reward_convention_and_errors():
     assert reward == 0.0 and next_obs == [1] and not done
     _, reward, done = env.step([1])
     assert reward == 1.0 and done
-    assert env.available_actions().shape == (1, 2)
+    assert env.legal_actions() == (range(2),)
 
     with pytest.raises(ValueError, match="one joint action"):
         env.step([0, 1])
     with pytest.raises(ValueError, match="unavailable action"):
         env.step([5])
+    for bad in (True, 1.0, 0.5):
+        with pytest.raises(ValueError, match="agent 0 submitted unavailable action"):
+            env.step([bad])
     fresh = MMDPEnvironment(mmdp, episode_limit=2, seed=0)
     with pytest.raises(RuntimeError, match="reset"):
         fresh.step([0])
