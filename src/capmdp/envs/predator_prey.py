@@ -15,7 +15,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ..qlearning import checked_action
+from ..qlearning import PCG64Draws, checked_action
 
 NUM_PP_ACTIONS = 6  # up, left, down, right, no-op, capture
 ACTION_UP, ACTION_LEFT, ACTION_DOWN, ACTION_RIGHT, ACTION_NOOP, ACTION_CAPTURE = range(6)
@@ -136,13 +136,18 @@ class PredatorPreyEnv:
     predator, and legal_actions() returns them. step validates against the
     same tuples, and available_actions() builds a fresh boolean mask from
     them on each call.
+
+    The prey moves and respawns draw through a PCG64Draws over
+    default_rng(seed), which gives the Generator's own random() and
+    integers() values; reset takes the Generator back for its one choice
+    call.
     """
 
     num_actions = NUM_PP_ACTIONS
 
     def __init__(self, config: PredatorPreyConfig, seed: int, trajectory_log=None):
         self.config = config
-        self._rng = np.random.default_rng(seed)
+        self._draws = PCG64Draws(np.random.default_rng(seed))
         self._g = g = config.grid_size
         self._predators: list = []
         self._prey: list = []
@@ -215,18 +220,20 @@ class PredatorPreyEnv:
         cells = g * g
         total = self.config.num_predators + self.config.num_prey
         if predator_positions is None and prey_positions is None:
-            chosen = self._rng.choice(cells, size=total, replace=False)
+            chosen = self._draws.generator().choice(cells, size=total, replace=False)
             flat = [int(c) for c in chosen]
         else:
             if predator_positions is None or prey_positions is None:
                 raise ValueError("pin both predator and prey positions or neither")
-            flat = [int(r) * g + int(c) for r, c in predator_positions]
-            flat += [int(r) * g + int(c) for r, c in prey_positions]
+            flat = []
+            for r, c in [*predator_positions, *prey_positions]:
+                r, c = int(r), int(c)
+                # check the row and column, not the flat cell: (0, g) would pass as (1, 0)
+                if not (0 <= r < g and 0 <= c < g):
+                    raise ValueError(f"pinned position ({r}, {c}) is off the grid")
+                flat.append(r * g + c)
             if len(flat) != total or len(set(flat)) != total:
                 raise ValueError("pinned positions must be distinct and cover every piece")
-            for cell in flat:
-                if not (0 <= cell < cells):
-                    raise ValueError("pinned position is off the grid")
         self._predators = flat[: self.config.num_predators]
         self._prey = flat[self.config.num_predators :]
         self._steps = 0
@@ -310,13 +317,13 @@ class PredatorPreyEnv:
                 occupied.update(prey)
 
         # prey moves: one draw per prey, and one more to pick among its free moves
-        rng = self._rng
+        draws = self._draws
         for p, cell in enumerate(prey):
-            if rng.random() >= config.prey_move_prob:
+            if draws.random() >= config.prey_move_prob:
                 continue
             free = [t for t in self._moves[cell] if t != cell and t not in occupied]
             if free:
-                target = free[rng.integers(len(free))]
+                target = free[draws.integers(len(free))]
                 occupied.discard(cell)
                 occupied.add(target)
                 prey[p] = target
@@ -365,7 +372,7 @@ class PredatorPreyEnv:
         empty = [c for c in range(cells) if c not in occupied]
         if not empty:
             raise RuntimeError("no empty cell is available for a respawn")
-        return int(empty[self._rng.integers(len(empty))])
+        return empty[self._draws.integers(len(empty))]
 
     def _observations(self) -> list:
         grid = [_CELL_EMPTY] * (self._g * self._g) + [_CELL_OFFGRID]

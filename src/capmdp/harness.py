@@ -868,8 +868,28 @@ def _pp_env_builder(params: dict):
     return build
 
 
-def run_predator_prey(config: ExperimentConfig):
-    """Train the shared learner on a task suite, blind and capability-aware."""
+class _StepCounter:
+    """An environment that adds each step taken through it to tally["env_steps"]."""
+
+    def __init__(self, env, tally: Counter):
+        self.env = env
+        self.tally = tally
+
+    def __getattr__(self, name):
+        return getattr(self.env, name)
+
+    def step(self, joint_action):
+        self.tally["env_steps"] += 1
+        return self.env.step(joint_action)
+
+
+def run_predator_prey(config: ExperimentConfig, learner=None):
+    """Train the shared learner on a task suite, blind and capability-aware.
+
+    learner, a dict when given, receives one entry per mode: the table's
+    keys, the training env steps (the trainer takes exactly total_steps),
+    the evaluation env steps as counted and the training seconds.
+    """
     params = config.predator_prey
     suite, modes, schedule, episodes = _pursuit_setup(params)
     builder = _pp_env_builder(params)
@@ -885,9 +905,14 @@ def run_predator_prey(config: ExperimentConfig):
             builder, suite.train, schedule, seed=config.seed, capability_observable=observable
         )
         train_time = time.perf_counter() - start
+        evaluated = Counter()
+
+        def counted(task, capability_observable, seed):
+            return _StepCounter(builder(task, capability_observable, seed), evaluated)
+
         for phase, tasks in (("train", suite.train), ("test", suite.test)):
             outcome = evaluate_policy_empirical(
-                table, builder, tasks, episodes, seed=config.seed,
+                table, counted, tasks, episodes, seed=config.seed,
                 capability_observable=observable,
             )
             for task_index, (task, stats) in enumerate(zip(tasks, outcome["per_task"])):
@@ -912,7 +937,7 @@ def run_predator_prey(config: ExperimentConfig):
             t for t in suite.test if t.predator_capabilities == suite.gap_test_team
         )
         gap = generalization_gap(
-            table, builder, gap_train, gap_test, episodes, seed=config.seed,
+            table, counted, gap_train, gap_test, episodes, seed=config.seed,
             capability_observable=observable,
         )
         rows.append(
@@ -929,6 +954,13 @@ def run_predator_prey(config: ExperimentConfig):
                 "wall_time": 0.0,
             }
         )
+        if learner is not None:
+            learner[mode_name] = {
+                "table_keys": len(table.values),
+                "train_env_steps": schedule.total_steps,
+                "eval_env_steps": evaluated["env_steps"],
+                "train_seconds": train_time,
+            }
     return rows, []
 
 
@@ -1059,11 +1091,13 @@ def write_run_artifacts(
     out_root,
     total_wall_time: float,
     solve_counts=None,
+    learner=None,
 ):
     """Write config/results/summary (and violations) under a content-hash dir.
 
     solve_counts, a mapping of Solver.counts() keys, becomes the summary's
-    "solver" block, outside the rows and the hash.
+    "solver" block, and learner (run_predator_prey's) its "learner" block,
+    both outside the rows and the hash.
     """
     out_dir = run_output_dir(config, out_root)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -1082,6 +1116,8 @@ def write_run_artifacts(
     }
     if solve_counts is not None:
         summary["solver"] = dict(solve_counts)
+    if learner is not None:
+        summary["learner"] = learner
     _atomic_write_text(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True))
     if violations:
         _atomic_write_text(out_dir / "violations.json", json.dumps(violations, indent=2))
@@ -1105,19 +1141,21 @@ def run_experiment(config: ExperimentConfig, out_root) -> list:
     start = time.perf_counter()
     # a fresh solver's counts: every key, each zero
     solve_counts = Counter(Solver().counts())
+    learner = None
     if config.kind == "verify-bounds":
         rows, violations = run_verify_bounds(config, solve_counts=solve_counts)
     elif config.kind == "fruit-forage":
         rows, violations = run_fruit_forage(config, solve_counts=solve_counts)
     elif config.kind == "predator-prey":
-        rows, violations = run_predator_prey(config)
+        learner = {}
+        rows, violations = run_predator_prey(config, learner)
     elif config.kind == "sweep":
         rows, violations = run_sweep(config, solve_counts=solve_counts)
     else:
         raise ConfigError(f"unknown experiment kind {config.kind!r}")
     total = time.perf_counter() - start
     _stamp_rows(config, rows)
-    write_run_artifacts(config, rows, violations, out_root, total, solve_counts)
+    write_run_artifacts(config, rows, violations, out_root, total, solve_counts, learner)
     return rows
 
 

@@ -144,6 +144,107 @@ class QTable:
         return table
 
 
+_BLOCK_WORDS = 256  # raw 64-bit words a PCG64Draws takes from its generator at a time
+_LOW32 = 0xFFFFFFFF
+
+
+class PCG64Draws:
+    """A numpy Generator's random() and integers(n), served bit for bit from raw PCG64 words.
+
+    The Generator turns its bit generator's 64-bit words into draws with
+    fixed algorithms, and this class runs the same ones on blocks of
+    bit_generator.random_raw words, without a numpy call per draw:
+
+    - random() is (w >> 11) * 2**-53 of one word w;
+    - integers(n) for 1 < n <= 2**32 is Lemire's multiply-and-reject
+      (Lemire 2019, "Fast Random Integer Generation in an Interval") on
+      32-bit draws. A 32-bit draw is the low half of a fresh word, or else
+      the high half that PCG64 cached from the previous one;
+    - integers(1) is 0 and takes no draw.
+
+    A sequence of these calls therefore returns what the same calls on the
+    Generator return. generator() hands the Generator back at exactly the
+    position the calls reached, for a draw this class does not serve (such
+    as choice); the next call here starts a fresh block from wherever the
+    Generator was left. Only PCG64, default_rng's bit generator, is accepted.
+    """
+
+    def __init__(self, generator: np.random.Generator):
+        bits = generator.bit_generator
+        if not isinstance(bits, np.random.PCG64):
+            raise TypeError(f"PCG64Draws needs a PCG64 bit generator, got {type(bits).__name__}")
+        self._generator = generator
+        self._bits = bits
+        self._block = []  # the current block's unused words, last one next
+        self._pop = self._block.pop
+        self._before = None  # the bit generator's state before the current block; None between blocks
+        self._half = None  # the cached high half of the last word, or None
+
+    def random(self) -> float:
+        """Generator.random(): a float in [0, 1) from one word."""
+        try:
+            word = self._pop()
+        except IndexError:
+            self._refill()
+            word = self._pop()
+        return (word >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, n: int) -> int:
+        """Generator.integers(n): a uniform int in [0, n), for 0 < n <= 2**32."""
+        if not 1 < n <= 1 << 32:
+            if n == 1:
+                return 0
+            raise ValueError(f"integers(n) needs 0 < n <= 2**32, got {n}")
+        m = self._draw32() * n
+        if m & _LOW32 < n:
+            # only a product whose low half lies below n can be biased; of
+            # those, the ones below 2**32 % n are drawn again
+            threshold = (1 << 32) % n
+            while m & _LOW32 < threshold:
+                m = self._draw32() * n
+        return m >> 32
+
+    def generator(self) -> np.random.Generator:
+        """The Generator, at exactly the position this object's draws reached."""
+        if self._before is not None:
+            bits = self._bits
+            bits.state = self._before
+            bits.advance(_BLOCK_WORDS - len(self._block))
+            # advance clears PCG64's cached half; put back the one in use
+            state = bits.state
+            state["has_uint32"] = int(self._half is not None)
+            state["uinteger"] = 0 if self._half is None else self._half
+            bits.state = state
+            self._block.clear()
+            self._before = None
+            self._half = None
+        return self._generator
+
+    def _draw32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        try:
+            word = self._pop()
+        except IndexError:
+            self._refill()
+            return self._draw32()
+        self._half = word >> 32
+        return word & _LOW32
+
+    def _refill(self):
+        bits = self._bits
+        state = bits.state
+        if self._before is None:
+            # the first block since the Generator was handed out: its cached half comes first
+            self._half = state["uinteger"] if state["has_uint32"] else None
+        self._before = state
+        self._block = bits.random_raw(_BLOCK_WORDS).tolist()
+        self._block.reverse()
+        self._pop = self._block.pop
+
+
 def checked_action(action, legal, agent: int) -> int:
     """action as a plain int when it is a Python or numpy integer (not a bool) in legal.
 
@@ -190,12 +291,13 @@ def q_learning_train(
     ]
     table = QTable(num_actions=envs[0].num_actions)
     values, visits = table.values, table.visits
-    rng = np.random.default_rng([seed, len(tasks)])
+    draws = PCG64Draws(np.random.default_rng([seed, len(tasks)]))
+    random, integers = draws.random, draws.integers
     alpha, gamma = schedule.alpha, schedule.gamma
 
     step = 0
     while step < schedule.total_steps:
-        env = envs[int(rng.integers(len(envs)))]
+        env = envs[integers(len(envs))]
         keys = _keys(env.reset())
         legal = _legal_rows(env)
         done = False
@@ -204,8 +306,8 @@ def q_learning_train(
             actions = []
             for key, indices in zip(keys, legal):
                 # explore, or stand at a never-updated key: one uniform draw
-                if rng.random() < epsilon or not visits.get(key):
-                    actions.append(indices[rng.integers(len(indices))])
+                if random() < epsilon or not visits.get(key):
+                    actions.append(indices[integers(len(indices))])
                 else:
                     # max keeps the first of equal values: the lowest-index legal argmax
                     actions.append(max(indices, key=values[key].tolist().__getitem__))
@@ -238,8 +340,11 @@ def q_learning_train(
     return table
 
 
-def run_greedy_episode(table: QTable, env, rng: np.random.Generator) -> float:
-    """Roll out the table's greedy policy for one episode; returns the return."""
+def run_greedy_episode(table: QTable, env, rng) -> float:
+    """Roll out the table's greedy policy for one episode; returns the return.
+
+    rng serves integers(n): a PCG64Draws, or the numpy Generator it wraps.
+    """
     values, visits = table.values, table.visits
     keys = _keys(env.reset())
     total = 0.0
@@ -274,7 +379,7 @@ def evaluate_policy_empirical(
         env = env_builder(
             task, capability_observable, int(np.random.default_rng([seed, index, 0]).integers(2**31))
         )
-        rng = np.random.default_rng([seed, index, 1])
+        rng = PCG64Draws(np.random.default_rng([seed, index, 1]))
         returns = [run_greedy_episode(table, env, rng) for _ in range(episodes)]
         per_task.append(
             {"mean": float(np.mean(returns)), "std": float(np.std(returns))}

@@ -3,7 +3,9 @@
 import hashlib
 import io
 import json
+import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from capmdp.envs.predator_prey import (
     PredatorPreyEnv,
     pp_task_suites,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # ---- fruit forage -----------------------------------------------------------------
 
@@ -397,6 +401,11 @@ def test_reset_pinning_errors():
         env.reset(predator_positions=[(0, 0)], prey_positions=[(0, 0)])
     with pytest.raises(ValueError, match="off the grid"):
         env.reset(predator_positions=[(0, 0)], prey_positions=[(4, 0)])
+    # a row or column off the grid is rejected even where r*g + c is a cell
+    wide = PredatorPreyEnv(replace(config, grid_size=8), seed=0)
+    for bad in [(0, 9), (1, -1), (-1, 3), (0, 8)]:
+        with pytest.raises(ValueError, match="off the grid"):
+            wide.reset(predator_positions=[(0, 0)], prey_positions=[bad])
 
 
 def test_step_errors():
@@ -564,6 +573,58 @@ def test_trajectory_masks_and_keys_match_the_pinned_streams(name):
     digests = pinned_stream_digests(PINNED_CONFIGS[name], seed=11, action_seed=12, steps=600)
     log, masks, keys, captures = PINNED_DIGESTS[name]
     assert digests == {"log": log, "masks": masks, "keys": keys, "captures": captures}
+
+
+def logged_run(config, seed, action_seed, steps) -> str:
+    """The trajectory log of a reset and `steps` steps, resetting whenever an episode ends.
+
+    Actions come from the standard library's random, apart from the env's
+    own numpy stream; a legal capture is taken half the time.
+    """
+    log = io.StringIO()
+    env = PredatorPreyEnv(config, seed=seed, trajectory_log=log)
+    chooser = random.Random(action_seed)
+    env.reset()
+    for _ in range(steps):
+        actions = [
+            ACTION_CAPTURE if ACTION_CAPTURE in legal and chooser.random() < 0.5
+            else chooser.choice(legal)
+            for legal in env.legal_actions()
+        ]
+        if env.step(actions)[2]:
+            env.reset()
+    return log.getvalue()
+
+
+# recorded with every draw made by numpy's Generator methods
+RECORDED_LOGS = {
+    "pursuit_log_grid3.jsonl": PredatorPreyConfig(
+        grid_size=3, num_predators=2, num_prey=2, predator_capabilities=(1, 2),
+        prey_health=(1, 2), penalty=-0.008,
+    ),
+    "pursuit_log_grid8.jsonl": PredatorPreyConfig(
+        grid_size=8, num_predators=4, num_prey=4, predator_capabilities=(1, 2, 1, 2),
+        prey_health=(2, 2, 2, 3), penalty=-0.008,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_LOGS))
+def test_trajectory_log_matches_the_recorded_file_byte_for_byte(name):
+    config = RECORDED_LOGS[name]
+    text = logged_run(config, seed=31, action_seed=32, steps=300)
+    recorded = (DATA / name).read_text()
+    if text != recorded:
+        # name the first differing line rather than diff two 50 KB texts
+        pairs = zip(text.splitlines(keepends=True), recorded.splitlines(keepends=True))
+        line = next((i for i, (ours, theirs) in enumerate(pairs) if ours != theirs), None)
+        pytest.fail(f"the log differs from {name} at line {line}")
+    steps = [json.loads(line) for line in text.splitlines()]
+    steps = [event for event in steps if event["event"] == "step"]
+    assert len(steps) == 300
+    # captures respawn their prey, and some attempts fail on health
+    assert sum(len(event["captured"]) for event in steps) >= 20
+    assert any(event["reward"] < 0 for event in steps)
 
 
 def test_mutating_a_returned_mask_changes_neither_later_masks_nor_validation():

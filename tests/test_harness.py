@@ -540,6 +540,16 @@ def test_default_runs_keep_their_pinned_hash_and_solver_counts(tmp_path, monkeyp
     summary = json.loads(path.read_text())
     expected_hash, counts = PINNED_RUNS[command]
     assert summary["determinism_hash"] == expected_hash
+    if command.startswith("predator-prey"):
+        # per mode: 10 evaluated tasks of one 100-step episode; seconds stay out of the hash
+        for mode in ("blind", "aware"):
+            block = summary["learner"][mode]
+            assert (block["table_keys"], block["train_env_steps"], block["eval_env_steps"]) == (
+                6549, 2000, 1000,
+            )
+            assert block["train_seconds"] > 0.0
+    else:
+        assert "learner" not in summary
     assert summary["solver"] == dict(
         zip(
             (
@@ -596,9 +606,20 @@ def test_predator_prey_runner_produces_learning_rows():
             },
         }
     )
-    rows, violations = run_predator_prey(config)
+    learner = {}
+    rows, violations = run_predator_prey(config, learner)
     assert violations == []
     assert len(rows) == 4 + 4 + 1  # train tasks, test tasks, gap row
+    # 10 evaluated tasks (4 train, 4 test, the gap's 2) of 2 episodes of 20 steps
+    assert learner == {
+        "blind": {
+            "table_keys": 1196,
+            "train_env_steps": 300,
+            "eval_env_steps": 10 * 2 * 20,
+            "train_seconds": learner["blind"]["train_seconds"],
+        }
+    }
+    assert learner["blind"]["train_seconds"] > 0.0
     assert {row["phase"] for row in rows} == {"train", "test", "gap"}
     gap_row = [row for row in rows if row["phase"] == "gap"]
     assert len(gap_row) == 1
