@@ -29,6 +29,7 @@ import io
 import json
 import math
 import os
+import sys
 import time
 from collections import Counter
 from collections.abc import Callable
@@ -37,6 +38,11 @@ from pathlib import Path
 from typing import get_args, get_origin
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # Windows has no resource module
+    resource = None
 
 from .bounds import (
     BoundReport,
@@ -961,6 +967,8 @@ def run_predator_prey(config: ExperimentConfig, learner=None):
                 "eval_env_steps": evaluated["env_steps"],
                 "train_seconds": train_time,
             }
+        # release this mode's table before the next mode trains its own
+        del table
     return rows, []
 
 
@@ -1084,6 +1092,15 @@ def run_output_dir(config: ExperimentConfig, out_root) -> Path:
     return Path(out_root) / config.name / config.config_hash()
 
 
+def _peak_rss_mb():
+    """The process's peak resident set size so far, in MB; None without the resource module."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and kilobytes elsewhere
+    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
+
+
 def write_run_artifacts(
     config: ExperimentConfig,
     rows,
@@ -1097,7 +1114,9 @@ def write_run_artifacts(
 
     solve_counts, a mapping of Solver.counts() keys, becomes the summary's
     "solver" block, and learner (run_predator_prey's) its "learner" block,
-    both outside the rows and the hash.
+    both outside the rows and the hash. Beside total_wall_time, and like it
+    outside the hash, goes peak_rss_mb: the process's peak RSS so far, where
+    the resource module can read it.
     """
     out_dir = run_output_dir(config, out_root)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -1114,6 +1133,9 @@ def write_run_artifacts(
         "determinism_hash": determinism_hash(rows),
         "total_wall_time": float(total_wall_time),
     }
+    peak = _peak_rss_mb()
+    if peak is not None:
+        summary["peak_rss_mb"] = peak
     if solve_counts is not None:
         summary["solver"] = dict(solve_counts)
     if learner is not None:

@@ -1,8 +1,10 @@
 """Experiment harness: configs, generators, runners, artifacts, CLI."""
 
 import json
+import weakref
 from collections import Counter
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -632,6 +634,37 @@ def test_predator_prey_runner_produces_learning_rows():
         )
 
 
+def test_predator_prey_holds_one_table_at_a_time(monkeypatch):
+    config = ExperimentConfig.from_doc(
+        {
+            "kind": "predator-prey",
+            "seed": 0,
+            "predator_prey": {
+                "suite": "unseen_team", "mode": "both", "grid_size": 4,
+                "episode_limit": 20, "total_steps": 200, "epsilon_decay_steps": 100,
+                "eval_interval": 100, "eval_episodes": 1,
+            },
+        }
+    )
+    train = capmdp.harness.q_learning_train
+    tables = []
+    alive_at_start = []
+
+    def tracked(*args, **kwargs):
+        # the tables of earlier modes that are still alive as this one starts training
+        alive_at_start.append([ref() is not None for ref in tables])
+        table = train(*args, **kwargs)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(capmdp.harness, "q_learning_train", tracked)
+    learner = {}
+    run_predator_prey(config, learner)
+    assert list(learner) == ["blind", "aware"]
+    assert alive_at_start == [[], [False]]
+    assert tables[1]() is None
+
+
 # ---- results files ----------------------------------------------------------------
 
 
@@ -695,6 +728,28 @@ def test_run_experiment_writes_artifacts_and_stamps_rows(tmp_path):
     resummary = json.loads((out_dir / "summary.json").read_text())
     assert resummary["determinism_hash"] == summary["determinism_hash"]
     assert determinism_hash(rerun) == determinism_hash(rows)
+
+
+def test_summary_records_peak_rss_outside_the_hash(tmp_path, monkeypatch):
+    config = small_config()
+    rows = run_experiment(config, tmp_path)
+    path = run_output_dir(config, tmp_path) / "summary.json"
+    summary = json.loads(path.read_text())
+    assert 1.0 < summary["peak_rss_mb"] < 1e5
+    assert summary["determinism_hash"] == determinism_hash(rows)
+    # ru_maxrss is in kilobytes on Linux and in bytes on macOS
+    usage = SimpleNamespace(ru_maxrss=50_000)
+    fake = SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage)
+    monkeypatch.setattr(capmdp.harness, "resource", fake)
+    for platform, expected in (("linux", 51.2), ("darwin", 0.05)):
+        monkeypatch.setattr(capmdp.harness.sys, "platform", platform)
+        run_experiment(config, tmp_path)
+        assert json.loads(path.read_text())["peak_rss_mb"] == pytest.approx(expected)
+    monkeypatch.setattr(capmdp.harness, "resource", None)
+    run_experiment(config, tmp_path)
+    rerun = json.loads(path.read_text())
+    assert "peak_rss_mb" not in rerun
+    assert rerun["determinism_hash"] == summary["determinism_hash"]
 
 
 def test_run_experiment_honors_json_output(tmp_path):

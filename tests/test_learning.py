@@ -1,6 +1,7 @@
 """Tabular Q-learning: table mechanics, training loop, evaluation helpers."""
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,15 +73,6 @@ def test_update_moves_toward_the_target():
     assert table.visit_count(123) == 0
 
 
-def test_max_legal_respects_the_mask():
-    table = QTable(num_actions=3)
-    table.row(7)[:] = [1.0, 5.0, 3.0]
-    assert table.max_legal(7, np.array([True, False, True])) == 3.0
-    assert table.max_legal(42, np.ones(3, dtype=bool)) == 0.0
-    with pytest.raises(ValueError, match="at least one action"):
-        table.max_legal(7, np.zeros(3, dtype=bool))
-
-
 def test_tied_rows_take_the_lowest_index_legal_argmax():
     table = QTable(num_actions=6)
     table.update(3, 5, target=1.0, alpha=1.0)
@@ -108,42 +100,106 @@ def test_unvisited_key_draws_one_integer_over_the_legal_actions():
     assert rng.random() == mirror.random()  # one draw per call, no more
 
 
-def test_max_legal_on_unseen_keys_and_bad_masks():
+def test_greedy_action_rejects_empty_and_misshapen_masks():
     table = QTable(num_actions=4)
-    assert table.max_legal(5, np.array([False, True, False, False])) == 0.0
-    table.row(5)[:] = [-3.0, -2.0, -1.0, 4.0]
-    assert table.max_legal(5, [True, True, False, False]) == -2.0
-    assert table.max_legal(5, np.ones(4, dtype=bool)) == 4.0
     rng = np.random.default_rng(0)
     empty = np.zeros(4, dtype=bool)
-    with pytest.raises(ValueError, match="at least one action"):
-        table.greedy_action(5, empty, rng)
-    with pytest.raises(ValueError, match="at least one action"):
-        table.max_legal(5, empty)
-    for bad, shape in (((3,), r"\(3,\)"), ((1, 4), r"\(1, 4\)")):
-        message = rf"must have shape \(4,\), got {shape}"
-        with pytest.raises(ValueError, match=message):
-            table.greedy_action(5, np.ones(bad, dtype=bool), rng)
-        with pytest.raises(ValueError, match=message):
-            table.max_legal(5, np.ones(bad, dtype=bool))
+    table.row(5)[:] = [-3.0, -2.0, -1.0, 4.0]
+    for key in (5, 6):  # a written-to key, then an unseen one
+        with pytest.raises(ValueError, match="at least one action"):
+            table.greedy_action(key, empty, rng)
+        for bad, shape in (((3,), r"\(3,\)"), ((1, 4), r"\(1, 4\)")):
+            with pytest.raises(ValueError, match=rf"must have shape \(4,\), got {shape}"):
+                table.greedy_action(key, np.ones(bad, dtype=bool), rng)
+    table.update(5, 3, target=4.0, alpha=1.0)
+    assert table.greedy_action(5, [True, True, False, False], rng) == 1
+    assert table.greedy_action(5, np.ones(4, dtype=bool), rng) == 3
 
 
-def test_save_and_load_round_trip(tmp_path):
-    table = QTable(num_actions=3)
-    table.update(4, 2, target=1.5, alpha=1.0)
-    big_key = 2**80 + 3  # observation keys overflow int64
-    table.update(big_key, 0, target=-0.25, alpha=0.5)
-    path = tmp_path / "table.npz"
-    table.save(path)
-    loaded = QTable.load(path)
-    assert loaded.num_actions == 3
-    assert set(loaded.values) == {4, big_key}
-    assert np.array_equal(loaded.peek(big_key), table.peek(big_key))
-    assert loaded.visit_count(4) == 1
+def test_the_store_keeps_every_row_across_growth():
+    """Thousands of keys, some above 2**64, against a dict of ndarrays given the same updates."""
+    table = QTable(num_actions=5)
+    rng = np.random.default_rng(11)
+    keys = [int(k) for k in rng.integers(0, 2**62, 2500)]
+    keys += [2**64 + int(k) for k in rng.integers(0, 2**40, 1500)]
+    reference, counts = {}, {}
+    held_key = 2**70 + 9
+    held = table.row(held_key)  # a window held across every growth
+    reference[held_key], counts[held_key] = np.zeros(5), 0
+    first = None
+    for step, index in enumerate(rng.integers(len(keys), size=12_000).tolist()):
+        key, action = keys[index], step % 5
+        target, alpha = float(rng.normal()), float(rng.uniform(0.05, 1.0))
+        table.update(key, action, target, alpha)
+        row = reference.setdefault(key, np.zeros(5))
+        row[action] += alpha * (target - row[action])
+        counts[key] = counts.get(key, 0) + 1
+        if first is None:
+            first = (table.values[key], table.peek(key), row.copy())
+        if step % 1000 == 0:
+            held[step % 5] = step / 7.0
+            reference[held_key][step % 5] = step / 7.0
+    held[:] = np.arange(5.0)
+    reference[held_key][:] = np.arange(5.0)
+    assert len(table.values) == len(reference) > 3000
+    assert list(table.values) == list(reference)  # insertion order
+    for key, row in reference.items():
+        assert table.values[key].tobytes() == row.tobytes()
+        assert table.peek(key).tobytes() == row.tobytes()
+        assert table.visits[key] == table.visit_count(key) == counts[key]
+    assert np.array_equal(held, reference[held_key]) and held[3] == 3.0
+    # copies taken before the growth keep the row as it was then
+    value, peeked, then = first
+    assert value.tobytes() == peeked.tobytes() == then.tobytes()
+    assert not value.flags.writeable and not peeked.flags.writeable
+    assert table.visit_count(123) == 0 and 123 not in table.values
+    assert not table.peek(123).any()
+    rng, mirror = np.random.default_rng(4), np.random.default_rng(4)
+    legal = np.array([False, True, True, False, True])
+    for unseen in (123, 2**66 + 5, held_key):  # never updated: one uniform draw
+        assert table.greedy_action(unseen, legal, rng) == [1, 2, 4][mirror.integers(3)]
+    assert 123 not in table.values
+    with pytest.raises(IndexError):
+        table.update(keys[0], 5, target=1.0, alpha=0.5)
 
-    empty = QTable(num_actions=5)
-    empty.save(tmp_path / "empty.npz")
-    assert QTable.load(tmp_path / "empty.npz").values == {}
+
+def test_a_table_read_mid_training_matches_a_shorter_run():
+    tasks = [
+        PredatorPreyConfig(
+            grid_size=5, num_predators=3, num_prey=1, predator_capabilities=(1, 2, 1),
+            prey_health=(2,), penalty=-0.01, episode_limit=30,
+        )
+    ]
+
+    def builder(task, capability_observable, seed):
+        return PredatorPreyEnv(task, seed)
+
+    def snapshot(table):
+        return {key: (table.visits[key], table.values[key].tobytes()) for key in table.values}
+
+    schedule = TrainSchedule(
+        total_steps=1200, alpha=0.3, epsilon_decay_steps=600, gamma=0.9, eval_interval=400,
+    )
+    seen = {}
+    windows = []
+
+    def on_interval(step, table):
+        seen[step] = snapshot(table)
+        assert sum(table.visits.values()) == 3 * step  # one update per predator per step
+        key = next(iter(table.values))
+        windows.append((key, table.row(key), table.values[key]))  # held while training goes on
+
+    table = q_learning_train(builder, tasks, schedule, seed=5, on_interval=on_interval)
+    assert sorted(seen) == [400, 800, 1200]
+    for step in (400, 800):
+        shorter = q_learning_train(
+            builder, tasks, replace(schedule, total_steps=step), seed=5
+        )
+        assert seen[step] == snapshot(shorter)
+    assert seen[1200] == snapshot(table)
+    for (key, window, copied), step in zip(windows, (400, 800, 1200)):
+        assert copied.tobytes() == seen[step][key][1]
+        assert np.array_equal(window, table.values[key])
 
 
 def test_q_table_rejects_bad_sizes():
