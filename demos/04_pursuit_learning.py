@@ -86,7 +86,7 @@ for pred in range(g * g):
         key = observations[0].key()
         steps = None
         for t in range(1, 13):
-            action = table.greedy_action(key, env.available_actions()[0], rng)
+            action = table.greedy_action(key, env.legal_actions()[0], rng)
             observations, reward, _ = env.step([action])
             key = observations[0].key()
             if reward > 0:

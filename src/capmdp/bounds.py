@@ -113,18 +113,6 @@ class BoundReport:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "BoundReport":
-        doc = json.loads(text)
-        return cls(
-            bound_name=doc["bound_name"],
-            constituents=dict(doc["constituents"]),
-            bound_value=doc["bound_value"],
-            actual_value=doc["actual_value"],
-            satisfied=doc["satisfied"],
-            slack=doc["slack"],
-        )
-
 
 def psi(
     team_x: TeamComposition,
@@ -220,8 +208,8 @@ class Solver:
     once it has been requested. An evaluation's key is its MDP's solve key
     and the policy's actions. Cached arrays are read-only, since every
     caller of a hit shares them. solve_all and evaluate_all answer many requests at once and run
-    the uncached ones in stacks; each answer is bit for bit the one
-    value_iteration or policy_evaluation gives alone.
+    the uncached ones in stacks; each answer is bit for bit the one a stack
+    of that request alone gives.
     """
 
     def __init__(self, tol: float = 1e-9):
@@ -264,7 +252,7 @@ class Solver:
         return solutions
 
     def evaluate_all(self, requests) -> list:
-        """ValueTable of policy_evaluation on each (mmdp, policy) of requests, in order.
+        """ValueTable of policy_evaluation_stack on each (mmdp, policy) of requests, in order.
 
         Requests with one key (the MDP's solve key and the policy's actions)
         are evaluated once, and the rest are stacked as solve_all stacks its

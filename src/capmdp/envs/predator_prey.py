@@ -208,10 +208,6 @@ class PredatorPreyEnv:
     def prey_positions(self) -> tuple:
         return tuple(self._prey)
 
-    @property
-    def steps_taken(self) -> int:
-        return self._steps
-
     # ---- episode control --------------------------------------------------------
 
     def reset(self, predator_positions=None, prey_positions=None) -> list:

@@ -179,7 +179,8 @@ class GeneratorRanges:
         _cast_fields(self, "ranges")
         pairs = {
             "num_states": (self.num_states, 1),
-            "num_agents": (self.num_agents, 1),
+            # the population checks remove a member, so every team needs two
+            "num_agents": (self.num_agents, 2),
             "actions_per_agent": (self.actions_per_agent, 2),
             "capability_dim": (self.capability_dim, 1),
             "feature_dim": (self.feature_dim, 1),
@@ -324,10 +325,13 @@ def _forage_desk(params: dict) -> tuple:
     """(grid_size, num_agents) of a fruit_forage section.
 
     Raises ValueError unless the desk teams (desk_config) can be built at
-    that size: grid_size >= 2, 1 <= num_agents <= the teams' members, and
-    at most fruit_forage.STATE_CAP states.
+    that size and certified: grid_size >= 2, 2 <= num_agents <= the teams'
+    members (the population check removes a member), and at most
+    fruit_forage.STATE_CAP states.
     """
     grid_size, num_agents = params["grid_size"], params["num_agents"]
+    if num_agents < 2:
+        raise ValueError("the population check removes a member, so the desk needs two agents")
     desk = desk_config("x", grid_size, num_agents)
     if len(desk.team) != num_agents:
         raise ValueError(f"the desk teams have {len(desk.team)} members, not {num_agents}")
@@ -1092,6 +1096,16 @@ def run_output_dir(config: ExperimentConfig, out_root) -> Path:
     return Path(out_root) / config.name / config.config_hash()
 
 
+def _make_run_dir(config: ExperimentConfig, out_root) -> Path:
+    """run_output_dir, created; a ConfigError naming it when it cannot be."""
+    out_dir = run_output_dir(config, out_root)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the run directory {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def _peak_rss_mb():
     """The process's peak resident set size so far, in MB; None without the resource module."""
     if resource is None:
@@ -1118,8 +1132,7 @@ def write_run_artifacts(
     outside the hash, goes peak_rss_mb: the process's peak RSS so far, where
     the resource module can read it.
     """
-    out_dir = run_output_dir(config, out_root)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_run_dir(config, out_root)
     _atomic_write_text(out_dir / "config.json", json.dumps(config.to_doc(), indent=2, sort_keys=True))
     suffix = "json" if config.output_format == "json" else "csv"
     emit_results(rows, config.output_format, out_dir / f"results.{suffix}")
@@ -1159,7 +1172,12 @@ def _stamp_rows(config: ExperimentConfig, rows) -> list:
 
 
 def run_experiment(config: ExperimentConfig, out_root) -> list:
-    """Run one configured experiment, write its artifacts, and return the rows."""
+    """Run one configured experiment, write its artifacts, and return the rows.
+
+    The run directory is made first, so an out_root it cannot be made under
+    raises ConfigError before any work.
+    """
+    _make_run_dir(config, out_root)
     start = time.perf_counter()
     # a fresh solver's counts: every key, each zero
     solve_counts = Counter(Solver().counts())

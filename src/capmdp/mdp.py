@@ -30,10 +30,10 @@ stack of MDPs of one layout, shape and discount at once
 once, so a sweep makes one batched kernel product and a handful of
 whole-stack array calls however many members it backs up, which removes
 most of the per-call overhead of small solves. Each member gets exactly the
-arrays value_iteration or policy_evaluation, each a stack of one, gives it.
+arrays a stack of that member alone gives it; value_iteration is such a stack
+of one.
 """
 
-import json
 from dataclasses import dataclass
 from functools import partial
 
@@ -179,58 +179,6 @@ class TabularMMDP:
     @property
     def num_joint_actions(self) -> int:
         return self.actions_per_agent ** self.num_agents
-
-    def joint_action_index(self, actions) -> int:
-        """Row-major joint index of a per-agent action tuple (agent 0 slowest)."""
-        dims = (self.actions_per_agent,) * self.num_agents
-        return int(np.ravel_multi_index(tuple(int(a) for a in actions), dims))
-
-    def joint_action_tuple(self, index: int) -> tuple:
-        dims = (self.actions_per_agent,) * self.num_agents
-        return tuple(int(x) for x in np.unravel_index(int(index), dims))
-
-    def to_json(self) -> str:
-        doc = {
-            "features": self.states.features.tolist(),
-            "num_agents": self.num_agents,
-            "actions_per_agent": self.actions_per_agent,
-            "rewards": self.rewards.tolist(),
-            "transitions": self.transitions.tolist(),
-            "gamma": self.gamma,
-            "rho": self.rho.tolist(),
-        }
-        if self.next_states is not None:
-            doc["next_states"] = self.next_states.tolist()
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TabularMMDP":
-        doc = json.loads(text)
-        return cls(
-            states=StateSpace(np.asarray(doc["features"], dtype=float)),
-            num_agents=int(doc["num_agents"]),
-            actions_per_agent=int(doc["actions_per_agent"]),
-            rewards=np.asarray(doc["rewards"], dtype=float),
-            transitions=np.asarray(doc["transitions"], dtype=float),
-            gamma=float(doc["gamma"]),
-            rho=np.asarray(doc["rho"], dtype=float),
-            next_states=(
-                np.asarray(doc["next_states"], dtype=np.int64) if "next_states" in doc else None
-            ),
-        )
-
-    def equals(self, other: "TabularMMDP") -> bool:
-        """Same contents in the same layout (array_equal(None, None) is True)."""
-        return (
-            self.states.equals(other.states)
-            and self.num_agents == other.num_agents
-            and self.actions_per_agent == other.actions_per_agent
-            and np.array_equal(self.rewards, other.rewards)
-            and np.array_equal(self.transitions, other.transitions)
-            and np.array_equal(self.next_states, other.next_states)
-            and self.gamma == other.gamma
-            and np.array_equal(self.rho, other.rho)
-        )
 
     def transition_gaps(self, other: "TabularMMDP") -> tuple[float, float]:
         """Largest per-successor and largest L1 row gap between two kernels.
@@ -573,16 +521,18 @@ def _policy_kernels(pairs):
 
 
 def policy_evaluation_stack(pairs, tol: float = 1e-9, max_iters: int = 10**6):
-    """policy_evaluation of several (mmdp, policy) pairs at once, in the one stacked sweep loop.
+    """Fixed-point evaluation of deterministic joint policies, one per (mmdp, policy) pair.
 
-    The MDPs must share one layout, kernel shape and discount; the policies
-    may differ. Each member stops at its own first sweep whose change is
-    <= tol, and every operation acts on each member's entries alone, so each
-    result is bit for bit the one policy_evaluation gives that pair.
+    Runs every pair at once, in the one stacked sweep loop. The MDPs must
+    share one layout, kernel shape and discount; the policies may differ.
+    Each member stops at its own first sweep whose change is <= tol, and
+    every operation acts on each member's entries alone, so each result is
+    bit for bit the one a stack of that pair alone gives.
 
     Returns:
-        (values, sweeps): one ValueTable per pair in input order, and the
-        number of sweeps each took to reach tol.
+        (values, sweeps): one ValueTable per pair in input order, whose
+        scalar(rho) is the policy's expected value from the initial
+        distribution, and the number of sweeps each took to reach tol.
 
     Raises:
         SolverConvergenceError: if some member does not reach tol within
@@ -600,18 +550,6 @@ def policy_evaluation_stack(pairs, tol: float = 1e-9, max_iters: int = 10**6):
         np.zeros_like(base), tol, max_iters, "policy evaluation",
     )
     return [ValueTable(v=v[:, 0]) for v in points], sweeps
-
-
-def policy_evaluation(
-    mmdp: TabularMMDP, policy: JointPolicy, tol: float = 1e-9, max_iters: int = 10**6
-) -> ValueTable:
-    """Fixed-point evaluation of a deterministic joint policy.
-
-    Returns a ValueTable whose scalar(rho) gives the policy's expected value
-    from the initial distribution. A stack of one in policy_evaluation_stack.
-    """
-    [values], _ = policy_evaluation_stack([(mmdp, policy)], tol, max_iters)
-    return values
 
 
 def successor_features(

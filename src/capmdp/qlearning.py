@@ -6,13 +6,16 @@ environment exposing num_actions, reset() -> observations, legal_actions()
 -> one sequence of legal action indices per agent, ascending, and
 step(actions) -> (observations, team_reward, done). The legal actions read
 after a step are the next step's decision set, and every agent needs at least
-one. Observations are either objects with a key() method or plain integers.
-step raises ValueError for an action outside its agent's legal set, and for
-a bool or any other non-integer value; checked_action is that check.
+one. One agent's sequence is what QTable.greedy_action takes. Observations
+are either objects with a key() method or plain integers. step raises
+ValueError for an action outside its agent's legal set, and for a bool or any
+other non-integer value; checked_action is that check.
 
 A QTable keeps every row in one flat store of C doubles, with a key -> row
 number dict and a list of visit counts beside it: about 170 bytes per key on
-CPython 3.11, where an ndarray per row in two dicts took about 290. A caller
+CPython 3.11, where an ndarray per row in two dicts took about 290. It has
+one write path, update (which q_learning_train inlines), and one read path,
+its values and visits mappings; a key it does not hold is unseen. A caller
 that trains several tables in turn should drop each one before training the
 next, so that only one is alive at a time (run_predator_prey does).
 """
@@ -60,22 +63,25 @@ class QTable:
     """Action values and visit counts over integer observation keys, in one flat store.
 
     The values of every key sit in one array('d') of C doubles, num_actions
-    to a row; a new key's row is appended as zeros, so the store grows in
-    place. Beside it a dict maps each key to its row number and a list holds
-    each row's visit count. Keys may exceed 64 bits. Unseen keys hold an
-    implicit all-zero row.
+    to a row; a key's row is appended as zeros at its first update, so the
+    store grows in place. Beside it a dict maps each key to its row number
+    and a list holds each row's visit count. Keys may exceed 64 bits.
 
-    values and visits are read-only mappings: values[key] is a read-only
-    float64 copy of the key's row and visits[key] its count, and peek(key) is
-    values[key] with zeros for an unseen key. row(key) is a writable window
-    onto one row. None of these holds the store, whose growth an ndarray
-    over it would block, so each stays valid as the table grows.
+    update() is the one write path; q_learning_train runs the same update
+    on the store directly. values and visits are the one read path, two
+    read-only mappings: values[key] is a read-only float64 copy of the key's
+    row and visits[key] its count. Neither holds the store, whose growth an
+    ndarray over it would block, so both stay valid as the table grows. A
+    key enters the table only through an update, so every stored key has at
+    least one visit. An unseen key, one not in values, holds an implicit
+    all-zero row.
 
-    Greedy action selection at a never-updated key falls back to a uniform
-    random choice among the legal actions (one rng.integers draw); at an
-    updated key it takes the first (lowest index) legal argmax.
-    run_greedy_episode applies the same rule, and q_learning_train applies it
-    to the store directly.
+    greedy_action(key, indices, rng) picks among the legal action indices,
+    ascending, as legal_actions() gives them for one agent. At an unseen key
+    it makes one rng.integers(len(indices)) draw and picks uniformly; at a
+    stored key it takes the first (lowest index) legal argmax.
+    run_greedy_episode applies it, and q_learning_train applies the same
+    rule to the store directly.
     """
 
     def __init__(self, num_actions: int):
@@ -91,57 +97,28 @@ class QTable:
         self.values = _KeyedView(self._index, partial(_row_copy, self._store, self.num_actions))
         self.visits = _KeyedView(self._index, self._counts.__getitem__)
 
-    def _row_number(self, key: int) -> int:
+    def greedy_action(self, key: int, indices, rng) -> int:
+        """The greedy action at key among the legal indices; rng serves integers(n).
+
+        rng is a PCG64Draws or the numpy Generator it wraps.
+        """
         r = self._index.get(key)
         if r is None:
-            r = self._index[key] = len(self._counts)
-            self._counts.append(0)
-            self._store.extend(self._zeros)
-        return r
-
-    def row(self, key: int) -> "_Row":
-        """A writable window onto key's row, which it adds unvisited if unseen."""
-        n = self.num_actions
-        return _Row(self._store, self._row_number(key) * n, n)
-
-    def peek(self, key: int) -> np.ndarray:
-        r = self._index.get(key)
-        if r is None:
-            return _row_copy(self._zeros, self.num_actions, 0)
-        return _row_copy(self._store, self.num_actions, r)
-
-    def visit_count(self, key: int) -> int:
-        r = self._index.get(key)
-        return 0 if r is None else self._counts[r]
-
-    def greedy_action(self, key: int, legal: np.ndarray, rng: np.random.Generator) -> int:
-        return self._greedy(key, self._legal_indices(legal), rng.integers)
-
-    def _greedy(self, key: int, indices, integers) -> int:
-        """The greedy action at key among the legal indices; integers(n) serves the draw."""
-        r = self._index.get(key)
-        if r is None or not self._counts[r]:
-            return indices[integers(len(indices))]
+            return indices[rng.integers(len(indices))]
         o = r * self.num_actions
         # max keeps the first of equal values: the lowest-index legal argmax
         return max(indices, key=self._store[o:o + self.num_actions].__getitem__)
 
-    def _legal_indices(self, legal) -> list:
-        legal = np.asarray(legal, dtype=bool)
-        if legal.shape != (self.num_actions,):
-            raise ValueError(
-                f"legal mask must have shape ({self.num_actions},), got {legal.shape}"
-            )
-        indices = np.flatnonzero(legal).tolist()
-        if not indices:
-            raise ValueError("legal mask must enable at least one action")
-        return indices
-
     def update(self, key: int, action: int, target: float, alpha: float):
         if not 0 <= action < self.num_actions:
             raise IndexError(f"action {action} outside 0..{self.num_actions - 1}")
-        r = self._row_number(key)
-        self._counts[r] += 1
+        r = self._index.get(key)
+        if r is None:
+            r = self._index[key] = len(self._counts)
+            self._counts.append(1)
+            self._store.extend(self._zeros)
+        else:
+            self._counts[r] += 1
         i = r * self.num_actions + action
         value = self._store[i]
         self._store[i] = value + alpha * (target - value)
@@ -172,31 +149,6 @@ class _KeyedView(Mapping):
 
     def __len__(self):
         return len(self._index)
-
-
-class _Row:
-    """A writable window onto size values of a flat store, from start on.
-
-    Each access views the store for that access only, so the window never
-    blocks the store's growth and never reads a stale buffer.
-    """
-
-    def __init__(self, store: array, start: int, size: int):
-        self._store = store
-        self._start = start
-        self._size = size
-
-    def _view(self) -> np.ndarray:
-        return np.frombuffer(self._store, count=self._size, offset=8 * self._start)
-
-    def __getitem__(self, index):
-        return self._view()[index].copy()
-
-    def __setitem__(self, index, value):
-        self._view()[index] = value
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self._view(), dtype=dtype)
 
 
 _BLOCK_WORDS = 256  # raw 64-bit words a PCG64Draws takes from its generator at a time
@@ -363,8 +315,8 @@ def q_learning_train(
             actions = []
             for key, indices in zip(keys, legal):
                 r = index.get(key)
-                # explore, or stand at a never-updated key: one uniform draw
-                if random() < epsilon or r is None or not counts[r]:
+                # explore, or stand at an unseen key: one uniform draw
+                if random() < epsilon or r is None:
                     actions.append(indices[integers(len(indices))])
                 else:
                     o = r * n
@@ -410,12 +362,12 @@ def run_greedy_episode(table: QTable, env, rng) -> float:
 
     rng serves integers(n): a PCG64Draws, or the numpy Generator it wraps.
     """
-    greedy, integers = table._greedy, rng.integers
+    greedy = table.greedy_action
     keys = _keys(env.reset())
     total = 0.0
     done = False
     while not done:
-        actions = [greedy(key, indices, integers) for key, indices in zip(keys, _legal_rows(env))]
+        actions = [greedy(key, indices, rng) for key, indices in zip(keys, _legal_rows(env))]
         observations, reward, done = env.step(actions)
         keys = _keys(observations)
         total += float(reward)
@@ -525,9 +477,9 @@ class MMDPEnvironment:
 
 
 def extract_joint_policy(table: QTable, mmdp: TabularMMDP) -> JointPolicy:
-    """Greedy deterministic policy over states; never-updated states act 0."""
+    """Greedy deterministic policy over states; unseen states act 0."""
     actions = np.zeros(mmdp.num_states, dtype=np.int64)
     for s in range(mmdp.num_states):
-        if table.visit_count(s) > 0:
-            actions[s] = int(np.argmax(table.peek(s)))
+        if s in table.values:
+            actions[s] = int(np.argmax(table.values[s]))
     return JointPolicy(actions=actions)

@@ -29,7 +29,7 @@ from capmdp import (
     gamma_factor,
     generate_linear_pair,
     perturb_dynamics,
-    policy_evaluation,
+    policy_evaluation_stack,
     psi,
     q_learning_train,
     reward_deviation_exact,
@@ -156,7 +156,8 @@ def test_criterion_04_successor_feature_identity():
         policy = JointPolicy(
             actions=rng.integers(0, mmdp.num_joint_actions, mmdp.num_states)
         )
-        value = policy_evaluation(mmdp, policy).scalar(mmdp.rho)
+        [values], _ = policy_evaluation_stack([(mmdp, policy)])
+        value = values.scalar(mmdp.rho)
         mu = successor_features(mmdp, policy).mu_scalar
         decomposed = sum(
             float(a_i) * float((member.c @ spec.reward_kernel.w) @ mu)
@@ -396,8 +397,7 @@ def test_criterion_09_pursuit_learning(tmp_path):
             key = observations[0].key()
             steps = None
             for t in range(1, 13):
-                mask = eval_env.available_actions()
-                action = table.greedy_action(key, mask[0], rng)
+                action = table.greedy_action(key, eval_env.legal_actions()[0], rng)
                 observations, reward, _ = eval_env.step([action])
                 key = observations[0].key()
                 if reward > 0:

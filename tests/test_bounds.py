@@ -1,6 +1,7 @@
 """Bound calculators checked against hand values and exact-solver measurements."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ def test_report_build_satisfied_edges():
 
 def test_report_json_round_trip_and_csv_row():
     report = BoundReport.build("demo", {"psi": 0.25, "s_max": 2.0}, 3.0, 1.5)
-    copy = BoundReport.from_json(report.to_json())
+    copy = BoundReport(**json.loads(report.to_json()))
     assert copy == report
     row = report.to_csv_row()
     assert row["bound_name"] == "demo"

@@ -279,7 +279,7 @@ def test_rollout_invariants():
             assert round(reward, 9) in allowed
             captures += reward > 0
             steps += 1
-        assert steps == 50 and env.steps_taken == 50
+        assert steps == 50
 
 
 def test_same_seed_reproduces_the_trajectory():
@@ -409,7 +409,7 @@ def test_reset_pinning_errors():
 
 
 def test_step_errors():
-    env = pinned_env([(1, 1)], [(2, 2)], caps=(1,), healths=(1,))
+    env = pinned_env([(1, 1)], [(2, 2)], caps=(1,), healths=(1,), episode_limit=4)
     with pytest.raises(ValueError, match="agent 0 submitted unavailable action"):
         env.step([ACTION_CAPTURE])  # nothing adjacent
     with pytest.raises(ValueError, match="one action per predator"):
@@ -419,10 +419,12 @@ def test_step_errors():
     for bad in (4.9, 4.0, True, np.True_, np.float64(4.0), "4", None):
         with pytest.raises(ValueError, match="agent 0 submitted unavailable action"):
             env.step([bad])
-    assert env.steps_taken == 0 and env.predator_positions() == (4,)
-    for good in (ACTION_NOOP, np.int64(ACTION_NOOP), np.uint8(ACTION_UP)):
-        env.step([good])
-    assert env.steps_taken == 3 and env.predator_positions() == (1,)
+    assert env.predator_positions() == (4,)
+    goods = (ACTION_NOOP, np.int64(ACTION_NOOP), np.uint8(ACTION_UP))
+    dones = [env.step([good])[2] for good in goods]
+    assert dones == [False] * 3 and env.predator_positions() == (1,)
+    # a refused step does not count toward the episode limit: the fourth accepted one ends it
+    assert env.step([ACTION_NOOP])[2]
     fresh = PredatorPreyEnv(env.config, seed=1)
     with pytest.raises(RuntimeError, match="reset"):
         fresh.step([ACTION_NOOP])
@@ -643,14 +645,15 @@ def test_mutating_a_returned_mask_changes_neither_later_masks_nor_validation():
 
 
 def test_an_action_illegal_at_decision_time_names_its_agent():
-    env = pinned_env([(0, 0), (2, 2)], [(1, 0)], caps=(1, 1), healths=(1,))
+    env = pinned_env([(0, 0), (2, 2)], [(1, 0)], caps=(1, 1), healths=(1,), episode_limit=2)
     with pytest.raises(ValueError, match="agent 1 submitted unavailable action 5"):
         env.step([ACTION_NOOP, ACTION_CAPTURE])  # agent 1 has no adjacent prey
     with pytest.raises(ValueError, match="agent 0 submitted unavailable action 2"):
         env.step([ACTION_DOWN, ACTION_NOOP])  # the prey sits below agent 0
     with pytest.raises(ValueError, match="agent 1 submitted unavailable action 6"):
         env.step([ACTION_NOOP, NUM_PP_ACTIONS])
-    assert env.predator_positions() == (0, 8) and env.steps_taken == 0
+    assert env.predator_positions() == (0, 8)
+    assert not env.step([ACTION_NOOP, ACTION_NOOP])[2]  # the refused steps did not count
     fresh = PredatorPreyEnv(env.config, seed=3)
     with pytest.raises(RuntimeError, match="reset"):
         fresh.step([ACTION_NOOP, ACTION_NOOP])

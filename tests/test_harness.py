@@ -200,10 +200,14 @@ UNRUNNABLE_CONFIGS = {
     "seed-negative": ({"kind": "verify-bounds", "seed": -1}, "seed"),
     # the bad cell comes second: no cell runs before it is rejected
     "sweep-cell-agents-0": (sweep(dict(CELL), dict(CELL, num_agents=0)), "num_agents"),
+    # the population checks remove a member: a one-agent team cannot run them
+    "ranges-one-agent": (with_ranges(num_agents=[1, 1]), "num_agents"),
+    "sweep-cell-agents-1": (sweep(dict(CELL), dict(CELL, num_agents=1)), "num_agents"),
     "sweep-cell-instances-0": (sweep(dict(CELL, num_instances=0)), "num_instances"),
     "forage-grid-0": (forage(grid_size=0), "grid_size"),
     "forage-agents-x": (forage(num_agents="x"), "fruit_forage"),
     "forage-agents-5": (forage(num_agents=5), "members"),
+    "forage-agents-1": (forage(num_agents=1), "two agents"),
     "forage-over-cap": (forage(grid_size=16), "cap"),
     "pursuit-steps-0": (pursuit(total_steps=0), "total_steps"),
     "pursuit-episodes-0": (pursuit(eval_episodes=0), "eval_episodes"),
@@ -1098,6 +1102,23 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["unknown-command"]) == EXIT_CONFIG
     assert main([]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_an_out_path_that_cannot_hold_the_run_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(capmdp.harness, "run_fruit_forage", no_run)
+    for out in (blocker, blocker / "below"):
+        assert main(["fruit-forage", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot create the run directory" in err and str(out) in err
+    assert blocker.read_text() == "a regular file"
 
 
 def test_cli_overrides_are_checked_like_the_config(tmp_path, capsys):

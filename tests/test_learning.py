@@ -2,7 +2,6 @@
 
 import hashlib
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ import pytest
 from capmdp import (
     MMDPEnvironment,
     QTable,
-    TabularMMDP,
     TrainSchedule,
     evaluate_policy_empirical,
     extract_joint_policy,
@@ -20,13 +18,7 @@ from capmdp import (
     value_iteration,
 )
 from capmdp.envs.predator_prey import PredatorPreyConfig, PredatorPreyEnv
-
-DATA = Path(__file__).parent / "data"
-
-
-def load_chain() -> TabularMMDP:
-    return TabularMMDP.from_json((DATA / "two_state_chain.json").read_text())
-
+from capmdp.qlearning import PCG64Draws
 
 SHORT = TrainSchedule(
     total_steps=3000, alpha=0.2, epsilon_start=1.0, epsilon_end=0.05,
@@ -38,16 +30,21 @@ def chain_builder(task, capability_observable, seed):
     return MMDPEnvironment(task, episode_limit=10, seed=seed)
 
 
+def set_row(table, key, values):
+    """Store values as key's row: on a fresh row an alpha-1 update writes its target exactly."""
+    for action, value in enumerate(values):
+        table.update(key, action, target=value, alpha=1.0)
+
+
 # ---- QTable -----------------------------------------------------------------------
 
 
 def test_unseen_key_greedy_is_uniform_over_legal_actions():
     table = QTable(num_actions=4)
     rng = np.random.default_rng(0)
-    legal = np.array([True, False, True, True])
     counts = np.zeros(4)
     for _ in range(3000):
-        counts[table.greedy_action(99, legal, rng)] += 1
+        counts[table.greedy_action(99, (0, 2, 3), rng)] += 1
     assert counts[1] == 0
     assert np.all(np.abs(counts[[0, 2, 3]] / 3000 - 1 / 3) < 0.05)
 
@@ -57,63 +54,54 @@ def test_visited_key_greedy_takes_lowest_index_argmax():
     table.update(5, 1, target=2.0, alpha=1.0)
     table.update(5, 2, target=2.0, alpha=1.0)
     rng = np.random.default_rng(0)
-    assert table.greedy_action(5, np.ones(4, dtype=bool), rng) == 1
-    assert table.greedy_action(5, np.array([False, False, True, True]), rng) == 2
-    with pytest.raises(ValueError, match="at least one action"):
-        table.greedy_action(5, np.zeros(4, dtype=bool), rng)
+    assert table.greedy_action(5, (0, 1, 2, 3), rng) == 1
+    assert table.greedy_action(5, (2, 3), rng) == 2
 
 
 def test_update_moves_toward_the_target():
     table = QTable(num_actions=2)
     table.update(0, 0, target=1.0, alpha=0.5)
-    assert table.peek(0)[0] == 0.5
+    assert table.values[0][0] == 0.5
     table.update(0, 0, target=1.0, alpha=0.5)
-    assert table.peek(0)[0] == 0.75
-    assert table.visit_count(0) == 2
-    assert table.visit_count(123) == 0
+    assert table.values[0][0] == 0.75
+    assert table.visits[0] == 2
+    assert 123 not in table.visits
 
 
 def test_tied_rows_take_the_lowest_index_legal_argmax():
     table = QTable(num_actions=6)
-    table.update(3, 5, target=1.0, alpha=1.0)
-    table.row(3)[:] = [0.5, 2.0, -1.0, 2.0, 2.0, 2.0]
+    set_row(table, 3, [0.5, 2.0, -1.0, 2.0, 2.0, 2.0])
     rng = np.random.default_rng(0)
-    assert table.greedy_action(3, np.ones(6, dtype=bool), rng) == 1
-    assert table.greedy_action(3, np.array([1, 0, 1, 1, 1, 1], dtype=bool), rng) == 3
-    assert table.greedy_action(3, [True, False, True, False, False, True], rng) == 5
-    assert table.greedy_action(3, np.array([1, 0, 1, 0, 0, 0], dtype=bool), rng) == 0
-    table.row(4)[:] = 0.0
-    table.update(4, 2, target=0.0, alpha=1.0)  # visited, all-zero row
-    assert table.greedy_action(4, np.array([0, 0, 1, 1, 0, 1], dtype=bool), rng) == 2
+    # legal indices, ascending, in the forms legal_actions() gives them
+    cases = (
+        ((0, 1, 2, 3, 4, 5), 1),
+        ((0, 2, 3, 4, 5), 3),
+        ([0, 2, 5], 5),
+        ((0, 2), 0),
+        (range(2, 6), 3),
+        ((4,), 4),
+    )
+    for indices, best in cases:
+        assert table.greedy_action(3, indices, rng) == best
+    table.update(4, 2, target=0.0, alpha=1.0)  # a stored, all-zero row
+    assert table.greedy_action(4, (2, 3, 5), rng) == 2
+    assert rng.random() == np.random.default_rng(0).random()  # no draw at a stored key
 
 
 def test_unvisited_key_draws_one_integer_over_the_legal_actions():
     table = QTable(num_actions=6)
-    table.row(8)[:] = [9.0, 0, 0, 0, 0, 0]  # stored values but no visit: still random
-    legal = np.array([True, False, True, False, True, True])
-    indices = [0, 2, 4, 5]
-    rng = np.random.default_rng(21)
-    mirror = np.random.default_rng(21)
-    for key in (8, 77, 2**70):
-        for _ in range(50):
-            assert table.greedy_action(key, legal, rng) == indices[mirror.integers(4)]
-    assert rng.random() == mirror.random()  # one draw per call, no more
-
-
-def test_greedy_action_rejects_empty_and_misshapen_masks():
-    table = QTable(num_actions=4)
-    rng = np.random.default_rng(0)
-    empty = np.zeros(4, dtype=bool)
-    table.row(5)[:] = [-3.0, -2.0, -1.0, 4.0]
-    for key in (5, 6):  # a written-to key, then an unseen one
-        with pytest.raises(ValueError, match="at least one action"):
-            table.greedy_action(key, empty, rng)
-        for bad, shape in (((3,), r"\(3,\)"), ((1, 4), r"\(1, 4\)")):
-            with pytest.raises(ValueError, match=rf"must have shape \(4,\), got {shape}"):
-                table.greedy_action(key, np.ones(bad, dtype=bool), rng)
-    table.update(5, 3, target=4.0, alpha=1.0)
-    assert table.greedy_action(5, [True, True, False, False], rng) == 1
-    assert table.greedy_action(5, np.ones(4, dtype=bool), rng) == 3
+    set_row(table, 8, [9.0, 0, 0, 0, 0, 0])
+    # a numpy Generator, and the draw source that serves its draws from raw words
+    for rng in (np.random.default_rng(21), PCG64Draws(np.random.default_rng(21))):
+        mirror = np.random.default_rng(21)
+        for indices in ((0, 2, 4, 5), [1, 3], range(6), (5,)):
+            for key in (77, 2**70):
+                for _ in range(50):
+                    expected = indices[mirror.integers(len(indices))]
+                    assert table.greedy_action(key, indices, rng) == expected
+        assert table.greedy_action(8, (0, 2, 4, 5), rng) == 0  # a stored key: its argmax
+        assert rng.random() == mirror.random()  # one draw per unseen call, none at a stored key
+    assert 77 not in table.values
 
 
 def test_the_store_keeps_every_row_across_growth():
@@ -123,9 +111,6 @@ def test_the_store_keeps_every_row_across_growth():
     keys = [int(k) for k in rng.integers(0, 2**62, 2500)]
     keys += [2**64 + int(k) for k in rng.integers(0, 2**40, 1500)]
     reference, counts = {}, {}
-    held_key = 2**70 + 9
-    held = table.row(held_key)  # a window held across every growth
-    reference[held_key], counts[held_key] = np.zeros(5), 0
     first = None
     for step, index in enumerate(rng.integers(len(keys), size=12_000).tolist()):
         key, action = keys[index], step % 5
@@ -135,29 +120,20 @@ def test_the_store_keeps_every_row_across_growth():
         row[action] += alpha * (target - row[action])
         counts[key] = counts.get(key, 0) + 1
         if first is None:
-            first = (table.values[key], table.peek(key), row.copy())
-        if step % 1000 == 0:
-            held[step % 5] = step / 7.0
-            reference[held_key][step % 5] = step / 7.0
-    held[:] = np.arange(5.0)
-    reference[held_key][:] = np.arange(5.0)
+            first = (table.values[key], row.copy())
     assert len(table.values) == len(reference) > 3000
     assert list(table.values) == list(reference)  # insertion order
     for key, row in reference.items():
         assert table.values[key].tobytes() == row.tobytes()
-        assert table.peek(key).tobytes() == row.tobytes()
-        assert table.visits[key] == table.visit_count(key) == counts[key]
-    assert np.array_equal(held, reference[held_key]) and held[3] == 3.0
-    # copies taken before the growth keep the row as it was then
-    value, peeked, then = first
-    assert value.tobytes() == peeked.tobytes() == then.tobytes()
-    assert not value.flags.writeable and not peeked.flags.writeable
-    assert table.visit_count(123) == 0 and 123 not in table.values
-    assert not table.peek(123).any()
+        assert table.visits[key] == counts[key]
+    assert min(table.visits.values()) >= 1  # a key enters only through an update
+    # a copy taken before the growth keeps the row as it was then
+    value, then = first
+    assert value.tobytes() == then.tobytes() and not value.flags.writeable
+    assert 123 not in table.values and 123 not in table.visits
     rng, mirror = np.random.default_rng(4), np.random.default_rng(4)
-    legal = np.array([False, True, True, False, True])
-    for unseen in (123, 2**66 + 5, held_key):  # never updated: one uniform draw
-        assert table.greedy_action(unseen, legal, rng) == [1, 2, 4][mirror.integers(3)]
+    for unseen in (123, 2**66 + 5):  # unseen: one uniform draw, and still unseen
+        assert table.greedy_action(unseen, (1, 2, 4), rng) == (1, 2, 4)[mirror.integers(3)]
     assert 123 not in table.values
     with pytest.raises(IndexError):
         table.update(keys[0], 5, target=1.0, alpha=0.5)
@@ -181,13 +157,14 @@ def test_a_table_read_mid_training_matches_a_shorter_run():
         total_steps=1200, alpha=0.3, epsilon_decay_steps=600, gamma=0.9, eval_interval=400,
     )
     seen = {}
-    windows = []
+    copies = []
 
     def on_interval(step, table):
         seen[step] = snapshot(table)
         assert sum(table.visits.values()) == 3 * step  # one update per predator per step
+        assert min(table.visits.values()) >= 1
         key = next(iter(table.values))
-        windows.append((key, table.row(key), table.values[key]))  # held while training goes on
+        copies.append((key, table.values[key]))  # held while training goes on
 
     table = q_learning_train(builder, tasks, schedule, seed=5, on_interval=on_interval)
     assert sorted(seen) == [400, 800, 1200]
@@ -197,9 +174,9 @@ def test_a_table_read_mid_training_matches_a_shorter_run():
         )
         assert seen[step] == snapshot(shorter)
     assert seen[1200] == snapshot(table)
-    for (key, window, copied), step in zip(windows, (400, 800, 1200)):
+    assert min(table.visits.values()) >= 1
+    for (key, copied), step in zip(copies, (400, 800, 1200)):
         assert copied.tobytes() == seen[step][key][1]
-        assert np.array_equal(window, table.values[key])
 
 
 def test_q_table_rejects_bad_sizes():
@@ -235,8 +212,8 @@ def test_schedule_validation():
 # ---- training loop ----------------------------------------------------------------
 
 
-def test_training_is_deterministic_per_seed():
-    mmdp = load_chain()
+def test_training_is_deterministic_per_seed(two_state_chain):
+    mmdp = two_state_chain
     tables = [
         q_learning_train(chain_builder, [mmdp], SHORT, seed=11) for _ in range(2)
     ]
@@ -246,12 +223,13 @@ def test_training_is_deterministic_per_seed():
         assert np.array_equal(tables[0].values[key], tables[1].values[key])
         assert tables[0].visits[key] == tables[1].visits[key]
     assert any(
-        not np.array_equal(other.peek(k), tables[0].peek(k)) for k in tables[0].values
+        k not in other.values or not np.array_equal(other.values[k], tables[0].values[k])
+        for k in tables[0].values
     )
 
 
-def test_short_training_recovers_the_optimal_chain_policy():
-    mmdp = load_chain()
+def test_short_training_recovers_the_optimal_chain_policy(two_state_chain):
+    mmdp = two_state_chain
     table = q_learning_train(chain_builder, [mmdp], SHORT, seed=3)
     policy = extract_joint_policy(table, mmdp)
     policy.validate_for(mmdp)
@@ -259,8 +237,8 @@ def test_short_training_recovers_the_optimal_chain_policy():
     assert np.array_equal(policy.actions, optimal.actions)
 
 
-def test_training_never_selects_masked_actions():
-    mmdp = load_chain()
+def test_training_never_selects_masked_actions(two_state_chain):
+    mmdp = two_state_chain
 
     class LastActionForbidden(MMDPEnvironment):
         def legal_actions(self):
@@ -276,8 +254,8 @@ def test_training_never_selects_masked_actions():
         assert table.values[key][-1] == 0.0
 
 
-def test_on_interval_callback_fires_on_schedule():
-    mmdp = load_chain()
+def test_on_interval_callback_fires_on_schedule(two_state_chain):
+    mmdp = two_state_chain
     schedule = TrainSchedule(
         total_steps=50, epsilon_decay_steps=10, gamma=0.5, eval_interval=10,
     )
@@ -357,8 +335,8 @@ def test_pursuit_training_reproduces_the_pinned_table(capability_observable):
 # ---- evaluation -------------------------------------------------------------------
 
 
-def test_greedy_episode_return_on_the_chain():
-    mmdp = load_chain()
+def test_greedy_episode_return_on_the_chain(two_state_chain):
+    mmdp = two_state_chain
     table = QTable(num_actions=2)
     for state in (0, 1):
         table.update(state, 1, target=1.0, alpha=1.0)
@@ -368,16 +346,16 @@ def test_greedy_episode_return_on_the_chain():
     assert total == 2.0
 
 
-def test_self_gap_is_exactly_zero():
-    mmdp = load_chain()
+def test_self_gap_is_exactly_zero(two_state_chain):
+    mmdp = two_state_chain
     for table in (QTable(num_actions=2), q_learning_train(chain_builder, [mmdp], SHORT, seed=2)):
         result = generalization_gap(table, chain_builder, mmdp, mmdp, episodes=6, seed=9)
         assert result["gap"] == 0.0
         assert result["train_mean"] == result["test_mean"]
 
 
-def test_trained_policy_beats_the_untrained_table():
-    mmdp = load_chain()
+def test_trained_policy_beats_the_untrained_table(two_state_chain):
+    mmdp = two_state_chain
     trained = q_learning_train(chain_builder, [mmdp], SHORT, seed=4)
     fresh = QTable(num_actions=2)
     score = evaluate_policy_empirical(trained, chain_builder, [mmdp], episodes=20, seed=17)
@@ -392,8 +370,8 @@ def test_trained_policy_beats_the_untrained_table():
 # ---- centralized wrapper ----------------------------------------------------------
 
 
-def test_mmdp_environment_reward_convention_and_errors():
-    mmdp = load_chain()
+def test_mmdp_environment_reward_convention_and_errors(two_state_chain):
+    mmdp = two_state_chain
     env = MMDPEnvironment(mmdp, episode_limit=2, seed=0)
     (state,) = env.reset()
     assert state == 0  # rho is concentrated on state 0
@@ -417,8 +395,8 @@ def test_mmdp_environment_reward_convention_and_errors():
         MMDPEnvironment(mmdp, episode_limit=0, seed=0)
 
 
-def test_extract_joint_policy_defaults_unvisited_states_to_action_zero():
-    mmdp = load_chain()
+def test_extract_joint_policy_defaults_unvisited_states_to_action_zero(two_state_chain):
+    mmdp = two_state_chain
     table = QTable(num_actions=2)
     table.update(1, 1, target=1.0, alpha=1.0)
     policy = extract_joint_policy(table, mmdp)

@@ -1,9 +1,7 @@
 """Exact-solver tests against independent linear-algebra oracles."""
 
 import itertools
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,15 +16,12 @@ from capmdp import (
     TabularMMDP,
     ValueTable,
     check_distribution,
-    policy_evaluation,
     policy_evaluation_stack,
     successor_features,
     value_iteration,
     value_iteration_stack,
 )
 import capmdp.mdp
-
-DATA = Path(__file__).parent / "data"
 
 
 def make_mmdp(rng, num_states=4, num_agents=2, actions_per_agent=2, feature_dim=3, gamma=0.9):
@@ -80,7 +75,7 @@ def test_policy_evaluation_matches_linear_solve():
     rng = np.random.default_rng(3)
     mmdp = make_mmdp(rng, num_states=6, num_agents=2, actions_per_agent=3)
     actions = rng.integers(0, mmdp.num_joint_actions, mmdp.num_states)
-    table = policy_evaluation(mmdp, JointPolicy(actions=actions), tol=1e-11)
+    [table], _ = policy_evaluation_stack([(mmdp, JointPolicy(actions=actions))], tol=1e-11)
     oracle = solve_policy_linear(mmdp, actions)
     assert np.max(np.abs(table.v - oracle)) < 1e-7
     assert table.scalar(mmdp.rho) == pytest.approx(float(mmdp.rho @ oracle), abs=1e-7)
@@ -111,35 +106,13 @@ def test_single_state_value_is_reward_over_one_minus_gamma():
     assert table.v[0] == pytest.approx(0.3 / 0.1, abs=1e-7)
 
 
-def test_golden_fixture_two_state_chain():
-    mmdp = TabularMMDP.from_json((DATA / "two_state_chain.json").read_text())
+def test_golden_fixture_two_state_chain(two_state_chain):
+    mmdp = two_state_chain
     table, policy = value_iteration(mmdp, tol=1e-12)
     # hand solved: stay on the rewarding state, walk toward it from the other
     assert table.v == pytest.approx([1.0, 2.0], abs=1e-9)
     assert list(policy.actions) == [1, 1]
     assert table.scalar(mmdp.rho) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_serialization_round_trip_is_stable():
-    rng = np.random.default_rng(9)
-    mmdp = make_mmdp(rng)
-    text = mmdp.to_json()
-    copy = TabularMMDP.from_json(text)
-    assert copy.equals(mmdp)
-    assert copy.to_json() == text
-
-
-def test_joint_action_indexing_row_major():
-    rng = np.random.default_rng(0)
-    mmdp = make_mmdp(rng, num_agents=2, actions_per_agent=3)
-    assert mmdp.joint_action_index((1, 2)) == 5
-    assert mmdp.joint_action_tuple(5) == (1, 2)
-    assert mmdp.num_joint_actions == 9
-    for u in range(9):
-        assert mmdp.joint_action_index(mmdp.joint_action_tuple(u)) == u
-    # agent 0 varies slowest
-    assert mmdp.joint_action_tuple(1) == (0, 1)
-    assert mmdp.joint_action_tuple(3) == (1, 0)
 
 
 def test_transition_row_errors_name_the_offending_pair():
@@ -227,7 +200,7 @@ def test_successor_features_value_identity():
         rho=base.rho,
     )
     policy = JointPolicy(actions=rng.integers(0, mmdp.num_joint_actions, 5))
-    values = policy_evaluation(mmdp, policy, tol=1e-11)
+    [values], _ = policy_evaluation_stack([(mmdp, policy)], tol=1e-11)
     sf = successor_features(mmdp, policy, tol=1e-11)
     assert np.max(np.abs(sf.mu_per_state @ w - values.v)) < 1e-7
     assert float(sf.mu_scalar @ w) == pytest.approx(values.scalar(mmdp.rho), abs=1e-7)
@@ -273,7 +246,9 @@ def test_solver_convergence_error_carries_diagnostics():
     with pytest.raises(ValueError, match="tol"):
         value_iteration(mmdp, tol=0.0)
     with pytest.raises(ValueError, match="tol"):
-        policy_evaluation(mmdp, JointPolicy(actions=np.zeros(4, dtype=np.int64)), tol=-1.0)
+        policy_evaluation_stack(
+            [(mmdp, JointPolicy(actions=np.zeros(4, dtype=np.int64)))], tol=-1.0
+        )
 
 
 # ---- stacked solves ------------------------------------------------------------------
@@ -402,7 +377,7 @@ def test_a_stacked_evaluation_matches_each_policy_alone_bit_for_bit(layout, coun
         v, textbook_sweeps = textbook_policy_evaluation(mmdp, policy.actions)
         assert stacked_sweeps == textbook_sweeps
         assert np.array_equal(stacked.v, v)
-        assert np.array_equal(policy_evaluation(mmdp, policy).v, v)
+        assert np.array_equal(policy_evaluation_stack([(mmdp, policy)])[0][0].v, v)
     # the members stop on their own sweeps (two random policies may tie)
     assert len(set(sweeps)) == 1 if count == 1 else len(set(sweeps)) > count // 2
 
