@@ -56,13 +56,24 @@ from .mdp import (
 
 BOUND_TOLERANCE = 1e-7
 GAMMA_CROSSOVER = (math.sqrt(5.0) - 1.0) / 2.0
-# Largest members x states x joint actions of one stacked solve or
-# evaluation: the entries of a value-iteration stack's value buffer, and a
-# dense stack's kernel copy holds states times as many. Past it a sweep's
-# arithmetic outweighs its per-call overhead, so a bigger stack saves no time
-# and only holds more memory; a 1024-state, 25-action fruit-forage MDP solves
-# and evaluates alone, its kernel never copied.
+# Largest members x states x joint actions of one stacked dense solve or of
+# one stacked evaluation: the entries of a dense value-iteration stack's
+# expected-value buffer, and a dense stack's kernel copy holds states times
+# as many. Past it a sweep's arithmetic outweighs its per-call overhead, so a
+# bigger stack saves no time and only holds more memory; a policy on the
+# 1024-state, 25-action foraging desk evaluates alone.
 STACK_ENTRIES = 2**15
+# Largest members x states of one indexed value-iteration stack, whose
+# members hold one successor-index object (Solver.solve_all). They share each
+# gather of it, so a bigger stack saves time at any size. Beyond its answers
+# the stack holds its value buffers (mdp._BLOCK + 1 kept iterates of members
+# x states entries, 36 MB at this cap), one gather block of
+# mdp.SCRATCH_ENTRIES entries, and one joint-action-major copy of the index
+# (and of the probabilities, unless every row has one sure successor) per
+# group of members that share them. The four desk MDPs of a 1024-state
+# foraging desk solve as one stack, and so do those of three agents on grid
+# 5 (62,500 states each).
+INDEXED_STACK_STATES = 2**18
 
 
 @dataclass(frozen=True)
@@ -238,13 +249,16 @@ class Solver:
 
         Requests with one content key are solved once; the MDPs not cached
         yet are solved together, one value_iteration_stack per (layout,
-        kernel shape, discount), split so that no stack passes
-        STACK_ENTRIES. The first request of a key not cached yet counts as
-        a solve, every other request as a hit.
+        kernel shape, discount) and, for indexed MDPs, per successor-index
+        object, split so that no dense stack passes STACK_ENTRIES and no
+        indexed one INDEXED_STACK_STATES. The first request of a key not
+        cached yet counts as a solve, every other request as a hit.
         """
         mmdps = list(mmdps)
         keys = [self._key(mmdp) for mmdp in mmdps]
-        solutions, hits, sweeps = self._answer_all(keys, mmdps, mmdps, self._solved, _solve_stack)
+        solutions, hits, sweeps = self._answer_all(
+            keys, mmdps, mmdps, self._solved, _solve_stack, _solve_stacking
+        )
         self.solves += len(sweeps)
         self.hits += hits
         self.sweeps += sum(sweeps)
@@ -264,7 +278,7 @@ class Solver:
         keys = [(self._key(mmdp), policy.actions.tobytes()) for mmdp, policy in requests]
         mmdps = [mmdp for mmdp, _ in requests]
         values, hits, sweeps = self._answer_all(
-            keys, requests, mmdps, self._evaluated, _evaluate_stack
+            keys, requests, mmdps, self._evaluated, _evaluate_stack, _entries_stacking
         )
         self.evaluations += len(sweeps)
         self.evaluation_hits += hits
@@ -278,15 +292,14 @@ class Solver:
             key = self._keys[mmdp] = _solve_key(mmdp)
         return key
 
-    def _answer_all(self, keys, requests, mmdps, cache, run_stack):
+    def _answer_all(self, keys, requests, mmdps, cache, run_stack, stacking):
         """Answer each keyed request from cache, running the uncached ones in stacks.
 
-        A stack holds requests whose MDPs (mmdps, one per request) share
-        one mdp.stack_key (layout, kernel shape and discount), in the order
-        their keys first appear, at most STACK_ENTRIES members x
-        states x joint actions; run_stack(requests, tol) returns its answers
-        and their sweep counts. Returns (answers in request order, hits,
-        sweeps of each request run).
+        stacking(mmdp) gives (group, size): a stack holds requests whose
+        MDPs (mmdps, one per request) are of one group, in the order their
+        keys first appear, at most size of them. run_stack(requests, tol)
+        returns a stack's answers and their sweep counts. Returns (answers
+        in request order, hits, sweeps of each request run).
         """
         todo = {}
         hits = 0
@@ -297,10 +310,10 @@ class Solver:
                 todo[key] = request, mmdp
         groups = {}
         for key, (_, mmdp) in todo.items():
-            groups.setdefault(stack_key(mmdp), []).append(key)
+            group, size = stacking(mmdp)
+            groups.setdefault(group, (size, []))[1].append(key)
         sweeps = []
-        for (_, shape, _), group in groups.items():
-            size = max(1, STACK_ENTRIES // (shape[0] * shape[1]))
+        for size, group in groups.values():
             for start in range(0, len(group), size):
                 stack = group[start : start + size]
                 answers, stack_sweeps = run_stack([todo[key][0] for key in stack], self.tol)
@@ -319,6 +332,25 @@ class Solver:
             "evaluation_hits": self.evaluation_hits,
             "evaluation_sweeps": self.evaluation_sweeps,
         }
+
+
+def _entries_stacking(mmdp: TabularMMDP) -> tuple:
+    """(mdp.stack_key, members per stack) of an evaluation or a dense solve, by STACK_ENTRIES."""
+    return stack_key(mmdp), max(1, STACK_ENTRIES // (mmdp.num_states * mmdp.num_joint_actions))
+
+
+def _solve_stacking(mmdp: TabularMMDP) -> tuple:
+    """(group, members per stack) of a solve.
+
+    An indexed MDP stacks only with MDPs that hold the same successor-index
+    object, so a stack copies one index, at most INDEXED_STACK_STATES
+    members x states per stack.
+    """
+    if mmdp.next_states is None:
+        return _entries_stacking(mmdp)
+    return (stack_key(mmdp), id(mmdp.next_states)), max(
+        1, INDEXED_STACK_STATES // mmdp.num_states
+    )
 
 
 def _solve_stack(mmdps, tol: float):

@@ -4,10 +4,12 @@ from .fruit_forage import (
     UTILITY_TEAM_X,
     UTILITY_TEAM_Y,
     UTILITY_TEAM_Z,
+    ForageLayout,
     FruitForageConfig,
     build_fruit_forage,
     default_tree_positions,
     desk_config,
+    fruit_forage_layout,
     fruit_forage_state_count,
 )
 from .predator_prey import (
@@ -21,6 +23,7 @@ from .predator_prey import (
 )
 
 __all__ = [
+    "ForageLayout",
     "FruitForageConfig",
     "NUM_PP_ACTIONS",
     "PPObservation",
@@ -34,6 +37,7 @@ __all__ = [
     "build_fruit_forage",
     "default_tree_positions",
     "desk_config",
+    "fruit_forage_layout",
     "fruit_forage_state_count",
     "pp_task_suites",
 ]

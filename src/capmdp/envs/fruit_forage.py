@@ -16,6 +16,16 @@ so memory grows with S * A rather than S * A * S and grid 6 with two agents
 (5184 states) solves exactly. No layout of more than STATE_CAP states is
 enumerated: fruit_forage_state_count rejects it, for build_fruit_forage and
 for the experiment config's fruit_forage section alike.
+
+Teams on one grid differ in their rewards only: the successor index, the
+state features and the initial distribution depend on the grid, the agent
+count, the trees and the starts, not on capabilities, weights or the
+discount. fruit_forage_layout enumerates them once into a read-only
+ForageLayout, and build_fruit_forage(config, layout) builds each team's
+spec on it, so the specs share one transition kernel object. Their MDPs
+then share one successor index, and value iteration solves them as one
+stack that gathers it once per sweep for every team (Barreto et al. 2017's
+successor-feature setting: shared dynamics, rewards linear in features).
 """
 
 from dataclasses import dataclass
@@ -135,22 +145,30 @@ def fruit_forage_state_count(config: FruitForageConfig) -> int:
     return size
 
 
-def build_fruit_forage(config: FruitForageConfig) -> LinearMMDPSpec:
-    """Enumerate the foraging MDP into an exactly-linear spec.
+@dataclass(frozen=True, eq=False)
+class ForageLayout:
+    """What every team on one grid, agent count, tree set and start shares.
+
+    cells is (grid_size, num_agents, num_fruit_types, tree cells, start
+    cells or None), the part of a FruitForageConfig the layout depends on.
+    Its arrays are read-only, since every spec built on it shares them.
+    """
+
+    cells: tuple
+    states: StateSpace
+    transition_kernel: TransitionKernel
+    rho: np.ndarray
+
+
+def _layout_cells(config: FruitForageConfig) -> tuple:
+    """config's layout fields, tree cells resolved and every cell checked.
 
     Raises:
-        ValueError: when the enumerated state space exceeds STATE_CAP, or
-            the layout is inconsistent with the team.
+        ValueError: naming the first tree or start cell off the grid, or
+            when the trees are not one distinct cell per fruit type or the
+            starts not one cell per agent.
     """
-    team = TeamComposition(tuple(np.asarray(m, dtype=float) for m in config.team))
-    d = config.num_fruit_types
-    n = config.num_agents
-    g = config.grid_size
-    if team.num_agents != n:
-        raise ValueError(f"team has {team.num_agents} members, config declares {n} agents")
-    if team.dim != d:
-        raise ValueError(f"team utilities have {team.dim} components, expected {d} fruit types")
-    size = fruit_forage_state_count(config)
+    g, n, d = config.grid_size, config.num_agents, config.num_fruit_types
     trees = config.tree_positions
     if trees is None:
         trees = default_tree_positions(g, d)
@@ -160,12 +178,30 @@ def build_fruit_forage(config: FruitForageConfig) -> LinearMMDPSpec:
     for r, c in trees:
         if not (0 <= r < g and 0 <= c < g):
             raise ValueError(f"tree cell {(r, c)} is off the grid")
+    starts = config.start_positions
+    if starts is not None:
+        starts = tuple((int(r), int(c)) for r, c in starts)
+        if len(starts) != n:
+            raise ValueError("start_positions must give one cell per agent")
+        for r, c in starts:
+            if not (0 <= r < g and 0 <= c < g):
+                raise ValueError(f"start cell {(r, c)} is off the grid")
+    return g, n, d, trees, starts
 
-    weights = config.weights
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    weights = InfluenceWeights(np.asarray(weights, dtype=float))
 
+def fruit_forage_layout(config: FruitForageConfig) -> ForageLayout:
+    """Enumerate config's states, successor index and initial distribution.
+
+    The team, weights and discount play no part, so specs of every team on
+    this grid can share one layout (build_fruit_forage's layout argument).
+
+    Raises:
+        ValueError: when the enumerated state space exceeds STATE_CAP, or a
+            tree or start cell is invalid (see _layout_cells).
+    """
+    size = fruit_forage_state_count(config)
+    cells_key = _layout_cells(config)
+    g, n, d, trees, starts = cells_key
     cells = g * g
     num_masks = 2**d
     num_positions = cells**n
@@ -214,33 +250,71 @@ def build_fruit_forage(config: FruitForageConfig) -> LinearMMDPSpec:
     # unit probabilities as a broadcast view
     components = np.broadcast_to(np.ones((size, num_joint, 1)), (d, size, num_joint, 1))
 
+    rho = np.zeros(size)
+    if starts is not None:
+        start_pos_index = int(np.ravel_multi_index([r * g + c for r, c in starts], pos_dims))
+        rho[start_pos_index * num_masks] = 1.0
+    else:
+        empty_mask_states = np.arange(num_positions) * num_masks
+        rho[empty_mask_states] = 1.0 / num_positions
+
+    layout = ForageLayout(
+        cells=cells_key,
+        states=StateSpace(features),
+        transition_kernel=TransitionKernel(components, next_states=next_states),
+        rho=rho,
+    )
+    for arr in (layout.states.features, layout.transition_kernel.next_states, layout.rho):
+        arr.flags.writeable = False
+    return layout
+
+
+def build_fruit_forage(
+    config: FruitForageConfig, layout: ForageLayout | None = None
+) -> LinearMMDPSpec:
+    """Enumerate the foraging MDP into an exactly-linear spec.
+
+    layout, when given, is the fruit_forage_layout of a config with the same
+    grid, agents, trees and starts; the spec then shares its arrays instead
+    of enumerating them again.
+
+    Raises:
+        ValueError: when the enumerated state space exceeds STATE_CAP, the
+            layout is inconsistent with the team, or a given layout was
+            built for other cells.
+    """
+    team = TeamComposition(tuple(np.asarray(m, dtype=float) for m in config.team))
+    d = config.num_fruit_types
+    n = config.num_agents
+    if team.num_agents != n:
+        raise ValueError(f"team has {team.num_agents} members, config declares {n} agents")
+    if team.dim != d:
+        raise ValueError(f"team utilities have {team.dim} components, expected {d} fruit types")
+    if layout is None:
+        layout = fruit_forage_layout(config)
+    elif layout.cells != _layout_cells(config):
+        raise ValueError(f"the layout was built for {layout.cells}, not this config's cells")
+
+    weights = config.weights
+    if weights is None:
+        weights = np.full(n, 1.0 / n)
+    weights = InfluenceWeights(np.asarray(weights, dtype=float))
+
     # (1 - gamma) scaling turns the per-step mask payout into a one-time
     # discounted utility: reaching a tree at step t is worth gamma^t * utility
     reward_w = np.zeros((d, 2 * n + d))
     for j in range(d):
         reward_w[j, 2 * n + j] = 1.0 - config.gamma
 
-    if config.start_positions is not None:
-        starts = tuple(int(r) * g + int(c) for r, c in config.start_positions)
-        if len(starts) != n:
-            raise ValueError("start_positions must give one cell per agent")
-        start_pos_index = int(np.ravel_multi_index(starts, pos_dims))
-        rho = np.zeros(size)
-        rho[start_pos_index * num_masks] = 1.0
-    else:
-        rho = np.zeros(size)
-        empty_mask_states = np.arange(num_positions) * num_masks
-        rho[empty_mask_states] = 1.0 / num_positions
-
     return LinearMMDPSpec(
         team=team,
         weights=weights,
         reward_kernel=RewardKernel(reward_w),
-        transition_kernel=TransitionKernel(components, next_states=next_states),
-        states=StateSpace(features),
+        transition_kernel=layout.transition_kernel,
+        states=layout.states,
         num_agents=n,
         actions_per_agent=NUM_MOVE_ACTIONS,
         gamma=config.gamma,
-        rho=rho,
+        rho=layout.rho,
         relax_simplex=not team.all_simplex(),
     )

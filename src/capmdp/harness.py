@@ -58,7 +58,12 @@ from .bounds import (
     resume,
     s_max,
 )
-from .envs.fruit_forage import build_fruit_forage, desk_config, fruit_forage_state_count
+from .envs.fruit_forage import (
+    build_fruit_forage,
+    desk_config,
+    fruit_forage_layout,
+    fruit_forage_state_count,
+)
 from .envs.predator_prey import PredatorPreyConfig, PredatorPreyEnv, pp_task_suites
 from .linear import (
     CapabilityVector,
@@ -834,17 +839,28 @@ _FORAGE_TEAMS = {
 }
 
 
+def _desk_builder(grid_size: int, num_agents: int):
+    """build(label): the desk spec of a team label, every spec on one shared layout.
+
+    The teams differ in their rewards only, so their MDPs share one
+    successor index and solve in one stack (Solver.solve_all).
+    """
+    layout = fruit_forage_layout(desk_config("x", grid_size, num_agents))
+    return functools.cache(
+        lambda label: build_fruit_forage(desk_config(label, grid_size, num_agents), layout)
+    )
+
+
 def run_fruit_forage(config: ExperimentConfig, solve_counts=None):
     """Desk-scale foraging certification: two team comparisons plus a removal.
 
-    The three checks share one Solver; solve_counts, a Counter, accumulates
-    its counts when given. A violation archives the desk teams to rebuild.
+    The three checks share one Solver and one desk layout; solve_counts, a
+    Counter, accumulates the solver's counts when given. A violation
+    archives the desk teams to rebuild.
     """
     grid_size, num_agents = _forage_desk(config.fruit_forage)
     solver = Solver(config.tol)
-    build = functools.cache(
-        lambda label: build_fruit_forage(desk_config(label, grid_size, num_agents))
-    )
+    build = _desk_builder(grid_size, num_agents)
     cases = (
         (name, dict(zip(_SPECS, map(build, labels))))
         for name, labels in _FORAGE_TEAMS.items()
@@ -1203,7 +1219,7 @@ def run_experiment(config: ExperimentConfig, out_root) -> list:
 
 
 def _rebuilt_case(name: str, rebuild) -> dict:
-    """The case of a fruit-forage entry: its desk teams, rebuilt."""
+    """The case of a fruit-forage entry: its desk teams, rebuilt on one layout."""
     if not isinstance(rebuild, dict):
         raise ConfigError(f"a rebuild must be a JSON object, got {rebuild!r}")
     if rebuild.get("env") != "fruit_forage":
@@ -1214,9 +1230,7 @@ def _rebuilt_case(name: str, rebuild) -> dict:
     try:
         grid_size = _cast("grid_size", int, rebuild["grid_size"])
         num_agents = _cast("num_agents", int, rebuild["num_agents"])
-        specs = [
-            build_fruit_forage(desk_config(label, grid_size, num_agents)) for label in labels
-        ]
+        specs = list(map(_desk_builder(grid_size, num_agents), labels))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed rebuild for {name!r}: {exc!r}") from exc
     return dict(zip(_SPECS, specs))

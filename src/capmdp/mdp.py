@@ -20,18 +20,22 @@ for policy evaluation and successor features. Value iteration takes the max
 of E[v] over joint actions first and then scales and adds the reward on the
 per-state maxima only: for gamma >= 0, x -> fl(r + fl(gamma * x)) is
 monotone under round-to-nearest, so it commutes with the max and the bits
-are those of max(r + gamma * E[v]). An indexed kernel is read
-joint-action-major for that max, from an (A, S, K) copy made per solve, and
-rows with one successor skip the sum over successors. The loop checks
-convergence once per block of sweeps, from the kept iterates of the block,
-so each member still stops on its own first sweep within tol. It runs a
-stack of MDPs of one layout, shape and discount at once
-(value_iteration_stack, policy_evaluation_stack): dense kernels are stacked
-once, so a sweep makes one batched kernel product and a handful of
-whole-stack array calls however many members it backs up, which removes
-most of the per-call overhead of small solves. Each member gets exactly the
-arrays a stack of that member alone gives it; value_iteration is such a stack
-of one.
+are those of max(r + gamma * E[v]). The loop checks convergence once per
+block of sweeps, from the kept iterates of the block, so each member still
+stops on its own first sweep within tol. It runs a stack of MDPs of one
+layout, shape and discount at once (value_iteration_stack,
+policy_evaluation_stack): dense kernels are stacked once, so a sweep makes
+one batched kernel product and a handful of whole-stack array calls however
+many members it backs up, which removes most of the per-call overhead of
+small solves. Indexed value iteration keeps the stack's values
+member-minor, (S, B), so members that share one successor index and its
+probabilities, such as teams that differ in their rewards only, share each
+gather of it: one np.take fetches all their values at each successor. It
+reads the index joint-action-major for the max, from one (A, S, K) copy per
+shared index laid out in blocks of states, and gathers one block at a time
+into a buffer of at most SCRATCH_ENTRIES entries; rows with one successor
+skip the sum over successors. Each member gets exactly the arrays a stack of
+that member alone gives it; value_iteration is such a stack of one.
 """
 
 from dataclasses import dataclass
@@ -374,17 +378,25 @@ def _backup(expect, base, gamma: float, v, out):
 # sweeps run between two convergence checks; a member's stop and sweep count
 # do not depend on it, only how many sweeps past the last stop a solve makes
 _BLOCK = 16
+# entries of one scratch block of the sweep loops: a block of gathered next
+# values in an indexed value-iteration sweep, and a block of sweep-to-sweep
+# changes in _fixed_point; blocking changes no bit, only how much a solve
+# holds beyond its iterates
+SCRATCH_ENTRIES = 2**15
 
 
-def _fixed_point(sweep, x, tol: float, max_iters: int, what: str):
-    """Iterate sweep(x, out), out <- F(x), from the zero (B, S, columns) stack x.
+def _fixed_point(sweep, x, tol: float, max_iters: int, what: str, members: int = 0):
+    """Iterate sweep(x, out), out <- F(x), from the zero stack x.
 
-    Each member stops at its own first sweep that moves it by <= tol; every
-    operation acts on each member's entries alone. The iterates of a block of
-    _BLOCK sweeps are kept, and the residuals of the whole block are taken in
-    one pass, so a member may be swept past its stop but always returns the
-    iterate and count of its first sweep within tol. Returns (its
-    (S, columns) fixed point, its sweep count) per member.
+    x holds one iterate per member along its axis members: (B, S, columns)
+    with members 0, or member-minor (S, B) with members 1. Each member stops
+    at its own first sweep that moves it by <= tol; every operation acts on
+    each member's entries alone. The iterates of a block of _BLOCK sweeps are
+    kept, and their residuals taken a few sweeps per pass (SCRATCH_ENTRIES
+    bounds the changes held), so a member may be swept past its stop but
+    always returns the iterate and count of its first sweep within tol.
+    Returns each member's fixed point (its slice of x along the member axis)
+    and sweep count, as two lists in member order.
 
     Raises:
         SolverConvergenceError: if some member does not reach tol within
@@ -392,10 +404,12 @@ def _fixed_point(sweep, x, tol: float, max_iters: int, what: str):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    b = x.shape[0]
+    b = x.shape[members]
+    within = tuple(axis + 1 for axis in range(x.ndim) if axis != members)
     history = np.empty((_BLOCK + 1,) + x.shape)
     history[0] = x
-    change = np.empty((_BLOCK,) + x.shape)
+    rows = max(1, min(_BLOCK, SCRATCH_ENTRIES // x.size))
+    change = np.empty((rows,) + x.shape)
     residual = np.full((_BLOCK, b), np.inf)
     short = np.ones(b, dtype=bool)  # members whose sweeps have not reached tol
     points = [None] * b
@@ -405,13 +419,15 @@ def _fixed_point(sweep, x, tol: float, max_iters: int, what: str):
         size = min(_BLOCK, max_iters - done)
         for step in range(size):
             sweep(history[step], history[step + 1])
-        np.subtract(history[1 : size + 1], history[:size], out=change[:size])
-        np.abs(change[:size], out=change[:size])
-        np.maximum.reduce(change[:size], axis=(2, 3), out=residual[:size])
+        for lo in range(0, size, rows):
+            part = change[: min(rows, size - lo)]
+            np.subtract(history[lo + 1 : lo + 1 + len(part)], history[lo : lo + len(part)], out=part)
+            np.abs(part, out=part)
+            np.maximum.reduce(part, axis=within, out=residual[lo : lo + len(part)])
         hit = (residual[:size] <= tol) & short
         for i in np.flatnonzero(hit.any(axis=0)):
             step = int(hit[:, i].argmax())
-            points[i] = history[step + 1, i].copy()
+            points[i] = np.take(history[step + 1], i, axis=members)
             sweeps[i] = done + step + 1
             short[i] = False
         done += size
@@ -427,20 +443,22 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
     """value_iteration on several MDPs at once, in the one stacked sweep loop.
 
     The MDPs must share one layout, kernel shape and discount. A sweep takes
-    every member's expected next values E[v] for all joint actions at once
-    (one batched kernel product for a dense stack) and their max over joint
-    actions, and only then scales and adds the reward on the (B, S) maxima.
-    That gives the bits of max(r + gamma * E[v]): for gamma >= 0, x ->
-    fl(r + fl(gamma * x)) is monotone under round-to-nearest, so it commutes
-    with the max. An indexed stack is read joint-action-major: each member's
-    successor index and probabilities are copied once, per solve, into
-    (A, S, K) order, so the max reduces over the outer axis; max is exact in
-    any order. Each member stops at its own first sweep whose change is
-    <= tol (the loop checks a block of sweeps at once; see _fixed_point);
-    one more stacked backup of the stopped values then builds each member's
-    full q, its v and its greedy policy. Every operation acts on each
-    member's entries alone, so each result is bit for bit the one
-    value_iteration gives that MDP.
+    every member's expected next values E[v] for all joint actions and their
+    max over joint actions, and only then scales and adds the reward on the
+    per-state maxima. That gives the bits of max(r + gamma * E[v]): for
+    gamma >= 0, x -> fl(r + fl(gamma * x)) is monotone under round-to-nearest,
+    so it commutes with the max. A dense stack makes one batched kernel
+    product per sweep. An indexed stack is solved member-minor, its values
+    (S, B): members that share one successor index and its probabilities
+    share each gather, one np.take fetching all their values at each
+    successor (see _indexed_value_iteration). Each member stops at its own
+    first sweep whose change is <= tol (the loop checks a block of sweeps at
+    once; see _fixed_point); one more backup of the stopped values then
+    builds each member's full q, its v and its greedy policy. Every operation
+    acts on each member's entries alone, and gathers, maxima, sums over
+    successors and the elementwise scale and add give the same bits in any
+    layout, so each result is bit for bit the one value_iteration gives that
+    MDP.
 
     Returns:
         (solutions, sweeps): one (ValueTable, JointPolicy) per MDP in input
@@ -454,39 +472,129 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
     if not mmdps:
         return [], []
     _check_stack(mmdps)
-    first = mmdps[0]
-    b, s = len(mmdps), first.num_states
+    solve = _dense_value_iteration if mmdps[0].next_states is None else _indexed_value_iteration
+    qs, sweeps = solve(mmdps, tol, max_iters)
+    solutions = [(ValueTable(v=q.max(axis=1), q=q), JointPolicy(q.argmax(axis=1))) for q in qs]
+    return solutions, sweeps
+
+
+def _dense_value_iteration(mmdps, tol: float, max_iters: int):
+    """(q of each member, (S, A), its sweeps) of a dense stack, one matmul per sweep."""
+    b, s = len(mmdps), mmdps[0].num_states
     r = np.stack([m.rewards for m in mmdps]).reshape(b, s, 1)
-    if first.next_states is None:
-        kernels = [(m.transitions, None) for m in mmdps]
-        joint = 2
-    else:
-        # joint-action-major copies, so the max reduces over the outer axis
-        kernels = [
-            (m.transitions.swapaxes(0, 1).copy(), m.next_states.swapaxes(0, 1).copy())
-            for m in mmdps
-        ]
-        joint = 1
-    expect = _next_value(kernels, s, 1)
-    # q[..., 0] is (B, S, A) dense and (B, A, S) indexed; joint is its joint-action axis
-    q = np.empty((b,) + kernels[0][0].shape[:2] + (1,))
-    del kernels  # expect keeps what its sweeps read, so unread copies go now
+    expect = _next_value([(m.transitions, None) for m in mmdps], s, 1)
+    q = np.empty((b,) + mmdps[0].transitions.shape[:2] + (1,))  # (B, S, A, 1)
 
     def best_next_value(v, out):
         expect(v, q)
-        np.maximum.reduce(q, axis=joint, out=out)
+        np.maximum.reduce(q, axis=2, out=out)
 
     points, sweeps = _fixed_point(
-        partial(_backup, best_next_value, r, first.gamma),
+        partial(_backup, best_next_value, r, mmdps[0].gamma),
         np.zeros((b, s, 1)), tol, max_iters, "value iteration",
     )
     # one more backup keeps v, q, and the greedy policy exactly consistent
-    _backup(expect, np.expand_dims(r, joint), first.gamma, np.stack(points), q)
-    solutions = []
-    for q_i in np.moveaxis(q[..., 0], joint, 2):
-        q_i = q_i.copy()
-        solutions.append((ValueTable(v=q_i.max(axis=1), q=q_i), JointPolicy(q_i.argmax(axis=1))))
-    return solutions, sweeps
+    _backup(expect, r[:, :, None], mmdps[0].gamma, np.stack(points), q)
+    return [q_i.copy() for q_i in q[..., 0]], sweeps
+
+
+def _shared_groups(mmdps) -> list:
+    """Positions of mmdps grouped by equal successor index and probabilities, in order."""
+    groups = []
+    for i, mmdp in enumerate(mmdps):
+        for head, positions in groups:
+            if all(
+                mine is theirs or np.array_equal(mine, theirs)
+                for mine, theirs in (
+                    (mmdp.next_states, head.next_states),
+                    (mmdp.transitions, head.transitions),
+                )
+            ):
+                positions.append(i)
+                break
+        else:
+            groups.append((mmdp, [i]))
+    return [positions for _, positions in groups]
+
+
+def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
+    """(q of each member, (S, A), its sweeps) of an indexed stack, gathered once per group.
+
+    The stack's values are member-minor, (S, B), with the members of each
+    _shared_groups group in adjacent columns. Each group's successor index
+    (and its probabilities, unless every row has one sure successor) is
+    copied once into joint-action-major blocks of states, each block's
+    gather at most SCRATCH_ENTRIES entries: one np.take fetches the group's
+    values at every successor of a block, (A, states, B_g, K) with the
+    successor axis innermost, so the sum over successors runs in the order a
+    lone member's (S, A, K) rows give it; one max over the outer joint-action
+    axis follows. A group of one member takes the same path.
+    """
+    first = mmdps[0]
+    s, a, k = first.next_states.shape
+    groups = _shared_groups(mmdps)
+    order = [i for positions in groups for i in positions]  # column -> member
+    r = np.stack([mmdps[i].rewards for i in order], axis=1)  # (S, B)
+    # a block of one state passes SCRATCH_ENTRIES when A * K * B_g does
+    rows = [min(s, max(1, SCRATCH_ENTRIES // (a * k * len(positions)))) for positions in groups]
+    scratch = np.empty(max(a * n * k * len(positions) for n, positions in zip(rows, groups)))
+    summed = np.empty(scratch.size // k) if k > 1 else None
+    plans = []
+    start = 0
+    for n, positions in zip(rows, groups):
+        columns = slice(start, start + len(positions))
+        start += len(positions)
+        head = mmdps[positions[0]]
+        sure = k == 1 and np.all(head.transitions == 1.0)
+        blocks = []
+        for lo in range(0, s, n):
+            states = slice(lo, min(s, lo + n))
+            index = head.next_states[states].swapaxes(0, 1).copy()
+            probs = None if sure else head.transitions[states].swapaxes(0, 1)[:, :, None].copy()
+            size = index.size * len(positions)
+            gathered = scratch[:size].reshape(index.shape[:2] + (len(positions), k))
+            # a one-term sum is that term
+            result = (
+                gathered[..., 0] if k == 1 else summed[: size // k].reshape(gathered.shape[:3])
+            )
+            blocks.append((states, index, probs, gathered, result))
+        plans.append((columns, blocks))
+
+    def expected(source, index, probs, gathered, result):
+        """result <- the (A, states, B_g) expected next values of one block of a group."""
+        # successors were range-checked when the MDP was built
+        source.take(index, axis=0, out=gathered.swapaxes(2, 3), mode="clip")
+        if probs is not None:
+            np.multiply(gathered, probs, out=gathered)
+        if k > 1:
+            np.sum(gathered, axis=3, out=result)
+        return result
+
+    def best_next_value(v, out):
+        for columns, blocks in plans:
+            source = np.ascontiguousarray(v[:, columns])  # v itself for a whole-stack group
+            for states, *block in blocks:
+                np.maximum.reduce(expected(source, *block), axis=0, out=out[states, columns])
+
+    points, sweeps = _fixed_point(
+        partial(_backup, best_next_value, r, first.gamma),
+        np.zeros((s, len(mmdps))), tol, max_iters, "value iteration", members=1,
+    )
+    # one more backup keeps v, q, and the greedy policy exactly consistent
+    v = np.stack(points, axis=1)
+    qs = [np.empty((s, a)) for _ in mmdps]
+    for columns, blocks in plans:
+        source = np.ascontiguousarray(v[:, columns])
+        for states, *block in blocks:
+            q = expected(source, *block)
+            np.multiply(q, first.gamma, out=q)
+            np.add(q, r[states, columns], out=q)
+            for column in range(columns.start, columns.stop):
+                qs[order[column]][states] = q[:, :, column - columns.start].T
+    member_sweeps = [0] * len(mmdps)
+    for column, i in enumerate(order):
+        member_sweeps[i] = sweeps[column]
+    return qs, member_sweeps
 
 
 def value_iteration(

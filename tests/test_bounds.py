@@ -506,6 +506,49 @@ def test_solve_all_answers_every_request_from_stacked_solves(monkeypatch):
         }
 
 
+def test_indexed_solves_stack_by_successor_index_object(monkeypatch):
+    rng = np.random.default_rng(8)
+    num_states, num_joint = 6, 4
+    index = rng.integers(0, num_states, (num_states, num_joint, 1))
+
+    def member(next_states):
+        return TabularMMDP(
+            states=StateSpace(rng.uniform(0.0, 1.0, (num_states, 2))),
+            num_agents=1,
+            actions_per_agent=num_joint,
+            rewards=rng.uniform(0.0, 1.0, num_states),
+            transitions=np.ones((num_states, num_joint, 1)),
+            gamma=0.9,
+            rho=np.full(num_states, 1.0 / num_states),
+            next_states=next_states,
+        )
+
+    # five MDPs on one index object, and one on an equal copy of it
+    mmdps = [member(index) for _ in range(5)] + [member(index.copy())]
+    assert all(mmdp.next_states is index for mmdp in mmdps[:5])
+    alone = [value_iteration_stack([mmdp]) for mmdp in mmdps]
+    stacks = []
+
+    def spy(stack, *args):
+        assert all(mmdp.next_states is stack[0].next_states for mmdp in stack)
+        stacks.append(len(stack))
+        return value_iteration_stack(stack, *args)
+
+    monkeypatch.setattr(capmdp.bounds, "value_iteration_stack", spy)
+    # STACK_ENTRIES bounds dense solves and evaluations, not indexed solves
+    monkeypatch.setattr(capmdp.bounds, "STACK_ENTRIES", 1)
+    for states, expected_stacks in (
+        (capmdp.bounds.INDEXED_STACK_STATES, [5, 1]), (2 * num_states, [2, 2, 1, 1]),
+    ):
+        monkeypatch.setattr(capmdp.bounds, "INDEXED_STACK_STATES", states)
+        stacks.clear()
+        answers = Solver().solve_all(mmdps)
+        assert stacks == expected_stacks
+        for (values, policy), [[(alone_values, alone_policy)], _] in zip(answers, alone):
+            assert np.array_equal(values.q, alone_values.q)
+            assert np.array_equal(policy.actions, alone_policy.actions)
+
+
 def test_evaluate_all_answers_every_request_from_stacked_evaluations(monkeypatch):
     spec_x, _ = small_pair(5)
     base = assemble_linear_mmdp(spec_x)

@@ -19,6 +19,7 @@ from capmdp.envs.fruit_forage import (
     build_fruit_forage,
     default_tree_positions,
     desk_config,
+    fruit_forage_layout,
     fruit_forage_state_count,
 )
 from capmdp.envs.predator_prey import (
@@ -177,6 +178,13 @@ def test_fruit_forage_layout_validation():
         build_fruit_forage(FruitForageConfig(**base, tree_positions=((0, 0), (5, 1))))
     with pytest.raises(ValueError, match="one cell per agent"):
         build_fruit_forage(FruitForageConfig(**base, start_positions=((0, 0), (1, 1))))
+    # an off-grid start is named, not wrapped onto another cell
+    on_grid_4 = dict(base, grid_size=4)
+    for cell in ((0, 5), (1, -1), (4, 0)):
+        with pytest.raises(ValueError, match=rf"start cell \({cell[0]}, {cell[1]}\) is off the grid"):
+            build_fruit_forage(FruitForageConfig(**on_grid_4, start_positions=(cell,)))
+    spec = build_fruit_forage(FruitForageConfig(**on_grid_4, start_positions=((3, 2),)))
+    assert np.flatnonzero(spec.rho).tolist() == [(3 * 4 + 2) * 4]
     with pytest.raises(ValueError, match="members"):
         build_fruit_forage(FruitForageConfig(grid_size=3, num_agents=2, num_fruit_types=2, team=((0.5, 0.5),)))
     with pytest.raises(ValueError, match="fruit types"):
@@ -185,6 +193,25 @@ def test_fruit_forage_layout_validation():
         FruitForageConfig(grid_size=1)
     with pytest.raises(ValueError):
         FruitForageConfig(gamma=1.0)
+
+
+def test_specs_on_one_layout_share_it_and_match_their_own_builds(same_mdp):
+    layout = fruit_forage_layout(desk_config("x", grid_size=3))
+    for label in "xyz":
+        config = desk_config(label, grid_size=3)
+        spec = build_fruit_forage(config, layout)
+        assert spec.transition_kernel is layout.transition_kernel
+        assert spec.states is layout.states and spec.rho is layout.rho
+        assert same_mdp(assemble_linear_mmdp(spec), assemble_linear_mmdp(build_fruit_forage(config)))
+    for arr in (layout.states.features, layout.transition_kernel.next_states, layout.rho):
+        assert not arr.flags.writeable
+    for config in (
+        desk_config("x", grid_size=4),
+        replace(desk_config("y", grid_size=3), start_positions=((0, 0), (1, 1))),
+        replace(desk_config("z", grid_size=3), tree_positions=((0, 0), (1, 1))),
+    ):
+        with pytest.raises(ValueError, match="layout was built for"):
+            build_fruit_forage(config, layout)
 
 
 def test_explicit_weights_flow_into_the_spec():

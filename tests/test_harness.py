@@ -600,6 +600,29 @@ def test_fruit_forage_runner_on_a_small_grid():
     assert all(row["satisfied"] for row in rows)
 
 
+def test_the_default_forage_run_solves_its_four_desk_mdps_in_one_stack(monkeypatch):
+    stacks = []
+    real_stack = capmdp.bounds.value_iteration_stack
+
+    def spy(mmdps, *args):
+        stacks.append(list(mmdps))
+        return real_stack(mmdps, *args)
+
+    monkeypatch.setattr(capmdp.bounds, "value_iteration_stack", spy)
+    counts = Counter()
+    run_fruit_forage(ExperimentConfig(kind="fruit-forage"), counts)
+    # teams x, y, z and z without its last member differ in their rewards
+    # only: the desk specs share one layout, so the MDPs share one index
+    [stack] = stacks
+    assert len(stack) == 4
+    assert all(mmdp.next_states is stack[0].next_states for mmdp in stack)
+    assert stack[0].transitions.shape == (1024, 25, 1)
+    assert dict(counts) == {
+        "value_iteration_solves": 4, "cache_hits": 2, "sweeps": 695, "max_sweeps": 187,
+        "policy_evaluations": 1, "evaluation_hits": 0, "evaluation_sweeps": 187,
+    }
+
+
 def test_predator_prey_runner_produces_learning_rows():
     config = ExperimentConfig.from_doc(
         {
@@ -967,12 +990,25 @@ def test_fruit_forage_reports_fail_archive_and_replay_exactly(
             "env": "fruit_forage", "grid_size": 2, "num_agents": 2,
             "team_labels": labels[entry["bound_name"]],
         }
+    stacks = []
+    real_stack = capmdp.bounds.value_iteration_stack
+
+    def spy(mmdps, *args):
+        stacks.append([mmdp.next_states for mmdp in mmdps])
+        return real_stack(mmdps, *args)
+
+    monkeypatch.setattr(capmdp.bounds, "value_iteration_stack", spy)
     code, replayed = replay_through_cli(path, monkeypatch)
     assert code == EXIT_VIOLATION
     assert "replayed 3 reports, 3 still violated" in capsys.readouterr().out
     assert [json.loads(report.to_json()) for report in replayed] == [
         entry["report"] for entry in entries
     ]
+    # an entry's desk teams are rebuilt on one layout, so their MDPs share
+    # one successor index and solve in one stack; policy_transfer's two are
+    # the cached solves of team_generalization's
+    assert [len(stack) for stack in stacks] == [2, 2]
+    assert all(first is second for first, second in stacks)
 
 
 def test_replay_error_paths(tmp_path):

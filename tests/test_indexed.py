@@ -1,5 +1,6 @@
 """Successor-index transition layout checked against its densified twin."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from capmdp import (
+    InfluenceWeights,
     LinearMMDPSpec,
     MMDPEnvironment,
     Solver,
+    SolverConvergenceError,
     StateSpace,
     TabularMMDP,
     TransitionKernel,
@@ -22,8 +25,9 @@ from capmdp import (
     successor_features,
     transition_deviation_exact,
     value_iteration,
+    value_iteration_stack,
 )
-from capmdp.envs.fruit_forage import build_fruit_forage, desk_config
+from capmdp.envs.fruit_forage import build_fruit_forage, desk_config, fruit_forage_layout
 
 
 def densify(mmdp: TabularMMDP) -> TabularMMDP:
@@ -209,3 +213,48 @@ def test_environment_steps_to_the_indexed_successors():
         row = mmdp.next_states[state, action][mmdp.transitions[state, action] > 0]
         assert next_state in row
         state = next_state
+
+
+# tracemalloc peaks of value iteration on one three-agent grid-4 desk team
+# (16,384 states x 125 joint actions) alone, measured on the solver that held
+# an (A, S) expected-value buffer and (A, S, K) copies of the successor index
+# and probabilities per member: 47.0 MB while sweeping (stopped before its
+# last backup), and 31.6 MB beyond its answer over the whole solve. The four
+# desk teams stacked on one shared index measure 26.0 MB and 16.6 MB; the
+# pins are the lone team's figures, with no margin added.
+LONE_TEAM_SWEEPING_MB = 47.0
+LONE_TEAM_BEYOND_ANSWERS_MB = 31.6
+
+
+def test_a_large_desk_stack_holds_less_than_one_team_did_alone():
+    layout = fruit_forage_layout(desk_config("x", 4, 3))
+    specs = [build_fruit_forage(desk_config(label, 4, 3), layout) for label in "xyz"]
+    # population_decrease's team: z without its last member, weights renormalized
+    z = specs[2]
+    a = z.weights.a
+    specs.append(z.with_team(z.team.drop_last(), InfluenceWeights(a[:-1] / (1.0 - a[-1]))))
+    mmdps = [assemble_linear_mmdp(spec) for spec in specs]
+    assert mmdps[0].transitions.shape == (16384, 125, 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(SolverConvergenceError):
+            value_iteration_stack(mmdps, max_iters=32)
+        sweeping = tracemalloc.get_traced_memory()[1] - start
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solutions, sweeps = value_iteration_stack(mmdps)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - start >= 4 * mmdps[0].transitions.size * 8  # the four q tables
+    assert sweeping <= LONE_TEAM_SWEEPING_MB * 2**20
+    assert peak - held <= LONE_TEAM_BEYOND_ANSWERS_MB * 2**20
+    assert sweeps == [187, 166, 172, 171]
+    for mmdp, (values, policy), n in zip(mmdps, solutions, sweeps):
+        [(alone_values, alone_policy)], [alone_n] = value_iteration_stack([mmdp])
+        assert n == alone_n
+        assert np.array_equal(values.q, alone_values.q)
+        assert np.array_equal(values.v, alone_values.v)
+        assert np.array_equal(policy.actions, alone_policy.actions)

@@ -277,19 +277,48 @@ def textbook_value_iteration(mmdp, tol=1e-9, max_iters=10**6):
 def stack_members(rng, layout, count, num_states=6, num_joint=4):
     """count MDPs of one layout, shape and discount whose reward scales span 1e4.
 
-    layout is "dense" or "indexed-K" (K successors per row). The scales make
-    the members reach tol on different sweeps.
+    layout is "dense", "indexed-K" (K successors per row, a kernel per
+    member), "shared-K" (one successor index and one set of probabilities
+    for every member; unit probabilities when K = 1), "mixed-K" (members
+    alternate between two shared kernels, and the last has its own) or
+    "near-K" (a shared kernel, but the last member's index differs in one
+    entry) or "reweighted-K" (a shared kernel, but the last member's
+    probabilities are reversed along each row). The scales make the members
+    reach tol on different sweeps.
     """
-    members = []
-    for scale in np.geomspace(0.01, 100.0, count):
-        shape = (num_states, num_joint)
-        if layout == "dense":
-            transitions = rng.dirichlet(np.ones(num_states), size=shape)
-            next_states = None
+    shape = (num_states, num_joint)
+    if layout == "dense":
+        def kernel():
+            return rng.dirichlet(np.ones(num_states), size=shape), None
+    else:
+        width = int(layout.split("-")[1])
+
+        def kernel():
+            if layout == "shared-1":
+                transitions = np.ones(shape + (1,))
+            else:
+                transitions = rng.dirichlet(np.ones(width), size=shape)
+            return transitions, rng.integers(0, num_states, shape + (width,))
+    shared = [kernel(), kernel()]
+    kernels = []
+    for i in range(count):
+        last = i == count - 1
+        if layout.startswith("shared") or (layout.split("-")[0] in ("near", "reweighted") and not last):
+            kernels.append(shared[0])
+        elif layout.startswith("mixed") and not last:
+            kernels.append(shared[i % 2])
+        elif layout.startswith("near"):
+            transitions, next_states = shared[0]
+            moved = next_states.copy()
+            moved[2, 1, 0] = (moved[2, 1, 0] + 1) % num_states
+            kernels.append((transitions, moved))
+        elif layout.startswith("reweighted"):
+            transitions, next_states = shared[0]
+            kernels.append((transitions[..., ::-1].copy(), next_states))
         else:
-            width = int(layout.split("-")[1])
-            transitions = rng.dirichlet(np.ones(width), size=shape)
-            next_states = rng.integers(0, num_states, shape + (width,))
+            kernels.append(kernel())
+    members = []
+    for scale, (transitions, next_states) in zip(np.geomspace(0.01, 100.0, count), kernels):
         members.append(
             TabularMMDP(
                 states=StateSpace(rng.uniform(0.0, 1.0, (num_states, 2))),
@@ -305,7 +334,13 @@ def stack_members(rng, layout, count, num_states=6, num_joint=4):
     return members
 
 
-@pytest.mark.parametrize("layout", ["dense", "indexed-1", "indexed-3"])
+STACK_LAYOUTS = [
+    "dense", "indexed-1", "indexed-3", "shared-1", "shared-3", "shared-9", "mixed-1", "mixed-3",
+    "near-1", "reweighted-3",
+]
+
+
+@pytest.mark.parametrize("layout", STACK_LAYOUTS)
 @pytest.mark.parametrize("count", [1, 3, 9])
 def test_a_stacked_solve_matches_each_member_alone_bit_for_bit(layout, count):
     members = stack_members(np.random.default_rng(count), layout, count)
@@ -319,6 +354,26 @@ def test_a_stacked_solve_matches_each_member_alone_bit_for_bit(layout, count):
             assert np.array_equal(policy.actions, q.argmax(axis=1))
     # the members stop on their own sweeps
     assert len(set(sweeps)) == count
+
+
+@pytest.mark.parametrize(
+    "layout, groups",
+    [
+        ("indexed-1", [[0], [1], [2], [3], [4]]),
+        ("shared-1", [[0, 1, 2, 3, 4]]),
+        ("shared-3", [[0, 1, 2, 3, 4]]),
+        ("mixed-3", [[0, 2], [1, 3], [4]]),
+        ("near-1", [[0, 1, 2, 3], [4]]),
+        ("reweighted-3", [[0, 1, 2, 3], [4]]),
+    ],
+)
+def test_an_indexed_stack_gathers_once_per_shared_kernel(layout, groups):
+    members = stack_members(np.random.default_rng(2), layout, 5)
+    assert capmdp.mdp._shared_groups(members) == groups
+    # equal copies share as the same arrays do
+    copies = [replace(m, transitions=m.transitions.copy(), next_states=m.next_states.copy())
+              for m in members]
+    assert capmdp.mdp._shared_groups(copies) == groups
 
 
 def test_a_stack_out_of_sweeps_reports_the_worst_unconverged_residual():
@@ -490,8 +545,10 @@ def test_sure_and_unsure_single_successors_keep_the_textbook_bits():
         short = rng.uniform(0.0, 9e-10, shape) * (rng.random(shape) < 0.5)
         members.append(replace(mmdp, transitions=1.0 - short))
     assert not np.all(members[0].transitions == 1.0)
-    # a sure member beside unsure ones
+    # a sure member beside unsure ones, and one sharing the first's unsure kernel
     members.append(stack_members(rng, "indexed-1", 1)[0])
+    members.append(replace(members[0], rewards=rng.uniform(0.0, 3.0, members[0].num_states)))
+    assert capmdp.mdp._shared_groups(members) == [[0, 5], [1], [2], [3], [4]]
     assert_textbook_solve(members)
     for mmdp in members:
         policy = random_policies(rng, [mmdp])[0]
