@@ -80,15 +80,13 @@ for pred in range(g * g):
         if pred == prey:
             continue
         total += 1
-        observations = env.reset(
+        (key,) = env.reset(
             predator_positions=[divmod(pred, g)], prey_positions=[divmod(prey, g)]
         )
-        key = observations[0].key()
         steps = None
         for t in range(1, 13):
             action = table.greedy_action(key, env.legal_actions()[0], rng)
-            observations, reward, _ = env.step([action])
-            key = observations[0].key()
+            (key,), reward, _ = env.step([action])
             if reward > 0:
                 steps = t
                 break

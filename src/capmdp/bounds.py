@@ -216,11 +216,14 @@ class Solver:
     value_iteration. So an indexed kernel and its dense twin never share an
     entry. Each MDP object is digested once per solver, and its key reused
     by every later request of that object; an MDP's arrays must not change
-    once it has been requested. An evaluation's key is its MDP's solve key
-    and the policy's actions. Cached arrays are read-only, since every
-    caller of a hit shares them. solve_all and evaluate_all answer many requests at once and run
-    the uncached ones in stacks; each answer is bit for bit the one a stack
-    of that request alone gives.
+    once it has been requested. An array that is read-only and owns its data
+    is digested once per solver too, so MDPs that share one successor index
+    (the desk teams of one foraging layout) hash it once. An evaluation's
+    key is its MDP's solve key and the policy's actions. Cached arrays are
+    read-only, since every caller of a hit shares them. solve_all and
+    evaluate_all answer many requests at once and run the uncached ones in
+    stacks; each answer is bit for bit the one a stack of that request
+    alone gives.
     """
 
     def __init__(self, tol: float = 1e-9):
@@ -230,6 +233,7 @@ class Solver:
         self._solved = {}
         self._evaluated = {}
         self._keys = weakref.WeakKeyDictionary()  # MDP object -> its solve key
+        self._digests = {}  # id of a read-only array -> (weak reference to it, its digest)
         self.solves = 0
         self.hits = 0
         self.sweeps = 0
@@ -289,8 +293,22 @@ class Solver:
         """mmdp's solve key, digested on the object's first request only."""
         key = self._keys.get(mmdp)
         if key is None:
-            key = self._keys[mmdp] = _solve_key(mmdp)
+            key = self._keys[mmdp] = _solve_key(mmdp, self._digest)
         return key
+
+    def _digest(self, arr: np.ndarray) -> bytes:
+        """_array_digest(arr), computed once per solver for a read-only array that owns its data.
+
+        A view is digested afresh on every request: its base may still be
+        writable.
+        """
+        if arr.flags.writeable or not arr.flags.owndata:
+            return _array_digest(arr)
+        entry = self._digests.get(id(arr))
+        # a dead array's id may have been reused; its reference then no longer resolves to arr
+        if entry is None or entry[0]() is not arr:
+            entry = self._digests[id(arr)] = weakref.ref(arr), _array_digest(arr)
+        return entry[1]
 
     def _answer_all(self, keys, requests, mmdps, cache, run_stack, stacking):
         """Answer each keyed request from cache, running the uncached ones in stacks.
@@ -370,15 +388,22 @@ def _evaluate_stack(pairs, tol: float):
     return values, sweeps
 
 
-def _solve_key(mmdp: TabularMMDP) -> bytes:
+def _solve_key(mmdp: TabularMMDP, array_digest) -> bytes:
+    """sha256 over gamma and the digests of the rewards, transitions and successor index.
+
+    array_digest(arr) gives each array's digest (Solver._digest).
+    """
     digest = hashlib.sha256()
     for arr in (mmdp.rewards, mmdp.transitions, mmdp.next_states):
-        if arr is None:
-            digest.update(b"none;")
-            continue
-        digest.update(f"{arr.shape}{arr.dtype.str};".encode())
-        digest.update(memoryview(np.ascontiguousarray(arr)).cast("B"))
+        digest.update(b"none;" if arr is None else array_digest(arr))
     digest.update(repr(mmdp.gamma).encode())
+    return digest.digest()
+
+
+def _array_digest(arr: np.ndarray) -> bytes:
+    """sha256 of an array's shape, dtype and bytes."""
+    digest = hashlib.sha256(f"{arr.shape}{arr.dtype.str};".encode())
+    digest.update(memoryview(np.ascontiguousarray(arr)).cast("B"))
     return digest.digest()
 
 

@@ -243,8 +243,14 @@ def fruit_forage_layout(config: FruitForageConfig) -> ForageLayout:
         tree_bit[r * g + c] = 1 << j
     newly_covered = np.bitwise_or.reduce(tree_bit[new_cells], axis=2)  # (num_positions, num_joint)
     masks = np.arange(num_masks)[None, :, None]
-    next_states = new_pos_index[:, None, :] * num_masks + (masks | newly_covered[:, None, :])
-    next_states = next_states.reshape(size, num_joint, 1)
+    # written through a view, so the index owns its data: a Solver digests
+    # such a read-only array once for every MDP that shares it
+    next_states = np.empty((size, num_joint, 1), dtype=np.int64)
+    np.add(
+        new_pos_index[:, None, :] * num_masks,
+        masks | newly_covered[:, None, :],
+        out=next_states.reshape(num_positions, num_masks, num_joint),
+    )
 
     # one sure successor per row; every capability component shares the same
     # unit probabilities as a broadcast view

@@ -10,7 +10,7 @@ MDP, and none of the closed-form bound calculators accept it.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -25,8 +25,10 @@ _CELL_EMPTY, _CELL_PREDATOR, _CELL_PREY, _CELL_OFFGRID = range(4)
 _FULL_VIEW_MAX_GRID = 5
 _WINDOW_RADIUS = 2
 _CAP_CODE_RADIX = 512
-# bytes(view).translate(_BASE4) spells the view's cell codes as base-4 digits
-_BASE4 = bytes.maketrans(b"\x00\x01\x02\x03", b"0123")
+# bytes(view).translate(_BASE4) spells the view's cell codes 0..3 as base-4
+# digits and any other code as "x", which int(..., 4) rejects
+_BASE4 = b"0123" + b"x" * 252
+_DIGIT_0 = ord("0")
 
 
 @dataclass(frozen=True)
@@ -67,15 +69,18 @@ class PredatorPreyConfig:
 
 @dataclass(frozen=True)
 class PPObservation:
-    """One agent's discretized view, encodable to a stable integer key.
+    """One agent's discretized view, decoded; key() gives its stable integer key.
+
+    PredatorPreyEnv returns the keys themselves. env.observation(agent)
+    builds this decoded form of the current state for tests and debugging,
+    and its key() equals the key the env returned for that agent.
 
     view is a row-major tuple of cell codes (empty 0, predator 1, prey 2,
     off-grid 3) over the whole grid at small sizes or a radius-2 window
     otherwise. teammate_capabilities is None unless the environment exposes
     them. key() is injective over observations of one environment shape, and
-    raises ValueError for a view cell outside 0..3. capability_digits caches
-    _capability_digits(own_capability, teammate_capabilities): an environment
-    computes it once per agent, and key() computes it when it is None.
+    raises ValueError for a view cell outside 0..3 or a capability outside
+    the encodable range.
     """
 
     agent_id: int
@@ -84,25 +89,40 @@ class PPObservation:
     view: tuple
     own_capability: float
     teammate_capabilities: tuple | None
-    capability_digits: tuple | None = field(default=None, compare=False, repr=False)
 
     def key(self) -> int:
-        code = 1 if self.teammate_capabilities is not None else 0
-        code = code * 16 + self.agent_id
-        code = code * (self.num_cells + 1) + self.own_cell
-        # append the view's cells (codes 0..3) as base-4 digits in one conversion
-        view = self.view
-        code = code << 2 * len(view) | int(bytes(view).translate(_BASE4) or b"0", 4)
-        scale, digits = self.capability_digits or _capability_digits(
-            self.own_capability, self.teammate_capabilities
+        aware = self.teammate_capabilities is not None
+        scale, digits = _capability_digits(self.own_capability, self.teammate_capabilities)
+        return _encode_key(
+            _key_prefix(aware, self.agent_id, self.num_cells),
+            self.own_cell,
+            2 * len(self.view),
+            bytes(self.view).translate(_BASE4),
+            scale,
+            digits,
         )
-        return code * scale + digits
+
+
+def _key_prefix(aware: bool, agent_id: int, num_cells: int) -> int:
+    """The key's leading digits, awareness then agent, scaled to take the own cell."""
+    return (int(aware) * 16 + agent_id) * (num_cells + 1)
+
+
+def _encode_key(
+    prefix: int, own_cell: int, width: int, view_digits, scale: int, digits: int
+) -> int:
+    """An observation key: the own cell, then the view, then the capability digits.
+
+    view_digits spells the view's cell codes as ASCII base-4 digits, which
+    take width (2 per cell) bits; (scale, digits) is _capability_digits.
+    """
+    return ((prefix + own_cell) << width | int(view_digits or b"0", 4)) * scale + digits
 
 
 def _capability_digits(own: float, teammates: tuple | None) -> tuple:
     """(radix ** count, digits) of the own then teammate capability codes.
 
-    key() appends them as base-_CAP_CODE_RADIX digits: code * scale + digits.
+    A key appends them as base-_CAP_CODE_RADIX digits: code * scale + digits.
     """
     caps = (own,) + (teammates or ())
     digits = 0
@@ -121,15 +141,26 @@ def _capability_code(cap: float) -> int:
 class PredatorPreyEnv:
     """Steppable pursuit environment; all randomness flows from one seed.
 
+    An observation is its table key: reset() and step() return one plain int
+    per predator, the number PPObservation.key() gives for that agent's view
+    of the state, and observation(agent) builds that PPObservation. Each
+    agent's key constants (its awareness-and-agent prefix, the view's width
+    and its capability digits) are computed once here, so a step reads each
+    key off one grid of ASCII base-4 cell codes through _encode_key, the
+    encoder PPObservation.key() uses too. A capability outside the encodable
+    range raises ValueError when the environment is built.
+
     trajectory_log, when given, is a writable text stream that receives one
     JSON line per reset and per step (positions as (row, col) pairs, so a
     logged reset line can pin a fresh environment for replay debugging).
 
     The grid geometry is tabulated once, so a step costs lookups, not divmod:
     _moves[cell] holds the four move targets (the cell itself off the grid),
+    _exits[cell] the on-grid (action, target) pairs in action order,
     _neighbours[cell] the frozenset of adjacent cells, and _views[cell] an
-    operator.itemgetter over the observed cells (the whole grid up to size 5,
-    else the radius-2 window, whose off-grid cells read one sentinel slot).
+    operator.itemgetter of the observed cells of the code grid (one slice of
+    the whole grid up to size 5, else the radius-2 window, whose off-grid
+    cells read one sentinel slot).
 
     Legality is held as action indices: reset and step compute each
     state's legal actions once, as one ascending tuple of action indices per
@@ -164,40 +195,35 @@ class PredatorPreyEnv:
         self._moves = [
             tuple(index(r + dr, c + dc, r * g + c) for dr, dc in _PP_MOVES) for r, c in rc
         ]
-        self._neighbours = [
-            frozenset(t for t in moves if t != cell) for cell, moves in enumerate(self._moves)
+        self._exits = [
+            tuple((a, t) for a, t in enumerate(moves) if t != cell)
+            for cell, moves in enumerate(self._moves)
         ]
+        self._neighbours = [frozenset(t for _, t in exits) for exits in self._exits]
         if g <= _FULL_VIEW_MAX_GRID:
-            self._views = [itemgetter(*range(cells))] * cells
+            self._views = [itemgetter(slice(0, cells))] * cells
+            width = 2 * cells
         else:
             span = range(-_WINDOW_RADIUS, _WINDOW_RADIUS + 1)
             self._views = [
                 itemgetter(*(index(r + dr, c + dc, cells) for dr in span for dc in span))
                 for r, c in rc
             ]
-        caps = [float(c) for c in config.predator_capabilities]
-        teammates = [
-            tuple(c for j, c in enumerate(caps) if j != i) if config.capability_observable else None
+            width = 2 * len(span) ** 2
+        # the code grid of an empty board: every cell's code as its base-4
+        # digit, then the sentinel slot that off-grid window cells read
+        self._empty_grid = bytes([_DIGIT_0 + _CELL_EMPTY] * cells + [_DIGIT_0 + _CELL_OFFGRID])
+        self._capabilities = caps = [float(c) for c in config.predator_capabilities]
+        aware = config.capability_observable
+        self._teammates = [
+            tuple(c for j, c in enumerate(caps) if j != i) if aware else None
             for i in range(config.num_predators)
         ]
-        try:
-            digits = [_capability_digits(cap, mates) for cap, mates in zip(caps, teammates)]
-        except ValueError:
-            # an unencodable capability keeps failing in key(), not here
-            digits = [None] * config.num_predators
-        # each agent's observation fields in declaration order; a step fills in
-        # own_cell and view
-        self._observation_fields = [
-            {
-                "agent_id": i,
-                "num_cells": cells,
-                "own_cell": None,
-                "view": None,
-                "own_capability": caps[i],
-                "teammate_capabilities": teammates[i],
-                "capability_digits": digits[i],
-            }
-            for i in range(config.num_predators)
+        # each agent's key constants: (prefix, view width, capability scale, digits);
+        # _capability_digits raises here for a capability outside the encodable range
+        self._key_constants = [
+            (_key_prefix(aware, i, cells), width, *_capability_digits(cap, mates))
+            for i, (cap, mates) in enumerate(zip(caps, self._teammates))
         ]
 
     # ---- public state accessors -------------------------------------------------
@@ -211,7 +237,7 @@ class PredatorPreyEnv:
     # ---- episode control --------------------------------------------------------
 
     def reset(self, predator_positions=None, prey_positions=None) -> list:
-        """Place every piece (randomly unless pinned) and return observations."""
+        """Place every piece (randomly unless pinned); returns each predator's key."""
         g = self._g
         cells = g * g
         total = self.config.num_predators + self.config.num_prey
@@ -240,7 +266,25 @@ class PredatorPreyEnv:
                 predators=self._cells_rc(self._predators),
                 prey=self._cells_rc(self._prey),
             )
-        return self._observations()
+        return self._keys()
+
+    def observation(self, agent: int) -> PPObservation:
+        """Predator agent's decoded observation of the current state.
+
+        Its key() is the key that the last reset or step returned for agent.
+        """
+        self.legal_actions()  # raises before the first reset
+        if not 0 <= agent < len(self._predators):
+            raise IndexError(f"no predator {agent}")
+        cell = self._predators[agent]
+        return PPObservation(
+            agent_id=agent,
+            num_cells=self._g * self._g,
+            own_cell=cell,
+            view=tuple(code - _DIGIT_0 for code in self._views[cell](self._code_grid())),
+            own_capability=self._capabilities[agent],
+            teammate_capabilities=self._teammates[agent],
+        )
 
     def legal_actions(self) -> tuple:
         """One ascending tuple of legal action indices per predator.
@@ -261,7 +305,7 @@ class PredatorPreyEnv:
         return mask
 
     def step(self, joint_action) -> tuple:
-        """Advance one step; returns (observations, team reward, done).
+        """Advance one step; returns (each predator's key, team reward, done).
 
         Each action must be a Python or numpy integer (not a bool) that is
         legal for its agent in the current state.
@@ -317,7 +361,7 @@ class PredatorPreyEnv:
         for p, cell in enumerate(prey):
             if draws.random() >= config.prey_move_prob:
                 continue
-            free = [t for t in self._moves[cell] if t != cell and t not in occupied]
+            free = [t for _, t in self._exits[cell] if t not in occupied]
             if free:
                 target = free[draws.integers(len(free))]
                 occupied.discard(cell)
@@ -338,18 +382,17 @@ class PredatorPreyEnv:
                 prey=self._cells_rc(prey),
                 done=done,
             )
-        return self._observations(), reward, done
+        return self._keys(), reward, done
 
     # ---- internals ----------------------------------------------------------------
 
     def _legal_tuples(self, occupied: set) -> tuple:
         """The legal actions of each predator, given every occupied cell."""
         prey = self._prey
+        exits = self._exits
         legal = []
         for cell in self._predators:
-            indices = [
-                a for a, t in enumerate(self._moves[cell]) if t != cell and t not in occupied
-            ]
+            indices = [a for a, t in exits[cell] if t not in occupied]
             indices.append(ACTION_NOOP)
             if not self._neighbours[cell].isdisjoint(prey):
                 indices.append(ACTION_CAPTURE)
@@ -370,25 +413,23 @@ class PredatorPreyEnv:
             raise RuntimeError("no empty cell is available for a respawn")
         return empty[self._draws.integers(len(empty))]
 
-    def _observations(self) -> list:
-        grid = [_CELL_EMPTY] * (self._g * self._g) + [_CELL_OFFGRID]
+    def _code_grid(self) -> bytearray:
+        """Every cell's code as its ASCII base-4 digit, then the off-grid sentinel."""
+        grid = bytearray(self._empty_grid)
         for cell in self._predators:
-            grid[cell] = _CELL_PREDATOR
+            grid[cell] = _DIGIT_0 + _CELL_PREDATOR
         for cell in self._prey:
-            grid[cell] = _CELL_PREY
+            grid[cell] = _DIGIT_0 + _CELL_PREY
+        return grid
+
+    def _keys(self) -> list:
+        """Each predator's observation key, read off the code grid."""
+        grid = self._code_grid()
         views = self._views
-        observations = []
-        # the frozen dataclass's __init__ sets each field through
-        # object.__setattr__; filling the new instance's __dict__ is a third
-        # of the cost and makes an equal observation
-        for fields, cell in zip(self._observation_fields, self._predators):
-            obs = object.__new__(PPObservation)
-            values = obs.__dict__
-            values.update(fields)
-            values["own_cell"] = cell
-            values["view"] = views[cell](grid)
-            observations.append(obs)
-        return observations
+        return [
+            _encode_key(prefix, cell, width, bytes(views[cell](grid)), scale, digits)
+            for (prefix, width, scale, digits), cell in zip(self._key_constants, self._predators)
+        ]
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ environment exposing num_actions, reset() -> observations, legal_actions()
 -> one sequence of legal action indices per agent, ascending, and
 step(actions) -> (observations, team_reward, done). The legal actions read
 after a step are the next step's decision set, and every agent needs at least
-one. One agent's sequence is what QTable.greedy_action takes. Observations
-are either objects with a key() method or plain integers. step raises
-ValueError for an action outside its agent's legal set, and for a bool or any
-other non-integer value; checked_action is that check.
+one. One agent's sequence is what QTable.greedy_action takes. An observation
+is its table key, a plain int: PredatorPreyEnv returns each predator's key
+and MMDPEnvironment the state index, and the trainer uses them as they come.
+step raises ValueError for an action outside its agent's legal set, and for a
+bool or any other non-integer value; checked_action is that check.
 
 A QTable keeps every row in one flat store of C doubles, with a key -> row
 number dict and a list of visit counts beside it: about 170 bytes per key on
@@ -262,11 +263,6 @@ def checked_action(action, legal, agent: int) -> int:
     raise ValueError(f"agent {agent} submitted unavailable action {action}")
 
 
-def _keys(observations) -> list:
-    """The table keys of one step's observations: key() objects or plain integers."""
-    return [int(o.key()) if hasattr(o, "key") else int(o) for o in observations]
-
-
 def _legal_rows(env):
     """env.legal_actions(), checked to give every agent at least one action."""
     legal = env.legal_actions()
@@ -307,7 +303,7 @@ def q_learning_train(
     step = 0
     while step < schedule.total_steps:
         env = envs[integers(len(envs))]
-        keys = _keys(env.reset())
+        keys = env.reset()
         legal = _legal_rows(env)
         done = False
         while not done and step < schedule.total_steps:
@@ -322,8 +318,7 @@ def q_learning_train(
                     o = r * n
                     # max keeps the first of equal values: the lowest-index legal argmax
                     actions.append(max(indices, key=store[o:o + n].__getitem__))
-            observations, reward, done = env.step(actions)
-            next_keys = _keys(observations)
+            next_keys, reward, done = env.step(actions)
             if done:
                 targets = [reward] * len(keys)
             else:
@@ -363,13 +358,12 @@ def run_greedy_episode(table: QTable, env, rng) -> float:
     rng serves integers(n): a PCG64Draws, or the numpy Generator it wraps.
     """
     greedy = table.greedy_action
-    keys = _keys(env.reset())
+    keys = env.reset()
     total = 0.0
     done = False
     while not done:
         actions = [greedy(key, indices, rng) for key, indices in zip(keys, _legal_rows(env))]
-        observations, reward, done = env.step(actions)
-        keys = _keys(observations)
+        keys, reward, done = env.step(actions)
         total += float(reward)
     return total
 

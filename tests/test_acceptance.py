@@ -391,15 +391,13 @@ def test_criterion_09_pursuit_learning(tmp_path):
             if pred == prey:
                 continue
             total += 1
-            observations = eval_env.reset(
+            (key,) = eval_env.reset(
                 predator_positions=[divmod(pred, g)], prey_positions=[divmod(prey, g)]
             )
-            key = observations[0].key()
             steps = None
             for t in range(1, 13):
                 action = table.greedy_action(key, eval_env.legal_actions()[0], rng)
-                observations, reward, _ = eval_env.step([action])
-                key = observations[0].key()
+                (key,), reward, _ = eval_env.step([action])
                 if reward > 0:
                     steps = t
                     break

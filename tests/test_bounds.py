@@ -44,7 +44,7 @@ from capmdp import (
     value_iteration_stack,
 )
 import capmdp.bounds
-from capmdp.harness import CHECKS, _instance_cases
+from capmdp.harness import CHECKS, ExperimentConfig, _instance_cases, run_fruit_forage
 
 GAMMA_CROSSOVER = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -604,13 +604,45 @@ def test_evaluate_all_answers_every_request_from_stacked_evaluations(monkeypatch
         assert (solver.evaluations, solver.evaluation_hits) == (5, 3)
 
 
+def test_the_desk_mdps_digest_their_shared_index_once(monkeypatch):
+    digested = []
+    array_digest = capmdp.bounds._array_digest
+
+    def counting_digest(arr):
+        digested.append(arr)
+        return array_digest(arr)
+
+    monkeypatch.setattr(capmdp.bounds, "_array_digest", counting_digest)
+    solved = []
+    solve_all = Solver.solve_all
+
+    def spy(solver, mmdps):
+        mmdps = list(mmdps)
+        solved.extend(mmdps)
+        return solve_all(solver, mmdps)
+
+    monkeypatch.setattr(Solver, "solve_all", spy)
+    run_fruit_forage(ExperimentConfig.from_doc({"kind": "fruit-forage"}))
+    index = solved[0].next_states
+    assert not index.flags.writeable and index.flags.owndata
+    # four distinct desk MDPs share the one read-only index, hashed once
+    assert len({id(mmdp) for mmdp in solved}) == 4
+    assert all(mmdp.next_states is index for mmdp in solved)
+    assert sum(arr is index for arr in digested) == 1
+    # the key stays content-based: a writable copy of the index is a hit
+    solver = Solver()
+    solver.solve_all([solved[0]])
+    solver.solve_all([dataclasses.replace(solved[0], next_states=index.copy())])
+    assert (solver.solves, solver.hits) == (1, 1)
+
+
 def test_a_solver_digests_each_mdp_object_once(monkeypatch):
     digested = []
     solve_key = capmdp.bounds._solve_key
 
-    def counting_key(mmdp):
+    def counting_key(mmdp, array_digest):
         digested.append(mmdp)
-        return solve_key(mmdp)
+        return solve_key(mmdp, array_digest)
 
     monkeypatch.setattr(capmdp.bounds, "_solve_key", counting_key)
     spec_x, _ = small_pair(5)

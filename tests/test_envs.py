@@ -297,7 +297,7 @@ def test_rollout_invariants():
         done = False
         steps = 0
         while not done:
-            assert len(obs) == 2 and all(len(o.view) == 16 for o in obs)
+            assert len(obs) == 2 and all(len(env.observation(i).view) == 16 for i in range(2))
             positions = env.predator_positions() + env.prey_positions()
             assert len(set(positions)) == 4
             mask = env.available_actions()
@@ -334,12 +334,16 @@ def test_stationary_prey_when_move_prob_is_zero():
 
 def test_full_view_small_grids_window_view_large_grids():
     env = pinned_env([(0, 0)], [(2, 2)], caps=(1,), healths=(1,), grid_size=3)
-    (obs,) = env.reset(predator_positions=[(0, 0)], prey_positions=[(2, 2)])
+    env.reset(predator_positions=[(0, 0)], prey_positions=[(2, 2)])
+    obs = env.observation(0)
     assert len(obs.view) == 9
     assert obs.view[0] == 1 and obs.view[8] == 2
+    with pytest.raises(IndexError):
+        env.observation(1)  # one predator
 
     big = pinned_env([(0, 0)], [(7, 7)], caps=(1,), healths=(1,), grid_size=8)
-    (obs,) = big.reset(predator_positions=[(0, 0)], prey_positions=[(7, 7)])
+    big.reset(predator_positions=[(0, 0)], prey_positions=[(7, 7)])
+    obs = big.observation(0)
     assert len(obs.view) == 25
     assert obs.view.count(3) == 16  # two rows plus two columns fall off the corner
 
@@ -350,20 +354,24 @@ def test_observation_keys_separate_awareness_and_capabilities():
     aware_env = pinned_env(
         [(0, 0), (2, 2)], [(1, 1)], caps=(1, 2), healths=(1,), capability_observable=True
     )
-    blind = blind_env.reset(**layout)
-    aware = aware_env.reset(**layout)
+    blind_env.reset(**layout)
+    aware_env.reset(**layout)
+    blind = [blind_env.observation(i) for i in range(2)]
+    aware = [aware_env.observation(i) for i in range(2)]
     assert blind[0].teammate_capabilities is None
     assert aware[0].teammate_capabilities == (2.0,)
     assert blind[0].key() != aware[0].key()
     assert blind[0].key() != blind[1].key()
     swapped = pinned_env([(0, 0), (2, 2)], [(1, 1)], caps=(2, 1), healths=(1,))
-    other = swapped.reset(**layout)
+    swapped.reset(**layout)
+    other = [swapped.observation(i) for i in range(2)]
     assert other[0].key() != blind[0].key()  # own capability enters the key
 
 
 def test_observation_key_appends_the_view_as_base4_digits():
     env = pinned_env([(0, 0)], [(0, 1)], caps=(1,), healths=(1,), grid_size=2)
-    (obs,) = env.reset(predator_positions=[(0, 0)], prey_positions=[(0, 1)])
+    env.reset(predator_positions=[(0, 0)], prey_positions=[(0, 1)])
+    obs = env.observation(0)
     assert obs.view == (1, 2, 0, 0)
     # blind, agent 0 at cell 0 of 4; then the view's digits; then the capability code 8
     assert obs.key() == int("1200", 4) * 512 + 8
@@ -372,13 +380,15 @@ def test_observation_key_appends_the_view_as_base4_digits():
     assert replace(moved, view=()).key() == 3 * 512 + 8
     with pytest.raises(ValueError):
         replace(obs, view=(1, 4)).key()
+    with pytest.raises(ValueError):
+        replace(obs, view=(1, ord("0"))).key()  # a code, not a digit: not read as 0
 
 
 def test_capability_outside_encodable_range_is_rejected():
-    env = pinned_env([(0, 0)], [(2, 2)], caps=(64,), healths=(1,))
-    (obs,) = env.reset(predator_positions=[(0, 0)], prey_positions=[(2, 2)])
-    with pytest.raises(ValueError, match="outside the encodable range"):
-        obs.key()
+    # the env refuses the capability when it is built, in either mode
+    for aware in (False, True):
+        with pytest.raises(ValueError, match="outside the encodable range"):
+            pinned_env([(0, 0)], [(2, 2)], caps=(64,), healths=(1,), capability_observable=aware)
 
 
 def test_task_suites_are_pinned_verbatim():
@@ -517,16 +527,20 @@ def pinned_stream_digests(config, seed, action_seed, steps):
 
     Random legal actions from a seeded rng drive the env for `steps` steps,
     resetting whenever an episode ends, so the streams cover resets,
-    captures, failed captures, respawns and prey moves.
+    captures, failed captures, respawns and prey moves. At every step the
+    returned keys are plain ints equal to the keys of env.observation(i).
     """
     log = io.StringIO()
     env = PredatorPreyEnv(config, seed=seed, trajectory_log=log)
     rng = np.random.default_rng(action_seed)
     masks = hashlib.sha256()
     keys = hashlib.sha256()
+    agents = range(config.num_predators)
     observations = env.reset()
     for _ in range(steps):
-        keys.update(repr([o.key() for o in observations]).encode())
+        assert all(type(key) is int for key in observations)
+        assert observations == [env.observation(i).key() for i in agents]
+        keys.update(repr(observations).encode())
         mask = env.available_actions()
         masks.update(mask.tobytes())
         # the mask and the env's own legal tuples agree at every step
@@ -535,7 +549,8 @@ def pinned_stream_digests(config, seed, action_seed, steps):
         observations, _, done = env.step(actions)
         if done:
             observations = env.reset()
-    keys.update(repr([o.key() for o in observations]).encode())
+    assert observations == [env.observation(i).key() for i in agents]
+    keys.update(repr(observations).encode())
     text = log.getvalue()
     events = [json.loads(line) for line in text.splitlines()]
     captures = sum(len(e["captured"]) for e in events if e["event"] == "step")
@@ -684,6 +699,8 @@ def test_an_action_illegal_at_decision_time_names_its_agent():
     fresh = PredatorPreyEnv(env.config, seed=3)
     with pytest.raises(RuntimeError, match="reset"):
         fresh.step([ACTION_NOOP, ACTION_NOOP])
+    with pytest.raises(RuntimeError, match="reset"):
+        fresh.observation(0)
 
 
 # positions after the capture step, respawn and prey moves included

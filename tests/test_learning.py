@@ -267,6 +267,29 @@ def test_on_interval_callback_fires_on_schedule(two_state_chain):
     assert seen == [10, 20, 30, 40, 50]
 
 
+def test_both_envs_return_plain_int_keys_and_train_on_them(two_state_chain):
+    pursuit = PredatorPreyConfig(
+        grid_size=3, num_predators=2, num_prey=1, predator_capabilities=(1, 2),
+        prey_health=(2,), episode_limit=20, capability_observable=True,
+    )
+    cases = (
+        (chain_builder, two_state_chain, 1),
+        (lambda task, capability_observable, seed: PredatorPreyEnv(task, seed), pursuit, 2),
+    )
+    for builder, task, agents in cases:
+        env = builder(task, False, 0)
+        observations = env.reset()
+        for _ in range(30):
+            assert len(observations) == agents
+            assert all(type(key) is int for key in observations)
+            observations, _, done = env.step([legal[0] for legal in env.legal_actions()])
+            if done:
+                observations = env.reset()
+        table = q_learning_train(builder, [task], SHORT, seed=2)
+        assert table.values and all(type(key) is int for key in table.values)
+        assert sum(table.visits.values()) == SHORT.total_steps * agents
+
+
 def test_training_requires_a_task():
     with pytest.raises(ValueError, match="at least one training task"):
         q_learning_train(chain_builder, [], SHORT, seed=0)
