@@ -68,11 +68,12 @@ STACK_ENTRIES = 2**15
 # gather of it, so a bigger stack saves time at any size. Beyond its answers
 # the stack holds its value buffers (mdp._BLOCK + 1 kept iterates of members
 # x states entries, 36 MB at this cap), one gather block of
-# mdp.SCRATCH_ENTRIES entries, and one joint-action-major copy of the index
-# (and of the probabilities, unless every row has one sure successor) per
-# group of members that share them. The four desk MDPs of a 1024-state
-# foraging desk solve as one stack, and so do those of three agents on grid
-# 5 (62,500 states each).
+# mdp.SCRATCH_ENTRIES entries, and one compacted copy of the index, each
+# state's distinct action rows joint-action-major (and of the probabilities,
+# unless every row has one sure successor), per group of members that share
+# them; its final backup reads the MDP's own index. The four desk MDPs of a
+# 1024-state foraging desk solve as one stack, and so do those of three
+# agents on grid 5 (62,500 states each).
 INDEXED_STACK_STATES = 2**18
 
 

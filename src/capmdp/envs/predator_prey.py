@@ -63,8 +63,9 @@ class PredatorPreyConfig:
             raise ValueError("prey_move_prob must lie in [0, 1]")
         if self.episode_limit < 1:
             raise ValueError("episode_limit must be at least 1")
-        if self.grid_size**2 < self.num_predators + self.num_prey:
-            raise ValueError("the grid is too small for all pieces")
+        # a captured prey respawns on an empty cell, so a full grid cannot run
+        if self.grid_size**2 <= self.num_predators + self.num_prey:
+            raise ValueError("the grid is too small: it needs an empty cell beyond all pieces")
 
 
 @dataclass(frozen=True)
@@ -406,11 +407,10 @@ class PredatorPreyEnv:
         self._trajectory_log.write(json.dumps(record) + "\n")
 
     def _respawn_cell(self) -> int:
+        # PredatorPreyConfig leaves at least one cell empty
         cells = self._g * self._g
         occupied = set(self._predators) | set(self._prey)
         empty = [c for c in range(cells) if c not in occupied]
-        if not empty:
-            raise RuntimeError("no empty cell is available for a respawn")
         return empty[self._draws.integers(len(empty))]
 
     def _code_grid(self) -> bytearray:

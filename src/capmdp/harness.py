@@ -322,6 +322,12 @@ class ExperimentConfig:
         return cls.from_doc(doc)
 
     def config_hash(self) -> str:
+        """The first 12 hex digits of the sha256 of the canonical to_doc JSON."""
+        return self._config_hash
+
+    @functools.cached_property
+    def _config_hash(self) -> str:
+        # a run names its directory, summary and rows by it: computed once per config
         canonical = json.dumps(self.to_doc(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 

@@ -12,6 +12,7 @@ cover teams whose effect on the reward is not a plain weighted sum.
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -190,6 +191,15 @@ class TransitionKernel:
     def num_joint_actions(self) -> int:
         return self.components.shape[2]
 
+    @cached_property
+    def identical_components(self) -> bool:
+        """Whether every capability component is the same kernel, as on a deterministic grid."""
+        first = self.components[0]
+        return self.components.strides[0] == 0 or all(
+            np.array_equal(c[0], first[0]) and np.array_equal(c, first)
+            for c in self.components[1:]
+        )
+
     def equals(self, other: "TransitionKernel") -> bool:
         """Same components in the same layout (array_equal(None, None) is True)."""
         return np.array_equal(self.components, other.components) and np.array_equal(
@@ -303,7 +313,11 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
     kernel mixes its (d, S, A, K) probabilities and keeps its successor index.
 
     The MDP is built once per spec object and kept on it, so every check that
-    assembles one spec shares one TabularMMDP; its arrays are read-only.
+    assembles one spec shares one TabularMMDP; its arrays are read-only. The
+    teams of a kernel whose components are identical, such as the unit
+    probabilities of a deterministic grid, hold one transitions array,
+    owned and read-only, wherever their mixtures give the same bits; a
+    Solver then digests it once.
     """
     assembled = spec.__dict__.get("_assembled")
     if assembled is not None:
@@ -321,9 +335,14 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
         if total <= 0:
             raise ValueError("capability mixture is all-zero; no transition mixture exists")
         transition_mix = mixture / total
-    transitions = np.einsum(
-        "j,jsut->sut", transition_mix, spec.transition_kernel.components
-    )
+    kernel = spec.transition_kernel
+    transitions = np.einsum("j,jsut->sut", transition_mix, kernel.components)
+    transitions.flags.writeable = False
+    if kernel.identical_components:
+        # teams whose mixtures give the same bits hold the first one's array
+        shared = kernel.__dict__.setdefault("_mixed", transitions)
+        if np.array_equal(transitions.view(np.int64), shared.view(np.int64)):
+            transitions = shared
     assembled = TabularMMDP(
         states=spec.states,
         num_agents=spec.num_agents,
@@ -332,10 +351,9 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
         transitions=transitions,
         gamma=spec.gamma,
         rho=spec.rho,
-        next_states=spec.transition_kernel.next_states,
+        next_states=kernel.next_states,
     )
     assembled.rewards.flags.writeable = False
-    assembled.transitions.flags.writeable = False
     object.__setattr__(spec, "_assembled", assembled)
     return assembled
 

@@ -22,20 +22,23 @@ per-state maxima only: for gamma >= 0, x -> fl(r + fl(gamma * x)) is
 monotone under round-to-nearest, so it commutes with the max and the bits
 are those of max(r + gamma * E[v]). The loop checks convergence once per
 block of sweeps, from the kept iterates of the block, so each member still
-stops on its own first sweep within tol. It runs a stack of MDPs of one
-layout, shape and discount at once (value_iteration_stack,
-policy_evaluation_stack): dense kernels are stacked once, so a sweep makes
-one batched kernel product and a handful of whole-stack array calls however
-many members it backs up, which removes most of the per-call overhead of
-small solves. Indexed value iteration keeps the stack's values
-member-minor, (S, B), so members that share one successor index and its
-probabilities, such as teams that differ in their rewards only, share each
-gather of it: one np.take fetches all their values at each successor. It
-reads the index joint-action-major for the max, from one (A, S, K) copy per
-shared index laid out in blocks of states, and gathers one block at a time
-into a buffer of at most SCRATCH_ENTRIES entries; rows with one successor
-skip the sum over successors. Each member gets exactly the arrays a stack of
-that member alone gives it; value_iteration is such a stack of one.
+stops on its own first sweep within tol; the check reads the kept iterates
+member-major, so each member's largest change is a reduction over
+contiguous entries. It runs a stack of MDPs of one layout, shape and
+discount at once (value_iteration_stack, policy_evaluation_stack): dense
+kernels are stacked once, so a sweep makes one batched kernel product and a
+handful of whole-stack array calls however many members it backs up, which
+removes most of the per-call overhead of small solves. Indexed value
+iteration keeps the stack's values member-minor, (S, B), so members that
+share one successor index and its probabilities, such as teams that differ
+in their rewards only, share each gather of it: one np.take fetches all
+their values at each successor. Its max reads, per block of states, only
+each state's distinct action rows, copied once joint-action-major per
+shared index, and gathers one block at a time into a buffer of at most
+SCRATCH_ENTRIES entries; the max of a set of exact values is the same
+however often each appears, and rows with one successor skip the sum over
+successors. Each member gets exactly the arrays a stack of that member
+alone gives it; value_iteration is such a stack of one.
 """
 
 from dataclasses import dataclass
@@ -394,7 +397,9 @@ def _fixed_point(sweep, x, tol: float, max_iters: int, what: str, members: int =
     each member's entries alone. The iterates of a block of _BLOCK sweeps are
     kept, and their residuals taken a few sweeps per pass (SCRATCH_ENTRIES
     bounds the changes held), so a member may be swept past its stop but
-    always returns the iterate and count of its first sweep within tol.
+    always returns the iterate and count of its first sweep within tol. The
+    changes are taken member-major; a max of exact differences does not
+    depend on their order.
     Returns each member's fixed point (its slice of x along the member axis)
     and sweep count, as two lists in member order.
 
@@ -405,11 +410,13 @@ def _fixed_point(sweep, x, tol: float, max_iters: int, what: str, members: int =
     if tol <= 0:
         raise ValueError("tol must be positive")
     b = x.shape[members]
-    within = tuple(axis + 1 for axis in range(x.ndim) if axis != members)
     history = np.empty((_BLOCK + 1,) + x.shape)
     history[0] = x
+    # the kept iterates member-major, a view: each member's changes are then
+    # contiguous, and their max a reduction over the last axis
+    by_member = np.moveaxis(history, members + 1, 1)
     rows = max(1, min(_BLOCK, SCRATCH_ENTRIES // x.size))
-    change = np.empty((rows,) + x.shape)
+    change = np.empty((rows, b, x.size // b))
     residual = np.full((_BLOCK, b), np.inf)
     short = np.ones(b, dtype=bool)  # members whose sweeps have not reached tol
     points = [None] * b
@@ -420,10 +427,14 @@ def _fixed_point(sweep, x, tol: float, max_iters: int, what: str, members: int =
         for step in range(size):
             sweep(history[step], history[step + 1])
         for lo in range(0, size, rows):
-            part = change[: min(rows, size - lo)]
-            np.subtract(history[lo + 1 : lo + 1 + len(part)], history[lo : lo + len(part)], out=part)
+            n = min(rows, size - lo)
+            part = change[:n]
+            np.subtract(
+                by_member[lo + 1 : lo + 1 + n], by_member[lo : lo + n],
+                out=part.reshape(by_member[:n].shape),
+            )
             np.abs(part, out=part)
-            np.maximum.reduce(part, axis=within, out=residual[lo : lo + len(part)])
+            np.maximum.reduce(part, axis=2, out=residual[lo : lo + n])
         hit = (residual[:size] <= tol) & short
         for i in np.flatnonzero(hit.any(axis=0)):
             step = int(hit[:, i].argmax())
@@ -517,18 +528,58 @@ def _shared_groups(mmdps) -> list:
     return [positions for _, positions in groups]
 
 
+def _distinct_rows(successors, probs):
+    """The distinct action rows of a block of states, joint-action-major.
+
+    successors and probs (None when every row has one sure successor) are
+    the block's (states, A, K) rows. Two rows are the same when their
+    successors are the same and so are their probabilities, bit for bit. A
+    state keeps the last appearance of each of its rows, in joint-action
+    order, and is padded to the block's widest state with repeats of its
+    last row, joint action A - 1. np.maximum returns the second of two
+    operands that compare equal, so a max over rows in order ends on the
+    last tied row, and the kept rows give the bits that all A rows give,
+    signed zeros included. Returns the (width, states, K) successors and
+    probabilities (or None).
+    """
+    n, a, k = successors.shape
+    if probs is None:
+        ids = successors[:, :, 0]
+    else:
+        rows = np.concatenate([successors, probs.view(np.int64)], axis=2).reshape(n * a, 2 * k)
+        ids = np.unique(rows, axis=0, return_inverse=True)[1].reshape(n, a)
+    ranking = np.argsort(ids, axis=1, kind="stable")
+    ranked = np.take_along_axis(ids, ranking, axis=1)
+    last = np.ones((n, a), dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=last[:, :-1])
+    keep = np.empty_like(last)
+    np.put_along_axis(keep, ranking, last, axis=1)
+    slot = np.cumsum(keep, axis=1) - 1
+    state, action = np.nonzero(keep)
+    compact = []
+    for arr in (successors, probs):
+        if arr is not None:
+            out = np.empty((slot[:, -1].max() + 1,) + arr.shape[::2], arr.dtype)
+            out[:] = arr[:, -1]
+            out[slot[state, action], state] = arr[state, action]
+            arr = out
+        compact.append(arr)
+    return compact
+
+
 def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
     """(q of each member, (S, A), its sweeps) of an indexed stack, gathered once per group.
 
     The stack's values are member-minor, (S, B), with the members of each
-    _shared_groups group in adjacent columns. Each group's successor index
-    (and its probabilities, unless every row has one sure successor) is
-    copied once into joint-action-major blocks of states, each block's
-    gather at most SCRATCH_ENTRIES entries: one np.take fetches the group's
-    values at every successor of a block, (A, states, B_g, K) with the
-    successor axis innermost, so the sum over successors runs in the order a
-    lone member's (S, A, K) rows give it; one max over the outer joint-action
-    axis follows. A group of one member takes the same path.
+    _shared_groups group in adjacent columns. A sweep reads each group's
+    index in blocks of states, each block's gather at most SCRATCH_ENTRIES
+    entries, and of each block only the distinct action rows
+    (_distinct_rows), copied once joint-action-major: one np.take fetches
+    the group's values at every successor of a block, (rows, states, B_g,
+    K) with the successor axis innermost, so the sum over successors runs
+    in the order a lone member's (S, A, K) rows give it; one max over the
+    outer row axis follows. The final backup reads every row of the MDP's
+    own index, block by block. A group of one member takes the same path.
     """
     first = mmdps[0]
     s, a, k = first.next_states.shape
@@ -539,6 +590,31 @@ def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
     rows = [min(s, max(1, SCRATCH_ENTRIES // (a * k * len(positions)))) for positions in groups]
     scratch = np.empty(max(a * n * k * len(positions) for n, positions in zip(rows, groups)))
     summed = np.empty(scratch.size // k) if k > 1 else None
+
+    def block(index, probs, members: int):
+        """(index, probs, take's out, gathered, result) of a block's rows on the scratch."""
+        size = index.size * members
+        if k == 1:  # a one-term sum is that term
+            gathered = scratch[:size].reshape(index.shape[:2] + (members,))
+            return index[..., 0], probs, gathered, gathered, gathered
+        gathered = scratch[:size].reshape(index.shape[:2] + (members, k))
+        result = summed[: size // k].reshape(gathered.shape[:3])
+        return index, probs[:, :, None], gathered.swapaxes(2, 3), gathered, result
+
+    def expected(source, index, probs, target, gathered, result):
+        """result <- the (rows, states, B_g) expected next values of one block of a group."""
+        # successors were range-checked when the MDP was built
+        source.take(index, axis=0, out=target, mode="clip")
+        if probs is not None:
+            np.multiply(gathered, probs, out=gathered)
+        if k > 1:
+            np.sum(gathered, axis=3, out=result)
+        return result
+
+    def own_rows(head, sure: bool, states):
+        """A block's (states, A, K) successors, and probabilities unless every row is sure."""
+        return head.next_states[states], None if sure else head.transitions[states]
+
     plans = []
     start = 0
     for n, positions in zip(rows, groups):
@@ -549,32 +625,15 @@ def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
         blocks = []
         for lo in range(0, s, n):
             states = slice(lo, min(s, lo + n))
-            index = head.next_states[states].swapaxes(0, 1).copy()
-            probs = None if sure else head.transitions[states].swapaxes(0, 1)[:, :, None].copy()
-            size = index.size * len(positions)
-            gathered = scratch[:size].reshape(index.shape[:2] + (len(positions), k))
-            # a one-term sum is that term
-            result = (
-                gathered[..., 0] if k == 1 else summed[: size // k].reshape(gathered.shape[:3])
-            )
-            blocks.append((states, index, probs, gathered, result))
-        plans.append((columns, blocks))
-
-    def expected(source, index, probs, gathered, result):
-        """result <- the (A, states, B_g) expected next values of one block of a group."""
-        # successors were range-checked when the MDP was built
-        source.take(index, axis=0, out=gathered.swapaxes(2, 3), mode="clip")
-        if probs is not None:
-            np.multiply(gathered, probs, out=gathered)
-        if k > 1:
-            np.sum(gathered, axis=3, out=result)
-        return result
+            distinct = _distinct_rows(*own_rows(head, sure, states))
+            blocks.append((states, block(*distinct, len(positions))))
+        plans.append((columns, head, sure, n, blocks))
 
     def best_next_value(v, out):
-        for columns, blocks in plans:
+        for columns, *_, blocks in plans:
             source = np.ascontiguousarray(v[:, columns])  # v itself for a whole-stack group
-            for states, *block in blocks:
-                np.maximum.reduce(expected(source, *block), axis=0, out=out[states, columns])
+            for states, views in blocks:
+                np.maximum.reduce(expected(source, *views), axis=0, out=out[states, columns])
 
     points, sweeps = _fixed_point(
         partial(_backup, best_next_value, r, first.gamma),
@@ -583,14 +642,16 @@ def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
     # one more backup keeps v, q, and the greedy policy exactly consistent
     v = np.stack(points, axis=1)
     qs = [np.empty((s, a)) for _ in mmdps]
-    for columns, blocks in plans:
+    for columns, head, sure, n, _ in plans:
         source = np.ascontiguousarray(v[:, columns])
-        for states, *block in blocks:
-            q = expected(source, *block)
+        for lo in range(0, s, n):
+            states = slice(lo, min(s, lo + n))
+            views = block(*own_rows(head, sure, states), columns.stop - columns.start)
+            q = expected(source, *views)  # (states, A, B_g)
             np.multiply(q, first.gamma, out=q)
-            np.add(q, r[states, columns], out=q)
+            np.add(q, r[states, None, columns], out=q)
             for column in range(columns.start, columns.stop):
-                qs[order[column]][states] = q[:, :, column - columns.start].T
+                qs[order[column]][states] = q[:, :, column - columns.start]
     member_sweeps = [0] * len(mmdps)
     for column, i in enumerate(order):
         member_sweeps[i] = sweeps[column]

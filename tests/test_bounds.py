@@ -629,6 +629,11 @@ def test_the_desk_mdps_digest_their_shared_index_once(monkeypatch):
     assert len({id(mmdp) for mmdp in solved}) == 4
     assert all(mmdp.next_states is index for mmdp in solved)
     assert sum(arr is index for arr in digested) == 1
+    # and their one read-only array of unit probabilities, also hashed once
+    unit = solved[0].transitions
+    assert not unit.flags.writeable and unit.flags.owndata and np.all(unit == 1.0)
+    assert all(mmdp.transitions is unit for mmdp in solved)
+    assert sum(arr is unit for arr in digested) == 1
     # the key stays content-based: a writable copy of the index is a hit
     solver = Solver()
     solver.solve_all([solved[0]])

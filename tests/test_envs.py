@@ -497,6 +497,18 @@ def test_config_validation():
                            predator_capabilities=(1, 1, 1), prey_health=(1, 1))
 
 
+def test_a_grid_with_no_empty_cell_is_rejected_up_front():
+    # a capture respawns its prey on an empty cell, so a full grid could not finish the step
+    with pytest.raises(ValueError, match="empty cell"):
+        PredatorPreyConfig(grid_size=2, num_predators=2, num_prey=2,
+                           predator_capabilities=(1, 1), prey_health=(1, 1))
+    # with one cell left, the captured prey respawns there
+    env = pinned_env([(0, 0), (0, 1)], [(1, 0)], caps=(1, 1), healths=(1,), grid_size=2)
+    _, reward, _ = env.step([ACTION_CAPTURE, ACTION_NOOP])
+    assert reward == 1.0
+    assert env.prey_positions() == (3,)
+
+
 def test_trajectory_log_lines_can_pin_a_replay():
     log = io.StringIO()
     config = PredatorPreyConfig(grid_size=4, num_predators=2, num_prey=1,

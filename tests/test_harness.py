@@ -321,6 +321,18 @@ def test_config_hash_tracks_content():
     assert len(a.config_hash()) == 12
 
 
+def test_a_run_hashes_its_config_once(tmp_path, monkeypatch):
+    config = small_config()
+    documents = []
+    to_doc = ExperimentConfig.to_doc
+    monkeypatch.setattr(
+        ExperimentConfig, "to_doc", lambda self: documents.append(self) or to_doc(self)
+    )
+    run_experiment(config, tmp_path)
+    # the run directory, summary and every row read one hash; config.json writes the document
+    assert documents == [config, config]
+
+
 def test_default_configs_exist_for_every_kind():
     for kind in ("verify-bounds", "fruit-forage", "predator-prey", "sweep"):
         config = default_config(kind, seed=3)
@@ -511,12 +523,15 @@ PINNED_PURSUIT_CONFIG = {
         "eval_episodes": 1,
     },
 }
+# the three-agent desk on grid 4: 16,384 states, 125 joint actions, and rows
+# whose successors repeat far more than the default desk's
+PINNED_FORAGE_CONFIG = {"kind": "fruit-forage", "fruit_forage": {"num_agents": 3}}
 
 # (determinism_hash, then solves, hits, sweeps, max sweeps, evaluations,
 # evaluation hits and evaluation sweeps) of three default CLI runs and the
-# pursuit run above. A change that keeps the arithmetic keeps all of them;
-# one that reorders floating-point work re-records them with a CHANGES.md
-# note.
+# pursuit and desk runs above. A change that keeps the arithmetic keeps all
+# of them; one that reorders floating-point work re-records them with a
+# CHANGES.md note.
 PINNED_RUNS = {
     "verify-bounds --seed 5": (
         "ad49e7d6bad81dcc9a54d15aa970c7af3d4cf3bc15b6319ea791934767118962",
@@ -530,6 +545,10 @@ PINNED_RUNS = {
         "74449fa1e454aaa0b7ab77384cc88dfb14610dd3798acd8934bce5b530dbda30",
         (4, 2, 695, 187, 1, 0, 187),
     ),
+    "fruit-forage --config forage3.json": (
+        "608e31850b404e7141305fdccbe86601dcea6ece6d5ca01b63026d01dc7ddcde",
+        (4, 2, 696, 187, 1, 0, 187),
+    ),
     "predator-prey --config pursuit.json": (
         "cc766b3c5fd2e9fa1472de08d52024d7f17fe7ce944cefa7ff51543db733cce3",
         (0, 0, 0, 0, 0, 0, 0),
@@ -541,6 +560,7 @@ PINNED_RUNS = {
 def test_default_runs_keep_their_pinned_hash_and_solver_counts(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pursuit.json").write_text(json.dumps(PINNED_PURSUIT_CONFIG))
+    (tmp_path / "forage3.json").write_text(json.dumps(PINNED_FORAGE_CONFIG))
     assert main([*command.split(), "--out", str(tmp_path)]) == EXIT_OK
     [path] = tmp_path.glob("*/*/summary.json")
     summary = json.loads(path.read_text())

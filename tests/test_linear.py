@@ -1,5 +1,7 @@
 """Linear assembly tested term-by-term against explicit summation oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,33 @@ def test_a_spec_is_assembled_once_into_a_read_only_mdp(same_mdp):
     twin = spec.with_team(spec.team, spec.weights)
     assert assemble_linear_mmdp(twin) is not mmdp
     assert same_mdp(assemble_linear_mmdp(twin), mmdp)
+
+
+def test_teams_on_identical_components_share_one_transitions_array():
+    rng = np.random.default_rng(8)
+    # dyadic rows and mixtures, so mixing equal components gives them back exactly
+    rows = np.zeros((8, 4, 8))
+    rows[..., :4] = [0.5, 0.25, 0.125, 0.125]
+    rows = rng.permuted(rows, axis=2)
+    base = random_spec(rng, dim=2)
+    kernel = TransitionKernel(np.stack([rows, rows.copy()]))  # equal copies, not one view
+    assert kernel.identical_components
+    specs = [
+        base.with_team(
+            TeamComposition((np.array([0.5, 0.5]), np.array([c, 1.0 - c]))),
+            InfluenceWeights(np.array([0.5, 0.5])),
+        )
+        for c in (0.25, 0.75)
+    ]
+    shared = [assemble_linear_mmdp(replace(s, transition_kernel=kernel)) for s in specs]
+    assert shared[0].transitions is shared[1].transitions
+    assert np.array_equal(shared[0].transitions, rows)
+    assert shared[0].transitions.flags.owndata and not shared[0].transitions.flags.writeable
+    # components that differ mix into each team's own array
+    other = TransitionKernel(np.stack([rows, rows[:, ::-1]]))
+    assert not other.identical_components
+    own = [assemble_linear_mmdp(replace(s, transition_kernel=other)) for s in specs]
+    assert own[0].transitions is not own[1].transitions
 
 
 def test_two_member_swap_assembles_identically():

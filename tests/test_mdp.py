@@ -598,3 +598,94 @@ def test_a_sweep_limit_off_the_block_reports_the_textbook_residual(max_iters):
     _, sweeps = value_iteration_stack(members)
     assert_textbook_solve(members, max_iters=max(sweeps))
     assert max(sweeps) % capmdp.mdp._BLOCK != 0
+
+
+# ---- distinct action rows ------------------------------------------------------------
+# a sweep's max reads each block's distinct action rows only (mdp._distinct_rows):
+# on a grid many joint moves end in the same cell, so most rows repeat
+
+
+def repeated_rows_members(rng, width, count, num_states=30, num_joint=12):
+    """count MDPs whose A rows per state are drawn from a pool of 1 to 6 rows of that state.
+
+    The distinct counts so differ from state to state. With width 1 every row
+    has one sure successor. With width > 1 a pool holds rows with the same
+    successors and other probabilities, rows with the same probabilities and
+    other successors, and rows that name one successor twice. The last member
+    has a kernel of its own; the others share one.
+    """
+    def kernel():
+        next_states = np.empty((num_states, num_joint, width), dtype=np.int64)
+        transitions = np.ones((num_states, num_joint, width))
+        for s in range(num_states):
+            size = rng.integers(1, 7)
+            successors = rng.integers(0, num_states, (size, width))
+            probs = np.ones((size, 1)) if width == 1 else rng.dirichlet(np.ones(width), size)
+            if width > 1:
+                successors[1::3] = successors[0]
+                probs[2::3] = probs[0]
+                successors[::2, 1] = successors[::2, 0]
+            pick = rng.integers(0, size, num_joint)
+            next_states[s], transitions[s] = successors[pick], probs[pick]
+        return transitions, next_states
+
+    shared = kernel()
+    members = []
+    for i, scale in enumerate(np.geomspace(0.01, 100.0, count)):
+        transitions, next_states = shared if i < count - 1 else kernel()
+        members.append(
+            TabularMMDP(
+                states=StateSpace(rng.uniform(0.0, 1.0, (num_states, 2))),
+                num_agents=1,
+                actions_per_agent=num_joint,
+                rewards=scale * rng.uniform(0.0, 1.0, num_states),
+                transitions=transitions,
+                gamma=0.9,
+                rho=rng.dirichlet(np.ones(num_states)),
+                next_states=next_states,
+            )
+        )
+    return members
+
+
+def distinct_counts(mmdp):
+    """Each state's number of distinct (successors, probabilities) rows."""
+    return [
+        len({(succ.tobytes(), prob.tobytes()) for succ, prob in zip(*rows)})
+        for rows in zip(mmdp.next_states, mmdp.transitions)
+    ]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_a_stack_over_repeated_rows_keeps_the_textbook_bits_across_state_blocks(
+    monkeypatch, width
+):
+    members = repeated_rows_members(np.random.default_rng(width), width, 4)
+    counts = distinct_counts(members[0])
+    assert len(set(counts)) > 3 and max(counts) < members[0].num_joint_actions
+    if width == 1:
+        assert np.all(members[0].transitions == 1.0)
+    # blocks of 4 states for the three members that share a kernel, 12 for the last
+    monkeypatch.setattr(capmdp.mdp, "SCRATCH_ENTRIES", 12 * width * 3 * 4)
+    _, sweeps = assert_textbook_solve(members)
+    assert len(set(sweeps)) == len(members)
+
+
+def test_a_stack_max_over_distinct_rows_keeps_every_bit_of_the_max_over_all_rows():
+    # np.maximum returns its second operand on a tie of +0.0 and -0.0, so a max
+    # over rows in joint-action order ends on the last tied row
+    assert np.signbit(np.maximum(0.0, -0.0)) and not np.signbit(np.maximum(-0.0, 0.0))
+    rng = np.random.default_rng(5)
+    [mmdp] = repeated_rows_members(rng, 1, 1)
+    [index] = capmdp.mdp._distinct_rows(mmdp.next_states, None)[:1]
+    assert index.shape == (max(distinct_counts(mmdp)), mmdp.num_states, 1)
+    for _ in range(20):
+        # sure rows' next values, with ties of +0.0 and -0.0 between the rows of a state
+        v = rng.choice([-0.0, 0.0, -1.0], mmdp.num_states, p=[0.45, 0.45, 0.1])
+        every = v[mmdp.next_states[:, :, 0]].T  # (A, S)
+        zero = every == 0.0
+        assert np.any((zero & np.signbit(every)).any(0) & (zero & ~np.signbit(every)).any(0))
+        assert np.array_equal(
+            np.maximum.reduce(v[index[:, :, 0]], axis=0).view(np.int64),
+            np.maximum.reduce(every, axis=0).view(np.int64),
+        )
