@@ -167,10 +167,12 @@ class TransitionKernel:
                     f"{next_states.shape}, got {arr.shape}"
                 )
             object.__setattr__(self, "next_states", next_states)
-        if np.any(arr < 0):
-            j, s, u = np.argwhere((arr < 0).any(axis=3))[0]
+        # components broadcast along their first axis are one array: check it once
+        distinct = arr[:1] if arr.strides[0] == 0 else arr
+        if np.any(distinct < 0):
+            j, s, u = np.argwhere((distinct < 0).any(axis=3))[0]
             raise ValueError(f"kernel component {j} row (s={s}, u={u}) has a negative entry")
-        sums = arr.sum(axis=3)
+        sums = distinct.sum(axis=3)
         bad = np.abs(sums - 1.0) > DISTRIBUTION_ATOL
         if np.any(bad):
             j, s, u = np.argwhere(bad)[0]

@@ -37,10 +37,17 @@ each state's distinct action rows, copied once joint-action-major per
 shared index, and gathers one block at a time into a buffer of at most
 SCRATCH_ENTRIES entries; the max of a set of exact values is the same
 however often each appears, and rows with one successor skip the sum over
-successors. Each member gets exactly the arrays a stack of that member
-alone gives it; value_iteration is such a stack of one.
+successors. A stack of sure one-successor rows on one shared index, with
+no -0.0 reward, sweeps its exact quotient: one state per class of
+bisimilar states (equal rewards in every member, equal sets of successor
+classes; Givan, Dean & Greig 2003), since such states hold the same bits
+after every sweep; its final backup reads every state's own rows. Each
+member gets exactly the arrays a stack of that member alone gives it;
+value_iteration is such a stack of one.
 """
 
+import math
+import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -162,14 +169,14 @@ class TabularMMDP:
                     f"transitions must have shape ({s}, {a}, {s}), got {trans.shape}"
                 )
         else:
-            next_states = check_next_states(self.next_states, s, a)
+            next_states = _check_once(check_next_states, np.asarray(self.next_states), s, a)
             if trans.shape != next_states.shape:
                 raise ValueError(
                     f"transitions must match next_states' shape {next_states.shape}, "
                     f"got {trans.shape}"
                 )
             object.__setattr__(self, "next_states", next_states)
-        _check_transition_rows(trans)
+        _check_once(_check_transition_rows, trans)
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         rho = check_distribution(self.rho, "rho")
@@ -219,8 +226,43 @@ class TabularMMDP:
         return float(gap.max()), float(row_l1.max())
 
 
-def _check_transition_rows(trans: np.ndarray, atol: float = DISTRIBUTION_ATOL):
-    """Reject (S, A, ...) transition rows that are not distributions, naming (s, u)."""
+# (check, id of an array, the check's other arguments) -> a weak reference to
+# that array, read-only and owning its data, which passed the check
+_PASSED = {}
+
+
+def _check_once(check, arr: np.ndarray, *args) -> np.ndarray:
+    """check(arr, *args), which returns the array it validated, once per read-only array.
+
+    An array that is read-only and owns its data cannot change, so once the
+    check returns it as it is, later calls with it and the same arguments
+    return it unchecked: MDPs that share one, such as the desk teams'
+    successor index and unit transitions, validate it once. Any other array
+    is checked on every call, and a failing check raises every time.
+    """
+    if arr.flags.writeable or not arr.flags.owndata:
+        return check(arr, *args)
+    key = (check, id(arr), args)
+    passed = _PASSED.get(key)
+    if passed is not None and passed() is arr:
+        return arr
+    checked = check(arr, *args)
+    if checked is arr:
+        _PASSED[key] = weakref.ref(arr, partial(_forget, key))
+    return checked
+
+
+def _forget(key, ref):
+    """Drop a dead array's _PASSED entry, unless a new array has taken its id since."""
+    if _PASSED.get(key) is ref:
+        del _PASSED[key]
+
+
+def _check_transition_rows(trans: np.ndarray, atol: float = DISTRIBUTION_ATOL) -> np.ndarray:
+    """Reject (S, A, ...) transition rows that are not distributions, naming (s, u).
+
+    Returns trans.
+    """
     neg = trans < 0
     if np.any(neg):
         s, u = np.argwhere(neg.any(axis=2))[0]
@@ -232,6 +274,7 @@ def _check_transition_rows(trans: np.ndarray, atol: float = DISTRIBUTION_ATOL):
         raise ValueError(
             f"transition row (s={s}, u={u}) sums to {sums[s, u]!r}, expected 1 within {atol}"
         )
+    return trans
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,7 +505,11 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
     product per sweep. An indexed stack is solved member-minor, its values
     (S, B): members that share one successor index and its probabilities
     share each gather, one np.take fetching all their values at each
-    successor (see _indexed_value_iteration). Each member stops at its own
+    successor. When they all share one index of sure one-successor rows and
+    no reward is -0.0, the sweeps run on one state per class of bisimilar
+    states, whose bits every state of the class holds after every sweep; a
+    max of values that hold no -0.0 depends on their set only (see
+    _indexed_value_iteration). Each member stops at its own
     first sweep whose change is <= tol (the loop checks a block of sweeps at
     once; see _fixed_point); one more backup of the stopped values then
     builds each member's full q, its v and its greedy policy. Every operation
@@ -567,25 +614,182 @@ def _distinct_rows(successors, probs):
     return compact
 
 
+def _class_keys(count: int) -> np.ndarray:
+    """count fixed 64-bit keys, one per class: splitmix64's first count outputs, mixed again.
+
+    The finalizer is a bijection, so distinct classes get distinct keys. Mixed
+    once, the keys are not random enough for sums: of the 263,169 sums of an
+    own-class key and twice a successor-class key over 513 classes, 18 repeat
+    another, and a chain of states met such a collision. The arithmetic wraps
+    on uint64 arrays, which numpy does without a warning.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for _ in range(2):
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(factor)
+        z ^= z >> np.uint64(31)
+    return z
+
+
+def _distinct_sorted(rows: np.ndarray, sentinel: int) -> np.ndarray:
+    """Each row's distinct entries, ascending, padded with sentinel (above every entry).
+
+    Sorts rows, a fresh (n, A) array, in place and returns it.
+    """
+    rows.sort(axis=1)
+    np.copyto(rows[:, 1:], sentinel, where=rows[:, 1:] == rows[:, :-1])
+    rows.sort(axis=1)
+    return rows
+
+
+def _refine(successors: np.ndarray, classes: np.ndarray, distinct: bool, passes: int):
+    """classes, of the (n, A) rows' n states, split until a pass splits none.
+
+    A pass signs each state with the fixed keys (_class_keys) of its own class
+    and of its successors' classes, each distinct class once when distinct
+    and each entry once otherwise, summed in wrapping uint64, and reads the
+    rows in blocks of at most SCRATCH_ENTRIES entries. Two signatures that
+    collide may merge classes, so the result needs an exact check. Returns
+    None when passes passes all split some class.
+    """
+    s, a = successors.shape
+    n = max(1, SCRATCH_ENTRIES // a)
+    count = int(classes.max()) + 1
+    signature = np.empty(s, dtype=np.uint64)
+    for _ in range(passes):
+        if count == s:
+            return classes.reshape(s)
+        keys = _class_keys(2 * count)  # a state's own class takes a key of its own range
+        np.take(keys, classes + count, out=signature)
+        state_keys = keys[classes]
+        for lo in range(0, s, n):
+            block = state_keys[successors[lo : lo + n]]
+            if distinct:
+                block.sort(axis=1)
+                np.copyto(block[:, 1:], 0, where=block[:, 1:] == block[:, :-1])
+            signature[lo : lo + n] += block.sum(axis=1)
+        signed, classes = np.unique(signature, return_inverse=True)
+        if len(signed) <= count:
+            return classes.reshape(s)
+        count = len(signed)
+    return None
+
+
+def _numbered(classes: np.ndarray):
+    """(classes renumbered in the order of their first states, each class's first state)."""
+    _, firsts, classes = np.unique(classes, return_index=True, return_inverse=True)
+    rank = np.empty(len(firsts), dtype=np.int64)
+    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    return rank[classes.reshape(-1)], np.sort(firsts)
+
+
+def _bisimulation(successors: np.ndarray, rewards: np.ndarray, passes: int):
+    """(class of each state, first state of each class) of a sure K = 1 index, (S, A).
+
+    Two states share a class when their rewards, (S, B), are bit-identical in
+    every member and their sets of successor classes are equal: the coarsest
+    such partition (Givan, Dean & Greig 2003), refined from the classes of
+    equal rewards (_refine). The first refinement counts each successor once
+    per joint action, which needs no sort; the partition it settles on is
+    stable, since equal multisets have equal sets, but can be finer than the
+    coarsest. The second refines the classes of equal rewards on its
+    quotient, one row per class with each successor renamed to its class,
+    counting each distinct class once, and so reaches the coarsest
+    partition while sorting only the quotient's rows. A refinement that
+    still splits classes after passes passes, as a long chain of states
+    would, gives way to the trivial partition below.
+
+    The partition is then checked exactly, class ids against class ids:
+    every state's rewards must equal its class's first state's, and so must
+    its set of successor classes. A partition that fails, as colliding
+    signatures might give, is replaced by the trivial one, every state its
+    own class. Classes are numbered in the order of their first states, so
+    the trivial partition is the identity.
+    """
+    s = len(successors)
+    trivial = np.arange(s), np.arange(s)
+    equal_rewards = np.zeros(s, dtype=np.int64)
+    for bits in rewards.view(np.int64).T:
+        _, bits = np.unique(bits, return_inverse=True)
+        _, equal_rewards = np.unique(equal_rewards * s + bits, return_inverse=True)
+    coarse = _refine(successors, equal_rewards.reshape(s), False, passes)
+    if coarse is None:
+        return trivial
+    classes, firsts = _numbered(coarse)
+    if len(firsts) == s:
+        return trivial
+    lumped = _refine(classes[successors[firsts]], equal_rewards[firsts], True, passes)
+    if lumped is None:
+        return trivial
+    classes, firsts = _numbered(lumped[classes])
+    count = len(firsts)
+    if not np.array_equal(rewards.view(np.int64), rewards[firsts][classes].view(np.int64)):
+        return trivial
+    first_rows = _distinct_sorted(classes[successors[firsts]], count)
+    n = max(1, SCRATCH_ENTRIES // successors.shape[1])
+    for lo in range(0, s, n):
+        states = slice(lo, lo + n)
+        if not np.array_equal(
+            _distinct_sorted(classes[successors[states]], count), first_rows[classes[states]]
+        ):
+            return trivial
+    return classes, firsts
+
+
 def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
     """(q of each member, (S, A), its sweeps) of an indexed stack, gathered once per group.
 
-    The stack's values are member-minor, (S, B), with the members of each
+    The sweeps run on the stack's exact quotient: one first state per class
+    of bisimilar states (_bisimulation), each successor renamed to its
+    class. The stack lumps when it is one _shared_groups group of sure K = 1
+    rows and no reward is -0.0. Otherwise, and where the partition takes
+    more passes than value iteration can need sweeps or fails its exact
+    check, every state is its own class and the sweeps run on the MDP's own
+    rows, by the same code. Lumping keeps every bit. The iterates start at
+    +0; fl(r + fl(gamma * m)) is -0.0 only when r is, so with no -0.0 reward
+    no iterate holds -0.0 and a max of values depends only on the set of
+    values, not on their order or repeats. By induction, the states of a
+    class then hold the same bits after every sweep, so its first state's
+    values are every member's, its largest change is theirs, and each member
+    stops on the sweep it stops on unlumped, with the residual it reports
+    unlumped.
+
+    The values are member-minor, (classes, B), with the members of each
     _shared_groups group in adjacent columns. A sweep reads each group's
-    index in blocks of states, each block's gather at most SCRATCH_ENTRIES
+    index in blocks of classes, each block's gather at most SCRATCH_ENTRIES
     entries, and of each block only the distinct action rows
     (_distinct_rows), copied once joint-action-major: one np.take fetches
-    the group's values at every successor of a block, (rows, states, B_g,
+    the group's values at every successor of a block, (rows, classes, B_g,
     K) with the successor axis innermost, so the sum over successors runs
     in the order a lone member's (S, A, K) rows give it; one max over the
     outer row axis follows. The final backup reads every row of the MDP's
-    own index, block by block. A group of one member takes the same path.
+    own index, block by block, each state's value taken from its class. A
+    group of one member takes the same path.
     """
     first = mmdps[0]
     s, a, k = first.next_states.shape
     groups = _shared_groups(mmdps)
     order = [i for positions in groups for i in positions]  # column -> member
     r = np.stack([mmdps[i].rewards for i in order], axis=1)  # (S, B)
+    lumps = (
+        len(groups) == 1
+        and k == 1
+        and np.all(first.transitions == 1.0)
+        and not np.any(np.signbit(r) & (r == 0.0))
+    )
+    classes, firsts = np.arange(s), np.arange(s)
+    if lumps:
+        # a pass of the partition reads the index as a sweep does, so one still
+        # splitting after as many passes as value iteration can need sweeps
+        # (the first n with gamma^(n - 1) * max|r| <= tol, in exact arithmetic)
+        # costs more than it saves; with gamma 0, or every reward within tol,
+        # the second sweep repeats the first
+        top = float(np.abs(r).max())
+        passes = 2
+        if top > tol and first.gamma > 0.0:
+            passes = 1 + math.ceil(math.log(tol / top) / math.log(first.gamma))
+        classes, firsts = _bisimulation(first.next_states[:, :, 0], r, passes)
     # a block of one state passes SCRATCH_ENTRIES when A * K * B_g does
     rows = [min(s, max(1, SCRATCH_ENTRIES // (a * k * len(positions)))) for positions in groups]
     scratch = np.empty(max(a * n * k * len(positions) for n, positions in zip(rows, groups)))
@@ -623,24 +827,28 @@ def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
         head = mmdps[positions[0]]
         sure = k == 1 and np.all(head.transitions == 1.0)
         blocks = []
-        for lo in range(0, s, n):
-            states = slice(lo, min(s, lo + n))
-            distinct = _distinct_rows(*own_rows(head, sure, states))
-            blocks.append((states, block(*distinct, len(positions))))
+        for lo in range(0, len(firsts), n):
+            block_classes = slice(lo, lo + n)
+            # the first states' rows, each successor renamed to its class
+            successors, probs = own_rows(head, sure, firsts[block_classes])
+            distinct = _distinct_rows(classes[successors], probs)
+            blocks.append((block_classes, block(*distinct, len(positions))))
         plans.append((columns, head, sure, n, blocks))
 
     def best_next_value(v, out):
         for columns, *_, blocks in plans:
             source = np.ascontiguousarray(v[:, columns])  # v itself for a whole-stack group
-            for states, views in blocks:
-                np.maximum.reduce(expected(source, *views), axis=0, out=out[states, columns])
+            for block_classes, views in blocks:
+                np.maximum.reduce(
+                    expected(source, *views), axis=0, out=out[block_classes, columns]
+                )
 
     points, sweeps = _fixed_point(
-        partial(_backup, best_next_value, r, first.gamma),
-        np.zeros((s, len(mmdps))), tol, max_iters, "value iteration", members=1,
+        partial(_backup, best_next_value, r[firsts], first.gamma),
+        np.zeros((len(firsts), len(mmdps))), tol, max_iters, "value iteration", members=1,
     )
     # one more backup keeps v, q, and the greedy policy exactly consistent
-    v = np.stack(points, axis=1)
+    v = np.stack(points, axis=1)[classes]
     qs = [np.empty((s, a)) for _ in mmdps]
     for columns, head, sure, n, _ in plans:
         source = np.ascontiguousarray(v[:, columns])

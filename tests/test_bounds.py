@@ -44,6 +44,7 @@ from capmdp import (
     value_iteration_stack,
 )
 import capmdp.bounds
+import capmdp.mdp
 from capmdp.harness import CHECKS, ExperimentConfig, _instance_cases, run_fruit_forage
 
 GAMMA_CROSSOVER = (np.sqrt(5.0) - 1.0) / 2.0
@@ -639,6 +640,45 @@ def test_the_desk_mdps_digest_their_shared_index_once(monkeypatch):
     solver.solve_all([solved[0]])
     solver.solve_all([dataclasses.replace(solved[0], next_states=index.copy())])
     assert (solver.solves, solver.hits) == (1, 1)
+
+
+def test_the_desk_mdps_validate_their_shared_arrays_once(monkeypatch):
+    checked = []
+    for name in ("check_next_states", "_check_transition_rows"):
+        def spy(arr, *args, check=getattr(capmdp.mdp, name)):
+            checked.append(arr)
+            return check(arr, *args)
+
+        monkeypatch.setattr(capmdp.mdp, name, spy)
+    solved = []
+    solve_all = Solver.solve_all
+
+    def solve_spy(solver, mmdps):
+        mmdps = list(mmdps)
+        solved.extend(mmdps)
+        return solve_all(solver, mmdps)
+
+    monkeypatch.setattr(Solver, "solve_all", solve_spy)
+    run_fruit_forage(ExperimentConfig.from_doc({"kind": "fruit-forage"}))
+    assert len({id(mmdp) for mmdp in solved}) == 4
+    index, unit = solved[0].next_states, solved[0].transitions
+    assert all(mmdp.next_states is index and mmdp.transitions is unit for mmdp in solved)
+    # the four desk MDPs validate their one index and one unit array once, not once each
+    assert sum(arr is index for arr in checked) == 1
+    assert sum(arr is unit for arr in checked) == 1
+    # a read-only array that fails is rejected, naming its row, every time it is used
+    bad = unit.copy()
+    bad[3, 2, 0] = 0.5
+    bad.flags.writeable = False
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"\(s=3, u=2\) sums to"):
+            dataclasses.replace(solved[0], transitions=bad)
+    outside = index.copy()
+    outside[5, 1, 0] = index.shape[0]
+    outside.flags.writeable = False
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"\(s=5, u=1\) names a state outside"):
+            dataclasses.replace(solved[0], next_states=outside)
 
 
 def test_a_solver_digests_each_mdp_object_once(monkeypatch):

@@ -526,6 +526,10 @@ PINNED_PURSUIT_CONFIG = {
 # the three-agent desk on grid 4: 16,384 states, 125 joint actions, and rows
 # whose successors repeat far more than the default desk's
 PINNED_FORAGE_CONFIG = {"kind": "fruit-forage", "fruit_forage": {"num_agents": 3}}
+# the three-agent desk on grid 5: 62,500 states, the largest desk a test certifies
+PINNED_FORAGE_GRID5_CONFIG = {
+    "kind": "fruit-forage", "fruit_forage": {"num_agents": 3, "grid_size": 5},
+}
 
 # (determinism_hash, then solves, hits, sweeps, max sweeps, evaluations,
 # evaluation hits and evaluation sweeps) of three default CLI runs and the
@@ -549,6 +553,10 @@ PINNED_RUNS = {
         "608e31850b404e7141305fdccbe86601dcea6ece6d5ca01b63026d01dc7ddcde",
         (4, 2, 696, 187, 1, 0, 187),
     ),
+    "fruit-forage --config forage3g5.json": (
+        "2f62f1e4179932cba7dffd57a472c2ec3cfe6a52e29f8d525aa9d7f91edfc76e",
+        (4, 2, 696, 187, 1, 0, 187),
+    ),
     "predator-prey --config pursuit.json": (
         "cc766b3c5fd2e9fa1472de08d52024d7f17fe7ce944cefa7ff51543db733cce3",
         (0, 0, 0, 0, 0, 0, 0),
@@ -561,6 +569,7 @@ def test_default_runs_keep_their_pinned_hash_and_solver_counts(tmp_path, monkeyp
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pursuit.json").write_text(json.dumps(PINNED_PURSUIT_CONFIG))
     (tmp_path / "forage3.json").write_text(json.dumps(PINNED_FORAGE_CONFIG))
+    (tmp_path / "forage3g5.json").write_text(json.dumps(PINNED_FORAGE_GRID5_CONFIG))
     assert main([*command.split(), "--out", str(tmp_path)]) == EXIT_OK
     [path] = tmp_path.glob("*/*/summary.json")
     summary = json.loads(path.read_text())

@@ -153,6 +153,12 @@ def test_indexed_kernel_validation_names_the_offending_pair():
     halves[1, 0, 1] = 0.5
     with pytest.raises(ValueError, match=r"component 1 row \(s=0, u=1\)"):
         TransitionKernel(halves, next_states=next_states)
+    # one array broadcast to every component is checked once, and named as component 0
+    for entry, message in ((0.5, "sums to"), (-1.0, "has a negative entry")):
+        bad = np.ones((2, 3, 1))
+        bad[1, 2, 0] = entry
+        with pytest.raises(ValueError, match=rf"component 0 row \(s=1, u=2\) {message}"):
+            TransitionKernel(np.broadcast_to(bad, (2, 2, 3, 1)), next_states=next_states)
     with pytest.raises(ValueError, match="shape"):
         TransitionKernel(np.ones((2, 2, 3, 2)) / 2, next_states=next_states)
 

@@ -15,6 +15,7 @@ from capmdp import (
     SuccessorFeatures,
     TabularMMDP,
     ValueTable,
+    assemble_linear_mmdp,
     check_distribution,
     policy_evaluation_stack,
     successor_features,
@@ -22,6 +23,7 @@ from capmdp import (
     value_iteration_stack,
 )
 import capmdp.mdp
+from capmdp.envs.fruit_forage import build_fruit_forage, desk_config, fruit_forage_layout
 
 
 def make_mmdp(rng, num_states=4, num_agents=2, actions_per_agent=2, feature_dim=3, gamma=0.9):
@@ -260,6 +262,10 @@ def textbook_value_iteration(mmdp, tol=1e-9, max_iters=10**6):
     if mmdp.next_states is None:
         def expect(v):
             return mmdp.transitions @ v
+    elif mmdp.next_states.shape[2] == 1:
+        # a one-term sum is that term; np.sum would add it to +0.0 and so turn -0.0 into +0.0
+        def expect(v):
+            return mmdp.transitions[:, :, 0] * v[mmdp.next_states[:, :, 0]]
     else:
         def expect(v):
             return (mmdp.transitions * v[mmdp.next_states]).sum(axis=2)
@@ -689,3 +695,206 @@ def test_a_stack_max_over_distinct_rows_keeps_every_bit_of_the_max_over_all_rows
             np.maximum.reduce(v[index[:, :, 0]], axis=0).view(np.int64),
             np.maximum.reduce(every, axis=0).view(np.int64),
         )
+
+
+# ---- the exact quotient --------------------------------------------------------------
+# an indexed stack of sure K = 1 rows sweeps one state per class of bisimilar states
+# (mdp._bisimulation), each successor renamed to its class; every answer must keep the
+# textbook loop's bits
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The states (one per class) that each indexed value-iteration solve sweeps, in order."""
+    sizes = []
+    fixed_point = capmdp.mdp._fixed_point
+
+    def spy(sweep, x, tol, max_iters, what, members=0):
+        if members == 1:  # indexed value iteration's member-minor (classes, B) iterates
+            sizes.append(len(x))
+        return fixed_point(sweep, x, tol, max_iters, what, members)
+
+    monkeypatch.setattr(capmdp.mdp, "_fixed_point", spy)
+    return sizes
+
+
+def sure_members(rng, successors, rewards, gamma=0.9):
+    """One sure K = 1 MDP per row of rewards, (B, S), all on the (S, A) successors."""
+    num_states, num_joint = successors.shape
+    return [
+        TabularMMDP(
+            states=StateSpace(rng.uniform(0.0, 1.0, (num_states, 2))),
+            num_agents=1,
+            actions_per_agent=num_joint,
+            rewards=row,
+            transitions=np.ones((num_states, num_joint, 1)),
+            gamma=gamma,
+            rho=rng.dirichlet(np.ones(num_states)),
+            next_states=successors[:, :, None],
+        )
+        for row in rewards
+    ]
+
+
+def planted_members(rng, count, values=None, num_states=10, copies=6, num_joint=4):
+    """count sure K = 1 MDPs on one index whose last copies states copy others.
+
+    A copy has its original's rewards in every member and its original's
+    successors in another joint-action order, and any successor, in any row,
+    that has a copy is swapped for it at random: each copy is bisimilar to
+    its original. Rewards are drawn from values when given, uniformly
+    otherwise; scales spanning 1e4 make the members stop on different sweeps.
+    """
+    originals = rng.choice(num_states, copies, replace=False)
+    base = rng.integers(0, num_states, (num_states, num_joint))
+    shuffled = np.stack([row[rng.permutation(num_joint)] for row in base[originals]])
+    successors = np.concatenate([base, shuffled])
+    twin = np.arange(num_states)
+    twin[originals] = np.arange(num_states, num_states + copies)
+    swap = (twin[successors] != successors) & (rng.random(successors.shape) < 0.5)
+    successors = np.where(swap, twin[successors], successors)
+    scales = np.geomspace(0.01, 100.0, count)[:, None]
+    if values is None:
+        rewards = scales * rng.uniform(0.0, 1.0, (1, num_states))
+    else:
+        rewards = scales * rng.choice(values, (1, num_states))
+    return sure_members(rng, successors, np.concatenate([rewards, rewards[:, originals]], 1))
+
+
+def swap_symmetric_members(rng, count, cells=6):
+    """count sure K = 1 MDPs of two agents on a ring of cells, rewarded symmetrically.
+
+    A state is a pair of cells, agent 0's the slower digit; each agent steps
+    one cell either way or stays. The reward depends on the unordered pair
+    only, so each state is bisimilar to its agents' swap.
+    """
+    step = np.array([-1, 0, 1])
+    first, second = np.divmod(np.arange(cells**2), cells)
+    move_first, move_second = np.divmod(np.arange(9), 3)
+    successors = (first[:, None] + step[move_first]) % cells * cells + (
+        second[:, None] + step[move_second]
+    ) % cells
+    table = rng.uniform(0.0, 1.0, (count, cells, cells))
+    symmetric = table + table.swapaxes(1, 2)  # a sum does not depend on its order
+    scales = np.geomspace(0.01, 100.0, count)[:, None]
+    return sure_members(rng, successors, scales * symmetric[:, first, second])
+
+
+@pytest.mark.parametrize("layout", ["planted", "swapped"])
+def test_a_stack_with_bisimilar_states_sweeps_one_per_class_with_the_textbook_bits(
+    swept, layout
+):
+    rng = np.random.default_rng(12)
+    if layout == "planted":
+        members, classes = planted_members(rng, 3), 10
+    else:
+        members, classes = swap_symmetric_members(rng, 3), 6 * 7 // 2
+    _, sweeps = assert_textbook_solve(members)
+    assert len(set(sweeps)) == len(members)
+    # the stack, then each member alone
+    assert swept == [classes] * (1 + len(members))
+    assert classes < members[0].num_states
+
+
+def test_a_stack_of_two_shared_groups_sweeps_every_state(swept):
+    rng = np.random.default_rng(13)
+    members = planted_members(rng, 3)
+    # the same successor sets in another order: bisimilar states still, but another index
+    last = members[-1]
+    reordered = last.next_states[:, rng.permutation(last.num_joint_actions)]
+    members[-1] = replace(last, next_states=reordered)
+    assert capmdp.mdp._shared_groups(members) == [[0, 1], [2]]
+    assert_textbook_solve(members)
+    assert swept[0] == last.num_states
+
+
+def bits(arr):
+    """arr's bit patterns, so that +0.0 and -0.0 differ."""
+    return np.asarray(arr, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.9])
+def test_a_stack_with_a_negative_zero_reward_sweeps_every_state_with_the_textbook_signs(
+    swept, gamma
+):
+    # state 0 pays -1 and loops; 1 pays -0.0 and 2 pays +0.0, both moving to 0; 3 and 4
+    # pay -0.0 and move to 1 or 2, in opposite joint-action orders. At gamma 0 states 1
+    # and 2 are worth -0.0 and +0.0, and 3 and 4 take the max of a -0.0/+0.0 tie in
+    # opposite orders, so only the order of the tie tells their signed zeros apart.
+    successors = np.array([[0, 0], [0, 0], [0, 0], [1, 2], [2, 1]])
+    rewards = np.array([[-1.0, -0.0, 0.0, -0.0, -0.0]]) * np.array([[1.0], [3.0]])
+    members = sure_members(np.random.default_rng(14), successors, rewards, gamma)
+    solutions, sweeps = value_iteration_stack(members)
+    for mmdp, (values, policy), n in zip(members, solutions, sweeps):
+        q, textbook_sweeps = textbook_value_iteration(mmdp)
+        assert n == textbook_sweeps
+        assert np.array_equal(bits(values.q), bits(q))
+        assert np.array_equal(bits(values.v), bits(q.max(axis=1)))
+        assert np.array_equal(policy.actions, q.argmax(axis=1))
+    if gamma == 0.0:
+        assert np.array_equal(bits(solutions[0][0].v[1:]), bits([-0.0, 0.0, 0.0, -0.0]))
+    assert swept == [len(successors)]
+
+
+@pytest.mark.parametrize("collision", ["keys", "passes"])
+def test_a_stack_whose_signatures_collide_fails_the_exact_check_and_sweeps_every_state(
+    monkeypatch, swept, collision
+):
+    rng = np.random.default_rng(15)
+    # three reward values: the classes of equal rewards are coarser than the partition
+    members = planted_members(rng, 3, values=[0.25, 0.5, 0.75])
+    successors = members[0].next_states[:, :, 0]
+    rewards = np.stack([m.rewards for m in members], axis=1)
+    passes = len(successors)  # enough for any partition to settle
+    lumped, _ = capmdp.mdp._bisimulation(successors, rewards, passes)
+    assert len(set(rewards[:, 0])) < lumped.max() + 1 < len(successors)
+    if collision == "keys":
+        # every class signs alike: the passes merge the whole stack into one class
+        monkeypatch.setattr(
+            capmdp.mdp, "_class_keys", lambda count: np.full(count, 7, dtype=np.uint64)
+        )
+    else:
+        # no pass splits a class: the classes of equal rewards, whose successor sets differ
+        monkeypatch.setattr(capmdp.mdp, "_refine", lambda rows, classes, distinct, passes: classes)
+    classes, firsts = capmdp.mdp._bisimulation(successors, rewards, passes)
+    assert np.array_equal(classes, np.arange(len(successors)))
+    assert np.array_equal(firsts, classes)
+    assert_textbook_solve(members)
+    assert set(swept) == {len(successors)}
+
+
+def test_a_stack_partition_signs_classes_with_keys_whose_sums_do_not_collide():
+    # a pass sums a state's own key and its successors' keys, an entry per joint
+    # action; with splitmix64 mixed once, own + 2 * successor collides 18 times here
+    count = 513
+    keys = capmdp.mdp._class_keys(2 * count)
+    assert keys.dtype == np.uint64 and len(np.unique(keys)) == 2 * count
+    for repeats in (1, 2, 3):
+        sums = keys[count:, None] + keys[None, :count] * np.uint64(repeats)
+        assert len(np.unique(sums)) == count * count
+
+
+@pytest.mark.parametrize("length, classes", [(20, 20), (60, 120)])
+def test_a_stack_whose_partition_outlasts_the_sweeps_it_needs_sweeps_every_state(
+    swept, length, classes
+):
+    # two equal chains: each state steps to the next, the last loops and pays. A pass
+    # tells one more state of each chain from the rest, so the partition settles
+    # after about length passes, while gamma 0.5 needs at most 38 sweeps to reach tol
+    step = np.minimum(np.arange(length) + 1, length - 1)
+    successors = np.concatenate([step, step + length])[:, None].repeat(2, axis=1)
+    rewards = np.tile((np.arange(length) == length - 1) * 1.0, 2) * np.array([[1.0], [100.0]])
+    members = sure_members(np.random.default_rng(16), successors, rewards, gamma=0.5)
+    _, sweeps = assert_textbook_solve(members)
+    assert max(sweeps) <= 38
+    assert swept[0] == classes
+
+
+def test_the_default_desk_stack_sweeps_fewer_classes_than_states(swept):
+    layout = fruit_forage_layout(desk_config("x"))
+    members = [assemble_linear_mmdp(build_fruit_forage(desk_config(t), layout)) for t in "xyz"]
+    assert members[0].next_states.shape == (1024, 25, 1)
+    assert_textbook_solve(members)
+    # the stack lumps 1,024 states into 151 classes; each team alone lumps too
+    assert swept[0] == 151
+    assert all(size < 1024 for size in swept)
