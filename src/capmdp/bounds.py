@@ -65,15 +65,17 @@ GAMMA_CROSSOVER = (math.sqrt(5.0) - 1.0) / 2.0
 STACK_ENTRIES = 2**15
 # Largest members x states of one indexed value-iteration stack, whose
 # members hold one successor-index object (Solver.solve_all). They share each
-# gather of it, so a bigger stack saves time at any size. Beyond its answers
-# the stack holds its value buffers (mdp._BLOCK + 1 kept iterates of members
-# x states entries, 36 MB at this cap), one gather block of
+# gather of it, so a bigger stack saves time at any size. Its answers are
+# each member's v and greedy actions, 16 bytes per state (4 MB at this cap).
+# Beyond them the stack holds its value buffers (mdp._BLOCK + 1 kept iterates
+# of members x states entries, 36 MB at this cap), one gather block of
 # mdp.SCRATCH_ENTRIES entries, and one compacted copy of the index, each
 # state's distinct action rows joint-action-major (and of the probabilities,
 # unless every row has one sure successor), per group of members that share
-# them; its final backup reads the MDP's own index. The four desk MDPs of a
-# 1024-state foraging desk solve as one stack, and so do those of three
-# agents on grid 5 (62,500 states each).
+# them; its final backup reads the MDP's own index a block at a time and
+# keeps no (S, A) table. The four desk MDPs of a 1024-state foraging desk
+# solve as one stack, and so do those of three agents on grid 5 (62,500
+# states each).
 INDEXED_STACK_STATES = 2**18
 
 
@@ -376,7 +378,7 @@ def _solve_stack(mmdps, tol: float):
     """value_iteration_stack, its solutions made read-only for the cache."""
     solutions, sweeps = value_iteration_stack(mmdps, tol)
     for values, policy in solutions:
-        for arr in (values.v, values.q, policy.actions):
+        for arr in (values.v, policy.actions):
             arr.flags.writeable = False
     return solutions, sweeps
 

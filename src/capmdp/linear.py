@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import mdp
 from .mdp import (
-    DISTRIBUTION_ATOL,
     StateSpace,
     TabularMMDP,
     check_distribution,
@@ -167,19 +167,7 @@ class TransitionKernel:
                     f"{next_states.shape}, got {arr.shape}"
                 )
             object.__setattr__(self, "next_states", next_states)
-        # components broadcast along their first axis are one array: check it once
-        distinct = arr[:1] if arr.strides[0] == 0 else arr
-        if np.any(distinct < 0):
-            j, s, u = np.argwhere((distinct < 0).any(axis=3))[0]
-            raise ValueError(f"kernel component {j} row (s={s}, u={u}) has a negative entry")
-        sums = distinct.sum(axis=3)
-        bad = np.abs(sums - 1.0) > DISTRIBUTION_ATOL
-        if np.any(bad):
-            j, s, u = np.argwhere(bad)[0]
-            raise ValueError(
-                f"kernel component {j} row (s={s}, u={u}) sums to {sums[j, s, u]!r}"
-            )
-        object.__setattr__(self, "components", arr)
+        object.__setattr__(self, "components", mdp._check_transition_rows(arr))
 
     @property
     def capability_dim(self) -> int:
@@ -338,13 +326,13 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
             raise ValueError("capability mixture is all-zero; no transition mixture exists")
         transition_mix = mixture / total
     kernel = spec.transition_kernel
-    transitions = np.einsum("j,jsut->sut", transition_mix, kernel.components)
-    transitions.flags.writeable = False
-    if kernel.identical_components:
-        # teams whose mixtures give the same bits hold the first one's array
-        shared = kernel.__dict__.setdefault("_mixed", transitions)
-        if np.array_equal(transitions.view(np.int64), shared.view(np.int64)):
-            transitions = shared
+    # teams whose mixtures give the same bits hold the first one's array
+    transitions = kernel.__dict__.get("_mixed")
+    if transitions is None or not _mixes_to(transitions, transition_mix, kernel.components):
+        transitions = np.einsum("j,jsut->sut", transition_mix, kernel.components)
+        transitions.flags.writeable = False
+        if kernel.identical_components:
+            kernel.__dict__.setdefault("_mixed", transitions)
     assembled = TabularMMDP(
         states=spec.states,
         num_agents=spec.num_agents,
@@ -358,6 +346,21 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
     assembled.rewards.flags.writeable = False
     object.__setattr__(spec, "_assembled", assembled)
     return assembled
+
+
+def _mixes_to(mixed: np.ndarray, mix: np.ndarray, components: np.ndarray) -> bool:
+    """Whether mixing components by mix gives mixed's bits, compared a block of states at a time.
+
+    einsum sums over the components one at a time for every entry, so a
+    block's mixture has the bits the whole one gives those entries; no
+    block holds more than mdp.SCRATCH_ENTRIES entries.
+    """
+    n = max(1, mdp.SCRATCH_ENTRIES // mixed[0].size)
+    for lo in range(0, len(mixed), n):
+        block = np.einsum("j,jsut->sut", mix, components[:, lo : lo + n])
+        if not np.array_equal(block.view(np.int64), mixed[lo : lo + n].view(np.int64)):
+            return False
+    return True
 
 
 def reward_deviation_exact(mmdp_x: TabularMMDP, mmdp_y: TabularMMDP) -> float:

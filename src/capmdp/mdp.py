@@ -54,7 +54,6 @@ from functools import partial
 import numpy as np
 
 DISTRIBUTION_ATOL = 1e-9
-VALUE_TABLE_ATOL = 1e-6
 
 
 class SolverConvergenceError(RuntimeError):
@@ -258,22 +257,35 @@ def _forget(key, ref):
         del _PASSED[key]
 
 
-def _check_transition_rows(trans: np.ndarray, atol: float = DISTRIBUTION_ATOL) -> np.ndarray:
-    """Reject (S, A, ...) transition rows that are not distributions, naming (s, u).
+def _check_transition_rows(trans: np.ndarray) -> np.ndarray:
+    """Reject transition rows that are not distributions, naming the first bad (s, u).
 
-    Returns trans.
+    trans holds an MDP's (S, A, X) rows, or a kernel's (d, S, A, X)
+    components, whose errors also name component j; components broadcast
+    along their first axis (stride 0) are one array, checked once as
+    component 0. Rows are read in blocks of at most SCRATCH_ENTRIES
+    entries, so the check holds no (S, A)-sized temporary. Returns trans.
     """
-    neg = trans < 0
-    if np.any(neg):
-        s, u = np.argwhere(neg.any(axis=2))[0]
-        raise ValueError(f"transition row (s={s}, u={u}) has a negative entry")
-    sums = trans.sum(axis=2)
-    bad = np.abs(sums - 1.0) > atol
-    if np.any(bad):
-        s, u = np.argwhere(bad)[0]
-        raise ValueError(
-            f"transition row (s={s}, u={u}) sums to {sums[s, u]!r}, expected 1 within {atol}"
-        )
+    components = trans if trans.ndim == 4 else trans[None]
+    if components.strides[0] == 0:
+        components = components[:1]
+    n = max(1, SCRATCH_ENTRIES // (trans.shape[-2] * trans.shape[-1]))
+    for j, rows in enumerate(components):
+        what = f"kernel component {j} row" if trans.ndim == 4 else "transition row"
+        for lo in range(0, len(rows), n):
+            block = rows[lo : lo + n]
+            negative = block < 0
+            if negative.any():
+                s, u = np.argwhere(negative.any(axis=2))[0]
+                raise ValueError(f"{what} (s={lo + s}, u={u}) has a negative entry")
+            sums = block.sum(axis=2)
+            bad = np.abs(sums - 1.0) > DISTRIBUTION_ATOL
+            if bad.any():
+                s, u = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"{what} (s={lo + s}, u={u}) sums to {sums[s, u]!r}, "
+                    f"expected 1 within {DISTRIBUTION_ATOL}"
+                )
     return trans
 
 
@@ -300,27 +312,15 @@ class JointPolicy:
 
 @dataclass(frozen=True, eq=False)
 class ValueTable:
-    """Per-state values, optionally with the joint-action value table.
+    """Per-state values: optimal ones from value iteration, or a policy's own."""
 
-    When q is present, v must equal the per-state max of q (the greedy
-    consistency the optimal solver guarantees by construction).
-    """
-
-    v: np.ndarray                # (num_states,)
-    q: np.ndarray | None = None  # (num_states, num_joint_actions)
+    v: np.ndarray  # (num_states,)
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
         if v.ndim != 1:
             raise ValueError("v must be a 1-d vector")
         object.__setattr__(self, "v", v)
-        if self.q is not None:
-            q = np.asarray(self.q, dtype=float)
-            if q.ndim != 2 or q.shape[0] != v.shape[0]:
-                raise ValueError("q must be (num_states, num_joint_actions)")
-            if np.max(np.abs(q.max(axis=1) - v)) > VALUE_TABLE_ATOL:
-                raise ValueError("v is not the per-state max of q")
-            object.__setattr__(self, "q", q)
 
     def scalar(self, rho: np.ndarray) -> float:
         """Expected value under an initial state distribution."""
@@ -512,8 +512,10 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
     _indexed_value_iteration). Each member stops at its own
     first sweep whose change is <= tol (the loop checks a block of sweeps at
     once; see _fixed_point); one more backup of the stopped values then
-    builds each member's full q, its v and its greedy policy. Every operation
-    acts on each member's entries alone, and gathers, maxima, sums over
+    gives each member's v and greedy policy: the max and argmax of each
+    state's joint-action values, read from the member's own contiguous row
+    as for a member alone. Those values are not kept. Every operation acts
+    on each member's entries alone, and gathers, maxima, sums over
     successors and the elementwise scale and add give the same bits in any
     layout, so each result is bit for bit the one value_iteration gives that
     MDP.
@@ -531,13 +533,12 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
         return [], []
     _check_stack(mmdps)
     solve = _dense_value_iteration if mmdps[0].next_states is None else _indexed_value_iteration
-    qs, sweeps = solve(mmdps, tol, max_iters)
-    solutions = [(ValueTable(v=q.max(axis=1), q=q), JointPolicy(q.argmax(axis=1))) for q in qs]
-    return solutions, sweeps
+    answers, sweeps = solve(mmdps, tol, max_iters)
+    return [(ValueTable(v), JointPolicy(actions)) for v, actions in answers], sweeps
 
 
 def _dense_value_iteration(mmdps, tol: float, max_iters: int):
-    """(q of each member, (S, A), its sweeps) of a dense stack, one matmul per sweep."""
+    """((v, greedy actions) per member, its sweeps) of a dense stack, one matmul per sweep."""
     b, s = len(mmdps), mmdps[0].num_states
     r = np.stack([m.rewards for m in mmdps]).reshape(b, s, 1)
     expect = _next_value([(m.transitions, None) for m in mmdps], s, 1)
@@ -551,9 +552,10 @@ def _dense_value_iteration(mmdps, tol: float, max_iters: int):
         partial(_backup, best_next_value, r, mmdps[0].gamma),
         np.zeros((b, s, 1)), tol, max_iters, "value iteration",
     )
-    # one more backup keeps v, q, and the greedy policy exactly consistent
+    # one more backup gives v and the greedy policy, each member's (S, A) rows contiguous
     _backup(expect, r[:, :, None], mmdps[0].gamma, np.stack(points), q)
-    return [q_i.copy() for q_i in q[..., 0]], sweeps
+    q = q[..., 0]
+    return list(zip(q.max(axis=2), q.argmax(axis=2))), sweeps
 
 
 def _shared_groups(mmdps) -> list:
@@ -738,7 +740,7 @@ def _bisimulation(successors: np.ndarray, rewards: np.ndarray, passes: int):
 
 
 def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
-    """(q of each member, (S, A), its sweeps) of an indexed stack, gathered once per group.
+    """((v, greedy actions) per member, its sweeps) of an indexed stack, gathered once per group.
 
     The sweeps run on the stack's exact quotient: one first state per class
     of bisimilar states (_bisimulation), each successor renamed to its
@@ -764,8 +766,12 @@ def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
     K) with the successor axis innermost, so the sum over successors runs
     in the order a lone member's (S, A, K) rows give it; one max over the
     outer row axis follows. The final backup reads every row of the MDP's
-    own index, block by block, each state's value taken from its class. A
-    group of one member takes the same path.
+    own index, block by block, each state's value taken from its class.
+    Each block's (states, A, B_g) values are copied member-major, so each
+    member's v and greedy policy are a max and an argmax over its own
+    contiguous rows, as for a member alone: the same bits, signed-zero and
+    lowest-index ties included. No (S, A) table is kept. A group of one
+    member takes the same path.
     """
     first = mmdps[0]
     s, a, k = first.next_states.shape
@@ -847,23 +853,26 @@ def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
         partial(_backup, best_next_value, r[firsts], first.gamma),
         np.zeros((len(firsts), len(mmdps))), tol, max_iters, "value iteration", members=1,
     )
-    # one more backup keeps v, q, and the greedy policy exactly consistent
+    # one more backup gives v and the greedy policy, (B, S) by column
     v = np.stack(points, axis=1)[classes]
-    qs = [np.empty((s, a)) for _ in mmdps]
+    best = np.empty((len(mmdps), s))
+    greedy = np.empty((len(mmdps), s), dtype=np.intp)
+    member_major = np.empty(scratch.size // k)
     for columns, head, sure, n, _ in plans:
         source = np.ascontiguousarray(v[:, columns])
+        width = columns.stop - columns.start
         for lo in range(0, s, n):
             states = slice(lo, min(s, lo + n))
-            views = block(*own_rows(head, sure, states), columns.stop - columns.start)
+            views = block(*own_rows(head, sure, states), width)
             q = expected(source, *views)  # (states, A, B_g)
             np.multiply(q, first.gamma, out=q)
             np.add(q, r[states, None, columns], out=q)
-            for column in range(columns.start, columns.stop):
-                qs[order[column]][states] = q[:, :, column - columns.start]
-    member_sweeps = [0] * len(mmdps)
-    for column, i in enumerate(order):
-        member_sweeps[i] = sweeps[column]
-    return qs, member_sweeps
+            own = member_major[: q.size].reshape(width, -1, a)
+            np.copyto(own, q.transpose(2, 0, 1))
+            np.maximum.reduce(own, axis=2, out=best[columns, states])
+            np.argmax(own, axis=2, out=greedy[columns, states])
+    column_of = np.argsort(order)
+    return [(best[c], greedy[c]) for c in column_of], [sweeps[c] for c in column_of]
 
 
 def value_iteration(
@@ -877,7 +886,7 @@ def value_iteration(
     value_iteration_stack.
 
     Returns:
-        (ValueTable with v and q, greedy JointPolicy).
+        (ValueTable of the optimal values, greedy JointPolicy).
 
     Raises:
         SolverConvergenceError: if max_iters sweeps do not reach tol.

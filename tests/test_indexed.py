@@ -27,7 +27,9 @@ from capmdp import (
     value_iteration,
     value_iteration_stack,
 )
+import capmdp.mdp
 from capmdp.envs.fruit_forage import build_fruit_forage, desk_config, fruit_forage_layout
+from capmdp.harness import ExperimentConfig, run_fruit_forage
 
 
 def densify(mmdp: TabularMMDP) -> TabularMMDP:
@@ -85,8 +87,7 @@ def test_deterministic_index_solves_bit_identically_to_dense(seed, num_states, n
     policy = value_iteration(dense)[1]
     vt_i, greedy_i, ev_i, sf_i = solve_both(indexed, policy)
     vt_d, greedy_d, ev_d, sf_d = solve_both(dense, policy)
-    assert np.array_equal(vt_i.v, vt_d.v)
-    assert np.array_equal(vt_i.q, vt_d.q)
+    assert np.array_equal(vt_i.v.view(np.int64), vt_d.v.view(np.int64))
     assert np.array_equal(greedy_i.actions, greedy_d.actions)
     assert np.array_equal(ev_i.v, ev_d.v)
     assert np.array_equal(sf_i.mu_per_state, sf_d.mu_per_state)
@@ -100,7 +101,7 @@ def test_stochastic_index_agrees_with_dense_to_1e12(seed, num_states, num_joint)
     policy = value_iteration(dense)[1]
     vt_i, _, ev_i, sf_i = solve_both(indexed, policy)
     vt_d, _, ev_d, sf_d = solve_both(dense, policy)
-    np.testing.assert_allclose(vt_i.q, vt_d.q, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(vt_i.v, vt_d.v, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(ev_i.v, ev_d.v, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(sf_i.mu_per_state, sf_d.mu_per_state, rtol=1e-12, atol=0.0)
 
@@ -161,6 +162,52 @@ def test_indexed_kernel_validation_names_the_offending_pair():
             TransitionKernel(np.broadcast_to(bad, (2, 2, 3, 1)), next_states=next_states)
     with pytest.raises(ValueError, match="shape"):
         TransitionKernel(np.ones((2, 2, 3, 2)) / 2, next_states=next_states)
+
+
+def test_a_bad_row_in_a_later_block_is_named_by_its_global_pair(monkeypatch):
+    fields = indexed_fields(np.random.default_rng(8))
+    # blocks of two states' (3, 2) rows: state 3's rows are read in the second block
+    monkeypatch.setattr(capmdp.mdp, "SCRATCH_ENTRIES", 2 * 3 * 2)
+    components = np.stack([fields["transitions"]] * 2)
+    TransitionKernel(components, next_states=fields["next_states"])
+    for entries, message in (([0.3, 0.3], "sums to"), ([1.5, -0.5], "has a negative entry")):
+        rows = fields["transitions"].copy()
+        rows[3, 1] = entries
+        with pytest.raises(ValueError, match=rf"^transition row \(s=3, u=1\) {message}"):
+            TabularMMDP(**{**fields, "transitions": rows})
+        bad = components.copy()
+        bad[1, 3, 1] = entries
+        with pytest.raises(ValueError, match=rf"^kernel component 1 row \(s=3, u=1\) {message}"):
+            TransitionKernel(bad, next_states=fields["next_states"])
+
+
+@pytest.mark.parametrize("rows", ["mdp", "kernel"])
+def test_the_row_check_holds_less_than_one_state_action_array(rows):
+    num_states, num_joint = 4096, 64
+    unit = np.ones((num_states, num_joint, 1))
+    index = np.zeros(unit.shape, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        if rows == "mdp":
+            TabularMMDP(
+                states=StateSpace(np.zeros((num_states, 1))),
+                num_agents=1,
+                actions_per_agent=num_joint,
+                rewards=np.zeros(num_states),
+                transitions=unit,
+                gamma=0.9,
+                rho=np.full(num_states, 1.0 / num_states),
+                next_states=index,
+            )
+        else:
+            TransitionKernel(np.broadcast_to(unit, (3,) + unit.shape), next_states=index)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the rows are read in blocks of mdp.SCRATCH_ENTRIES entries, so the check holds
+    # less than one float per (s, u); a check of the whole array held three
+    assert peak < num_states * num_joint * 8
 
 
 def test_json_round_trips_keep_the_successor_index(same_mdp):
@@ -254,13 +301,39 @@ def test_a_large_desk_stack_holds_less_than_one_team_did_alone():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held - start >= 4 * mmdps[0].transitions.size * 8  # the four q tables
+    # the answers hold each team's v and greedy actions, and no (S, A) table; a
+    # few KB more are the answers' Python objects
+    answers = sum(values.v.nbytes + policy.actions.nbytes for values, policy in solutions)
+    assert answers == len(mmdps) * mmdps[0].num_states * (8 + 8)
+    assert held - start <= answers + 2**14
     assert sweeping <= LONE_TEAM_SWEEPING_MB * 2**20
     assert peak - held <= LONE_TEAM_BEYOND_ANSWERS_MB * 2**20
     assert sweeps == [187, 166, 172, 171]
     for mmdp, (values, policy), n in zip(mmdps, solutions, sweeps):
         [(alone_values, alone_policy)], [alone_n] = value_iteration_stack([mmdp])
         assert n == alone_n
-        assert np.array_equal(values.q, alone_values.q)
-        assert np.array_equal(values.v, alone_values.v)
+        assert np.array_equal(values.v.view(np.int64), alone_values.v.view(np.int64))
         assert np.array_equal(policy.actions, alone_policy.actions)
+
+
+# tracemalloc peak of a whole fruit-forage run on the three-agent grid-4 desk,
+# measured on the solver whose answers are each team's v and greedy actions,
+# with rows checked and mixtures compared in blocks: 56.3 MB (2**20 bytes). A
+# solver that kept each team's (S, A) q table, beside whole-array row checks and
+# mixtures, peaked at 115.0 MB. The pin is the measured figure, with no margin.
+DESK_RUN_MB = 56.4
+
+
+def test_a_three_agent_desk_run_holds_no_more_than_its_pinned_peak():
+    config = ExperimentConfig.from_doc(
+        {"kind": "fruit-forage", "fruit_forage": {"num_agents": 3, "grid_size": 4}}
+    )
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_fruit_forage(config)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= DESK_RUN_MB * 2**20

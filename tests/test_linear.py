@@ -102,6 +102,15 @@ def test_teams_on_identical_components_share_one_transitions_array():
     assert shared[0].transitions is shared[1].transitions
     assert np.array_equal(shared[0].transitions, rows)
     assert shared[0].transitions.flags.owndata and not shared[0].transitions.flags.writeable
+    # a mixture that rounds off the rows, summing to 1 + 5e-13, mixes into its own array
+    off = specs[0].with_team(
+        TeamComposition((np.array([0.5, 0.5]), np.array([0.25, 0.75 + 1e-12]))),
+        InfluenceWeights(np.array([0.5, 0.5])),
+    )
+    rounded = assemble_linear_mmdp(replace(off, transition_kernel=kernel)).transitions
+    assert rounded is not shared[0].transitions and not np.array_equal(rounded, rows)
+    mix = off.capability_mixture()
+    assert np.array_equal(rounded, np.einsum("j,jsut->sut", mix, kernel.components))
     # components that differ mix into each team's own array
     other = TransitionKernel(np.stack([rows, rows[:, ::-1]]))
     assert not other.identical_components
