@@ -69,13 +69,13 @@ STACK_ENTRIES = 2**15
 # each member's v and greedy actions, 16 bytes per state (4 MB at this cap).
 # Beyond them the stack holds its value buffers (mdp._BLOCK + 1 kept iterates
 # of members x states entries, 36 MB at this cap), one gather block of
-# mdp.SCRATCH_ENTRIES entries, and one compacted copy of the index, each
-# state's distinct action rows joint-action-major (and of the probabilities,
-# unless every row has one sure successor), per group of members that share
-# them; its final backup reads the MDP's own index a block at a time and
-# keeps no (S, A) table. The four desk MDPs of a 1024-state foraging desk
-# solve as one stack, and so do those of three agents on grid 5 (62,500
-# states each).
+# mdp.SCRATCH_ENTRIES entries, and one joint-action-major copy of the rows
+# it sweeps per group of members that share them: a lumped stack's set of
+# successor classes per class, and otherwise the index (and the
+# probabilities, unless every row has one sure successor); its final backup
+# reads the MDP's own index a block at a time and keeps no (S, A) table.
+# The four desk MDPs of a 1024-state foraging desk solve as one stack, and
+# so do those of three agents on grid 5 (62,500 states each).
 INDEXED_STACK_STATES = 2**18
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import mdp
 from ..linear import (
     InfluenceWeights,
     LinearMMDPSpec,
@@ -235,22 +236,27 @@ def fruit_forage_layout(config: FruitForageConfig) -> ForageLayout:
         np.unravel_index(np.arange(num_joint), action_dims), axis=1
     )  # (num_joint, n)
 
-    # new_cells[p, u, i]: agent i's cell after joint move u from position p
-    new_cells = move_table[pos_cells[:, None, :], joint_moves[None, :, :]]
-    new_pos_index = np.ravel_multi_index(tuple(np.moveaxis(new_cells, 2, 0)), pos_dims)
     tree_bit = np.zeros(cells, dtype=np.int64)
     for j, (r, c) in enumerate(trees):
         tree_bit[r * g + c] = 1 << j
-    newly_covered = np.bitwise_or.reduce(tree_bit[new_cells], axis=2)  # (num_positions, num_joint)
     masks = np.arange(num_masks)[None, :, None]
     # written through a view, so the index owns its data: a Solver digests
     # such a read-only array once for every MDP that shares it
     next_states = np.empty((size, num_joint, 1), dtype=np.int64)
-    np.add(
-        new_pos_index[:, None, :] * num_masks,
-        masks | newly_covered[:, None, :],
-        out=next_states.reshape(num_positions, num_masks, num_joint),
-    )
+    by_position = next_states.reshape(num_positions, num_masks, num_joint)
+    # a block of positions at a time, so that no temporary holds more than
+    # mdp.SCRATCH_ENTRIES entries
+    block = max(1, mdp.SCRATCH_ENTRIES // (num_joint * max(n, num_masks)))
+    for lo in range(0, num_positions, block):
+        # new_cells[p, u, i]: agent i's cell after joint move u from position lo + p
+        new_cells = move_table[pos_cells[lo : lo + block, None, :], joint_moves[None, :, :]]
+        new_pos_index = np.ravel_multi_index(tuple(np.moveaxis(new_cells, 2, 0)), pos_dims)
+        newly_covered = np.bitwise_or.reduce(tree_bit[new_cells], axis=2)  # (positions, num_joint)
+        np.add(
+            new_pos_index[:, None, :] * num_masks,
+            masks | newly_covered[:, None, :],
+            out=by_position[lo : lo + block],
+        )
 
     # one sure successor per row; every capability component shares the same
     # unit probabilities as a broadcast view

@@ -32,18 +32,18 @@ removes most of the per-call overhead of small solves. Indexed value
 iteration keeps the stack's values member-minor, (S, B), so members that
 share one successor index and its probabilities, such as teams that differ
 in their rewards only, share each gather of it: one np.take fetches all
-their values at each successor. Its max reads, per block of states, only
-each state's distinct action rows, copied once joint-action-major per
-shared index, and gathers one block at a time into a buffer of at most
-SCRATCH_ENTRIES entries; the max of a set of exact values is the same
-however often each appears, and rows with one successor skip the sum over
-successors. A stack of sure one-successor rows on one shared index, with
-no -0.0 reward, sweeps its exact quotient: one state per class of
-bisimilar states (equal rewards in every member, equal sets of successor
-classes; Givan, Dean & Greig 2003), since such states hold the same bits
-after every sweep; its final backup reads every state's own rows. Each
-member gets exactly the arrays a stack of that member alone gives it;
-value_iteration is such a stack of one.
+their values at each successor. Its sweeps read the rows
+joint-action-major, copied once per shared index, and gather one block of
+states at a time into a buffer of at most SCRATCH_ENTRIES entries; rows
+with one successor skip the sum over successors. A stack of sure
+one-successor rows on one shared index, with no -0.0 reward, sweeps its
+exact quotient: one state per class of bisimilar states (equal rewards in
+every member, equal sets of successor classes; Givan, Dean & Greig 2003),
+since such states hold the same bits after every sweep, and reads only
+each class's set of successor classes, since the max of a set of exact
+values is the same however often each appears; its final backup reads
+every state's own rows. Each member gets exactly the arrays a stack of
+that member alone gives it; value_iteration is such a stack of one.
 """
 
 import math
@@ -75,7 +75,8 @@ def check_distribution(vec, name: str, atol: float = DISTRIBUTION_ATOL) -> np.nd
     if np.any(arr < 0):
         raise ValueError(f"{name} has negative entries")
     total = float(arr.sum())
-    if abs(total - 1.0) > atol:
+    # negated, so that a NaN entry (whose comparisons are all False) fails too
+    if not abs(total - 1.0) <= atol:
         raise ValueError(f"{name} sums to {total!r}, expected 1 within {atol}")
     return arr
 
@@ -90,7 +91,7 @@ class StateSpace:
         feats = np.asarray(self.features, dtype=float)
         if feats.ndim != 2 or feats.shape[0] == 0 or feats.shape[1] == 0:
             raise ValueError("features must be a non-empty (num_states, feature_dim) matrix")
-        if np.any(feats < -1e-12) or np.any(feats > 1.0 + 1e-12):
+        if not np.all((feats >= -1e-12) & (feats <= 1.0 + 1e-12)):  # NaN fails too
             raise ValueError("state feature components must lie in [0, 1]")
         object.__setattr__(self, "features", feats)
 
@@ -279,7 +280,7 @@ def _check_transition_rows(trans: np.ndarray) -> np.ndarray:
                 s, u = np.argwhere(negative.any(axis=2))[0]
                 raise ValueError(f"{what} (s={lo + s}, u={u}) has a negative entry")
             sums = block.sum(axis=2)
-            bad = np.abs(sums - 1.0) > DISTRIBUTION_ATOL
+            bad = ~(np.abs(sums - 1.0) <= DISTRIBUTION_ATOL)  # NaN rows fail too
             if bad.any():
                 s, u = np.argwhere(bad)[0]
                 raise ValueError(
@@ -507,18 +508,19 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
     share each gather, one np.take fetching all their values at each
     successor. When they all share one index of sure one-successor rows and
     no reward is -0.0, the sweeps run on one state per class of bisimilar
-    states, whose bits every state of the class holds after every sweep; a
-    max of values that hold no -0.0 depends on their set only (see
-    _indexed_value_iteration). Each member stops at its own
-    first sweep whose change is <= tol (the loop checks a block of sweeps at
-    once; see _fixed_point); one more backup of the stopped values then
-    gives each member's v and greedy policy: the max and argmax of each
-    state's joint-action values, read from the member's own contiguous row
-    as for a member alone. Those values are not kept. Every operation acts
-    on each member's entries alone, and gathers, maxima, sums over
-    successors and the elementwise scale and add give the same bits in any
-    layout, so each result is bit for bit the one value_iteration gives that
-    MDP.
+    states, whose bits every state of the class holds after every sweep, and
+    read each class's set of successor classes: a max of values that hold no
+    -0.0 depends on their set only (see _indexed_value_iteration). Other
+    indexed stacks sweep every state's A rows in joint-action order, as the
+    textbook loop does. Each member stops at its own first sweep whose change
+    is <= tol (the loop checks a block of sweeps at once; see _fixed_point);
+    one more backup of the stopped values then gives each member's v and
+    greedy policy: the max and argmax of each state's joint-action values,
+    read from the member's own contiguous row as for a member alone. Those
+    values are not kept. Every operation acts on each member's entries
+    alone, and gathers, maxima, sums over successors and the elementwise
+    scale and add give the same bits in any layout, so each result is bit
+    for bit the one value_iteration gives that MDP.
 
     Returns:
         (solutions, sweeps): one (ValueTable, JointPolicy) per MDP in input
@@ -575,45 +577,6 @@ def _shared_groups(mmdps) -> list:
         else:
             groups.append((mmdp, [i]))
     return [positions for _, positions in groups]
-
-
-def _distinct_rows(successors, probs):
-    """The distinct action rows of a block of states, joint-action-major.
-
-    successors and probs (None when every row has one sure successor) are
-    the block's (states, A, K) rows. Two rows are the same when their
-    successors are the same and so are their probabilities, bit for bit. A
-    state keeps the last appearance of each of its rows, in joint-action
-    order, and is padded to the block's widest state with repeats of its
-    last row, joint action A - 1. np.maximum returns the second of two
-    operands that compare equal, so a max over rows in order ends on the
-    last tied row, and the kept rows give the bits that all A rows give,
-    signed zeros included. Returns the (width, states, K) successors and
-    probabilities (or None).
-    """
-    n, a, k = successors.shape
-    if probs is None:
-        ids = successors[:, :, 0]
-    else:
-        rows = np.concatenate([successors, probs.view(np.int64)], axis=2).reshape(n * a, 2 * k)
-        ids = np.unique(rows, axis=0, return_inverse=True)[1].reshape(n, a)
-    ranking = np.argsort(ids, axis=1, kind="stable")
-    ranked = np.take_along_axis(ids, ranking, axis=1)
-    last = np.ones((n, a), dtype=bool)
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=last[:, :-1])
-    keep = np.empty_like(last)
-    np.put_along_axis(keep, ranking, last, axis=1)
-    slot = np.cumsum(keep, axis=1) - 1
-    state, action = np.nonzero(keep)
-    compact = []
-    for arr in (successors, probs):
-        if arr is not None:
-            out = np.empty((slot[:, -1].max() + 1,) + arr.shape[::2], arr.dtype)
-            out[:] = arr[:, -1]
-            out[slot[state, action], state] = arr[state, action]
-            arr = out
-        compact.append(arr)
-    return compact
 
 
 def _class_keys(count: int) -> np.ndarray:
@@ -687,30 +650,33 @@ def _numbered(classes: np.ndarray):
 
 
 def _bisimulation(successors: np.ndarray, rewards: np.ndarray, passes: int):
-    """(class of each state, first state of each class) of a sure K = 1 index, (S, A).
+    """(class of each state, first state of each class, successor sets) of a sure K = 1 index.
 
     Two states share a class when their rewards, (S, B), are bit-identical in
-    every member and their sets of successor classes are equal: the coarsest
-    such partition (Givan, Dean & Greig 2003), refined from the classes of
-    equal rewards (_refine). The first refinement counts each successor once
-    per joint action, which needs no sort; the partition it settles on is
-    stable, since equal multisets have equal sets, but can be finer than the
-    coarsest. The second refines the classes of equal rewards on its
-    quotient, one row per class with each successor renamed to its class,
-    counting each distinct class once, and so reaches the coarsest
-    partition while sorting only the quotient's rows. A refinement that
-    still splits classes after passes passes, as a long chain of states
-    would, gives way to the trivial partition below.
+    every member and their sets of successor classes, successors (S, A)
+    renamed to classes, are equal: the coarsest such partition (Givan, Dean &
+    Greig 2003), refined from the classes of equal rewards (_refine). The
+    first refinement counts each successor once per joint action, which needs
+    no sort; the partition it settles on is stable, since equal multisets
+    have equal sets, but can be finer than the coarsest. The second refines
+    the classes of equal rewards on its quotient, one row per class with each
+    successor renamed to its class, counting each distinct class once, and so
+    reaches the coarsest partition while sorting only the quotient's rows. A
+    refinement that still splits classes after passes passes, as a long
+    chain of states would, gives way to the trivial partition below.
 
     The partition is then checked exactly, class ids against class ids:
     every state's rewards must equal its class's first state's, and so must
     its set of successor classes. A partition that fails, as colliding
     signatures might give, is replaced by the trivial one, every state its
     own class. Classes are numbered in the order of their first states, so
-    the trivial partition is the identity.
+    the trivial partition is the identity. The successor sets are the
+    checked (classes, A) rows, each class's distinct successor classes
+    ascending and padded with the class count; they are None for the
+    trivial partition.
     """
     s = len(successors)
-    trivial = np.arange(s), np.arange(s)
+    trivial = np.arange(s), np.arange(s), None
     equal_rewards = np.zeros(s, dtype=np.int64)
     for bits in rewards.view(np.int64).T:
         _, bits = np.unique(bits, return_inverse=True)
@@ -736,42 +702,43 @@ def _bisimulation(successors: np.ndarray, rewards: np.ndarray, passes: int):
             _distinct_sorted(classes[successors[states]], count), first_rows[classes[states]]
         ):
             return trivial
-    return classes, firsts
+    return classes, firsts, first_rows
 
 
 def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
     """((v, greedy actions) per member, its sweeps) of an indexed stack, gathered once per group.
 
-    The sweeps run on the stack's exact quotient: one first state per class
-    of bisimilar states (_bisimulation), each successor renamed to its
-    class. The stack lumps when it is one _shared_groups group of sure K = 1
-    rows and no reward is -0.0. Otherwise, and where the partition takes
+    The stack lumps when it is one _shared_groups group of sure K = 1 rows
+    and no reward is -0.0: its sweeps then run on its exact quotient, one
+    first state per class of bisimilar states, whose rows are the sets of
+    successor classes _bisimulation checked. Lumping keeps every bit. The
+    iterates start at +0; fl(r + fl(gamma * m)) is -0.0 only when r is, so
+    with no -0.0 reward no iterate holds -0.0 and a max of values depends
+    only on the set of values, not on their order or repeats. By induction,
+    the states of a class then hold the same bits after every sweep, so its
+    first state's values are every member's, its largest change is theirs,
+    and each member stops on the sweep it stops on unlumped, with the
+    residual it reports unlumped. Otherwise, and where the partition takes
     more passes than value iteration can need sweeps or fails its exact
-    check, every state is its own class and the sweeps run on the MDP's own
-    rows, by the same code. Lumping keeps every bit. The iterates start at
-    +0; fl(r + fl(gamma * m)) is -0.0 only when r is, so with no -0.0 reward
-    no iterate holds -0.0 and a max of values depends only on the set of
-    values, not on their order or repeats. By induction, the states of a
-    class then hold the same bits after every sweep, so its first state's
-    values are every member's, its largest change is theirs, and each member
-    stops on the sweep it stops on unlumped, with the residual it reports
-    unlumped.
+    check, every state is its own class and sweeps its own A rows in
+    joint-action order, as the textbook max does, so np.maximum's choice
+    between tied +0.0 and -0.0 falls as it does there.
 
     The values are member-minor, (classes, B), with the members of each
     _shared_groups group in adjacent columns. A sweep reads each group's
-    index in blocks of classes, each block's gather at most SCRATCH_ENTRIES
-    entries, and of each block only the distinct action rows
-    (_distinct_rows), copied once joint-action-major: one np.take fetches
-    the group's values at every successor of a block, (rows, classes, B_g,
-    K) with the successor axis innermost, so the sum over successors runs
-    in the order a lone member's (S, A, K) rows give it; one max over the
-    outer row axis follows. The final backup reads every row of the MDP's
-    own index, block by block, each state's value taken from its class.
-    Each block's (states, A, B_g) values are copied member-major, so each
-    member's v and greedy policy are a max and an argmax over its own
-    contiguous rows, as for a member alone: the same bits, signed-zero and
-    lowest-index ties included. No (S, A) table is kept. A group of one
-    member takes the same path.
+    rows in blocks of classes, copied once joint-action-major, each block's
+    gather at most SCRATCH_ENTRIES entries: one np.take fetches the group's
+    values at every successor of a block, (rows, classes, B_g, K) with the
+    successor axis innermost, so the sum over successors runs in the order a
+    lone member's (S, A, K) rows give it; one max over the outer row axis
+    follows. A block of the quotient's sets is trimmed to its widest set,
+    each shorter set padded with repeats of its first class. The final
+    backup reads every row of the MDP's own index, block by block, each
+    state's value taken from its class. Each block's (states, A, B_g)
+    values are copied member-major, so each member's v and greedy policy
+    are a max and an argmax over its own contiguous rows, as for a member
+    alone: the same bits, signed-zero and lowest-index ties included. No
+    (S, A) table is kept. A group of one member takes the same path.
     """
     first = mmdps[0]
     s, a, k = first.next_states.shape
@@ -784,7 +751,7 @@ def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
         and np.all(first.transitions == 1.0)
         and not np.any(np.signbit(r) & (r == 0.0))
     )
-    classes, firsts = np.arange(s), np.arange(s)
+    classes, firsts, quotient = np.arange(s), np.arange(s), None
     if lumps:
         # a pass of the partition reads the index as a sweep does, so one still
         # splitting after as many passes as value iteration can need sweeps
@@ -795,7 +762,8 @@ def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
         passes = 2
         if top > tol and first.gamma > 0.0:
             passes = 1 + math.ceil(math.log(tol / top) / math.log(first.gamma))
-        classes, firsts = _bisimulation(first.next_states[:, :, 0], r, passes)
+        classes, firsts, quotient = _bisimulation(first.next_states[:, :, 0], r, passes)
+    count = len(firsts)
     # a block of one state passes SCRATCH_ENTRIES when A * K * B_g does
     rows = [min(s, max(1, SCRATCH_ENTRIES // (a * k * len(positions)))) for positions in groups]
     scratch = np.empty(max(a * n * k * len(positions) for n, positions in zip(rows, groups)))
@@ -833,12 +801,20 @@ def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
         head = mmdps[positions[0]]
         sure = k == 1 and np.all(head.transitions == 1.0)
         blocks = []
-        for lo in range(0, len(firsts), n):
+        for lo in range(0, count, n):
             block_classes = slice(lo, lo + n)
-            # the first states' rows, each successor renamed to its class
-            successors, probs = own_rows(head, sure, firsts[block_classes])
-            distinct = _distinct_rows(classes[successors], probs)
-            blocks.append((block_classes, block(*distinct, len(positions))))
+            if quotient is None:  # every state its own class, with its own rows
+                index, probs = (
+                    None if arr is None else np.ascontiguousarray(arr.swapaxes(0, 1))
+                    for arr in own_rows(head, sure, block_classes)
+                )
+            else:
+                # a shorter set's padding, the class count, becomes its first class
+                sets = quotient[block_classes]
+                sets = sets[:, : np.count_nonzero(sets < count, axis=1).max()]
+                index = np.where(sets == count, sets[:, :1], sets).T.copy()[:, :, None]
+                probs = None
+            blocks.append((block_classes, block(index, probs, len(positions))))
         plans.append((columns, head, sure, n, blocks))
 
     def best_next_value(v, out):
@@ -851,7 +827,7 @@ def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
 
     points, sweeps = _fixed_point(
         partial(_backup, best_next_value, r[firsts], first.gamma),
-        np.zeros((len(firsts), len(mmdps))), tol, max_iters, "value iteration", members=1,
+        np.zeros((count, len(mmdps))), tol, max_iters, "value iteration", members=1,
     )
     # one more backup gives v and the greedy policy, (B, S) by column
     v = np.stack(points, axis=1)[classes]

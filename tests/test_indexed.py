@@ -318,10 +318,12 @@ def test_a_large_desk_stack_holds_less_than_one_team_did_alone():
 
 # tracemalloc peak of a whole fruit-forage run on the three-agent grid-4 desk,
 # measured on the solver whose answers are each team's v and greedy actions,
-# with rows checked and mixtures compared in blocks: 56.3 MB (2**20 bytes). A
-# solver that kept each team's (S, A) q table, beside whole-array row checks and
-# mixtures, peaked at 115.0 MB. The pin is the measured figure, with no margin.
-DESK_RUN_MB = 56.4
+# with rows checked, mixtures compared and the layout's successor index built
+# in blocks: 52.55 MB (2**20 bytes), reached in the stacked solve. A layout
+# built in one pass peaked the run at 56.3 MB inside it; a solver that kept
+# each team's (S, A) q table, beside whole-array row checks and mixtures,
+# peaked at 115.0 MB. The pin is the measured figure, with no margin.
+DESK_RUN_MB = 52.6
 
 
 def test_a_three_agent_desk_run_holds_no_more_than_its_pinned_peak():

@@ -9,11 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from capmdp import (
+    InfluenceWeights,
     JointPolicy,
     SolverConvergenceError,
     StateSpace,
     SuccessorFeatures,
     TabularMMDP,
+    TransitionKernel,
     assemble_linear_mmdp,
     check_distribution,
     policy_evaluation_stack,
@@ -154,6 +156,46 @@ def test_constructor_validation():
         TabularMMDP(**{**good, "num_agents": 0})
     with pytest.raises(ValueError, match="shape"):
         TabularMMDP(**{**good, "transitions": np.eye(2)[None]})
+
+
+def nan_entry(where):
+    """Build the object named by where with one NaN entry in place of a valid one."""
+    halves = np.full((2, 2, 2), 0.5)
+    halves[1, 0] = [np.nan, 1.0]
+    index = np.zeros((2, 2, 2), dtype=np.int64)
+    good = dict(
+        states=StateSpace([[0.0], [1.0]]), num_agents=1, actions_per_agent=2,
+        rewards=[0.0, 1.0], transitions=np.full((2, 2, 2), 0.5), gamma=0.9, rho=[0.5, 0.5],
+    )
+    if where == "dense transitions":
+        return TabularMMDP(**{**good, "transitions": halves})
+    if where == "indexed probabilities":
+        return TabularMMDP(**{**good, "transitions": halves, "next_states": index})
+    if where == "kernel":
+        return TransitionKernel(np.stack([good["transitions"], halves]), next_states=index)
+    if where == "rho":
+        return TabularMMDP(**{**good, "rho": [np.nan, 1.0]})
+    if where == "influence weights":
+        return InfluenceWeights([np.nan, 1.0])
+    return StateSpace([[0.5], [np.nan]])
+
+
+NAN_MESSAGES = {
+    "dense transitions": r"^transition row \(s=1, u=0\) sums to .*nan",
+    "indexed probabilities": r"^transition row \(s=1, u=0\) sums to .*nan",
+    "kernel": r"^kernel component 1 row \(s=1, u=0\) sums to .*nan",
+    "rho": "^rho sums to nan",
+    "influence weights": "^influence weights sums to nan",
+    "features": r"\[0, 1\]",
+}
+
+
+# every comparison with NaN is False, so a check passes NaN unless it asks that a
+# comparison hold
+@pytest.mark.parametrize("where", list(NAN_MESSAGES))
+def test_a_nan_entry_is_rejected(where):
+    with pytest.raises(ValueError, match=NAN_MESSAGES[where]):
+        nan_entry(where)
 
 
 def test_state_space_validation():
@@ -598,9 +640,9 @@ def test_a_sweep_limit_off_the_block_reports_the_textbook_residual(max_iters):
     assert max(sweeps) % capmdp.mdp._BLOCK != 0
 
 
-# ---- distinct action rows ------------------------------------------------------------
-# a sweep's max reads each block's distinct action rows only (mdp._distinct_rows):
-# on a grid many joint moves end in the same cell, so most rows repeat
+# ---- repeated action rows ------------------------------------------------------------
+# on a grid many joint moves end in the same cell, so most rows repeat; a stack that
+# does not lump sweeps them all, a block of states at a time
 
 
 def repeated_rows_members(rng, width, count, num_states=30, num_joint=12):
@@ -667,26 +709,6 @@ def test_a_stack_over_repeated_rows_keeps_the_textbook_bits_across_state_blocks(
     monkeypatch.setattr(capmdp.mdp, "SCRATCH_ENTRIES", 12 * width * 3 * 4)
     _, sweeps = assert_textbook_solve(members)
     assert len(set(sweeps)) == len(members)
-
-
-def test_a_stack_max_over_distinct_rows_keeps_every_bit_of_the_max_over_all_rows():
-    # np.maximum returns its second operand on a tie of +0.0 and -0.0, so a max
-    # over rows in joint-action order ends on the last tied row
-    assert np.signbit(np.maximum(0.0, -0.0)) and not np.signbit(np.maximum(-0.0, 0.0))
-    rng = np.random.default_rng(5)
-    [mmdp] = repeated_rows_members(rng, 1, 1)
-    [index] = capmdp.mdp._distinct_rows(mmdp.next_states, None)[:1]
-    assert index.shape == (max(distinct_counts(mmdp)), mmdp.num_states, 1)
-    for _ in range(20):
-        # sure rows' next values, with ties of +0.0 and -0.0 between the rows of a state
-        v = rng.choice([-0.0, 0.0, -1.0], mmdp.num_states, p=[0.45, 0.45, 0.1])
-        every = v[mmdp.next_states[:, :, 0]].T  # (A, S)
-        zero = every == 0.0
-        assert np.any((zero & np.signbit(every)).any(0) & (zero & ~np.signbit(every)).any(0))
-        assert np.array_equal(
-            np.maximum.reduce(v[index[:, :, 0]], axis=0).view(np.int64),
-            np.maximum.reduce(every, axis=0).view(np.int64),
-        )
 
 
 # ---- the exact quotient --------------------------------------------------------------
@@ -816,6 +838,9 @@ def test_a_stack_with_a_negative_zero_reward_sweeps_every_state_with_the_textboo
     successors = np.array([[0, 0], [0, 0], [0, 0], [1, 2], [2, 1]])
     rewards = np.array([[-1.0, -0.0, 0.0, -0.0, -0.0]]) * np.array([[1.0], [3.0]])
     members = sure_members(np.random.default_rng(14), successors, rewards, gamma)
+    # np.maximum returns its second operand on a tie of +0.0 and -0.0, so a max over
+    # rows in joint-action order, the sweep's and the textbook's, ends on the last tied row
+    assert np.signbit(np.maximum(0.0, -0.0)) and not np.signbit(np.maximum(-0.0, 0.0))
     solutions, sweeps = value_iteration_stack(members)
     for mmdp, (values, policy), n in zip(members, solutions, sweeps):
         q, textbook_sweeps = textbook_value_iteration(mmdp)
@@ -837,7 +862,8 @@ def test_a_stack_whose_signatures_collide_fails_the_exact_check_and_sweeps_every
     successors = members[0].next_states[:, :, 0]
     rewards = np.stack([m.rewards for m in members], axis=1)
     passes = len(successors)  # enough for any partition to settle
-    lumped, _ = capmdp.mdp._bisimulation(successors, rewards, passes)
+    lumped, _, sets = capmdp.mdp._bisimulation(successors, rewards, passes)
+    assert sets.shape == (lumped.max() + 1, successors.shape[1])
     assert len(set(rewards[:, 0])) < lumped.max() + 1 < len(successors)
     if collision == "keys":
         # every class signs alike: the passes merge the whole stack into one class
@@ -847,9 +873,9 @@ def test_a_stack_whose_signatures_collide_fails_the_exact_check_and_sweeps_every
     else:
         # no pass splits a class: the classes of equal rewards, whose successor sets differ
         monkeypatch.setattr(capmdp.mdp, "_refine", lambda rows, classes, distinct, passes: classes)
-    classes, firsts = capmdp.mdp._bisimulation(successors, rewards, passes)
+    classes, firsts, sets = capmdp.mdp._bisimulation(successors, rewards, passes)
     assert np.array_equal(classes, np.arange(len(successors)))
-    assert np.array_equal(firsts, classes)
+    assert np.array_equal(firsts, classes) and sets is None
     assert_textbook_solve(members)
     assert set(swept) == {len(successors)}
 
@@ -889,3 +915,25 @@ def test_the_default_desk_stack_sweeps_fewer_classes_than_states(swept):
     # the stack lumps 1,024 states into 151 classes; each team alone lumps too
     assert swept[0] == 151
     assert all(size < 1024 for size in swept)
+
+
+def test_the_default_desk_stack_sweeps_its_classes_in_blocks_of_different_widths(
+    monkeypatch, swept
+):
+    layout = fruit_forage_layout(desk_config("x"))
+    members = [assemble_linear_mmdp(build_fruit_forage(desk_config(t), layout)) for t in "xyz"]
+    successors = members[0].next_states[:, :, 0]
+    rewards = np.stack([m.rewards for m in members], axis=1)
+    _, firsts, sets = capmdp.mdp._bisimulation(successors, rewards, len(successors))
+    count = len(firsts)
+    # blocks of 40 classes for the three members' 25 joint actions: four blocks, each
+    # trimmed to its own widest set of successor classes
+    per_block = 40
+    monkeypatch.setattr(capmdp.mdp, "SCRATCH_ENTRIES", 25 * 3 * per_block)
+    widths = [
+        np.count_nonzero(sets[lo : lo + per_block] < count, axis=1).max()
+        for lo in range(0, count, per_block)
+    ]
+    assert count == 151 and len(widths) == 4 and len(set(widths)) > 1
+    assert_textbook_solve(members)
+    assert swept[0] == 151
