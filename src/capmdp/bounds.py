@@ -7,30 +7,34 @@ is satisfied when the measurement does not exceed the bound beyond a fixed
 additive tolerance; the certification harness treats any unsatisfied report
 as a violation worth archiving.
 
-Each calculator is written once, as a generator (certify_*) that makes two
-requests: called with its inputs and the solve tolerance, it yields the
-tuple of MDPs it needs solved and receives their (ValueTable, JointPolicy)
-pairs, then yields the tuple of (mmdp, policy) pairs it needs evaluated
-(empty when it evaluates none) and receives their ValueTables, and returns
-its report. A calculator takes only the inputs its bound reads: the
-out-of-distribution check takes the training support as bare teams, acting
-with the query's influence weights, since its bound depends on the support
-only through the team distance d_a. A Solver runs calculators: it holds the
-one solve tolerance and memoizes optimal solves and policy evaluations by
-content. Solver.report runs one calculator to its report; the certification
-harness advances every calculator of an instance to its solve request,
-answers them all with one Solver.solve_all, advances them to their
-evaluation requests, and answers those with one Solver.evaluate_all.
-Calculators comparing tasks of one instance share most of their MDPs, so
-running them on one Solver solves each distinct MDP once and evaluates each
-distinct policy on it once; a cached answer is the same arrays a fresh one
-would be, made read-only. A Solver is not locked, so it must not be shared
-between threads.
+Each calculator is written once, as a generator (certify_*) called with its
+inputs and the solve tolerance. It takes only the inputs its bound reads:
+the out-of-distribution check takes the training support as bare teams,
+acting with the query's influence weights, since its bound depends on the
+support only through the team distance d_a. A Solver runs calculators: it
+holds the one solve tolerance and memoizes optimal solves and policy
+evaluations by content. Solver.run drives calculators in two rounds. Round
+one sends every calculator on; each yields the tuple of MDPs it needs
+solved, and one Solver.solve_all answers the union of those requests with
+(ValueTable, JointPolicy) pairs. Round two sends each calculator still
+running its answers; one that evaluates a policy yields the (mmdp, policy)
+pairs it needs evaluated, and one Solver.evaluate_all answers their union
+with ValueTables. A calculator returns its report in either round, or
+before it makes any request (one that compares optimal values returns
+after its solves). A round in which no calculator makes a request calls
+neither method, and a third request raises RuntimeError. Solver.report
+runs one calculator; the certification harness runs every check of an
+instance together. Calculators comparing tasks of one instance share most
+of their MDPs, so running them on one Solver solves each distinct MDP once
+and evaluates each distinct policy on it once; a cached answer is the same
+arrays a fresh one would be, made read-only. A Solver is not locked, so it
+must not be shared between threads.
 """
 
 import hashlib
 import json
 import math
+import time
 import weakref
 from dataclasses import dataclass
 
@@ -246,10 +250,39 @@ class Solver:
         self.evaluation_sweeps = 0
 
     def report(self, calculator, *args, **kwargs) -> BoundReport:
-        """Report of calculator(*args, tol=self.tol, **kwargs), solved and evaluated here."""
-        running = calculator(*args, tol=self.tol, **kwargs)
-        evaluations = running.send(self.solve_all(next(running)))
-        return resume(running, self.evaluate_all(evaluations))
+        """Report of calculator(*args, tol=self.tol, **kwargs), run here."""
+        [(report, _)] = self.run([calculator(*args, tol=self.tol, **kwargs)])
+        return report
+
+    def run(self, calculators) -> list:
+        """(report, seconds) of each started calculator, in order, run in two rounds.
+
+        The rounds are those of the module docstring. seconds is the time
+        spent inside a calculator's own sends, outside the shared solves and
+        evaluations.
+        """
+        calculators = list(calculators)
+        reports = [None] * len(calculators)
+        seconds = [0.0] * len(calculators)
+        sending = dict.fromkeys(range(len(calculators)))  # index -> what it is sent next
+        for answer_all in (self.solve_all, self.evaluate_all, None):
+            requests = {}
+            for index, answers in sending.items():
+                start = time.perf_counter()
+                try:
+                    requests[index] = calculators[index].send(answers)
+                except StopIteration as done:
+                    reports[index] = done.value
+                seconds[index] += time.perf_counter() - start
+            if not requests:
+                break
+            if answer_all is None:
+                raise RuntimeError(
+                    "a calculator makes at most two requests: solves, then evaluations"
+                )
+            answered = iter(answer_all([item for wanted in requests.values() for item in wanted]))
+            sending = {index: [next(answered) for _ in wanted] for index, wanted in requests.items()}
+        return list(zip(reports, seconds))
 
     def solve_all(self, mmdps) -> list:
         """(ValueTable, JointPolicy) of value_iteration on each of mmdps, in order.
@@ -410,15 +443,6 @@ def _array_digest(arr: np.ndarray) -> bytes:
     return digest.digest()
 
 
-def resume(calculator, values) -> BoundReport:
-    """Send a calculator the values of its evaluation request; returns its report."""
-    try:
-        calculator.send(values)
-    except StopIteration as done:
-        return done.value
-    raise RuntimeError("a calculator makes exactly two requests: solves, then evaluations")
-
-
 def _value_gap(vt_x: ValueTable, vt_y: ValueTable, rho_x, rho_y):
     """Gap between two tasks' optimal values.
 
@@ -488,7 +512,6 @@ def certify_team_generalization(spec_x, spec_y, *, tol: float):
     """
     _require_shared_frame(spec_x, spec_y)
     (vt_x, _), (vt_y, _) = yield assemble_linear_mmdp(spec_x), assemble_linear_mmdp(spec_y)
-    yield ()
     scale, parts = _psi_scale(spec_x, spec_y, vt_y)
     bound = scale * parts["psi"]
     value_x, value_y, actual, state_max = _value_gap(vt_x, vt_y, spec_x.rho, spec_y.rho)
@@ -611,7 +634,6 @@ def certify_population_change(
     (vt_before, _), (vt_after, _) = yield (
         assemble_linear_mmdp(spec), assemble_linear_mmdp(changed)
     )
-    yield ()
     scale, parts = _linear_scale(
         spec, vt_after, {"changed_weight": changed_weight, "mixture_gap": mixture_gap}
     )
@@ -663,7 +685,6 @@ def certify_approx_dynamics(
         mmdp_y_actual.transition_gaps(linear_y)[0],
     )
     (vt_x, _), (vt_y, _) = yield mmdp_x_actual, mmdp_y_actual
-    yield ()
     scale, parts = _psi_scale(spec_x, spec_y, vt_y)
     bound = scale * parts["psi"] + (
         2.0 * parts["gamma_factor"] * (eps_hat_r + spec_x.gamma * eps_hat_p * parts["v_mid"])
@@ -748,7 +769,6 @@ def certify_lipschitz(
     member_gaps = np.abs(team_x.matrix() - team_y.matrix()).max(axis=1)
     weighted_diff = float(reward_map.lipschitz_constants @ member_gaps)
     (vt_x, _), (vt_y, _) = yield mmdp_x, mmdp_y
-    yield ()
     smax = s_max(reward_kernel, mmdp_x.states)
     gf = gamma_factor(mmdp_x.gamma)
     bound = gf * smax * weighted_diff

@@ -14,12 +14,9 @@ config.json, summary.json, and violations.json when any bound report comes
 back unsatisfied. A determinism hash over all rows except wall-clock columns
 lets re-runs be compared byte-for-byte. Each kind of bound check is defined
 once, in CHECKS, and shared by the runners and by violation replay. Both run
-checks the same way (_reports) on a Solver that holds the run's solve
-tolerance: every check of an instance is advanced to its solve request, one
-Solver.solve_all answers all the requests in stacked solves, every check is
-advanced to its policy-evaluation request, one Solver.evaluate_all answers
-those in stacked evaluations, and the checks then finish in order, so rows
-and archive entries keep their order and their bits.
+checks through Solver.run (see capmdp.bounds) on a Solver that holds the
+run's solve tolerance, so rows and archive entries keep their order and
+their bits.
 """
 
 import csv
@@ -55,7 +52,6 @@ from .bounds import (
     certify_policy_transfer,
     certify_population_change,
     certify_team_generalization,
-    resume,
     s_max,
 )
 from .envs.fruit_forage import (
@@ -509,11 +505,11 @@ def polynomial_deviation_report(
 # with the JSON form _FIELDS gives it. certify_instance and run_fruit_forage
 # draw cases and run them; replay decodes an archived entry back into its case.
 # A check starts a bounds calculator on its case's fields as they are archived,
-# with no input made up beside them: a generator that yields the MDPs it needs
-# solved, then the (mmdp, policy) pairs it needs evaluated, and returns its
-# report when sent their values. Check functions look the calculators up in this
-# module's globals when they run, so a name rebound on capmdp.harness (a test's
-# monkeypatch, a tracer's span) is the one that runs.
+# with no input made up beside them: a generator that does all its work in
+# its sends, as Solver.run drives it (see capmdp.bounds). Check functions look
+# the calculators up in this module's globals when they run, so a name rebound
+# on capmdp.harness (a test's monkeypatch, a tracer's span) is the one that
+# runs.
 
 
 @dataclass(frozen=True)
@@ -529,7 +525,7 @@ def _approx_dynamics(case, tol):
     eps_r, eps_p = case["eps_r"], case["eps_p"]
     actual_x = perturb_dynamics(assemble_linear_mmdp(spec_x), eps_r, eps_p, case["seed_x"])
     actual_y = perturb_dynamics(assemble_linear_mmdp(spec_y), eps_r, eps_p, case["seed_y"])
-    return certify_approx_dynamics(spec_x, spec_y, actual_x, actual_y, tol=tol)
+    return (yield from certify_approx_dynamics(spec_x, spec_y, actual_x, actual_y, tol=tol))
 
 
 def _lipschitz(case, tol):
@@ -552,15 +548,16 @@ def _lipschitz(case, tol):
     )
     mmdp_x = assemble_lipschitz_mmdp(reward_map, spec_x.team, **frame)
     mmdp_y = assemble_lipschitz_mmdp(reward_map, spec_y.team, **frame)
-    return certify_lipschitz(
-        reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y, spec_x.reward_kernel, tol=tol
+    return (
+        yield from certify_lipschitz(
+            reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y, spec_x.reward_kernel, tol=tol
+        )
     )
 
 
 def _polynomial_deviation(case, tol):
     """A calculator that requests no solve and no evaluation."""
-    yield ()
-    yield ()
+    yield from ()
     spec_x = case["spec_x"]
     return polynomial_deviation_report(
         case["poly"],
@@ -655,40 +652,6 @@ _FIELDS = {
 }
 
 
-def _reports(cases, solver: Solver):
-    """(bound_name, case, report, seconds) of each (bound_name, case), in order.
-
-    Every check is advanced to its solve request first, at solver.tol, and
-    one solver.solve_all answers the union of the requests; then every check
-    is advanced to its evaluation request, and one solver.evaluate_all
-    answers the union of those; then the checks finish in case order.
-    seconds is a check's own time, outside the shared solve and evaluation.
-    """
-    started = []
-    wanted = []
-    for name, case in cases:
-        start = time.perf_counter()
-        calculator = CHECKS[name].run(case, solver.tol)
-        request = next(calculator)
-        wanted.extend(request)
-        started.append((name, case, calculator, len(request), time.perf_counter() - start))
-    solutions = iter(solver.solve_all(wanted))
-    evaluating = []
-    wanted = []
-    for name, case, calculator, size, seconds in started:
-        start = time.perf_counter()
-        request = calculator.send([next(solutions) for _ in range(size)])
-        wanted.extend(request)
-        evaluating.append(
-            (name, case, calculator, len(request), seconds + time.perf_counter() - start)
-        )
-    values = iter(solver.evaluate_all(wanted))
-    for name, case, calculator, size, seconds in evaluating:
-        start = time.perf_counter()
-        report = resume(calculator, [next(values) for _ in range(size)])
-        yield name, case, report, seconds + time.perf_counter() - start
-
-
 def _run_checks(index: int, cases, solver: Solver, archive):
     """Run each (bound_name, case) through CHECKS; returns (rows, violations).
 
@@ -697,9 +660,11 @@ def _run_checks(index: int, cases, solver: Solver, archive):
     archive runs only for a failing report. A row's wall_time covers its
     check's own work, not the shared solve.
     """
+    cases = list(cases)
+    calculators = [CHECKS[name].run(case, solver.tol) for name, case in cases]
     rows = []
     violations = []
-    for name, case, report, seconds in _reports(cases, solver):
+    for (name, case), (report, seconds) in zip(cases, solver.run(calculators)):
         row = {"instance": index, "wall_time": seconds}
         row.update(report.to_csv_row())
         rows.append(row)
@@ -787,12 +752,10 @@ def certify_instance(config: ExperimentConfig, index: int, solver: Solver | None
 
     Returns (rows, violations); every random draw flows from a generator
     seeded by (config.seed, index), so results are order-independent.
-    Every check shares one Solver at config.tol (a fresh one unless given);
-    one solve_all call answers all their solve requests and one evaluate_all
-    call all their evaluation requests, so each distinct MDP of the instance
-    is solved once, in one stacked solve, and each distinct transferred
-    policy evaluated once, in one stacked evaluation. A violation's payload
-    is built only when its report fails.
+    Every check runs on one Solver at config.tol (a fresh one unless given),
+    through one Solver.run, so each distinct MDP of the instance is solved
+    once and each distinct transferred policy evaluated once. A violation's
+    payload is built only when its report fails.
     """
     # built by the first failing report that needs it, then shared
     spec_doc = functools.cache(_spec_doc)
@@ -1280,7 +1243,7 @@ def _replay_one(entry, solvers: dict) -> BoundReport:
     rebuild = entry.get("rebuild")
     case = _entry_case(name, entry) if rebuild is None else _rebuilt_case(name, rebuild)
     try:
-        [(_, _, report, _)] = _reports([(name, case)], solvers[tol])
+        report = solvers[tol].report(CHECKS[name].run, case)
     except ValueError as exc:
         raise ConfigError(f"the {name!r} entry is not a valid case: {exc}") from exc
     return report

@@ -17,6 +17,7 @@ from capmdp import (
     Solver,
     TrainSchedule,
     certify_instance,
+    certify_policy_transfer,
     certify_team_generalization,
     default_config,
     determinism_hash,
@@ -455,17 +456,70 @@ def test_an_instance_evaluates_a_repeated_transfer_policy_once(monkeypatch):
     answer_one_instance(monkeypatch, seed=59, index=2, distinct=2)
 
 
-def test_a_calculator_makes_exactly_two_requests(monkeypatch):
+def test_a_calculator_makes_at_most_two_requests(monkeypatch):
     def three_requests(case, tol):
         yield ()
         yield ()
         yield ()
 
     monkeypatch.setitem(CHECKS, "lipschitz", Check(CHECKS["lipschitz"].fields, three_requests))
-    with pytest.raises(RuntimeError, match="exactly two requests"):
+    with pytest.raises(RuntimeError, match="at most two requests"):
         certify_instance(small_config(), 0)
-    with pytest.raises(RuntimeError, match="exactly two requests"):
+    with pytest.raises(RuntimeError, match="at most two requests"):
         Solver().report(three_requests, {})
+
+
+def test_a_calculator_that_requests_nothing_calls_no_solver_method(monkeypatch):
+    calls = spy_requests(monkeypatch)
+    case = dict(_instance_cases(small_config(), 0))["polynomial_deviation"]
+    solver = Solver()
+    report = solver.report(CHECKS["polynomial_deviation"].run, case)
+    assert report.bound_name == "polynomial_deviation"
+    assert calls == {"solve_all": [], "evaluate_all": [], "solve_stacks": [], "evaluation_stacks": []}
+    assert set(solver.counts().values()) == {0}
+
+
+def test_a_calculator_that_evaluates_nothing_returns_after_its_solves(monkeypatch):
+    spec_x, spec_y = generate_linear_pair(GeneratorRanges(), np.random.default_rng(0))
+    calls = spy_requests(monkeypatch)
+    Solver().report(certify_team_generalization, spec_x, spec_y)
+    assert [len(request) for request in calls["solve_all"]] == [2]
+    assert calls["evaluate_all"] == []
+
+
+def test_building_the_checks_of_an_instance_does_no_work(monkeypatch):
+    # every check does its work in its sends, so a row's wall_time, the time
+    # spent in those sends, covers all of it
+    called = Counter()
+    for name in ("perturb_dynamics", "assemble_lipschitz_mmdp", "assemble_linear_mmdp"):
+        real = getattr(capmdp.harness, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            called[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(capmdp.harness, name, counted)
+    config = small_config()
+    calculators = [CHECKS[name].run(case, config.tol) for name, case in _instance_cases(config, 0)]
+    assert len(calculators) == len(CHECKS) and not called
+    Solver(config.tol).run(calculators)
+    assert called["perturb_dynamics"] == called["assemble_lipschitz_mmdp"] == 2
+
+
+def test_the_readme_solver_counts_example():
+    spec_x, spec_y = generate_linear_pair(GeneratorRanges(), np.random.default_rng(0))
+    solver = Solver()
+    solver.report(certify_team_generalization, spec_x, spec_y)
+    solver.report(certify_policy_transfer, spec_x, spec_y)
+    assert solver.counts() == {
+        "value_iteration_solves": 2,
+        "cache_hits": 2,
+        "sweeps": 402,
+        "max_sweeps": 201,
+        "policy_evaluations": 1,
+        "evaluation_hits": 0,
+        "evaluation_sweeps": 201,
+    }
 
 
 def test_polynomial_deviation_matches_the_per_state_reference():
@@ -994,10 +1048,11 @@ def test_replay_makes_the_two_requests_of_each_entry(tmp_path, monkeypatch, fail
     run_experiment(config, tmp_path)
     calls = spy_requests(monkeypatch)
     replay_violations(run_output_dir(config, tmp_path) / "violations.json")
-    # each entry's check makes its solve request, then its evaluation
-    # request, as it does in certify_instance; the entries are in CHECKS order
-    assert [len(request) for request in calls["solve_all"]] == [2] * 8 + [0]
-    assert [len(request) for request in calls["evaluate_all"]] == [0, 1, 0, 0, 1, 1, 0, 0, 0]
+    # each entry's check makes its solve request, then its evaluation request
+    # if it has one, as it does in certify_instance; the entries are in CHECKS
+    # order, and polynomial_deviation requests neither
+    assert [len(request) for request in calls["solve_all"]] == [2] * 8
+    assert [len(request) for request in calls["evaluate_all"]] == [1, 1, 1]
 
 
 def test_fruit_forage_reports_fail_archive_and_replay_exactly(
