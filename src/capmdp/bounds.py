@@ -35,7 +35,6 @@ import hashlib
 import json
 import math
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +52,7 @@ from .mdp import (
     StateSpace,
     TabularMMDP,
     ValueTable,
+    _once,
     policy_evaluation_stack,
     stack_key,
     value_iteration_stack,
@@ -221,11 +221,11 @@ class Solver:
     rewards, the transitions and the successor index (shape, dtype and
     bytes of each) and the discount: with tol, the whole input of
     value_iteration. So an indexed kernel and its dense twin never share an
-    entry. Each MDP object is digested once per solver, and its key reused
-    by every later request of that object; an MDP's arrays must not change
-    once it has been requested. An array that is read-only and owns its data
-    is digested once per solver too, so MDPs that share one successor index
-    (the desk teams of one foraging layout) hash it once. An evaluation's
+    entry. Every request is keyed from its MDP's content alone, so an array
+    changed in place between two requests gets a fresh solve. An array that
+    is read-only and owns its data cannot change, so it is digested once in
+    the whole process (mdp._once): MDPs that share one successor index (the
+    desk teams of one foraging layout) hash it once. An evaluation's
     key is its MDP's solve key and the policy's actions. Cached arrays are
     read-only, since every caller of a hit shares them. solve_all and
     evaluate_all answer many requests at once and run the uncached ones in
@@ -239,8 +239,6 @@ class Solver:
         self.tol = tol
         self._solved = {}
         self._evaluated = {}
-        self._keys = weakref.WeakKeyDictionary()  # MDP object -> its solve key
-        self._digests = {}  # id of a read-only array -> (weak reference to it, its digest)
         self.solves = 0
         self.hits = 0
         self.sweeps = 0
@@ -295,7 +293,7 @@ class Solver:
         cached yet counts as a solve, every other request as a hit.
         """
         mmdps = list(mmdps)
-        keys = [self._key(mmdp) for mmdp in mmdps]
+        keys = [_solve_key(mmdp) for mmdp in mmdps]
         solutions, hits, sweeps = self._answer_all(
             keys, mmdps, mmdps, self._solved, _solve_stack, _solve_stacking
         )
@@ -315,7 +313,7 @@ class Solver:
         an evaluation hit.
         """
         requests = list(requests)
-        keys = [(self._key(mmdp), policy.actions.tobytes()) for mmdp, policy in requests]
+        keys = [(_solve_key(mmdp), policy.actions.tobytes()) for mmdp, policy in requests]
         mmdps = [mmdp for mmdp, _ in requests]
         values, hits, sweeps = self._answer_all(
             keys, requests, mmdps, self._evaluated, _evaluate_stack, _entries_stacking
@@ -324,27 +322,6 @@ class Solver:
         self.evaluation_hits += hits
         self.evaluation_sweeps += sum(sweeps)
         return values
-
-    def _key(self, mmdp: TabularMMDP) -> bytes:
-        """mmdp's solve key, digested on the object's first request only."""
-        key = self._keys.get(mmdp)
-        if key is None:
-            key = self._keys[mmdp] = _solve_key(mmdp, self._digest)
-        return key
-
-    def _digest(self, arr: np.ndarray) -> bytes:
-        """_array_digest(arr), computed once per solver for a read-only array that owns its data.
-
-        A view is digested afresh on every request: its base may still be
-        writable.
-        """
-        if arr.flags.writeable or not arr.flags.owndata:
-            return _array_digest(arr)
-        entry = self._digests.get(id(arr))
-        # a dead array's id may have been reused; its reference then no longer resolves to arr
-        if entry is None or entry[0]() is not arr:
-            entry = self._digests[id(arr)] = weakref.ref(arr), _array_digest(arr)
-        return entry[1]
 
     def _answer_all(self, keys, requests, mmdps, cache, run_stack, stacking):
         """Answer each keyed request from cache, running the uncached ones in stacks.
@@ -424,14 +401,14 @@ def _evaluate_stack(pairs, tol: float):
     return values, sweeps
 
 
-def _solve_key(mmdp: TabularMMDP, array_digest) -> bytes:
+def _solve_key(mmdp: TabularMMDP) -> bytes:
     """sha256 over gamma and the digests of the rewards, transitions and successor index.
 
-    array_digest(arr) gives each array's digest (Solver._digest).
+    A read-only array that owns its data is digested once (mdp._once).
     """
     digest = hashlib.sha256()
     for arr in (mmdp.rewards, mmdp.transitions, mmdp.next_states):
-        digest.update(b"none;" if arr is None else array_digest(arr))
+        digest.update(b"none;" if arr is None else _once(_array_digest, arr))
     digest.update(repr(mmdp.gamma).encode())
     return digest.digest()
 

@@ -240,8 +240,8 @@ def fruit_forage_layout(config: FruitForageConfig) -> ForageLayout:
     for j, (r, c) in enumerate(trees):
         tree_bit[r * g + c] = 1 << j
     masks = np.arange(num_masks)[None, :, None]
-    # written through a view, so the index owns its data: a Solver digests
-    # such a read-only array once for every MDP that shares it
+    # written through a view, so the index owns its data: once read-only, it
+    # is checked and digested once for every MDP that shares it (mdp._once)
     next_states = np.empty((size, num_joint, 1), dtype=np.int64)
     by_position = next_states.reshape(num_positions, num_masks, num_joint)
     # a block of positions at a time, so that no temporary holds more than

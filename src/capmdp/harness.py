@@ -11,7 +11,7 @@ deterministic from its master seed (each instance derives its own generator,
 so its rows do not depend on which instances ran before it) and is written
 atomically under <out>/<name>/<config-hash>/ as results.csv (or .json),
 config.json, summary.json, and violations.json when any bound report comes
-back unsatisfied. A determinism hash over all rows except wall-clock columns
+back unsatisfied. A determinism hash over all rows except the wall_time column
 lets re-runs be compared byte-for-byte. Each kind of bound check is defined
 once, in CHECKS, and shared by the runners and by violation replay. Both run
 checks through Solver.run (see capmdp.bounds) on a Solver that holds the
@@ -97,6 +97,7 @@ CORE_COLUMNS = (
     "config_hash",
     "wall_time",
 )
+WALL_CLOCK_COLUMN = "wall_time"  # the one column determinism_hash leaves out
 
 
 class ConfigError(ValueError):
@@ -164,6 +165,12 @@ def _to_doc(value):
     return value
 
 
+# Largest transition kernel a random instance may draw, in bytes:
+# capability_dim x num_states x joint actions rows of num_states float64
+# entries (generate_linear_pair). The default ranges draw at most 1.04 MB.
+MAX_KERNEL_BYTES = 2**28
+
+
 @dataclass(frozen=True)
 class GeneratorRanges:
     """Inclusive sampling ranges for random certification instances."""
@@ -194,6 +201,13 @@ class GeneratorRanges:
         if self.actions_per_agent[0] ** self.num_agents[1] > self.max_joint_actions:
             raise ConfigError(
                 "no actions_per_agent choice fits under max_joint_actions at the largest team"
+            )
+        joint = min(self.max_joint_actions, self.actions_per_agent[1] ** self.num_agents[1])
+        kernel_bytes = self.capability_dim[1] * self.num_states[1] ** 2 * joint * 8
+        if kernel_bytes > MAX_KERNEL_BYTES:
+            raise ConfigError(
+                f"the largest instance's transition kernel takes {kernel_bytes} bytes, "
+                f"over MAX_KERNEL_BYTES = {MAX_KERNEL_BYTES}"
             )
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError(f"gamma must lie strictly inside (0, 1), got {self.gamma}")
@@ -536,18 +550,8 @@ def _lipschitz(case, tol):
         lipschitz_constants=spec_x.weights.a,
     )
     shared = assemble_linear_mmdp(spec_x)
-    frame = dict(
-        reward_kernel=spec_x.reward_kernel,
-        transitions=shared.transitions,
-        next_states=shared.next_states,
-        states=spec_x.states,
-        num_agents=spec_x.num_agents,
-        actions_per_agent=spec_x.actions_per_agent,
-        gamma=spec_x.gamma,
-        rho=spec_x.rho,
-    )
-    mmdp_x = assemble_lipschitz_mmdp(reward_map, spec_x.team, **frame)
-    mmdp_y = assemble_lipschitz_mmdp(reward_map, spec_y.team, **frame)
+    mmdp_x = assemble_lipschitz_mmdp(reward_map, spec_x.team, spec_x.reward_kernel, shared)
+    mmdp_y = assemble_lipschitz_mmdp(reward_map, spec_y.team, spec_x.reward_kernel, shared)
     return (
         yield from certify_lipschitz(
             reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y, spec_x.reward_kernel, tol=tol
@@ -1008,14 +1012,14 @@ def _canonical_value(value) -> str:
     return str(value)
 
 
-def determinism_hash(rows, exclude=("wall_time",)) -> str:
-    """Order-sensitive content hash of result rows, minus wall-clock columns."""
+def determinism_hash(rows) -> str:
+    """Order-sensitive content hash of result rows, minus the WALL_CLOCK_COLUMN."""
     digest = hashlib.sha256()
     for row in rows:
         line = ",".join(
             f"{key}={_canonical_value(row[key])}"
             for key in sorted(row)
-            if key not in exclude
+            if key != WALL_CLOCK_COLUMN
         )
         digest.update(line.encode())
         digest.update(b"\n")

@@ -306,8 +306,8 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
     assembles one spec shares one TabularMMDP; its arrays are read-only. The
     teams of a kernel whose components are identical, such as the unit
     probabilities of a deterministic grid, hold one transitions array,
-    owned and read-only, wherever their mixtures give the same bits; a
-    Solver then digests it once.
+    owned and read-only, wherever their mixtures give the same bits, so it
+    is checked and digested once for all of them (mdp._once).
     """
     assembled = spec.__dict__.get("_assembled")
     if assembled is not None:
@@ -488,35 +488,20 @@ def assemble_lipschitz_mmdp(
     reward_map: LipschitzRewardSpec,
     team: TeamComposition,
     reward_kernel: RewardKernel,
-    transitions: np.ndarray,
-    states: StateSpace,
-    num_agents: int,
-    actions_per_agent: int,
-    gamma: float,
-    rho: np.ndarray,
-    next_states: np.ndarray | None = None,
+    base: TabularMMDP,
 ) -> TabularMMDP:
     """Build the MDP whose rewards come from a Lipschitz capability map.
 
-    The transition kernel is capability-independent and shared across teams:
-    a dense (S, A, S) tensor, or (S, A, K) probabilities over next_states.
+    Only the rewards depend on the team: the MDP is base with the team's
+    rewards over base's states, so teams built on one base share its
+    dynamics, discount and initial distribution.
     """
     if reward_map.lipschitz_constants.shape[0] != team.num_agents:
         raise ValueError("one Lipschitz constant per team member is required")
     weights = np.asarray(reward_map.f(team), dtype=float)
     if weights.shape != (reward_kernel.capability_dim,):
         raise ValueError("the reward map must produce one weight per capability component")
-    rewards = states.features @ (reward_kernel.w.T @ weights)
-    return TabularMMDP(
-        states=states,
-        num_agents=num_agents,
-        actions_per_agent=actions_per_agent,
-        rewards=rewards,
-        transitions=np.asarray(transitions, dtype=float),
-        gamma=gamma,
-        rho=rho,
-        next_states=next_states,
-    )
+    return replace(base, rewards=base.states.features @ (reward_kernel.w.T @ weights))
 
 
 def perturb_dynamics(
@@ -550,15 +535,7 @@ def perturb_dynamics(
     if eps_p > 0:
         noise = rng.uniform(-eps_p, eps_p, transitions.shape)
         transitions = _renormalized_rows(transitions, noise, eps_p)
-    return TabularMMDP(
-        states=mmdp.states,
-        num_agents=mmdp.num_agents,
-        actions_per_agent=mmdp.actions_per_agent,
-        rewards=rewards,
-        transitions=transitions,
-        gamma=mmdp.gamma,
-        rho=mmdp.rho,
-    )
+    return replace(mmdp, rewards=rewards, transitions=transitions)
 
 
 def _renormalized_rows(base: np.ndarray, noise: np.ndarray, eps_p: float) -> np.ndarray:

@@ -169,14 +169,14 @@ class TabularMMDP:
                     f"transitions must have shape ({s}, {a}, {s}), got {trans.shape}"
                 )
         else:
-            next_states = _check_once(check_next_states, np.asarray(self.next_states), s, a)
+            next_states = _once(check_next_states, np.asarray(self.next_states), s, a)
             if trans.shape != next_states.shape:
                 raise ValueError(
                     f"transitions must match next_states' shape {next_states.shape}, "
                     f"got {trans.shape}"
                 )
             object.__setattr__(self, "next_states", next_states)
-        _check_once(_check_transition_rows, trans)
+        _once(_check_transition_rows, trans)
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         rho = check_distribution(self.rho, "rho")
@@ -226,36 +226,42 @@ class TabularMMDP:
         return float(gap.max()), float(row_l1.max())
 
 
-# (check, id of an array, the check's other arguments) -> a weak reference to
-# that array, read-only and owning its data, which passed the check
-_PASSED = {}
+# (fn, id of an array, fn's other arguments) -> (a weak reference to that
+# array, read-only and owning its data; fn's result, or _SELF for the array)
+_ONCE = {}
+_SELF = object()  # so that the memo does not keep its arrays alive
 
 
-def _check_once(check, arr: np.ndarray, *args) -> np.ndarray:
-    """check(arr, *args), which returns the array it validated, once per read-only array.
+def _once(fn, arr: np.ndarray, *args):
+    """fn(arr, *args), computed once per read-only array that owns its data.
 
-    An array that is read-only and owns its data cannot change, so once the
-    check returns it as it is, later calls with it and the same arguments
-    return it unchecked: MDPs that share one, such as the desk teams'
-    successor index and unit transitions, validate it once. Any other array
-    is checked on every call, and a failing check raises every time.
+    Such an array cannot change, so MDPs that share one, such as the desk
+    teams' successor index and unit transitions, check and digest it once in
+    the whole process. Any other array, and a result that is another array,
+    which may change, is computed on every call; a call that raises keeps
+    nothing. fn is part of the key, so a rebound function is called afresh.
     """
     if arr.flags.writeable or not arr.flags.owndata:
-        return check(arr, *args)
-    key = (check, id(arr), args)
-    passed = _PASSED.get(key)
-    if passed is not None and passed() is arr:
-        return arr
-    checked = check(arr, *args)
-    if checked is arr:
-        _PASSED[key] = weakref.ref(arr, partial(_forget, key))
-    return checked
+        return fn(arr, *args)
+    key = fn, id(arr), args
+    ref, result = _ONCE.get(key, (None, None))
+    # a dead array's id may have been reused; its reference then no longer resolves to arr
+    if ref is not None and ref() is arr:
+        return arr if result is _SELF else result
+    result = fn(arr, *args)
+    if result is arr or not isinstance(result, np.ndarray):
+        ref = weakref.ref(arr, partial(_forget, _ONCE, key))
+        _ONCE[key] = ref, _SELF if result is arr else result
+    return result
 
 
-def _forget(key, ref):
-    """Drop a dead array's _PASSED entry, unless a new array has taken its id since."""
-    if _PASSED.get(key) is ref:
-        del _PASSED[key]
+def _forget(memo, key, ref):
+    """Drop a dead array's entry, unless a new array has taken its id since.
+
+    memo is bound in: at interpreter exit the module's globals may be gone.
+    """
+    if memo.get(key, (None,))[0] is ref:
+        del memo[key]
 
 
 def _check_transition_rows(trans: np.ndarray) -> np.ndarray:

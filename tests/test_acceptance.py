@@ -228,18 +228,9 @@ def test_criterion_07_nonlinear_reward_families():
         reward_map = LipschitzRewardSpec(
             f=f, lipschitz_constants=(2.0 * q + l).max(axis=1)
         )
-        shared = assemble_linear_mmdp(spec_x).transitions
-        frame = dict(
-            reward_kernel=spec_x.reward_kernel,
-            transitions=shared,
-            states=spec_x.states,
-            num_agents=spec_x.num_agents,
-            actions_per_agent=spec_x.actions_per_agent,
-            gamma=spec_x.gamma,
-            rho=spec_x.rho,
-        )
-        mmdp_x = assemble_lipschitz_mmdp(reward_map, spec_x.team, **frame)
-        mmdp_y = assemble_lipschitz_mmdp(reward_map, spec_y.team, **frame)
+        shared = assemble_linear_mmdp(spec_x)
+        mmdp_x = assemble_lipschitz_mmdp(reward_map, spec_x.team, spec_x.reward_kernel, shared)
+        mmdp_y = assemble_lipschitz_mmdp(reward_map, spec_y.team, spec_x.reward_kernel, shared)
         report = Solver().report(
             certify_lipschitz,
             reward_map, spec_x.team, spec_y.team, mmdp_x, mmdp_y, spec_x.reward_kernel,

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -679,43 +683,103 @@ def test_the_desk_mdps_validate_their_shared_arrays_once(monkeypatch):
             dataclasses.replace(solved[0], next_states=outside)
 
 
-def test_a_solver_digests_each_mdp_object_once(monkeypatch):
+def test_a_read_only_array_is_digested_once_across_solvers(monkeypatch):
     digested = []
-    solve_key = capmdp.bounds._solve_key
+    array_digest = capmdp.bounds._array_digest
 
-    def counting_key(mmdp, array_digest):
-        digested.append(mmdp)
-        return solve_key(mmdp, array_digest)
+    def counting_digest(arr):
+        digested.append(arr)
+        return array_digest(arr)
 
-    monkeypatch.setattr(capmdp.bounds, "_solve_key", counting_key)
+    monkeypatch.setattr(capmdp.bounds, "_array_digest", counting_digest)
     spec_x, _ = small_pair(5)
     base = assemble_linear_mmdp(spec_x)
-    twin = dataclasses.replace(base)  # the same content in another object
+    shared = [base.rewards, base.transitions]
+    assert all(not arr.flags.writeable and arr.flags.owndata for arr in shared)
+    twin = dataclasses.replace(base)  # the same arrays in another object
     policy = JointPolicy(np.zeros(base.num_states, dtype=np.int64))
     solver = Solver()
     solver.solve_all([base, base, twin])
     solver.evaluate_all([(base, policy), (twin, policy)])
-    solver.solve_all([base])
-    # content keys the cache: the twin is a hit, though digested on its own
-    assert digested == [base, twin]
+    Solver().solve_all([base])
+    # six requests on two solvers digest each read-only array once
+    assert [id(arr) for arr in digested] == [id(arr) for arr in shared]
     _, [sweeps] = value_iteration_stack([base])
     _, [evaluation_sweeps] = policy_evaluation_stack([(base, policy)])
     assert solver.counts() == {
-        "value_iteration_solves": 1, "cache_hits": 3, "sweeps": sweeps, "max_sweeps": sweeps,
+        "value_iteration_solves": 1, "cache_hits": 2, "sweeps": sweeps, "max_sweeps": sweeps,
         "policy_evaluations": 1, "evaluation_hits": 1, "evaluation_sweeps": evaluation_sweeps,
     }
-    # another solver keys the object afresh
-    Solver().solve_all([base])
-    assert digested == [base, twin, base]
-    # the checks of several instances request one MDP object many times
+    # a writable copy is digested on every request, and its content is a hit
+    copy = dataclasses.replace(base, rewards=base.rewards.copy())
     digested.clear()
-    config = ExperimentConfig(kind="verify-bounds", tol=1e-8, ranges=SMALL)
-    solver = Solver(config.tol)
-    for index in range(3):
-        certify_instance(config, index, solver)
-    assert len({id(mmdp) for mmdp in digested}) == len(digested)
-    requests = solver.solves + solver.hits + solver.evaluations + solver.evaluation_hits
-    assert requests > len(digested)
+    solver.solve_all([copy, copy])
+    assert [arr is copy.rewards for arr in digested] == [True, True]
+    assert (solver.solves, solver.hits) == (1, 4)
+
+
+def test_an_array_changed_in_place_between_requests_gets_a_fresh_solve():
+    spec_x, _ = small_pair(5)
+    linear = assemble_linear_mmdp(spec_x)
+    mmdp = dataclasses.replace(linear, rewards=linear.rewards.copy())
+    policy = JointPolicy(np.zeros(mmdp.num_states, dtype=np.int64))
+    solver = Solver()
+    [(before, _)] = solver.solve_all([mmdp])
+    [evaluated_before] = solver.evaluate_all([(mmdp, policy)])
+    mmdp.rewards[:] *= 2.0
+    [(after, greedy)] = solver.solve_all([mmdp])
+    [evaluated] = solver.evaluate_all([(mmdp, policy)])
+    assert (solver.solves, solver.hits) == (2, 0)
+    assert (solver.evaluations, solver.evaluation_hits) == (2, 0)
+    assert not np.array_equal(after.v, before.v)
+    assert not np.array_equal(evaluated.v, evaluated_before.v)
+    fresh = Solver()
+    [(fresh_values, fresh_policy)] = fresh.solve_all([mmdp])
+    [fresh_evaluated] = fresh.evaluate_all([(mmdp, policy)])
+    assert np.array_equal(after.v.view(np.int64), fresh_values.v.view(np.int64))
+    assert np.array_equal(greedy.actions, fresh_policy.actions)
+    assert np.array_equal(evaluated.v.view(np.int64), fresh_evaluated.v.view(np.int64))
+
+
+EXIT_SCRIPT = """
+import numpy as np
+
+import capmdp
+import capmdp.mdp
+from capmdp.envs.fruit_forage import build_fruit_forage, desk_config
+
+
+def spy_on_checks():
+    seen = []
+    check = capmdp.mdp.check_next_states
+
+    def counted(arr, *args):
+        seen.append(arr)
+        return check(arr, *args)
+
+    capmdp.mdp.check_next_states = counted
+    capmdp.Solver().solve_all([capmdp.assemble_linear_mmdp(build_fruit_forage(desk_config()))])
+    capmdp.mdp.check_next_states = check
+
+
+spy_on_checks()
+# numpy does not garbage-collect object arrays, so this cycle keeps capmdp.mdp
+# alive until the interpreter clears its globals at exit
+KEEP = np.empty(2, dtype=object)
+KEEP[:] = KEEP, capmdp.mdp
+"""
+
+
+def test_the_memo_forgets_dead_arrays_quietly_at_interpreter_exit():
+    # the memo's key holds the spy, and the spy the last reference to the desk
+    # arrays; so they die while the interpreter clears capmdp.mdp's globals,
+    # and their weak-reference callbacks run without those globals
+    env = dict(os.environ, PYTHONPATH=str(Path(capmdp.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", EXIT_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 def test_a_solver_solves_at_its_own_tol(monkeypatch):

@@ -37,6 +37,7 @@ import capmdp.harness
 from capmdp.harness import (
     CHECKS,
     CORE_COLUMNS,
+    MAX_KERNEL_BYTES,
     Check,
     _instance_cases,
     run_fruit_forage,
@@ -89,6 +90,28 @@ def test_ranges_round_trip_and_validation():
         GeneratorRanges(num_agents=(2, 8), actions_per_agent=(3, 3))
     with pytest.raises(ConfigError, match="gamma"):
         GeneratorRanges(gamma=1.0)
+
+
+def test_ranges_whose_largest_kernel_draw_cannot_be_allocated_are_rejected():
+    # capability_dim[1] x num_states[1]^2 x joint actions float64 entries,
+    # with the joint actions min(max_joint_actions, actions^agents) at the top
+    assert MAX_KERNEL_BYTES == 2**28
+    assert 4 * 20**2 * 81 * 8 == 1_036_800  # the default ranges
+    GeneratorRanges()
+    one_dim = dict(capability_dim=(1, 1), num_agents=(2, 2), actions_per_agent=(2, 2))
+    GeneratorRanges(num_states=(2896, 2896), **one_dim)  # 2^28 - 57,344 bytes
+    with pytest.raises(ConfigError, match="268563488 bytes, over MAX_KERNEL_BYTES"):
+        GeneratorRanges(num_states=(2897, 2897), **one_dim)
+    # the joint actions are capped by max_joint_actions
+    GeneratorRanges(num_states=(2, 1000), capability_dim=(1, 1), max_joint_actions=27)
+    with pytest.raises(ConfigError, match="MAX_KERNEL_BYTES"):
+        GeneratorRanges(num_states=(2, 1000), capability_dim=(1, 1))
+    # a 23.3 GB draw is refused when the config is read, and so is a sweep cell's
+    with pytest.raises(ConfigError, match="23328000000 bytes"):
+        ExperimentConfig.from_doc({"kind": "verify-bounds", "ranges": {"num_states": [3000, 3000]}})
+    cell = {"num_agents": 2, "capability_dim": 2, "num_states": 3000}
+    with pytest.raises(ConfigError, match="MAX_KERNEL_BYTES"):
+        ExperimentConfig.from_doc({"kind": "sweep", "sweep_cells": [cell]})
 
 
 def test_generated_pairs_share_a_frame_and_respect_ranges():

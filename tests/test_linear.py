@@ -369,10 +369,7 @@ def test_lipschitz_assembly_with_linear_map_matches_linear_assembly():
         f=lambda team, a=spec.weights.a: a @ team.matrix(),
         lipschitz_constants=spec.weights.a,
     )
-    built = assemble_lipschitz_mmdp(
-        reward_map, spec.team, spec.reward_kernel, linear.transitions,
-        spec.states, spec.num_agents, spec.actions_per_agent, spec.gamma, spec.rho,
-    )
+    built = assemble_lipschitz_mmdp(reward_map, spec.team, spec.reward_kernel, linear)
     assert np.allclose(built.rewards, linear.rewards, atol=1e-14)
     assert np.array_equal(built.transitions, linear.transitions)
 
@@ -384,11 +381,7 @@ def test_lipschitz_spec_validation():
     spec = random_spec(rng)
     bad_map = LipschitzRewardSpec(f=lambda t: np.zeros(7), lipschitz_constants=[1.0, 1.0])
     with pytest.raises(ValueError, match="weight per capability"):
-        assemble_lipschitz_mmdp(
-            bad_map, spec.team, spec.reward_kernel,
-            assemble_linear_mmdp(spec).transitions, spec.states,
-            spec.num_agents, spec.actions_per_agent, spec.gamma, spec.rho,
-        )
+        assemble_lipschitz_mmdp(bad_map, spec.team, spec.reward_kernel, assemble_linear_mmdp(spec))
 
 
 # ---- component types ---------------------------------------------------------------
