@@ -78,8 +78,11 @@ STACK_ENTRIES = 2**15
 # successor classes per class, and otherwise the index (and the
 # probabilities, unless every row has one sure successor); its final backup
 # reads the MDP's own index a block at a time and keeps no (S, A) table.
-# The four desk MDPs of a 1024-state foraging desk solve as one stack, and
-# so do those of three agents on grid 5 (62,500 states each).
+# The members themselves add no (S, A) array per team: desk teams hold their
+# layout's successor index and unit probabilities, 16 bytes per state and
+# joint action in all, checked once for all of them, a block at a time. The
+# four desk MDPs of a 1024-state foraging desk solve as one stack, and so do
+# those of three agents on grid 5 (62,500 states each).
 INDEXED_STACK_STATES = 2**18
 
 

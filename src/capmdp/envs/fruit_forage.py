@@ -11,11 +11,12 @@ steps exactly gamma^t times its utility despite the reward being state-only.
 Movement is deterministic (four directions plus stay; off-grid moves stay),
 agents may share cells, and the transition kernel is capability-independent.
 It is stored in the indexed layout: an (S, A, 1) successor index with unit
-probabilities, which every capability component shares as a broadcast view,
-so memory grows with S * A rather than S * A * S and grid 6 with two agents
-(5184 states) solves exactly. No layout of more than STATE_CAP states is
-enumerated: fruit_forage_state_count rejects it, for build_fruit_forage and
-for the experiment config's fruit_forage section alike.
+probabilities, which every capability component shares as a broadcast view
+and every team's MDP holds as its transitions array, so memory grows with
+S * A rather than S * A * S and grid 6 with two agents (5184 states) solves
+exactly. No layout of more than STATE_CAP states is enumerated:
+fruit_forage_state_count rejects it, for build_fruit_forage and for the
+experiment config's fruit_forage section alike.
 
 Teams on one grid differ in their rewards only: the successor index, the
 state features and the initial distribution depend on the grid, the agent
@@ -195,6 +196,10 @@ def fruit_forage_layout(config: FruitForageConfig) -> ForageLayout:
 
     The team, weights and discount play no part, so specs of every team on
     this grid can share one layout (build_fruit_forage's layout argument).
+    The kernel's components are broadcast views of one read-only (S, A, 1)
+    array of unit probabilities, which owns its data, so a team's MDP holds
+    that array as its transitions, with no copy, wherever its mixture gives
+    the array's bits, as every desk team's does (assemble_linear_mmdp).
 
     Raises:
         ValueError: when the enumerated state space exceeds STATE_CAP, or a
@@ -259,8 +264,11 @@ def fruit_forage_layout(config: FruitForageConfig) -> ForageLayout:
         )
 
     # one sure successor per row; every capability component shares the same
-    # unit probabilities as a broadcast view
-    components = np.broadcast_to(np.ones((size, num_joint, 1)), (d, size, num_joint, 1))
+    # unit probabilities as a broadcast view, and once read-only the unit
+    # array is also every team's transitions, checked and digested once
+    unit = np.ones((size, num_joint, 1))
+    unit.flags.writeable = False
+    components = np.broadcast_to(unit, (d, size, num_joint, 1))
 
     rho = np.zeros(size)
     if starts is not None:

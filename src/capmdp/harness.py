@@ -402,7 +402,7 @@ def default_config(kind: str, seed: int = 0) -> ExperimentConfig:
 # ---- random instance generation ---------------------------------------------------
 
 
-def generate_linear_pair(ranges: GeneratorRanges, rng: np.random.Generator):
+def generate_linear_pair(ranges: GeneratorRanges, rng: "np.random.Generator"):
     """Two teams over one randomly drawn shared frame (kernels, states, rho)."""
     lo, hi = ranges.num_states
     num_states = int(rng.integers(lo, hi + 1))
@@ -450,12 +450,12 @@ def generate_linear_pair(ranges: GeneratorRanges, rng: np.random.Generator):
     return spec_x, spec_y
 
 
-def sample_simplex_team(rng: np.random.Generator, num_agents: int, dim: int) -> TeamComposition:
+def sample_simplex_team(rng: "np.random.Generator", num_agents: int, dim: int) -> TeamComposition:
     return TeamComposition(tuple(rng.dirichlet(np.ones(dim)) for _ in range(num_agents)))
 
 
 def sample_polynomial_spec(
-    rng: np.random.Generator, num_agents: int, degree: int, alpha: float = 1.0
+    rng: "np.random.Generator", num_agents: int, degree: int, alpha: float = 1.0
 ) -> PolynomialRewardSpec:
     """Random polynomial with at most 2^(j-1) terms of each total degree j.
 

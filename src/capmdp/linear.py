@@ -304,10 +304,12 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
 
     The MDP is built once per spec object and kept on it, so every check that
     assembles one spec shares one TabularMMDP; its arrays are read-only. The
-    teams of a kernel whose components are identical, such as the unit
-    probabilities of a deterministic grid, hold one transitions array,
-    owned and read-only, wherever their mixtures give the same bits, so it
-    is checked and digested once for all of them (mdp._once).
+    teams of a kernel whose components are identical hold one transitions
+    array, owned and read-only, wherever their mixtures give its bits, so it
+    is checked and digested once for all of them (mdp._once). Where the
+    components are views of one such array, as the desk's unit
+    probabilities are (fruit_forage_layout), it is that array, and no team
+    adds a copy; otherwise it is the first team's mixture.
     """
     assembled = spec.__dict__.get("_assembled")
     if assembled is not None:
@@ -326,13 +328,16 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
             raise ValueError("capability mixture is all-zero; no transition mixture exists")
         transition_mix = mixture / total
     kernel = spec.transition_kernel
-    # teams whose mixtures give the same bits hold the first one's array
+    # teams whose mixtures give the same bits hold one array: the read-only
+    # array that the components view, if any, else the first team's mixture
     transitions = kernel.__dict__.get("_mixed")
+    if transitions is None and kernel.identical_components:
+        transitions = _frozen_owner(kernel.components[0])
     if transitions is None or not _mixes_to(transitions, transition_mix, kernel.components):
         transitions = np.einsum("j,jsut->sut", transition_mix, kernel.components)
         transitions.flags.writeable = False
-        if kernel.identical_components:
-            kernel.__dict__.setdefault("_mixed", transitions)
+    if kernel.identical_components:
+        kernel.__dict__.setdefault("_mixed", transitions)
     assembled = TabularMMDP(
         states=spec.states,
         num_agents=spec.num_agents,
@@ -346,6 +351,21 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
     assembled.rewards.flags.writeable = False
     object.__setattr__(spec, "_assembled", assembled)
     return assembled
+
+
+def _frozen_owner(view: np.ndarray) -> np.ndarray | None:
+    """The read-only array that owns view's data if view is the whole of it, else None.
+
+    Such an array cannot change, so every MDP may hold it; a broadcast
+    kernel's components are views of one.
+    """
+    owner = view
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    frozen = owner.flags.owndata and not owner.flags.writeable
+    same = (owner.shape, owner.dtype, owner.ctypes.data) == (view.shape, view.dtype, view.ctypes.data)
+    whole = same and owner.flags.c_contiguous and view.flags.c_contiguous
+    return owner if frozen and whole else None
 
 
 def _mixes_to(mixed: np.ndarray, mix: np.ndarray, components: np.ndarray) -> bool:

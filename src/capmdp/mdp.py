@@ -111,7 +111,8 @@ def check_next_states(next_states, num_states: int, num_joint_actions: int) -> n
     """Validate an (S, A, K) successor index and return it as int64.
 
     Raises ValueError naming the first (s, u) row that points outside the
-    state space.
+    state space. Rows are read in blocks of at most SCRATCH_ENTRIES entries,
+    so the check holds no index-sized temporary.
     """
     idx = np.asarray(next_states)
     if (
@@ -124,12 +125,15 @@ def check_next_states(next_states, num_states: int, num_joint_actions: int) -> n
             f"next_states must be an integer ({num_states}, {num_joint_actions}, K) array "
             f"with K >= 1, got {idx.dtype} {idx.shape}"
         )
-    outside = (idx < 0) | (idx >= num_states)
-    if np.any(outside):
-        s, u = np.argwhere(outside.any(axis=2))[0]
-        raise ValueError(
-            f"successor row (s={s}, u={u}) names a state outside [0, {num_states})"
-        )
+    n = max(1, SCRATCH_ENTRIES // (idx.shape[1] * idx.shape[2]))
+    for lo in range(0, len(idx), n):
+        block = idx[lo : lo + n]
+        outside = (block < 0) | (block >= num_states)
+        if outside.any():
+            s, u = np.argwhere(outside.any(axis=2))[0]
+            raise ValueError(
+                f"successor row (s={lo + s}, u={u}) names a state outside [0, {num_states})"
+            )
     return idx.astype(np.int64, copy=False)
 
 

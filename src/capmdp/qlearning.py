@@ -177,7 +177,7 @@ class PCG64Draws:
     Generator was left. Only PCG64, default_rng's bit generator, is accepted.
     """
 
-    def __init__(self, generator: np.random.Generator):
+    def __init__(self, generator: "np.random.Generator"):
         bits = generator.bit_generator
         if not isinstance(bits, np.random.PCG64):
             raise TypeError(f"PCG64Draws needs a PCG64 bit generator, got {type(bits).__name__}")
@@ -212,7 +212,7 @@ class PCG64Draws:
                 m = self._draw32() * n
         return m >> 32
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> "np.random.Generator":
         """The Generator, at exactly the position this object's draws reached."""
         if self._before is not None:
             bits = self._bits

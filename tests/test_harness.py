@@ -1,9 +1,13 @@
 """Experiment harness: configs, generators, runners, artifacts, CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from dataclasses import asdict, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -1305,3 +1309,37 @@ def test_cli_surfaces_solver_failures(tmp_path, monkeypatch):
     config_path = write_config(tmp_path)
     code = main(["verify-bounds", "--config", str(config_path), "--out", str(tmp_path / "runs")])
     assert code == EXIT_SOLVER
+
+
+NUMPY_RANDOM_SCRIPT = """
+import sys
+
+import numpy
+
+if "numpy.random" in sys.modules:
+    print("numpy loads numpy.random at import")
+    sys.exit()
+from capmdp import cli
+
+config, out = sys.argv[1:]
+assert cli.main(["fruit-forage", "--out", out]) == 0
+forage = "numpy.random" in sys.modules
+assert cli.main(["verify-bounds", "--config", config, "--out", out]) == 0
+print("numpy.random loaded:", forage, "numpy.random" in sys.modules)
+"""
+
+
+def test_only_a_run_that_draws_loads_numpy_random(tmp_path):
+    # a fresh interpreter, since this one has drawn already; the foraging
+    # desk draws nothing, so numpy.random (2.7 MiB) stays unloaded there
+    env = dict(os.environ, PYTHONPATH=str(Path(capmdp.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", NUMPY_RANDOM_SCRIPT, str(write_config(tmp_path)),
+         str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    last = done.stdout.splitlines()[-1]
+    if last == "numpy loads numpy.random at import":
+        pytest.skip(last)
+    assert last == "numpy.random loaded: False True"

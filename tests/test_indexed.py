@@ -27,6 +27,7 @@ from capmdp import (
     value_iteration,
     value_iteration_stack,
 )
+import capmdp.bounds
 import capmdp.mdp
 from capmdp.envs.fruit_forage import build_fruit_forage, desk_config, fruit_forage_layout
 from capmdp.harness import ExperimentConfig, run_fruit_forage
@@ -179,6 +180,30 @@ def test_a_bad_row_in_a_later_block_is_named_by_its_global_pair(monkeypatch):
         bad[1, 3, 1] = entries
         with pytest.raises(ValueError, match=rf"^kernel component 1 row \(s=3, u=1\) {message}"):
             TransitionKernel(bad, next_states=fields["next_states"])
+    for bad_state in (4, -1):
+        outside = fields["next_states"].copy()
+        outside[3, 1, 1] = outside[3, 2, 0] = bad_state
+        with pytest.raises(ValueError, match=r"^successor row \(s=3, u=1\) names a state outside"):
+            TabularMMDP(**{**fields, "next_states": outside})
+        with pytest.raises(ValueError, match=r"^successor row \(s=3, u=1\) names a state outside"):
+            TransitionKernel(components, next_states=outside)
+
+
+def test_the_successor_check_holds_about_one_block():
+    # the three-agent grid-5 desk's index shape, broadcast so that the index holds nothing
+    num_states, num_joint = 62_500, 125
+    index = np.broadcast_to(np.arange(num_joint)[None, :, None], (num_states, num_joint, 1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert capmdp.mdp.check_next_states(index, num_states, num_joint) is index
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the rows are read in blocks of mdp.SCRATCH_ENTRIES entries, so the check
+    # holds a few blocks of bools; a check of the whole index held 14.9 MiB here
+    assert peak <= 8 * capmdp.mdp.SCRATCH_ENTRIES
 
 
 @pytest.mark.parametrize("rows", ["mdp", "kernel"])
@@ -279,6 +304,34 @@ LONE_TEAM_SWEEPING_MB = 47.0
 LONE_TEAM_BEYOND_ANSWERS_MB = 31.6
 
 
+def test_desk_teams_hold_the_layouts_own_unit_probabilities(monkeypatch):
+    layout = fruit_forage_layout(desk_config())
+    checked, digested = [], []
+    for module, name, seen in (
+        (capmdp.mdp, "_check_transition_rows", checked),
+        (capmdp.bounds, "_array_digest", digested),
+    ):
+        def spy(arr, *args, fn=getattr(module, name), seen=seen):
+            seen.append(arr)
+            return fn(arr, *args)
+
+        monkeypatch.setattr(module, name, spy)
+    specs = [build_fruit_forage(desk_config(label), layout) for label in "xyz"]
+    z = specs[2]
+    a = z.weights.a
+    specs.append(z.with_team(z.team.drop_last(), InfluenceWeights(a[:-1] / (1.0 - a[-1]))))
+    mmdps = [assemble_linear_mmdp(spec) for spec in specs]
+    Solver().solve_all(mmdps)
+    # every team holds the layout's own array, no copy of it
+    unit = mmdps[0].transitions
+    assert np.shares_memory(unit, layout.transition_kernel.components)
+    assert unit.flags.owndata and not unit.flags.writeable
+    assert all(mmdp.transitions is unit for mmdp in mmdps)
+    # so it is row-checked and digested once for all of them
+    assert sum(arr is unit for arr in checked) == 1
+    assert sum(arr is unit for arr in digested) == 1
+
+
 def test_a_large_desk_stack_holds_less_than_one_team_did_alone():
     layout = fruit_forage_layout(desk_config("x", 4, 3))
     specs = [build_fruit_forage(desk_config(label, 4, 3), layout) for label in "xyz"]
@@ -318,12 +371,15 @@ def test_a_large_desk_stack_holds_less_than_one_team_did_alone():
 
 # tracemalloc peak of a whole fruit-forage run on the three-agent grid-4 desk,
 # measured on the solver whose answers are each team's v and greedy actions,
-# with rows checked, mixtures compared and the layout's successor index built
-# in blocks: 52.55 MB (2**20 bytes), reached in the stacked solve. A layout
-# built in one pass peaked the run at 56.3 MB inside it; a solver that kept
-# each team's (S, A) q table, beside whole-array row checks and mixtures,
-# peaked at 115.0 MB. The pin is the measured figure, with no margin.
-DESK_RUN_MB = 52.6
+# with rows checked, successors range-checked, mixtures compared and the
+# layout's successor index built in blocks, and every team holding the
+# layout's own unit probabilities: 36.93 MB (2**20 bytes), reached in the
+# stacked solve (the layout's build peaks at 36.56 MB). Teams that held a
+# mixed copy of the unit array, beside a whole-index range check, peaked the
+# run at 52.55 MB; a layout built in one pass at 56.3 MB inside it; a solver
+# that kept each team's (S, A) q table, beside whole-array row checks and
+# mixtures, at 115.0 MB. The pin is the measured figure, rounded up to 0.1.
+DESK_RUN_MB = 37.0
 
 
 def test_a_three_agent_desk_run_holds_no_more_than_its_pinned_peak():
