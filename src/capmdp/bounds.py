@@ -68,21 +68,20 @@ GAMMA_CROSSOVER = (math.sqrt(5.0) - 1.0) / 2.0
 # 1024-state, 25-action foraging desk evaluates alone.
 STACK_ENTRIES = 2**15
 # Largest members x states of one indexed value-iteration stack, whose
-# members hold one successor-index object (Solver.solve_all). They share each
-# gather of it, so a bigger stack saves time at any size. Its answers are
-# each member's v and greedy actions, 16 bytes per state (4 MB at this cap).
-# Beyond them the stack holds its value buffers (mdp._BLOCK + 1 kept iterates
-# of members x states entries, 36 MB at this cap), one gather block of
-# mdp.SCRATCH_ENTRIES entries, and one joint-action-major copy of the rows
-# it sweeps per group of members that share them: a lumped stack's set of
-# successor classes per class, and otherwise the index (and the
-# probabilities, unless every row has one sure successor); its final backup
-# reads the MDP's own index a block at a time and keeps no (S, A) table.
-# The members themselves add no (S, A) array per team: desk teams hold their
-# layout's successor index and unit probabilities, 16 bytes per state and
-# joint action in all, checked once for all of them, a block at a time. The
-# four desk MDPs of a 1024-state foraging desk solve as one stack, and so do
-# those of three agents on grid 5 (62,500 states each).
+# members hold one successor-index object (Solver.solve_all). Its answers are
+# 16 bytes per state per member (4 MB at this cap), its value buffers
+# mdp._BLOCK + 1 kept iterates (36 MB). On sure one-successor rows, as on
+# every desk, it takes the blocked sweep, whose members share each gather,
+# so a bigger stack saves time at any size; that adds one gather block of
+# mdp.SCRATCH_ENTRIES entries and a joint-action-major copy of the rows it
+# sweeps (the quotient's successor-class sets, or the index), and keeps no
+# (S, A) table. Any other indexed stack takes the generic path and holds a
+# (B, S, A) table of joint-action values, 8 bytes per member, state and joint
+# action, and with K > 1 one member's (S, A, K) gather. Desk teams add no
+# (S, A) array: they hold their layout's index and unit probabilities, 16
+# bytes per state and joint action, checked once for all. The four desk MDPs
+# of a 1024-state desk solve as one stack, and so do those of three agents
+# on grid 5 (62,500 states each).
 INDEXED_STACK_STATES = 2**18
 
 

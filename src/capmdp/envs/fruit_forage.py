@@ -245,8 +245,9 @@ def fruit_forage_layout(config: FruitForageConfig) -> ForageLayout:
     for j, (r, c) in enumerate(trees):
         tree_bit[r * g + c] = 1 << j
     masks = np.arange(num_masks)[None, :, None]
-    # written through a view, so the index owns its data: once read-only, it
-    # is checked and digested once for every MDP that shares it (mdp._once)
+    # written through a view, so the index owns its data: read-only before the
+    # kernel is built, it is checked and digested once for the kernel and every
+    # MDP that shares it (mdp._once)
     next_states = np.empty((size, num_joint, 1), dtype=np.int64)
     by_position = next_states.reshape(num_positions, num_masks, num_joint)
     # a block of positions at a time, so that no temporary holds more than
@@ -262,6 +263,8 @@ def fruit_forage_layout(config: FruitForageConfig) -> ForageLayout:
             masks | newly_covered[:, None, :],
             out=by_position[lo : lo + block],
         )
+
+    next_states.flags.writeable = False
 
     # one sure successor per row; every capability component shares the same
     # unit probabilities as a broadcast view, and once read-only the unit
@@ -284,7 +287,7 @@ def fruit_forage_layout(config: FruitForageConfig) -> ForageLayout:
         transition_kernel=TransitionKernel(components, next_states=next_states),
         rho=rho,
     )
-    for arr in (layout.states.features, layout.transition_kernel.next_states, layout.rho):
+    for arr in (layout.states.features, layout.rho):
         arr.flags.writeable = False
     return layout
 

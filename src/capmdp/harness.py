@@ -115,15 +115,16 @@ def _cast(what: str, kind, value):
 
     kind is str, int, float, dict, tuple, tuple[item, ...] or a config
     dataclass (read with its from_doc). Numbers go through int()/float(), so
-    "5" reads as 5, but a boolean is no number; a tuple takes only a list and
-    a dict only an object.
+    "5" and 5.0 read as 5, but a boolean is no number and 2.7 no integer; a
+    tuple takes only a list and a dict only an object.
     """
     origin = get_origin(kind) or kind
     if origin is str:
         return str(value)
     if is_dataclass(origin):
         return value if isinstance(value, origin) else origin.from_doc(value)
-    if isinstance(value, _ACCEPTS[origin]) and not isinstance(value, bool):
+    fraction = origin is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, _ACCEPTS[origin]) and not isinstance(value, bool) and not fraction:
         if origin is tuple and get_args(kind):
             return tuple(_cast(f"{what} item", get_args(kind)[0], item) for item in value)
         try:

@@ -10,6 +10,7 @@ assembled MDP keeps that layout. Lipschitz and polynomial reward forms
 cover teams whose effect on the reward is not a plain weighted sum.
 """
 
+import contextlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -160,14 +161,16 @@ class TransitionKernel:
         else:
             if arr.ndim != 4:
                 raise ValueError("transition kernel must have shape (capability_dim, S, A, K)")
-            next_states = check_next_states(self.next_states, arr.shape[1], arr.shape[2])
+            next_states = mdp._once(
+                check_next_states, np.asarray(self.next_states), arr.shape[1], arr.shape[2]
+            )
             if next_states.shape != arr.shape[1:]:
                 raise ValueError(
                     f"kernel components must have shape (capability_dim,) + "
                     f"{next_states.shape}, got {arr.shape}"
                 )
             object.__setattr__(self, "next_states", next_states)
-        object.__setattr__(self, "components", mdp._check_transition_rows(arr))
+        object.__setattr__(self, "components", _check_components(arr))
 
     @property
     def capability_dim(self) -> int:
@@ -366,6 +369,21 @@ def _frozen_owner(view: np.ndarray) -> np.ndarray | None:
     same = (owner.shape, owner.dtype, owner.ctypes.data) == (view.shape, view.dtype, view.ctypes.data)
     whole = same and owner.flags.c_contiguous and view.flags.c_contiguous
     return owner if frozen and whole else None
+
+
+def _check_components(arr: np.ndarray) -> np.ndarray:
+    """mdp._check_transition_rows on (d, S, A, X) components, through mdp._once where it can.
+
+    Components broadcast from one read-only array, as the desk's unit
+    probabilities are, are that array's rows, which its MDPs check too; a
+    failing array is checked again as components, so the error names one.
+    """
+    owner = _frozen_owner(arr[0]) if len(arr) and arr.strides[0] == 0 else None
+    if owner is not None:
+        with contextlib.suppress(ValueError):
+            mdp._once(mdp._check_transition_rows, owner)
+            return arr
+    return mdp._check_transition_rows(arr)
 
 
 def _mixes_to(mixed: np.ndarray, mix: np.ndarray, components: np.ndarray) -> bool:

@@ -9,9 +9,9 @@ A transition kernel has one of two layouts. Dense, it is an (S, A, S)
 tensor of next-state probabilities. Indexed, an (S, A, K) integer array
 names each row's K successors and an (S, A, K) array holds their
 probabilities, so a sparse kernel such as a deterministic gridworld stores
-one entry per row instead of S. Every solver reads either layout through
-one expected-next-value map; with one sure successor per row, an indexed
-kernel solves bit for bit like its dense twin. These are exact desk-scale
+one entry per row instead of S. Every solver reads either layout; with one
+sure successor per row, an indexed kernel solves bit for bit like its dense
+twin. These are exact desk-scale
 solvers, not large-scale approximate ones.
 
 Every solver runs one successive-approximation loop, _fixed_point, in
@@ -25,25 +25,19 @@ block of sweeps, from the kept iterates of the block, so each member still
 stops on its own first sweep within tol; the check reads the kept iterates
 member-major, so each member's largest change is a reduction over
 contiguous entries. It runs a stack of MDPs of one layout, shape and
-discount at once (value_iteration_stack, policy_evaluation_stack): dense
-kernels are stacked once, so a sweep makes one batched kernel product and a
-handful of whole-stack array calls however many members it backs up, which
-removes most of the per-call overhead of small solves. Indexed value
-iteration keeps the stack's values member-minor, (S, B), so members that
-share one successor index and its probabilities, such as teams that differ
-in their rewards only, share each gather of it: one np.take fetches all
-their values at each successor. Its sweeps read the rows
-joint-action-major, copied once per shared index, and gather one block of
-states at a time into a buffer of at most SCRATCH_ENTRIES entries; rows
-with one successor skip the sum over successors. A stack of sure
-one-successor rows on one shared index, with no -0.0 reward, sweeps its
-exact quotient: one state per class of bisimilar states (equal rewards in
-every member, equal sets of successor classes; Givan, Dean & Greig 2003),
-since such states hold the same bits after every sweep, and reads only
-each class's set of successor classes, since the max of a set of exact
-values is the same however often each appears; its final backup reads
-every state's own rows. Each member gets exactly the arrays a stack of
-that member alone gives it; value_iteration is such a stack of one.
+discount at once (value_iteration_stack, policy_evaluation_stack), which
+removes most of the per-call overhead of small solves. Evaluations, and
+value iteration on its generic path, read every kernel through one
+expected-next-value map, _next_value: a dense stack makes one batched
+kernel product per sweep, an indexed one a gather per member. A
+value-iteration stack whose members all hold one successor index of sure
+one-successor rows, such as teams that differ in their rewards only, takes
+the blocked sweep instead: its values are member-minor, (S, B), so one
+np.take fetches all members' values at each successor, and wherever that
+keeps every bit it sweeps its exact quotient, one state per class of
+bisimilar states (Givan, Dean & Greig 2003). Each member gets exactly the
+bits a stack of that member alone gives it; value_iteration is such a
+stack of one.
 """
 
 import math
@@ -369,7 +363,8 @@ def _next_value(kernels, num_states: int, columns: int):
     so a solve's sweeps run without re-checking it. Dense kernels are copied
     once into one (B, *rows, S) stack (a lone kernel is viewed, not copied),
     so a sweep makes one matmul for the whole stack; indexed kernels are read
-    where they lie, member by member.
+    where they lie, member by member. It serves every solve but value
+    iteration's blocked sweep (see value_iteration_stack).
     """
     if kernels[0][1] is None:
         # matmul loops over the stack and runs the same product per (member,
@@ -436,7 +431,7 @@ def _backup(expect, base, gamma: float, v, out):
 # do not depend on it, only how many sweeps past the last stop a solve makes
 _BLOCK = 16
 # entries of one scratch block of the sweep loops: a block of gathered next
-# values in an indexed value-iteration sweep, and a block of sweep-to-sweep
+# values in a blocked value-iteration sweep, and a block of sweep-to-sweep
 # changes in _fixed_point; blocking changes no bit, only how much a solve
 # holds beyond its iterates
 SCRATCH_ENTRIES = 2**15
@@ -512,25 +507,17 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
     max over joint actions, and only then scales and adds the reward on the
     per-state maxima. That gives the bits of max(r + gamma * E[v]): for
     gamma >= 0, x -> fl(r + fl(gamma * x)) is monotone under round-to-nearest,
-    so it commutes with the max. A dense stack makes one batched kernel
-    product per sweep. An indexed stack is solved member-minor, its values
-    (S, B): members that share one successor index and its probabilities
-    share each gather, one np.take fetching all their values at each
-    successor. When they all share one index of sure one-successor rows and
-    no reward is -0.0, the sweeps run on one state per class of bisimilar
-    states, whose bits every state of the class holds after every sweep, and
-    read each class's set of successor classes: a max of values that hold no
-    -0.0 depends on their set only (see _indexed_value_iteration). Other
-    indexed stacks sweep every state's A rows in joint-action order, as the
-    textbook loop does. Each member stops at its own first sweep whose change
-    is <= tol (the loop checks a block of sweeps at once; see _fixed_point);
-    one more backup of the stopped values then gives each member's v and
-    greedy policy: the max and argmax of each state's joint-action values,
-    read from the member's own contiguous row as for a member alone. Those
-    values are not kept. Every operation acts on each member's entries
-    alone, and gathers, maxima, sums over successors and the elementwise
-    scale and add give the same bits in any layout, so each result is bit
-    for bit the one value_iteration gives that MDP.
+    so it commutes with the max. A stack whose members all hold one
+    successor index of sure one-successor rows takes the blocked sweep
+    (_blocked_value_iteration); every other one, dense, of several or unsure
+    successors per row, or of several kernels, the generic path
+    (_generic_value_iteration). Each member stops at its own first sweep
+    whose change is <= tol (see _fixed_point); one more backup of the stopped
+    values then gives each member's v and greedy policy, the max and argmax
+    of each state's joint-action values over the member's own contiguous
+    row. Every operation acts on each member's entries alone, and either
+    path gives the textbook loop's bits, so each result is bit for bit the
+    one value_iteration gives that MDP.
 
     Returns:
         (solutions, sweeps): one (ValueTable, JointPolicy) per MDP in input
@@ -544,16 +531,20 @@ def value_iteration_stack(mmdps, tol: float = 1e-9, max_iters: int = 10**6):
     if not mmdps:
         return [], []
     _check_stack(mmdps)
-    solve = _dense_value_iteration if mmdps[0].next_states is None else _indexed_value_iteration
+    solve = _blocked_value_iteration if _on_one_sure_index(mmdps) else _generic_value_iteration
     answers, sweeps = solve(mmdps, tol, max_iters)
     return [(ValueTable(v), JointPolicy(actions)) for v, actions in answers], sweeps
 
 
-def _dense_value_iteration(mmdps, tol: float, max_iters: int):
-    """((v, greedy actions) per member, its sweeps) of a dense stack, one matmul per sweep."""
+def _generic_value_iteration(mmdps, tol: float, max_iters: int):
+    """((v, greedy actions) per member, its sweeps) of any stack, from a (B, S, A) table.
+
+    Each sweep fills the table through _next_value and takes its max over
+    joint actions in their order.
+    """
     b, s = len(mmdps), mmdps[0].num_states
     r = np.stack([m.rewards for m in mmdps]).reshape(b, s, 1)
-    expect = _next_value([(m.transitions, None) for m in mmdps], s, 1)
+    expect = _next_value([(m.transitions, m.next_states) for m in mmdps], s, 1)
     q = np.empty((b,) + mmdps[0].transitions.shape[:2] + (1,))  # (B, S, A, 1)
 
     def best_next_value(v, out):
@@ -570,23 +561,14 @@ def _dense_value_iteration(mmdps, tol: float, max_iters: int):
     return list(zip(q.max(axis=2), q.argmax(axis=2))), sweeps
 
 
-def _shared_groups(mmdps) -> list:
-    """Positions of mmdps grouped by equal successor index and probabilities, in order."""
-    groups = []
-    for i, mmdp in enumerate(mmdps):
-        for head, positions in groups:
-            if all(
-                mine is theirs or np.array_equal(mine, theirs)
-                for mine, theirs in (
-                    (mmdp.next_states, head.next_states),
-                    (mmdp.transitions, head.transitions),
-                )
-            ):
-                positions.append(i)
-                break
-        else:
-            groups.append((mmdp, [i]))
-    return [positions for _, positions in groups]
+def _on_one_sure_index(mmdps) -> bool:
+    """Whether the members all hold the first's successor index, of sure K = 1 rows."""
+    index, unit = mmdps[0].next_states, mmdps[0].transitions
+    return index is not None and index.shape[2] == 1 and bool(np.all(unit == 1.0)) and all(
+        (m.next_states is index or np.array_equal(m.next_states, index))
+        and (m.transitions is unit or np.all(m.transitions == 1.0))
+        for m in mmdps[1:]
+    )
 
 
 def _class_keys(count: int) -> np.ndarray:
@@ -715,54 +697,40 @@ def _bisimulation(successors: np.ndarray, rewards: np.ndarray, passes: int):
     return classes, firsts, first_rows
 
 
-def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
-    """((v, greedy actions) per member, its sweeps) of an indexed stack, gathered once per group.
+def _blocked_value_iteration(mmdps, tol: float, max_iters: int):
+    """((v, greedy actions) per member, its sweeps) of a stack on one index of sure K = 1 rows.
 
-    The stack lumps when it is one _shared_groups group of sure K = 1 rows
-    and no reward is -0.0: its sweeps then run on its exact quotient, one
+    With no -0.0 reward the sweeps run on the stack's exact quotient, one
     first state per class of bisimilar states, whose rows are the sets of
-    successor classes _bisimulation checked. Lumping keeps every bit. The
-    iterates start at +0; fl(r + fl(gamma * m)) is -0.0 only when r is, so
-    with no -0.0 reward no iterate holds -0.0 and a max of values depends
-    only on the set of values, not on their order or repeats. By induction,
-    the states of a class then hold the same bits after every sweep, so its
-    first state's values are every member's, its largest change is theirs,
-    and each member stops on the sweep it stops on unlumped, with the
-    residual it reports unlumped. Otherwise, and where the partition takes
+    successor classes _bisimulation checked. Lumping keeps every bit: the
+    iterates start at +0 and fl(r + fl(gamma * m)) is -0.0 only when r is, so
+    no iterate holds -0.0 and a max of values depends only on their set, not
+    on their order or repeats. By induction the states of a class hold the
+    same bits after every sweep, so each member stops on the sweep, and with
+    the residual, it has unlumped. Otherwise, and where the partition takes
     more passes than value iteration can need sweeps or fails its exact
     check, every state is its own class and sweeps its own A rows in
     joint-action order, as the textbook max does, so np.maximum's choice
     between tied +0.0 and -0.0 falls as it does there.
 
-    The values are member-minor, (classes, B), with the members of each
-    _shared_groups group in adjacent columns. A sweep reads each group's
-    rows in blocks of classes, copied once joint-action-major, each block's
-    gather at most SCRATCH_ENTRIES entries: one np.take fetches the group's
-    values at every successor of a block, (rows, classes, B_g, K) with the
-    successor axis innermost, so the sum over successors runs in the order a
-    lone member's (S, A, K) rows give it; one max over the outer row axis
+    The values are member-minor, (classes, B). A sweep reads the rows in
+    blocks of classes, copied once joint-action-major: one np.take fetches
+    every member's values at every successor of a block, (rows, classes, B),
+    at most SCRATCH_ENTRIES entries, and one max over the outer row axis
     follows. A block of the quotient's sets is trimmed to its widest set,
     each shorter set padded with repeats of its first class. The final
-    backup reads every row of the MDP's own index, block by block, each
-    state's value taken from its class. Each block's (states, A, B_g)
-    values are copied member-major, so each member's v and greedy policy
-    are a max and an argmax over its own contiguous rows, as for a member
-    alone: the same bits, signed-zero and lowest-index ties included. No
-    (S, A) table is kept. A group of one member takes the same path.
+    backup reads every row of the index, block by block, each state's value
+    taken from its class, into a member-major (B, states, A) block, so each
+    member's v and greedy policy are a max and an argmax over its own
+    contiguous rows, as for a member alone. No (S, A) table is kept.
     """
     first = mmdps[0]
-    s, a, k = first.next_states.shape
-    groups = _shared_groups(mmdps)
-    order = [i for positions in groups for i in positions]  # column -> member
-    r = np.stack([mmdps[i].rewards for i in order], axis=1)  # (S, B)
-    lumps = (
-        len(groups) == 1
-        and k == 1
-        and np.all(first.transitions == 1.0)
-        and not np.any(np.signbit(r) & (r == 0.0))
-    )
+    successors = first.next_states[:, :, 0]
+    s, a = successors.shape
+    b = len(mmdps)
+    r = np.stack([m.rewards for m in mmdps], axis=1)  # (S, B)
     classes, firsts, quotient = np.arange(s), np.arange(s), None
-    if lumps:
+    if not np.any(np.signbit(r) & (r == 0.0)):
         # a pass of the partition reads the index as a sweep does, so one still
         # splitting after as many passes as value iteration can need sweeps
         # (the first n with gamma^(n - 1) * max|r| <= tol, in exact arithmetic)
@@ -772,93 +740,44 @@ def _indexed_value_iteration(mmdps, tol: float, max_iters: int):
         passes = 2
         if top > tol and first.gamma > 0.0:
             passes = 1 + math.ceil(math.log(tol / top) / math.log(first.gamma))
-        classes, firsts, quotient = _bisimulation(first.next_states[:, :, 0], r, passes)
+        classes, firsts, quotient = _bisimulation(successors, r, passes)
     count = len(firsts)
-    # a block of one state passes SCRATCH_ENTRIES when A * K * B_g does
-    rows = [min(s, max(1, SCRATCH_ENTRIES // (a * k * len(positions)))) for positions in groups]
-    scratch = np.empty(max(a * n * k * len(positions) for n, positions in zip(rows, groups)))
-    summed = np.empty(scratch.size // k) if k > 1 else None
-
-    def block(index, probs, members: int):
-        """(index, probs, take's out, gathered, result) of a block's rows on the scratch."""
-        size = index.size * members
-        if k == 1:  # a one-term sum is that term
-            gathered = scratch[:size].reshape(index.shape[:2] + (members,))
-            return index[..., 0], probs, gathered, gathered, gathered
-        gathered = scratch[:size].reshape(index.shape[:2] + (members, k))
-        result = summed[: size // k].reshape(gathered.shape[:3])
-        return index, probs[:, :, None], gathered.swapaxes(2, 3), gathered, result
-
-    def expected(source, index, probs, target, gathered, result):
-        """result <- the (rows, states, B_g) expected next values of one block of a group."""
-        # successors were range-checked when the MDP was built
-        source.take(index, axis=0, out=target, mode="clip")
-        if probs is not None:
-            np.multiply(gathered, probs, out=gathered)
-        if k > 1:
-            np.sum(gathered, axis=3, out=result)
-        return result
-
-    def own_rows(head, sure: bool, states):
-        """A block's (states, A, K) successors, and probabilities unless every row is sure."""
-        return head.next_states[states], None if sure else head.transitions[states]
-
-    plans = []
-    start = 0
-    for n, positions in zip(rows, groups):
-        columns = slice(start, start + len(positions))
-        start += len(positions)
-        head = mmdps[positions[0]]
-        sure = k == 1 and np.all(head.transitions == 1.0)
-        blocks = []
-        for lo in range(0, count, n):
-            block_classes = slice(lo, lo + n)
-            if quotient is None:  # every state its own class, with its own rows
-                index, probs = (
-                    None if arr is None else np.ascontiguousarray(arr.swapaxes(0, 1))
-                    for arr in own_rows(head, sure, block_classes)
-                )
-            else:
-                # a shorter set's padding, the class count, becomes its first class
-                sets = quotient[block_classes]
-                sets = sets[:, : np.count_nonzero(sets < count, axis=1).max()]
-                index = np.where(sets == count, sets[:, :1], sets).T.copy()[:, :, None]
-                probs = None
-            blocks.append((block_classes, block(index, probs, len(positions))))
-        plans.append((columns, head, sure, n, blocks))
+    # a block of one state passes SCRATCH_ENTRIES when A * B does
+    n = min(s, max(1, SCRATCH_ENTRIES // (a * b)))
+    scratch = np.empty(a * n * b)
+    blocks = []
+    # unlumped, each state's own rows stand for its set, in joint-action order
+    rows = successors if quotient is None else quotient
+    for lo in range(0, count, n):
+        # a shorter set's padding, the class count, becomes its first class
+        sets = rows[lo : lo + n, : np.count_nonzero(rows[lo : lo + n] < count, axis=1).max()]
+        index = np.where(sets == count, sets[:, :1], sets).T.copy()
+        gathered = scratch[: index.size * b].reshape(index.shape + (b,))
+        blocks.append((slice(lo, lo + n), index, gathered))
 
     def best_next_value(v, out):
-        for columns, *_, blocks in plans:
-            source = np.ascontiguousarray(v[:, columns])  # v itself for a whole-stack group
-            for block_classes, views in blocks:
-                np.maximum.reduce(
-                    expected(source, *views), axis=0, out=out[block_classes, columns]
-                )
+        for block_classes, index, gathered in blocks:
+            # successors were range-checked when the MDP was built
+            v.take(index, axis=0, out=gathered, mode="clip")
+            np.maximum.reduce(gathered, axis=0, out=out[block_classes])
 
     points, sweeps = _fixed_point(
         partial(_backup, best_next_value, r[firsts], first.gamma),
-        np.zeros((count, len(mmdps))), tol, max_iters, "value iteration", members=1,
+        np.zeros((count, b)), tol, max_iters, "value iteration", members=1,
     )
-    # one more backup gives v and the greedy policy, (B, S) by column
-    v = np.stack(points, axis=1)[classes]
-    best = np.empty((len(mmdps), s))
-    greedy = np.empty((len(mmdps), s), dtype=np.intp)
-    member_major = np.empty(scratch.size // k)
-    for columns, head, sure, n, _ in plans:
-        source = np.ascontiguousarray(v[:, columns])
-        width = columns.stop - columns.start
-        for lo in range(0, s, n):
-            states = slice(lo, min(s, lo + n))
-            views = block(*own_rows(head, sure, states), width)
-            q = expected(source, *views)  # (states, A, B_g)
-            np.multiply(q, first.gamma, out=q)
-            np.add(q, r[states, None, columns], out=q)
-            own = member_major[: q.size].reshape(width, -1, a)
-            np.copyto(own, q.transpose(2, 0, 1))
-            np.maximum.reduce(own, axis=2, out=best[columns, states])
-            np.argmax(own, axis=2, out=greedy[columns, states])
-    column_of = np.argsort(order)
-    return [(best[c], greedy[c]) for c in column_of], [sweeps[c] for c in column_of]
+    # one more backup gives v and the greedy policy, gathered member-major, (B, S)
+    v = np.stack(points).take(classes, axis=1)
+    best = np.empty((b, s))
+    greedy = np.empty((b, s), dtype=np.intp)
+    for lo in range(0, s, n):
+        states = slice(lo, lo + n)
+        own = scratch[: successors[states].size * b].reshape((b,) + successors[states].shape)
+        v.take(successors[states], axis=1, out=own, mode="clip")  # (B, states, A)
+        np.multiply(own, first.gamma, out=own)
+        np.add(own, r[states].T[:, :, None], out=own)
+        np.maximum.reduce(own, axis=2, out=best[:, states])
+        np.argmax(own, axis=2, out=greedy[:, states])
+    return list(zip(best, greedy)), sweeps
 
 
 def value_iteration(

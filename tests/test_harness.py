@@ -254,6 +254,12 @@ UNRUNNABLE_CONFIGS = {
         {"kind": "fruit-forage", "fruit_forage": [["grid_size", 3]]}, "fruit_forage"
     ),
     "pursuit-steps-true": (pursuit(total_steps=True), "total_steps"),
+    # int(2.7) is 2: an integer field takes no fraction, which would run another config
+    "num_instances-fraction": ({"kind": "verify-bounds", "num_instances": 2.7}, "num_instances"),
+    "ranges-item-fraction": (with_ranges(num_states=[4.9, 20.2]), "num_states"),
+    "sweep-cell-fraction": (sweep(dict(CELL, num_instances=1.5)), "num_instances"),
+    "forage-grid-fraction": (forage(grid_size=3.9), "grid_size"),
+    "pursuit-steps-fraction": (pursuit(total_steps=300.5), "total_steps"),
     # a run writes under <out>/<name>/, so a name is one plain path component
     "name-parent": ({"kind": "verify-bounds", "name": "../escaped"}, "name"),
     "name-dotdot": ({"kind": "verify-bounds", "name": ".."}, "name"),
@@ -285,9 +291,11 @@ def test_config_fields_are_cast_by_their_declared_types():
         ExperimentConfig(kind="verify-bounds", ranges=[[4, 20]])
     built = ExperimentConfig(kind="verify-bounds", ranges=SMALL_RANGES_DOC, num_instances=2)
     assert built == small_config()
-    # int() and float() still read numeric strings
+    # int() and float() still read numeric strings, and an integer field a whole float
     config = small_config(seed="5", tol="1e-8")
     assert (config.seed, config.tol) == (5, 1e-8)
+    assert small_config(seed=5.0) == small_config(seed=5)
+    assert type(small_config(seed=5.0).seed) is int
     pursuit_config = ExperimentConfig.from_doc(pursuit(alpha=1, total_steps="300"))
     assert pursuit_config.predator_prey["alpha"] == 1.0
     assert isinstance(pursuit_config.predator_prey["alpha"], float)
@@ -1198,6 +1206,11 @@ def test_replay_rejects_a_mistyped_rebuild(tmp_path):
     with pytest.raises(ConfigError, match="num_agents"):
         replay_violations(path)
     assert main(["replay", str(path)]) == EXIT_CONFIG
+    # int(2.5) is 2: a fraction would replay a grid-2 desk, not the archived one
+    rebuild.update(num_agents=2, grid_size=2.5)
+    path.write_text(json.dumps([{"bound_name": "team_generalization", "rebuild": rebuild}]))
+    with pytest.raises(ConfigError, match="grid_size"):
+        replay_violations(path)
 
 
 # ---- command line -------------------------------------------------------------------

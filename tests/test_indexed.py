@@ -28,6 +28,7 @@ from capmdp import (
     value_iteration_stack,
 )
 import capmdp.bounds
+import capmdp.linear
 import capmdp.mdp
 from capmdp.envs.fruit_forage import build_fruit_forage, desk_config, fruit_forage_layout
 from capmdp.harness import ExperimentConfig, run_fruit_forage
@@ -155,12 +156,15 @@ def test_indexed_kernel_validation_names_the_offending_pair():
     halves[1, 0, 1] = 0.5
     with pytest.raises(ValueError, match=r"component 1 row \(s=0, u=1\)"):
         TransitionKernel(halves, next_states=next_states)
-    # one array broadcast to every component is checked once, and named as component 0
+    # one array broadcast to every component is checked once, and named as component 0,
+    # read-only (checked through mdp._once) or not
     for entry, message in ((0.5, "sums to"), (-1.0, "has a negative entry")):
-        bad = np.ones((2, 3, 1))
-        bad[1, 2, 0] = entry
-        with pytest.raises(ValueError, match=rf"component 0 row \(s=1, u=2\) {message}"):
-            TransitionKernel(np.broadcast_to(bad, (2, 2, 3, 1)), next_states=next_states)
+        for frozen in (False, True):
+            bad = np.ones((2, 3, 1))
+            bad[1, 2, 0] = entry
+            bad.flags.writeable = not frozen
+            with pytest.raises(ValueError, match=rf"^kernel component 0 row \(s=1, u=2\) {message}"):
+                TransitionKernel(np.broadcast_to(bad, (2, 2, 3, 1)), next_states=next_states)
     with pytest.raises(ValueError, match="shape"):
         TransitionKernel(np.ones((2, 2, 3, 2)) / 2, next_states=next_states)
 
@@ -330,6 +334,28 @@ def test_desk_teams_hold_the_layouts_own_unit_probabilities(monkeypatch):
     # so it is row-checked and digested once for all of them
     assert sum(arr is unit for arr in checked) == 1
     assert sum(arr is unit for arr in digested) == 1
+
+
+def test_the_desk_kernel_and_its_teams_check_the_shared_arrays_once(monkeypatch):
+    calls = {"check_next_states": [], "_check_transition_rows": []}
+    for name, seen in calls.items():
+        def spy(arr, *args, fn=getattr(capmdp.mdp, name), seen=seen):
+            seen.append(arr)
+            return fn(arr, *args)
+
+        # the kernel reaches the index check through capmdp.linear's own name for it
+        for module in (capmdp.mdp, capmdp.linear):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    layout = fruit_forage_layout(desk_config())
+    mmdps = [assemble_linear_mmdp(build_fruit_forage(desk_config(t), layout)) for t in "xyz"]
+    index, unit = mmdps[0].next_states, mmdps[0].transitions
+    assert index is layout.transition_kernel.next_states
+    for arr in (index, unit):
+        assert arr.flags.owndata and not arr.flags.writeable
+    # the kernel checks the read-only arrays its teams hold, and the teams check none again
+    assert [arr is index for arr in calls["check_next_states"]] == [True]
+    assert [arr is unit for arr in calls["_check_transition_rows"]] == [True]
 
 
 def test_a_large_desk_stack_holds_less_than_one_team_did_alone():

@@ -396,24 +396,27 @@ def test_a_stacked_solve_matches_each_member_alone_bit_for_bit(layout, count):
     assert len(set(sweeps)) == count
 
 
-@pytest.mark.parametrize(
-    "layout, groups",
-    [
-        ("indexed-1", [[0], [1], [2], [3], [4]]),
-        ("shared-1", [[0, 1, 2, 3, 4]]),
-        ("shared-3", [[0, 1, 2, 3, 4]]),
-        ("mixed-3", [[0, 2], [1, 3], [4]]),
-        ("near-1", [[0, 1, 2, 3], [4]]),
-        ("reweighted-3", [[0, 1, 2, 3], [4]]),
-    ],
-)
-def test_an_indexed_stack_gathers_once_per_shared_kernel(layout, groups):
+@pytest.mark.parametrize("layout", STACK_LAYOUTS)
+def test_a_stack_takes_the_blocked_sweep_only_on_one_sure_index(monkeypatch, layout):
+    paths = []
+    for name in ("_blocked_value_iteration", "_generic_value_iteration"):
+        def spy(mmdps, tol, max_iters, name=name, solve=getattr(capmdp.mdp, name)):
+            paths.append(name)
+            return solve(mmdps, tol, max_iters)
+
+        monkeypatch.setattr(capmdp.mdp, name, spy)
     members = stack_members(np.random.default_rng(2), layout, 5)
-    assert capmdp.mdp._shared_groups(members) == groups
-    # equal copies share as the same arrays do
-    copies = [replace(m, transitions=m.transitions.copy(), next_states=m.next_states.copy())
-              for m in members]
-    assert capmdp.mdp._shared_groups(copies) == groups
+    value_iteration_stack(members)
+    # equal copies take the path the same arrays do
+    copies = [
+        replace(m, transitions=m.transitions.copy(),
+                next_states=None if m.next_states is None else m.next_states.copy())
+        for m in members
+    ]
+    value_iteration_stack(copies)
+    # only members that all hold one index of sure one-successor rows share the blocked sweep
+    path = "_blocked_value_iteration" if layout == "shared-1" else "_generic_value_iteration"
+    assert paths == [path, path]
 
 
 def test_a_stack_out_of_sweeps_reports_the_worst_unconverged_residual():
@@ -588,7 +591,6 @@ def test_sure_and_unsure_single_successors_keep_the_textbook_bits():
     # a sure member beside unsure ones, and one sharing the first's unsure kernel
     members.append(stack_members(rng, "indexed-1", 1)[0])
     members.append(replace(members[0], rewards=rng.uniform(0.0, 3.0, members[0].num_states)))
-    assert capmdp.mdp._shared_groups(members) == [[0, 5], [1], [2], [3], [4]]
     assert_textbook_solve(members)
     for mmdp in members:
         policy = random_policies(rng, [mmdp])[0]
@@ -642,7 +644,7 @@ def test_a_sweep_limit_off_the_block_reports_the_textbook_residual(max_iters):
 
 # ---- repeated action rows ------------------------------------------------------------
 # on a grid many joint moves end in the same cell, so most rows repeat; a stack that
-# does not lump sweeps them all, a block of states at a time
+# does not lump sweeps them all, on the blocked sweep a block of states at a time
 
 
 def repeated_rows_members(rng, width, count, num_states=30, num_joint=12):
@@ -651,8 +653,9 @@ def repeated_rows_members(rng, width, count, num_states=30, num_joint=12):
     The distinct counts so differ from state to state. With width 1 every row
     has one sure successor. With width > 1 a pool holds rows with the same
     successors and other probabilities, rows with the same probabilities and
-    other successors, and rows that name one successor twice. The last member
-    has a kernel of its own; the others share one.
+    other successors, and rows that name one successor twice. With width 1
+    every member shares one index, as the blocked sweep needs; with width > 1
+    the last member has a kernel of its own, and the others share one.
     """
     def kernel():
         next_states = np.empty((num_states, num_joint, width), dtype=np.int64)
@@ -672,7 +675,7 @@ def repeated_rows_members(rng, width, count, num_states=30, num_joint=12):
     shared = kernel()
     members = []
     for i, scale in enumerate(np.geomspace(0.01, 100.0, count)):
-        transitions, next_states = shared if i < count - 1 else kernel()
+        transitions, next_states = shared if i < count - 1 or width == 1 else kernel()
         members.append(
             TabularMMDP(
                 states=StateSpace(rng.uniform(0.0, 1.0, (num_states, 2))),
@@ -705,8 +708,10 @@ def test_a_stack_over_repeated_rows_keeps_the_textbook_bits_across_state_blocks(
     assert len(set(counts)) > 3 and max(counts) < members[0].num_joint_actions
     if width == 1:
         assert np.all(members[0].transitions == 1.0)
-    # blocks of 4 states for the three members that share a kernel, 12 for the last
-    monkeypatch.setattr(capmdp.mdp, "SCRATCH_ENTRIES", 12 * width * 3 * 4)
+    assert capmdp.mdp._on_one_sure_index(members) == (width == 1)
+    # the blocked sweep gathers blocks of 4 states for the four members, ending on a
+    # block of 2; the generic path holds its (B, S, A) table whole
+    monkeypatch.setattr(capmdp.mdp, "SCRATCH_ENTRIES", 12 * 4 * 4)
     _, sweeps = assert_textbook_solve(members)
     assert len(set(sweeps)) == len(members)
 
@@ -719,13 +724,14 @@ def test_a_stack_over_repeated_rows_keeps_the_textbook_bits_across_state_blocks(
 
 @pytest.fixture
 def swept(monkeypatch):
-    """The states (one per class) that each indexed value-iteration solve sweeps, in order."""
+    """The states (one per class) that each value-iteration solve sweeps, in order."""
     sizes = []
     fixed_point = capmdp.mdp._fixed_point
 
     def spy(sweep, x, tol, max_iters, what, members=0):
-        if members == 1:  # indexed value iteration's member-minor (classes, B) iterates
-            sizes.append(len(x))
+        if what == "value iteration":
+            # the blocked sweep's member-minor (classes, B) iterates, or the generic (B, S, 1)
+            sizes.append(x.shape[1 - members])
         return fixed_point(sweep, x, tol, max_iters, what, members)
 
     monkeypatch.setattr(capmdp.mdp, "_fixed_point", spy)
@@ -810,14 +816,14 @@ def test_a_stack_with_bisimilar_states_sweeps_one_per_class_with_the_textbook_bi
     assert classes < members[0].num_states
 
 
-def test_a_stack_of_two_shared_groups_sweeps_every_state(swept):
+def test_a_stack_on_two_indexes_sweeps_every_state(swept):
     rng = np.random.default_rng(13)
     members = planted_members(rng, 3)
     # the same successor sets in another order: bisimilar states still, but another index
     last = members[-1]
     reordered = last.next_states[:, rng.permutation(last.num_joint_actions)]
     members[-1] = replace(last, next_states=reordered)
-    assert capmdp.mdp._shared_groups(members) == [[0, 1], [2]]
+    assert not np.array_equal(reordered, members[0].next_states)
     assert_textbook_solve(members)
     assert swept[0] == last.num_states
 
