@@ -31,7 +31,6 @@ arrays a fresh one would be, made read-only. A Solver is not locked, so it
 must not be shared between threads.
 """
 
-import hashlib
 import json
 import math
 import time
@@ -39,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._digests import blake2b
 from .linear import (
     CapabilityVector,
     InfluenceWeights,
@@ -219,16 +219,17 @@ class Solver:
     """Runs calculators at one solve tolerance, memoizing solves and evaluations.
 
     tol is the convergence tolerance of every value iteration and policy
-    evaluation the solver's calculators run. The solve memo key digests the
-    rewards, the transitions and the successor index (shape, dtype and
-    bytes of each) and the discount: with tol, the whole input of
-    value_iteration. So an indexed kernel and its dense twin never share an
-    entry. Every request is keyed from its MDP's content alone, so an array
-    changed in place between two requests gets a fresh solve. An array that
-    is read-only and owns its data cannot change, so it is digested once in
-    the whole process (mdp._once): MDPs that share one successor index (the
-    desk teams of one foraging layout) hash it once. An evaluation's
-    key is its MDP's solve key and the policy's actions. Cached arrays are
+    evaluation the solver's calculators run. The solve memo key holds a
+    BLAKE2b digest of the rewards, of the transitions and of the successor
+    index (shape, dtype and bytes of each) and the discount's repr: with
+    tol, the whole input of value_iteration. So an indexed kernel and its
+    dense twin never share an entry. Every request is keyed from its MDP's
+    content alone, so an array changed in place between two requests gets
+    a fresh solve. An array that is read-only and owns its data cannot
+    change, so it is digested once in the whole process (mdp._once): MDPs
+    that share one successor index (the desk teams of one foraging layout)
+    hash it once. An evaluation's key is its MDP's solve key and the
+    policy's actions. Cached arrays are
     read-only, since every caller of a hit shares them. solve_all and
     evaluate_all answer many requests at once and run the uncached ones in
     stacks; each answer is bit for bit the one a stack of that request
@@ -403,21 +404,24 @@ def _evaluate_stack(pairs, tol: float):
     return values, sweeps
 
 
-def _solve_key(mmdp: TabularMMDP) -> bytes:
-    """sha256 over gamma and the digests of the rewards, transitions and successor index.
+def _solve_key(mmdp: TabularMMDP) -> tuple:
+    """The BLAKE2b digests of the rewards, transitions and successor index, and repr(gamma).
 
-    A read-only array that owns its data is digested once (mdp._once).
+    The index digest is None for a dense MDP. A read-only array that owns
+    its data is digested once (mdp._once).
     """
-    digest = hashlib.sha256()
-    for arr in (mmdp.rewards, mmdp.transitions, mmdp.next_states):
-        digest.update(b"none;" if arr is None else _once(_array_digest, arr))
-    digest.update(repr(mmdp.gamma).encode())
-    return digest.digest()
+    index = mmdp.next_states
+    return (
+        _once(_array_digest, mmdp.rewards),
+        _once(_array_digest, mmdp.transitions),
+        None if index is None else _once(_array_digest, index),
+        repr(mmdp.gamma),
+    )
 
 
 def _array_digest(arr: np.ndarray) -> bytes:
-    """sha256 of an array's shape, dtype and bytes."""
-    digest = hashlib.sha256(f"{arr.shape}{arr.dtype.str};".encode())
+    """BLAKE2b of an array's shape, dtype and bytes."""
+    digest = blake2b(f"{arr.shape}{arr.dtype.str};".encode())
     digest.update(memoryview(np.ascontiguousarray(arr)).cast("B"))
     return digest.digest()
 

@@ -21,7 +21,6 @@ their bits.
 
 import csv
 import functools
-import hashlib
 import io
 import json
 import math
@@ -41,6 +40,7 @@ try:
 except ImportError:  # Windows has no resource module
     resource = None
 
+from ._digests import sha256
 from .bounds import (
     BoundReport,
     Solver,
@@ -340,7 +340,7 @@ class ExperimentConfig:
     def _config_hash(self) -> str:
         # a run names its directory, summary and rows by it: computed once per config
         canonical = json.dumps(self.to_doc(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        return sha256(canonical.encode()).hexdigest()[:12]
 
 
 def _forage_desk(params: dict) -> tuple:
@@ -1014,8 +1014,8 @@ def _canonical_value(value) -> str:
 
 
 def determinism_hash(rows) -> str:
-    """Order-sensitive content hash of result rows, minus the WALL_CLOCK_COLUMN."""
-    digest = hashlib.sha256()
+    """Order-sensitive SHA-256 hex digest of result rows, minus the WALL_CLOCK_COLUMN."""
+    digest = sha256()
     for row in rows:
         line = ",".join(
             f"{key}={_canonical_value(row[key])}"

@@ -718,6 +718,26 @@ def test_a_read_only_array_is_digested_once_across_solvers(monkeypatch):
     assert (solver.solves, solver.hits) == (1, 4)
 
 
+def test_dense_mdps_one_ulp_apart_get_different_solve_keys():
+    spec_x, _ = small_pair(5)
+    base = assemble_linear_mmdp(spec_x)
+    assert base.next_states is None
+    nudged = base.transitions.copy()
+    nudged[0, 0, 0] = np.nextafter(nudged[0, 0, 0], 1.0)
+    apart = dataclasses.replace(base, transitions=nudged)
+    equal = dataclasses.replace(
+        base, rewards=base.rewards.copy(), transitions=base.transitions.copy()
+    )
+    key = capmdp.bounds._solve_key(base)
+    assert capmdp.bounds._solve_key(apart) != key
+    assert capmdp.bounds._solve_key(equal) == key
+    # the key holds the three digests and the discount, with no second hash over them
+    assert key[2:] == (None, repr(base.gamma))
+    solver = Solver()
+    solver.solve_all([base, apart, equal])
+    assert (solver.solves, solver.hits) == (2, 1)
+
+
 def test_an_array_changed_in_place_between_requests_gets_a_fresh_solve():
     spec_x, _ = small_pair(5)
     linear = assemble_linear_mmdp(spec_x)

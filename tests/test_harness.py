@@ -34,6 +34,7 @@ from capmdp import (
     run_output_dir,
     sample_polynomial_spec,
 )
+from capmdp import _digests
 import capmdp.cli
 from capmdp.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VIOLATION, main
 from capmdp.envs import PredatorPreyConfig, desk_config
@@ -1356,3 +1357,50 @@ def test_only_a_run_that_draws_loads_numpy_random(tmp_path):
     if last == "numpy loads numpy.random at import":
         pytest.skip(last)
     assert last == "numpy.random loaded: False True"
+
+
+HASHLIB_SCRIPT = """
+import sys
+
+import numpy
+
+if "_hashlib" in sys.modules:
+    print("numpy loads _hashlib at import")
+    sys.exit()
+from capmdp import cli
+
+assert cli.main(["fruit-forage", "--out", sys.argv[1]]) == 0
+print("loaded:", [name for name in ("hashlib", "_hashlib") if name in sys.modules])
+"""
+
+
+def test_a_foraging_run_loads_no_hashlib(tmp_path):
+    # a fresh interpreter, since this one has imported hashlib; hashlib maps
+    # OpenSSL's libcrypto (3.4 MB), and the run's digests come from CPython's own modules
+    env = dict(os.environ, PYTHONPATH=str(Path(capmdp.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", HASHLIB_SCRIPT, str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    last = done.stdout.splitlines()[-1]
+    if last == "numpy loads _hashlib at import":
+        pytest.skip(last)
+    assert last == "loaded: []"
+
+
+def test_the_persisted_hashes_are_sha256_bytes():
+    import hashlib
+
+    config = default_config("fruit-forage")
+    canonical = json.dumps(config.to_doc(), sort_keys=True).encode()
+    assert _digests.sha256(canonical).digest() == hashlib.sha256(canonical).digest()
+    assert config.config_hash() == hashlib.sha256(canonical).hexdigest()[:12]
+    rows, _ = run_fruit_forage(config)
+    block = rows_to_csv_text(rows * 150).encode()
+    assert len(block) > 100_000
+    ours, theirs = _digests.sha256(), hashlib.sha256()
+    for start in range(0, len(block), 4099):
+        ours.update(block[start:start + 4099])
+        theirs.update(block[start:start + 4099])
+    assert ours.hexdigest() == theirs.hexdigest()

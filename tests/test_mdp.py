@@ -320,12 +320,12 @@ def stack_members(rng, layout, count, num_states=6, num_joint=4):
 
     layout is "dense", "indexed-K" (K successors per row, a kernel per
     member), "shared-K" (one successor index and one set of probabilities
-    for every member; unit probabilities when K = 1), "mixed-K" (members
-    alternate between two shared kernels, and the last has its own) or
-    "near-K" (a shared kernel, but the last member's index differs in one
-    entry) or "reweighted-K" (a shared kernel, but the last member's
-    probabilities are reversed along each row). The scales make the members
-    reach tol on different sweeps.
+    for every member), "mixed-K" (members alternate between two shared
+    kernels, and the last has its own) or "near-K" (a shared kernel, but
+    the last member's index differs in one entry) or "reweighted-K" (a
+    shared kernel, but the last member's probabilities are reversed along
+    each row). Every K = 1 layout holds unit probabilities, so its rows are
+    sure. The scales make the members reach tol on different sweeps.
     """
     shape = (num_states, num_joint)
     if layout == "dense":
@@ -335,7 +335,7 @@ def stack_members(rng, layout, count, num_states=6, num_joint=4):
         width = int(layout.split("-")[1])
 
         def kernel():
-            if layout == "shared-1":
+            if width == 1:
                 transitions = np.ones(shape + (1,))
             else:
                 transitions = rng.dirichlet(np.ones(width), size=shape)
@@ -417,6 +417,10 @@ def test_a_stack_takes_the_blocked_sweep_only_on_one_sure_index(monkeypatch, lay
     # only members that all hold one index of sure one-successor rows share the blocked sweep
     path = "_blocked_value_iteration" if layout == "shared-1" else "_generic_value_iteration"
     assert paths == [path, path]
+    # a lone member of any one-successor layout holds one sure index of its own
+    value_iteration_stack(members[:1])
+    lone = "_blocked_value_iteration" if layout.endswith("-1") else "_generic_value_iteration"
+    assert paths[2:] == [lone]
 
 
 def test_a_stack_out_of_sweeps_reports_the_worst_unconverged_residual():
@@ -590,6 +594,7 @@ def test_sure_and_unsure_single_successors_keep_the_textbook_bits():
     assert not np.all(members[0].transitions == 1.0)
     # a sure member beside unsure ones, and one sharing the first's unsure kernel
     members.append(stack_members(rng, "indexed-1", 1)[0])
+    assert np.all(members[-1].transitions == 1.0)
     members.append(replace(members[0], rewards=rng.uniform(0.0, 3.0, members[0].num_states)))
     assert_textbook_solve(members)
     for mmdp in members:
@@ -629,7 +634,7 @@ def test_a_member_reaching_tol_on_a_block_boundary_stops_there(layout):
 @pytest.mark.parametrize("max_iters", [0, 1, 5, 17, 35])
 def test_a_sweep_limit_off_the_block_reports_the_textbook_residual(max_iters):
     assert max_iters % capmdp.mdp._BLOCK != 0 or max_iters == 0
-    members = stack_members(np.random.default_rng(7), "indexed-1", 3)
+    members = stack_members(np.random.default_rng(8), "indexed-1", 3)
     with pytest.raises(SolverConvergenceError, match="value iteration") as info:
         value_iteration_stack(members, max_iters=max_iters)
     assert info.value.iterations == max_iters
