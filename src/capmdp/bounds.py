@@ -52,6 +52,7 @@ from .mdp import (
     StateSpace,
     TabularMMDP,
     ValueTable,
+    _backing,
     _once,
     policy_evaluation_stack,
     stack_key,
@@ -78,10 +79,10 @@ STACK_ENTRIES = 2**15
 # (S, A) table. Any other indexed stack takes the generic path and holds a
 # (B, S, A) table of joint-action values, 8 bytes per member, state and joint
 # action, and with K > 1 one member's (S, A, K) gather. Desk teams add no
-# (S, A) array: they hold their layout's index and unit probabilities, 16
-# bytes per state and joint action, checked once for all. The four desk MDPs
-# of a 1024-state desk solve as one stack, and so do those of three agents
-# on grid 5 (62,500 states each).
+# (S, A) array: they hold their layout's index, 8 bytes per state and joint
+# action, checked once for all, and one broadcast probability each. The four
+# desk MDPs of a 1024-state desk solve as one stack, and so do those of three
+# agents on grid 5 (62,500 states each).
 INDEXED_STACK_STATES = 2**18
 
 
@@ -221,9 +222,11 @@ class Solver:
     tol is the convergence tolerance of every value iteration and policy
     evaluation the solver's calculators run. The solve memo key holds a
     BLAKE2b digest of the rewards, of the transitions and of the successor
-    index (shape, dtype and bytes of each) and the discount's repr: with
-    tol, the whole input of value_iteration. So an indexed kernel and its
-    dense twin never share an entry. Every request is keyed from its MDP's
+    index (shape, dtype and stored bytes of each, _array_digest) and the
+    discount's repr: with tol, the whole input of value_iteration. So a key
+    depends on content and on which axes are broadcast: an indexed kernel
+    and its dense twin never share an entry, nor do broadcast probabilities
+    and their materialized twin. Every request is keyed from its MDP's
     content alone, so an array changed in place between two requests gets
     a fresh solve. An array that is read-only and owns its data cannot
     change, so it is digested once in the whole process (mdp._once): MDPs
@@ -420,9 +423,15 @@ def _solve_key(mmdp: TabularMMDP) -> tuple:
 
 
 def _array_digest(arr: np.ndarray) -> bytes:
-    """BLAKE2b of an array's shape, dtype and bytes."""
-    digest = blake2b(f"{arr.shape}{arr.dtype.str};".encode())
-    digest.update(memoryview(np.ascontiguousarray(arr)).cast("B"))
+    """BLAKE2b of an array's shape, its stored shape and dtype, and its stored bytes.
+
+    The stored entries are mdp._backing's. With both shapes the header says
+    which axes broadcast, so a broadcast array and its materialized twin get
+    different digests, and equal arrays broadcast alike get one.
+    """
+    stored = _backing(arr)
+    digest = blake2b(f"{arr.shape}{stored.shape}{arr.dtype.str};".encode())
+    digest.update(memoryview(np.ascontiguousarray(stored)).cast("B"))
     return digest.digest()
 
 

@@ -11,9 +11,10 @@ steps exactly gamma^t times its utility despite the reward being state-only.
 Movement is deterministic (four directions plus stay; off-grid moves stay),
 agents may share cells, and the transition kernel is capability-independent.
 It is stored in the indexed layout: an (S, A, 1) successor index with unit
-probabilities, which every capability component shares as a broadcast view
-and every team's MDP holds as its transitions array, so memory grows with
-S * A rather than S * A * S and grid 6 with two agents (5184 states) solves
+probabilities, one stored entry broadcast over every capability component,
+state and joint action; each team's MDP holds its mixture of that entry,
+broadcast the same way. So memory grows with S * A rather than S * A * S,
+the index holds all of it, and grid 6 with two agents (5184 states) solves
 exactly. No layout of more than STATE_CAP states is enumerated:
 fruit_forage_state_count rejects it, for build_fruit_forage and for the
 experiment config's fruit_forage section alike.
@@ -196,10 +197,10 @@ def fruit_forage_layout(config: FruitForageConfig) -> ForageLayout:
 
     The team, weights and discount play no part, so specs of every team on
     this grid can share one layout (build_fruit_forage's layout argument).
-    The kernel's components are broadcast views of one read-only (S, A, 1)
-    array of unit probabilities, which owns its data, so a team's MDP holds
-    that array as its transitions, with no copy, wherever its mixture gives
-    the array's bits, as every desk team's does (assemble_linear_mmdp).
+    The kernel's components are one read-only unit probability, broadcast
+    (stride 0) over every component, state and joint action, so the layout
+    stores no (S, A) array of probabilities and no team's MDP adds one: each
+    mixes the one entry (assemble_linear_mmdp).
 
     Raises:
         ValueError: when the enumerated state space exceeds STATE_CAP, or a
@@ -266,10 +267,9 @@ def fruit_forage_layout(config: FruitForageConfig) -> ForageLayout:
 
     next_states.flags.writeable = False
 
-    # one sure successor per row; every capability component shares the same
-    # unit probabilities as a broadcast view, and once read-only the unit
-    # array is also every team's transitions, checked and digested once
-    unit = np.ones((size, num_joint, 1))
+    # one sure successor per row: every component, state and joint action
+    # reads the one stored unit probability
+    unit = np.ones((1, 1, 1))
     unit.flags.writeable = False
     components = np.broadcast_to(unit, (d, size, num_joint, 1))
 

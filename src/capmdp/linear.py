@@ -10,10 +10,8 @@ assembled MDP keeps that layout. Lipschitz and polynomial reward forms
 cover teams whose effect on the reward is not a plain weighted sum.
 """
 
-import contextlib
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -145,7 +143,10 @@ class TransitionKernel:
     Dense layout (next_states None): components[j, s, u, s'] is component j's
     probability of moving from s to s' under joint action u. Indexed layout:
     components[j, s, u, k] is its probability of moving to next_states[s, u, k],
-    the same successor index for every component.
+    the same successor index for every component. components may broadcast
+    over components, states and joint actions (stride 0), as the desk's unit
+    probabilities do; their rows are then checked, and mixed, in the entries
+    they store only.
     """
 
     components: np.ndarray  # (d, S, A, S) dense, or (d, S, A, K) beside next_states
@@ -170,7 +171,7 @@ class TransitionKernel:
                     f"{next_states.shape}, got {arr.shape}"
                 )
             object.__setattr__(self, "next_states", next_states)
-        object.__setattr__(self, "components", _check_components(arr))
+        object.__setattr__(self, "components", mdp._check_transition_rows(arr))
 
     @property
     def capability_dim(self) -> int:
@@ -184,17 +185,10 @@ class TransitionKernel:
     def num_joint_actions(self) -> int:
         return self.components.shape[2]
 
-    @cached_property
-    def identical_components(self) -> bool:
-        """Whether every capability component is the same kernel, as on a deterministic grid."""
-        first = self.components[0]
-        return self.components.strides[0] == 0 or all(
-            np.array_equal(c[0], first[0]) and np.array_equal(c, first)
-            for c in self.components[1:]
-        )
-
     def equals(self, other: "TransitionKernel") -> bool:
         """Same components in the same layout (array_equal(None, None) is True)."""
+        if other is self:
+            return True
         return np.array_equal(self.components, other.components) and np.array_equal(
             self.next_states, other.next_states
         )
@@ -306,13 +300,15 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
     kernel mixes its (d, S, A, K) probabilities and keeps its successor index.
 
     The MDP is built once per spec object and kept on it, so every check that
-    assembles one spec shares one TabularMMDP; its arrays are read-only. The
-    teams of a kernel whose components are identical hold one transitions
-    array, owned and read-only, wherever their mixtures give its bits, so it
-    is checked and digested once for all of them (mdp._once). Where the
-    components are views of one such array, as the desk's unit
-    probabilities are (fruit_forage_layout), it is that array, and no team
-    adds a copy; otherwise it is the first team's mixture.
+    assembles one spec shares one TabularMMDP; its arrays are read-only. Only
+    the entries the components store are mixed (mdp._backing), and the
+    mixture is broadcast back over the axes they broadcast: the desk's teams
+    each hold one mixed entry for all their sure rows (fruit_forage_layout).
+    einsum mixes each entry on its own, so components broadcast over states
+    and joint actions mix to the bits of their materialized twin. Over a
+    component axis broadcast as well, einsum rounds in another order, so
+    the bits may differ from the twin's in the last place; for unit
+    probabilities over two components, as on the desk, they agree.
     """
     assembled = spec.__dict__.get("_assembled")
     if assembled is not None:
@@ -331,16 +327,13 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
             raise ValueError("capability mixture is all-zero; no transition mixture exists")
         transition_mix = mixture / total
     kernel = spec.transition_kernel
-    # teams whose mixtures give the same bits hold one array: the read-only
-    # array that the components view, if any, else the first team's mixture
-    transitions = kernel.__dict__.get("_mixed")
-    if transitions is None and kernel.identical_components:
-        transitions = _frozen_owner(kernel.components[0])
-    if transitions is None or not _mixes_to(transitions, transition_mix, kernel.components):
-        transitions = np.einsum("j,jsut->sut", transition_mix, kernel.components)
-        transitions.flags.writeable = False
-    if kernel.identical_components:
-        kernel.__dict__.setdefault("_mixed", transitions)
+    stored = mdp._backing(kernel.components)
+    # a component axis cut to one entry is the same entry for every component
+    stored = np.broadcast_to(stored, kernel.components.shape[:1] + stored.shape[1:])
+    transitions = np.einsum("j,jsut->sut", transition_mix, stored)
+    transitions.flags.writeable = False
+    if transitions.shape != kernel.components.shape[1:]:
+        transitions = np.broadcast_to(transitions, kernel.components.shape[1:])
     assembled = TabularMMDP(
         states=spec.states,
         num_agents=spec.num_agents,
@@ -354,51 +347,6 @@ def assemble_linear_mmdp(spec: LinearMMDPSpec) -> TabularMMDP:
     assembled.rewards.flags.writeable = False
     object.__setattr__(spec, "_assembled", assembled)
     return assembled
-
-
-def _frozen_owner(view: np.ndarray) -> np.ndarray | None:
-    """The read-only array that owns view's data if view is the whole of it, else None.
-
-    Such an array cannot change, so every MDP may hold it; a broadcast
-    kernel's components are views of one.
-    """
-    owner = view
-    while isinstance(owner.base, np.ndarray):
-        owner = owner.base
-    frozen = owner.flags.owndata and not owner.flags.writeable
-    same = (owner.shape, owner.dtype, owner.ctypes.data) == (view.shape, view.dtype, view.ctypes.data)
-    whole = same and owner.flags.c_contiguous and view.flags.c_contiguous
-    return owner if frozen and whole else None
-
-
-def _check_components(arr: np.ndarray) -> np.ndarray:
-    """mdp._check_transition_rows on (d, S, A, X) components, through mdp._once where it can.
-
-    Components broadcast from one read-only array, as the desk's unit
-    probabilities are, are that array's rows, which its MDPs check too; a
-    failing array is checked again as components, so the error names one.
-    """
-    owner = _frozen_owner(arr[0]) if len(arr) and arr.strides[0] == 0 else None
-    if owner is not None:
-        with contextlib.suppress(ValueError):
-            mdp._once(mdp._check_transition_rows, owner)
-            return arr
-    return mdp._check_transition_rows(arr)
-
-
-def _mixes_to(mixed: np.ndarray, mix: np.ndarray, components: np.ndarray) -> bool:
-    """Whether mixing components by mix gives mixed's bits, compared a block of states at a time.
-
-    einsum sums over the components one at a time for every entry, so a
-    block's mixture has the bits the whole one gives those entries; no
-    block holds more than mdp.SCRATCH_ENTRIES entries.
-    """
-    n = max(1, mdp.SCRATCH_ENTRIES // mixed[0].size)
-    for lo in range(0, len(mixed), n):
-        block = np.einsum("j,jsut->sut", mix, components[:, lo : lo + n])
-        if not np.array_equal(block.view(np.int64), mixed[lo : lo + n].view(np.int64)):
-            return False
-    return True
 
 
 def reward_deviation_exact(mmdp_x: TabularMMDP, mmdp_y: TabularMMDP) -> float:

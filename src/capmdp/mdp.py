@@ -139,6 +139,9 @@ class TabularMMDP:
     of moving from state s to s' under joint action index u. Indexed layout:
     transitions[s, u, k] is the probability of moving to next_states[s, u, k];
     a successor may repeat within a row. The reward depends on the state only.
+    transitions may broadcast over states and joint actions (stride 0), as
+    the desk teams' sure rows do; its rows are then checked, and read for
+    sure rows, in the entries it stores only.
     """
 
     states: StateSpace
@@ -234,10 +237,10 @@ def _once(fn, arr: np.ndarray, *args):
     """fn(arr, *args), computed once per read-only array that owns its data.
 
     Such an array cannot change, so MDPs that share one, such as the desk
-    teams' successor index and unit transitions, check and digest it once in
-    the whole process. Any other array, and a result that is another array,
-    which may change, is computed on every call; a call that raises keeps
-    nothing. fn is part of the key, so a rebound function is called afresh.
+    teams' successor index, check and digest it once in the whole process.
+    Any other array, and a result that is another array, which may change,
+    is computed on every call; a call that raises keeps nothing. fn is part
+    of the key, so a rebound function is called afresh.
     """
     if arr.flags.writeable or not arr.flags.owndata:
         return fn(arr, *args)
@@ -262,19 +265,28 @@ def _forget(memo, key, ref):
         del memo[key]
 
 
+def _backing(arr: np.ndarray) -> np.ndarray:
+    """arr with each axis but the last that it broadcasts (stride 0) cut to one entry.
+
+    A view of the entries arr stores. The last axis, a row's successors, is
+    kept whole, so the view's rows are whole rows of arr. An array that
+    broadcasts no other axis keeps its shape, as every dense kernel does.
+    """
+    return arr[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in arr.strides[:-1])]
+
+
 def _check_transition_rows(trans: np.ndarray) -> np.ndarray:
     """Reject transition rows that are not distributions, naming the first bad (s, u).
 
     trans holds an MDP's (S, A, X) rows, or a kernel's (d, S, A, X)
-    components, whose errors also name component j; components broadcast
-    along their first axis (stride 0) are one array, checked once as
-    component 0. Rows are read in blocks of at most SCRATCH_ENTRIES
+    components, whose errors also name component j. Only the stored rows
+    (_backing) are read, so an axis broadcast at stride 0 is checked at its
+    first entry: components broadcast along their first axis are checked
+    once, as component 0. Rows are read in blocks of at most SCRATCH_ENTRIES
     entries, so the check holds no (S, A)-sized temporary. Returns trans.
     """
-    components = trans if trans.ndim == 4 else trans[None]
-    if components.strides[0] == 0:
-        components = components[:1]
-    n = max(1, SCRATCH_ENTRIES // (trans.shape[-2] * trans.shape[-1]))
+    components = _backing(trans if trans.ndim == 4 else trans[None])
+    n = max(1, SCRATCH_ENTRIES // (components.shape[-2] * components.shape[-1]))
     for j, rows in enumerate(components):
         what = f"kernel component {j} row" if trans.ndim == 4 else "transition row"
         for lo in range(0, len(rows), n):
@@ -383,7 +395,7 @@ def _next_value(kernels, num_states: int, columns: int):
     if kernels[0][1].shape[-1] == 1:
         # a one-term sum is that term, and 1 * x is x: rows with one successor
         # skip the sum over successors, and sure ones the product as well
-        probs = [None if np.all(trans == 1.0) else trans for trans, _ in kernels]
+        probs = [None if np.all(_backing(trans) == 1.0) else trans for trans, _ in kernels]
         successors = [succ[..., 0] for _, succ in kernels]
 
         def expect(v, out):
@@ -563,11 +575,11 @@ def _generic_value_iteration(mmdps, tol: float, max_iters: int):
 
 def _on_one_sure_index(mmdps) -> bool:
     """Whether the members all hold the first's successor index, of sure K = 1 rows."""
-    index, unit = mmdps[0].next_states, mmdps[0].transitions
-    return index is not None and index.shape[2] == 1 and bool(np.all(unit == 1.0)) and all(
+    index = mmdps[0].next_states
+    return index is not None and index.shape[2] == 1 and all(
         (m.next_states is index or np.array_equal(m.next_states, index))
-        and (m.transitions is unit or np.all(m.transitions == 1.0))
-        for m in mmdps[1:]
+        and bool(np.all(_backing(m.transitions) == 1.0))
+        for m in mmdps
     )
 
 

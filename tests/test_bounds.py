@@ -632,11 +632,14 @@ def test_the_desk_mdps_digest_their_shared_index_once(monkeypatch):
     assert len({id(mmdp) for mmdp in solved}) == 4
     assert all(mmdp.next_states is index for mmdp in solved)
     assert sum(arr is index for arr in digested) == 1
-    # and their one read-only array of unit probabilities, also hashed once
-    unit = solved[0].transitions
-    assert not unit.flags.writeable and unit.flags.owndata and np.all(unit == 1.0)
-    assert all(mmdp.transitions is unit for mmdp in solved)
-    assert sum(arr is unit for arr in digested) == 1
+    # each one's unit probabilities are one read-only entry, broadcast over
+    # every state and joint action, so a digest of them reads that entry alone
+    for mmdp in solved:
+        unit = mmdp.transitions
+        assert unit.shape == index.shape and not unit.flags.writeable
+        assert capmdp.mdp._backing(unit).shape == (1, 1, 1) and np.all(unit == 1.0)
+    units = [arr for arr in digested if arr.ndim == 3 and arr is not index]
+    assert units and all(capmdp.mdp._backing(arr).size == 1 for arr in units)
     # the key stays content-based: a writable copy of the index is a hit
     solver = Solver()
     solver.solve_all([solved[0]])
@@ -663,18 +666,24 @@ def test_the_desk_mdps_validate_their_shared_arrays_once(monkeypatch):
     monkeypatch.setattr(Solver, "solve_all", solve_spy)
     run_fruit_forage(ExperimentConfig.from_doc({"kind": "fruit-forage"}))
     assert len({id(mmdp) for mmdp in solved}) == 4
-    index, unit = solved[0].next_states, solved[0].transitions
-    assert all(mmdp.next_states is index and mmdp.transitions is unit for mmdp in solved)
-    # the four desk MDPs validate their one index and one unit array once, not once each
+    index = solved[0].next_states
+    assert all(mmdp.next_states is index for mmdp in solved)
+    # the four desk MDPs validate their one index once, not once each
     assert sum(arr is index for arr in checked) == 1
-    assert sum(arr is unit for arr in checked) == 1
+    # and every row check reads one stored unit entry, not an (S, A) array of them
+    rows = [arr for arr in checked if arr.dtype == float]
+    assert rows and all(capmdp.mdp._backing(arr).size == 1 for arr in rows)
     # a read-only array that fails is rejected, naming its row, every time it is used
-    bad = unit.copy()
+    unit = solved[0].transitions
+    bad = np.ones(unit.shape)
     bad[3, 2, 0] = 0.5
     bad.flags.writeable = False
     for _ in range(2):
         with pytest.raises(ValueError, match=r"\(s=3, u=2\) sums to"):
             dataclasses.replace(solved[0], transitions=bad)
+    # a broadcast entry that fails names the first row it stands for
+    with pytest.raises(ValueError, match=r"\(s=0, u=0\) sums to"):
+        dataclasses.replace(solved[0], transitions=np.broadcast_to(0.5, unit.shape))
     outside = index.copy()
     outside[5, 1, 0] = index.shape[0]
     outside.flags.writeable = False
@@ -736,6 +745,40 @@ def test_dense_mdps_one_ulp_apart_get_different_solve_keys():
     solver = Solver()
     solver.solve_all([base, apart, equal])
     assert (solver.solves, solver.hits) == (2, 1)
+
+
+def test_broadcast_probabilities_key_by_their_entries_and_their_broadcast_axes():
+    rng = np.random.default_rng(4)
+    shape = (4, 4, 2)
+    mmdp = TabularMMDP(
+        states=StateSpace(rng.uniform(0.0, 1.0, (4, 2))),
+        num_agents=1,
+        actions_per_agent=4,
+        rewards=rng.uniform(0.0, 1.0, 4),
+        transitions=np.broadcast_to([0.5, 0.5], shape),
+        gamma=0.9,
+        rho=np.full(4, 0.25),
+        next_states=rng.integers(0, 4, shape),
+    )
+    rows = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0], [0.0, 1.0]])
+    variants = [
+        np.broadcast_to(np.full((1, 1, 2), 0.5), shape),  # the same row, broadcast alike
+        np.broadcast_to([0.5, 0.5000000000000001], shape),  # another row
+        np.full(shape, 0.5),  # materialized
+        # the same stored bytes, one row per joint action or one per state
+        np.broadcast_to(rows[None], shape),
+        np.broadcast_to(rows[:, None], shape),
+    ]
+    key = capmdp.bounds._solve_key(mmdp)
+    keys = [capmdp.bounds._solve_key(dataclasses.replace(mmdp, transitions=t)) for t in variants]
+    assert keys[0] == key
+    assert len({key, *keys[1:]}) == 5
+    # so a twin broadcast otherwise, or not at all, is a cache miss and never a wrong hit
+    solver = Solver()
+    answers = solver.solve_all([mmdp] + [dataclasses.replace(mmdp, transitions=t) for t in variants])
+    assert (solver.solves, solver.hits) == (5, 1)
+    assert answers[1] is answers[0] and answers[3] is not answers[0]
+    assert np.array_equal(answers[3][0].v.view(np.int64), answers[0][0].v.view(np.int64))
 
 
 def test_an_array_changed_in_place_between_requests_gets_a_fresh_solve():

@@ -308,7 +308,7 @@ LONE_TEAM_SWEEPING_MB = 47.0
 LONE_TEAM_BEYOND_ANSWERS_MB = 31.6
 
 
-def test_desk_teams_hold_the_layouts_own_unit_probabilities(monkeypatch):
+def test_desk_teams_hold_one_broadcast_unit_probability(monkeypatch):
     layout = fruit_forage_layout(desk_config())
     checked, digested = [], []
     for module, name, seen in (
@@ -326,14 +326,19 @@ def test_desk_teams_hold_the_layouts_own_unit_probabilities(monkeypatch):
     specs.append(z.with_team(z.team.drop_last(), InfluenceWeights(a[:-1] / (1.0 - a[-1]))))
     mmdps = [assemble_linear_mmdp(spec) for spec in specs]
     Solver().solve_all(mmdps)
-    # every team holds the layout's own array, no copy of it
-    unit = mmdps[0].transitions
-    assert np.shares_memory(unit, layout.transition_kernel.components)
-    assert unit.flags.owndata and not unit.flags.writeable
-    assert all(mmdp.transitions is unit for mmdp in mmdps)
-    # so it is row-checked and digested once for all of them
-    assert sum(arr is unit for arr in checked) == 1
-    assert sum(arr is unit for arr in digested) == 1
+    # the layout stores one read-only unit probability for every component, state and joint action
+    components = layout.transition_kernel.components
+    assert capmdp.mdp._backing(components).shape == (1, 1, 1, 1)
+    assert not components.flags.writeable and np.all(capmdp.mdp._backing(components) == 1.0)
+    # and every team holds one mixed entry of it, broadcast the same way
+    for mmdp in mmdps:
+        assert mmdp.transitions.shape == mmdp.next_states.shape
+        assert capmdp.mdp._backing(mmdp.transitions).shape == (1, 1, 1)
+        assert not mmdp.transitions.flags.writeable and np.all(mmdp.transitions == 1.0)
+    # so each team's row check and digest of its probabilities reads one entry
+    probabilities = [arr for arr in checked + digested if arr.ndim > 1 and arr.dtype == float]
+    assert len(probabilities) == 2 * len(mmdps)
+    assert all(capmdp.mdp._backing(arr).size == 1 for arr in probabilities)
 
 
 def test_the_desk_kernel_and_its_teams_check_the_shared_arrays_once(monkeypatch):
@@ -349,13 +354,16 @@ def test_the_desk_kernel_and_its_teams_check_the_shared_arrays_once(monkeypatch)
                 monkeypatch.setattr(module, name, spy)
     layout = fruit_forage_layout(desk_config())
     mmdps = [assemble_linear_mmdp(build_fruit_forage(desk_config(t), layout)) for t in "xyz"]
-    index, unit = mmdps[0].next_states, mmdps[0].transitions
+    index = mmdps[0].next_states
     assert index is layout.transition_kernel.next_states
-    for arr in (index, unit):
-        assert arr.flags.owndata and not arr.flags.writeable
-    # the kernel checks the read-only arrays its teams hold, and the teams check none again
+    assert index.flags.owndata and not index.flags.writeable
+    # the kernel checks the read-only index its teams hold, and the teams check it not again
     assert [arr is index for arr in calls["check_next_states"]] == [True]
-    assert [arr is unit for arr in calls["_check_transition_rows"]] == [True]
+    # the kernel's rows and each team's are checked in their one stored entry
+    rows = calls["_check_transition_rows"]
+    assert rows[0] is layout.transition_kernel.components
+    assert [arr is mmdp.transitions for arr, mmdp in zip(rows[1:], mmdps)] == [True] * 3
+    assert all(capmdp.mdp._backing(arr).size == 1 for arr in rows)
 
 
 def test_a_large_desk_stack_holds_less_than_one_team_did_alone():
@@ -397,15 +405,17 @@ def test_a_large_desk_stack_holds_less_than_one_team_did_alone():
 
 # tracemalloc peak of a whole fruit-forage run on the three-agent grid-4 desk,
 # measured on the solver whose answers are each team's v and greedy actions,
-# with rows checked, successors range-checked, mixtures compared and the
-# layout's successor index built in blocks, and every team holding the
-# layout's own unit probabilities: 36.93 MB (2**20 bytes), reached in the
-# stacked solve (the layout's build peaks at 36.56 MB). Teams that held a
-# mixed copy of the unit array, beside a whole-index range check, peaked the
-# run at 52.55 MB; a layout built in one pass at 56.3 MB inside it; a solver
-# that kept each team's (S, A) q table, beside whole-array row checks and
-# mixtures, at 115.0 MB. The pin is the measured figure, rounded up to 0.1.
-DESK_RUN_MB = 37.0
+# with rows checked, successors range-checked and the layout's successor
+# index built in blocks, and the unit probabilities stored as one entry
+# broadcast over every component, state and joint action: 21.19 MB (2**20
+# bytes), reached in the stacked solve (the layout's build peaks at 17.85
+# MB). Every team holding the layout's own (S, A, 1) array of ones peaked
+# the run at 36.93 MB; teams that held a mixed copy of that array, beside a
+# whole-index range check, at 52.55 MB; a layout built in one pass at 56.3
+# MB inside it; a solver that kept each team's (S, A) q table, beside
+# whole-array row checks and mixtures, at 115.0 MB. The pin is the measured
+# figure, rounded up to 0.1.
+DESK_RUN_MB = 21.2
 
 
 def test_a_three_agent_desk_run_holds_no_more_than_its_pinned_peak():

@@ -1,5 +1,6 @@
 """Linear assembly tested term-by-term against explicit summation oracles."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,8 @@ from capmdp import (
     reward_deviation_exact,
     transition_deviation_exact,
 )
+import capmdp.mdp
+from capmdp.envs.fruit_forage import build_fruit_forage, desk_config, fruit_forage_layout
 
 
 def random_spec(rng, num_states=8, feature_dim=4, dim=3, num_agents=2,
@@ -82,40 +85,79 @@ def test_a_spec_is_assembled_once_into_a_read_only_mdp(same_mdp):
     assert same_mdp(assemble_linear_mmdp(twin), mmdp)
 
 
-def test_teams_on_identical_components_share_one_transitions_array():
+def desk_teams(layout):
+    """The foraging desk's four certified teams on layout, as specs."""
+    specs = [build_fruit_forage(desk_config(label), layout) for label in "xyz"]
+    z = specs[2]
+    a = z.weights.a
+    return specs + [z.with_team(z.team.drop_last(), InfluenceWeights(a[:-1] / (1.0 - a[-1])))]
+
+
+@pytest.mark.parametrize("stored", ["desk", "dense rows", "indexed rows"])
+def test_a_broadcast_kernel_assembles_like_its_materialized_twin(stored):
     rng = np.random.default_rng(8)
-    # dyadic rows and mixtures, so mixing equal components gives them back exactly
-    rows = np.zeros((8, 4, 8))
-    rows[..., :4] = [0.5, 0.25, 0.125, 0.125]
-    rows = rng.permuted(rows, axis=2)
-    base = random_spec(rng, dim=2)
-    kernel = TransitionKernel(np.stack([rows, rows.copy()]))  # equal copies, not one view
-    assert kernel.identical_components
-    specs = [
-        base.with_team(
-            TeamComposition((np.array([0.5, 0.5]), np.array([c, 1.0 - c]))),
-            InfluenceWeights(np.array([0.5, 0.5])),
-        )
-        for c in (0.25, 0.75)
-    ]
-    shared = [assemble_linear_mmdp(replace(s, transition_kernel=kernel)) for s in specs]
-    assert shared[0].transitions is shared[1].transitions
-    assert np.array_equal(shared[0].transitions, rows)
-    assert shared[0].transitions.flags.owndata and not shared[0].transitions.flags.writeable
-    # a mixture that rounds off the rows, summing to 1 + 5e-13, mixes into its own array
-    off = specs[0].with_team(
-        TeamComposition((np.array([0.5, 0.5]), np.array([0.25, 0.75 + 1e-12]))),
-        InfluenceWeights(np.array([0.5, 0.5])),
+    # a broadcast component axis mixes in another rounding order
+    # (assemble_linear_mmdp); only the desk's unit entry over two components
+    # keeps the twin's bits that way, so the other twins broadcast over
+    # states and joint actions only
+    if stored == "desk":
+        # one unit probability for every component, state and joint action
+        layout = fruit_forage_layout(desk_config())
+        specs = desk_teams(layout)
+        broadcast = layout.transition_kernel
+        stored_shape = (1, 1, 1)
+    else:
+        # a row of each component's own for every state and joint action
+        base = random_spec(rng, dim=3)
+        width = 8 if stored == "dense rows" else 3
+        entries = rng.dirichlet(np.ones(width), size=(3, 1, 1))
+        next_states = None if stored == "dense rows" else rng.integers(0, 8, (8, 4, width))
+        components = np.broadcast_to(entries, (3, 8, 4, width))
+        broadcast = TransitionKernel(components, next_states=next_states)
+        specs = [
+            base.with_team(
+                TeamComposition(tuple(rng.uniform(0.0, 2.0, (2, 3)))),
+                InfluenceWeights(rng.dirichlet(np.ones(2))),
+            )
+            for _ in range(10)
+        ]
+        specs = [replace(spec, relax_simplex=True) for spec in specs]
+        stored_shape = (1, 1, width)
+    materialized = TransitionKernel(
+        np.ascontiguousarray(broadcast.components), next_states=broadcast.next_states
     )
-    rounded = assemble_linear_mmdp(replace(off, transition_kernel=kernel)).transitions
-    assert rounded is not shared[0].transitions and not np.array_equal(rounded, rows)
-    mix = off.capability_mixture()
-    assert np.array_equal(rounded, np.einsum("j,jsut->sut", mix, kernel.components))
-    # components that differ mix into each team's own array
-    other = TransitionKernel(np.stack([rows, rows[:, ::-1]]))
-    assert not other.identical_components
-    own = [assemble_linear_mmdp(replace(s, transition_kernel=other)) for s in specs]
-    assert own[0].transitions is not own[1].transitions
+    assert broadcast.equals(materialized)
+    for spec in specs:
+        mixed, twin = (
+            assemble_linear_mmdp(replace(spec, transition_kernel=kernel)).transitions
+            for kernel in (broadcast, materialized)
+        )
+        assert np.array_equal(mixed.view(np.int64), twin.view(np.int64))
+        # only the stored entries are mixed, and broadcast back like them
+        assert capmdp.mdp._backing(mixed).shape == stored_shape
+        assert not mixed.flags.writeable and twin.flags.owndata
+
+
+def test_a_kernel_equals_itself_without_comparing_its_entries():
+    # broadcast components and index, so the kernel stores one entry of each
+    shape = (4096, 64, 1)
+    kernel = TransitionKernel(
+        np.broadcast_to(1.0, (2,) + shape), next_states=np.broadcast_to(np.int64(0), shape)
+    )
+    twin = TransitionKernel(kernel.components, next_states=kernel.next_states)
+    peaks = []
+    for other in (kernel, twin):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert kernel.equals(other)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    # comparing the twin's entries holds one bool per entry; the kernel itself needs none
+    assert peaks[1] >= 2 * 4096 * 64
+    assert peaks[0] < 4096
 
 
 def test_two_member_swap_assembles_identically():

@@ -324,8 +324,12 @@ def stack_members(rng, layout, count, num_states=6, num_joint=4):
     kernels, and the last has its own) or "near-K" (a shared kernel, but
     the last member's index differs in one entry) or "reweighted-K" (a
     shared kernel, but the last member's probabilities are reversed along
-    each row). Every K = 1 layout holds unit probabilities, so its rows are
-    sure. The scales make the members reach tol on different sweeps.
+    each row) or "broadcast-1" (a shared index, each member's probabilities
+    one entry 1.0 broadcast over states and joint actions, but the last
+    member's one entry per state broadcast over joint actions, its last
+    state's 0.9999999999999999). Every other K = 1 layout holds unit
+    probabilities, so its rows are sure. The scales make the members reach
+    tol on different sweeps.
     """
     shape = (num_states, num_joint)
     if layout == "dense":
@@ -346,6 +350,10 @@ def stack_members(rng, layout, count, num_states=6, num_joint=4):
         last = i == count - 1
         if layout.startswith("shared") or (layout.split("-")[0] in ("near", "reweighted") and not last):
             kernels.append(shared[0])
+        elif layout.startswith("broadcast"):
+            entries = np.ones((num_states, 1, 1) if last else (1, 1, 1))
+            entries[-1] = 0.9999999999999999 if last else 1.0
+            kernels.append((np.broadcast_to(entries, shape + (1,)), shared[0][1]))
         elif layout.startswith("mixed") and not last:
             kernels.append(shared[i % 2])
         elif layout.startswith("near"):
@@ -377,7 +385,7 @@ def stack_members(rng, layout, count, num_states=6, num_joint=4):
 
 STACK_LAYOUTS = [
     "dense", "indexed-1", "indexed-3", "shared-1", "shared-3", "shared-9", "mixed-1", "mixed-3",
-    "near-1", "reweighted-3",
+    "near-1", "reweighted-3", "broadcast-1",
 ]
 
 
