@@ -169,17 +169,16 @@ class PredatorPreyEnv:
     same tuples, and available_actions() builds a fresh boolean mask from
     them on each call.
 
-    The prey moves and respawns draw through a PCG64Draws over
-    default_rng(seed), which gives the Generator's own random() and
-    integers() values; reset takes the Generator back for its one choice
-    call.
+    Every draw, reset's placement, the prey moves and the respawns, comes
+    from one PCG64Draws(seed): the values default_rng(seed)'s choice(),
+    random() and integers() would give, without loading numpy.random.
     """
 
     num_actions = NUM_PP_ACTIONS
 
     def __init__(self, config: PredatorPreyConfig, seed: int, trajectory_log=None):
         self.config = config
-        self._draws = PCG64Draws(np.random.default_rng(seed))
+        self._draws = PCG64Draws(seed)
         self._g = g = config.grid_size
         self._predators: list = []
         self._prey: list = []
@@ -243,8 +242,7 @@ class PredatorPreyEnv:
         cells = g * g
         total = self.config.num_predators + self.config.num_prey
         if predator_positions is None and prey_positions is None:
-            chosen = self._draws.generator().choice(cells, size=total, replace=False)
-            flat = [int(c) for c in chosen]
+            flat = self._draws.choice(cells, total)
         else:
             if predator_positions is None or prey_positions is None:
                 raise ValueError("pin both predator and prey positions or neither")

@@ -19,12 +19,16 @@ one write path, update (which q_learning_train inlines), and one read path,
 its values and visits mappings; a key it does not hold is unseen. A caller
 that trains several tables in turn should drop each one before training the
 next, so that only one is alive at a time (run_predator_prey does).
+
+The trainer, the evaluator and PredatorPreyEnv take every draw from a
+PCG64Draws, which gives the stream of np.random.default_rng on the same
+entropy without loading numpy.random.
 """
 
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -101,7 +105,7 @@ class QTable:
     def greedy_action(self, key: int, indices, rng) -> int:
         """The greedy action at key among the legal indices; rng serves integers(n).
 
-        rng is a PCG64Draws or the numpy Generator it wraps.
+        rng is a PCG64Draws, or anything else with a numpy Generator's integers(n).
         """
         r = self._index.get(key)
         if r is None:
@@ -152,40 +156,41 @@ class _KeyedView(Mapping):
         return len(self._index)
 
 
-_BLOCK_WORDS = 256  # raw 64-bit words a PCG64Draws takes from its generator at a time
+_BLOCK_WORDS = 256  # 64-bit words a PCG64Draws steps at a time
 _LOW32 = 0xFFFFFFFF
+_LOW128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit LCG multiplier
 
 
 class PCG64Draws:
-    """A numpy Generator's random() and integers(n), served bit for bit from raw PCG64 words.
+    """np.random.default_rng(entropy)'s random(), integers(n) and choice, bit for bit.
 
-    The Generator turns its bit generator's 64-bit words into draws with
-    fixed algorithms, and this class runs the same ones on blocks of
-    bit_generator.random_raw words, without a numpy call per draw:
+    The draws come from the PCG64 stream that default_rng(entropy) seeds
+    (O'Neill 2014, "PCG"), stepped here a block of words at a time, and
+    from the Generator's own algorithms on those words, without loading
+    numpy.random:
 
+    - the entropy, an int or a list, tuple or range of non-negative ints,
+      seeds PCG64 through SeedSequence, as _pcg64_seed does;
     - random() is (w >> 11) * 2**-53 of one word w;
     - integers(n) for 1 < n <= 2**32 is Lemire's multiply-and-reject
       (Lemire 2019, "Fast Random Integer Generation in an Interval") on
       32-bit draws. A 32-bit draw is the low half of a fresh word, or else
       the high half that PCG64 cached from the previous one;
-    - integers(1) is 0 and takes no draw.
+    - integers(1) is 0 and takes no draw;
+    - choice(n, k) is choice(n, size=k, replace=False): Floyd's algorithm
+      and then a shuffle, or a partial shuffle of range(n) when n > 10,000
+      and k > n // 50.
 
-    A sequence of these calls therefore returns what the same calls on the
-    Generator return. generator() hands the Generator back at exactly the
-    position the calls reached, for a draw this class does not serve (such
-    as choice); the next call here starts a fresh block from wherever the
-    Generator was left. Only PCG64, default_rng's bit generator, is accepted.
+    A sequence of these calls therefore returns what the same calls on
+    default_rng(entropy) return.
     """
 
-    def __init__(self, generator: "np.random.Generator"):
-        bits = generator.bit_generator
-        if not isinstance(bits, np.random.PCG64):
-            raise TypeError(f"PCG64Draws needs a PCG64 bit generator, got {type(bits).__name__}")
-        self._generator = generator
-        self._bits = bits
+    def __init__(self, entropy):
+        self._state, self._inc = _pcg64_seed(entropy)
+        self._inc_term = None  # each slot's G_k * inc mod 2**128 (see _jumps), made at the first refill
         self._block = []  # the current block's unused words, last one next
         self._pop = self._block.pop
-        self._before = None  # the bit generator's state before the current block; None between blocks
         self._half = None  # the cached high half of the last word, or None
 
     def random(self) -> float:
@@ -212,21 +217,27 @@ class PCG64Draws:
                 m = self._draw32() * n
         return m >> 32
 
-    def generator(self) -> "np.random.Generator":
-        """The Generator, at exactly the position this object's draws reached."""
-        if self._before is not None:
-            bits = self._bits
-            bits.state = self._before
-            bits.advance(_BLOCK_WORDS - len(self._block))
-            # advance clears PCG64's cached half; put back the one in use
-            state = bits.state
-            state["has_uint32"] = int(self._half is not None)
-            state["uinteger"] = 0 if self._half is None else self._half
-            bits.state = state
-            self._block.clear()
-            self._before = None
-            self._half = None
-        return self._generator
+    def choice(self, n: int, k: int) -> list:
+        """Generator.choice(n, size=k, replace=False).tolist(), for 0 <= k <= n <= 2**32."""
+        if not 0 <= k <= n <= 1 << 32:
+            raise ValueError(f"choice(n, k) needs 0 <= k <= n <= 2**32, got {n}, {k}")
+        if n <= 10_000 or k <= n // 50:
+            # Floyd's algorithm: pick j is uniform on [0, j], or j itself when taken
+            chosen, taken = [], set()
+            for j in range(n - k, n):
+                pick = self.integers(j + 1)
+                if pick in taken:
+                    pick = j
+                taken.add(pick)
+                chosen.append(pick)
+            first = 1
+        else:
+            chosen, first = list(range(n)), max(n - k, 1)
+        # Fisher-Yates from the end down to first; the last k entries are the sample
+        for i in range(len(chosen) - 1, first - 1, -1):
+            j = self.integers(i + 1)
+            chosen[i], chosen[j] = chosen[j], chosen[i]
+        return chosen[len(chosen) - k:]
 
     def _draw32(self) -> int:
         half = self._half
@@ -242,15 +253,102 @@ class PCG64Draws:
         return word & _LOW32
 
     def _refill(self):
-        bits = self._bits
-        state = bits.state
-        if self._before is None:
-            # the first block since the Generator was handed out: its cached half comes first
-            self._half = state["uinteger"] if state["has_uint32"] else None
-        self._before = state
-        self._block = bits.random_raw(_BLOCK_WORDS).tolist()
-        self._block.reverse()
+        xa, xg = _jumps()
+        if self._inc_term is None:
+            # each slot's G_k * inc, cut to its low 128 bits
+            slots = _slots(xg * self._inc).copy()
+            slots[:, 2:] = 0
+            self._inc_term = int.from_bytes(slots.tobytes(), "little")
+        # A_k * state <= (2**128 - 1)**2, so adding a term below 2**128 carries into no other slot
+        slots = _slots(xa * self._state + self._inc_term)
+        low, high = slots[:, 0], slots[:, 1]
+        self._state = int(high[0]) << 64 | int(low[0])  # slot 0 holds the block's last state
+        # PCG64's XSL-RR output: the state's halves xored, rotated right by its top 6 bits
+        x, rot = low ^ high, high >> 58
+        self._block = (x >> rot | x << ((64 - rot) & 63)).tolist()
         self._pop = self._block.pop
+
+
+def _slots(packed: int) -> np.ndarray:
+    """packed's 256-bit slots as a (_BLOCK_WORDS, 4) array of 64-bit words, low word first."""
+    return np.frombuffer(packed.to_bytes(32 * _BLOCK_WORDS, "little"), "<u8").reshape(_BLOCK_WORDS, 4)
+
+
+@cache
+def _jumps() -> tuple:
+    """(XA, XG): the jump constants of one block, built at the first refill.
+
+    Word k = 1.._BLOCK_WORDS of a block is PCG64's output of the state
+    A_k * s + G_k * inc mod 2**128, where s is the state before the block,
+    A_k = MULT**k and G_k = 1 + MULT + ... + MULT**(k - 1). XA and XG hold
+    each A_k and G_k in the 256-bit slot _BLOCK_WORDS - k, so that one
+    product XA * s leaves every A_k * s in its own slot, last word first.
+    """
+    a, g, xa, xg = 1, 0, 0, 0
+    for slot in range(_BLOCK_WORDS - 1, -1, -1):
+        a, g = a * _PCG64_MULT & _LOW128, (g * _PCG64_MULT + 1) & _LOW128
+        xa |= a << 256 * slot
+        xg |= g << 256 * slot
+    return xa, xg
+
+
+def _pcg64_seed(entropy) -> tuple:
+    """np.random.PCG64(entropy)'s (state, inc), seeded as numpy seeds it.
+
+    SeedSequence hashes the entropy's 32-bit words into a pool of four and
+    draws eight words from it; PCG64 reads them as initstate and initseq.
+    """
+    words = _entropy_words(entropy)
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _LOW32
+        return x ^ x >> 16
+
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    draw = _hashmix(0x8B51F9DD, 0x58F38DED)
+    out = [draw(pool[i % 4]) for i in range(8)]
+    initstate, initseq = (
+        (out[i] | out[i + 1] << 32) << 64 | out[i + 2] | out[i + 3] << 32 for i in (0, 4)
+    )
+    # pcg_setseq_128_srandom_r: step from 0, add initstate, step again
+    inc = (initseq << 1 | 1) & _LOW128
+    return ((inc + initstate) * _PCG64_MULT + inc) & _LOW128, inc
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix: xor in a constant that each call steps by mult, then multiply by it."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _LOW32
+        value = value * const & _LOW32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _entropy_words(entropy) -> list:
+    """SeedSequence's 32-bit words of an int, low first, or of each int in a sequence."""
+    if not isinstance(entropy, (int, np.integer, list, tuple, range)):
+        raise TypeError(f"entropy must be an int or a sequence of ints, got {entropy!r}")
+    if not isinstance(entropy, (int, np.integer)):
+        return [word for part in entropy for word in _entropy_words(part)]
+    n = int(entropy)
+    if n < 0:
+        raise ValueError(f"entropy must be non-negative, got {n}")
+    words = [n & _LOW32]
+    while n := n >> 32:
+        words.append(n & _LOW32)
+    return words
 
 
 def checked_action(action, legal, agent: int) -> int:
@@ -289,14 +387,14 @@ def q_learning_train(
     if not tasks:
         raise ValueError("at least one training task is required")
     envs = [
-        env_builder(task, capability_observable, int(np.random.default_rng([seed, i]).integers(2**31)))
+        env_builder(task, capability_observable, PCG64Draws([seed, i]).integers(2**31))
         for i, task in enumerate(tasks)
     ]
     table = QTable(num_actions=envs[0].num_actions)
     # the table's own store, index and counts, read and grown in place
     store, index, counts = table._store, table._index, table._counts
     n, zeros = table.num_actions, table._zeros
-    draws = PCG64Draws(np.random.default_rng([seed, len(tasks)]))
+    draws = PCG64Draws([seed, len(tasks)])
     random, integers = draws.random, draws.integers
     alpha, gamma = schedule.alpha, schedule.gamma
 
@@ -355,7 +453,8 @@ def q_learning_train(
 def run_greedy_episode(table: QTable, env, rng) -> float:
     """Roll out the table's greedy policy for one episode; returns the return.
 
-    rng serves integers(n): a PCG64Draws, or the numpy Generator it wraps.
+    rng serves integers(n): a PCG64Draws, or anything else with a numpy
+    Generator's integers(n).
     """
     greedy = table.greedy_action
     keys = env.reset()
@@ -382,9 +481,9 @@ def evaluate_policy_empirical(
     per_task = []
     for index, task in enumerate(tasks):
         env = env_builder(
-            task, capability_observable, int(np.random.default_rng([seed, index, 0]).integers(2**31))
+            task, capability_observable, PCG64Draws([seed, index, 0]).integers(2**31)
         )
-        rng = PCG64Draws(np.random.default_rng([seed, index, 1]))
+        rng = PCG64Draws([seed, index, 1])
         returns = [run_greedy_episode(table, env, rng) for _ in range(episodes)]
         per_task.append(
             {"mean": float(np.mean(returns)), "std": float(np.std(returns))}

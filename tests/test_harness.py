@@ -1335,28 +1335,47 @@ if "numpy.random" in sys.modules:
     sys.exit()
 from capmdp import cli
 
-config, out = sys.argv[1:]
+config, pursuit, out = sys.argv[1:]
 assert cli.main(["fruit-forage", "--out", out]) == 0
 forage = "numpy.random" in sys.modules
+assert cli.main(["predator-prey", "--config", pursuit, "--out", out]) == 0
+chase = "numpy.random" in sys.modules
 assert cli.main(["verify-bounds", "--config", config, "--out", out]) == 0
-print("numpy.random loaded:", forage, "numpy.random" in sys.modules)
+print("numpy.random loaded:", forage, chase, "numpy.random" in sys.modules)
 """
+
+# a pursuit run of 300 steps on the full-view grid
+SHORT_PURSUIT_CONFIG = {
+    "kind": "predator-prey",
+    "predator_prey": {
+        "mode": "blind", "grid_size": 4, "episode_limit": 20, "total_steps": 300,
+        "epsilon_decay_steps": 100, "eval_episodes": 1,
+    },
+}
+
+
+def write_short_pursuit_config(tmp_path):
+    path = tmp_path / "pursuit.json"
+    path.write_text(json.dumps(SHORT_PURSUIT_CONFIG))
+    return path
 
 
 def test_only_a_run_that_draws_loads_numpy_random(tmp_path):
     # a fresh interpreter, since this one has drawn already; the foraging
-    # desk draws nothing, so numpy.random (2.7 MiB) stays unloaded there
+    # desk draws nothing and a pursuit run draws from its own PCG64 streams,
+    # so numpy.random (5.7 MiB of RSS with the libcrypto that its secrets
+    # import maps) stays unloaded in both
     env = dict(os.environ, PYTHONPATH=str(Path(capmdp.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-X", "dev", "-c", NUMPY_RANDOM_SCRIPT, str(write_config(tmp_path)),
-         str(tmp_path / "runs")],
+         str(write_short_pursuit_config(tmp_path)), str(tmp_path / "runs")],
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
     last = done.stdout.splitlines()[-1]
     if last == "numpy loads numpy.random at import":
         pytest.skip(last)
-    assert last == "numpy.random loaded: False True"
+    assert last == "numpy.random loaded: False False True"
 
 
 HASHLIB_SCRIPT = """
@@ -1369,17 +1388,21 @@ if "_hashlib" in sys.modules:
     sys.exit()
 from capmdp import cli
 
-assert cli.main(["fruit-forage", "--out", sys.argv[1]]) == 0
+pursuit, out = sys.argv[1:]
+assert cli.main(["fruit-forage", "--out", out]) == 0
+assert cli.main(["predator-prey", "--config", pursuit, "--out", out]) == 0
 print("loaded:", [name for name in ("hashlib", "_hashlib") if name in sys.modules])
 """
 
 
 def test_a_foraging_run_loads_no_hashlib(tmp_path):
     # a fresh interpreter, since this one has imported hashlib; hashlib maps
-    # OpenSSL's libcrypto (3.4 MB), and the run's digests come from CPython's own modules
+    # OpenSSL's libcrypto (3.4 MB), and the runs' digests come from CPython's
+    # own modules: a foraging run, then a pursuit run that loads no numpy.random
     env = dict(os.environ, PYTHONPATH=str(Path(capmdp.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-X", "dev", "-c", HASHLIB_SCRIPT, str(tmp_path / "runs")],
+        [sys.executable, "-X", "dev", "-c", HASHLIB_SCRIPT, str(write_short_pursuit_config(tmp_path)),
+         str(tmp_path / "runs")],
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr

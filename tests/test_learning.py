@@ -91,8 +91,8 @@ def test_tied_rows_take_the_lowest_index_legal_argmax():
 def test_unvisited_key_draws_one_integer_over_the_legal_actions():
     table = QTable(num_actions=6)
     set_row(table, 8, [9.0, 0, 0, 0, 0, 0])
-    # a numpy Generator, and the draw source that serves its draws from raw words
-    for rng in (np.random.default_rng(21), PCG64Draws(np.random.default_rng(21))):
+    # a numpy Generator, and the draw source that serves its draws from its own PCG64 words
+    for rng in (np.random.default_rng(21), PCG64Draws(21)):
         mirror = np.random.default_rng(21)
         for indices in ((0, 2, 4, 5), [1, 3], range(6), (5,)):
             for key in (77, 2**70):
