@@ -8,25 +8,30 @@ additive tolerance; the certification harness treats any unsatisfied report
 as a violation worth archiving.
 
 Each calculator is written once, as a generator (certify_*) called with its
-inputs and the solve tolerance. It takes only the inputs its bound reads:
-the out-of-distribution check takes the training support as bare teams,
-acting with the query's influence weights, since its bound depends on the
-support only through the team distance d_a. A Solver runs calculators: it
-holds the one solve tolerance and memoizes optimal solves and policy
-evaluations by content. Solver.run drives calculators in two rounds. Round
-one sends every calculator on; each yields the tuple of MDPs it needs
-solved, and one Solver.solve_all answers the union of those requests with
-(ValueTable, JointPolicy) pairs. Round two sends each calculator still
-running its answers; one that evaluates a policy yields the (mmdp, policy)
-pairs it needs evaluated, and one Solver.evaluate_all answers their union
-with ValueTables. A calculator returns its report in either round, or
-before it makes any request (one that compares optimal values returns
-after its solves). A round in which no calculator makes a request calls
-neither method, and a third request raises RuntimeError. Solver.report
-runs one calculator; the certification harness runs every check of an
-instance together. Calculators comparing tasks of one instance share most
-of their MDPs, so running them on one Solver solves each distinct MDP once
-and evaluates each distinct policy on it once; a cached answer is the same
+inputs and the solve tolerance, and holds only its validation, its distance
+and its bound. It takes only the inputs its bound reads: the
+out-of-distribution check takes the training support as bare teams, acting
+with the query's influence weights, since its bound depends on the support
+only through the team distance d_a. Requests are written once, in the two
+measurements calculators delegate to with yield from: _optimal_gap solves
+two tasks and measures the gap between their optimal values, and
+_transfer_regret also evaluates the second's optimal policy on the first and
+measures its regret. A Solver runs calculators: it holds the one solve
+tolerance and memoizes optimal solves and policy evaluations by content.
+Solver.run drives calculators in two rounds. Round one sends every
+calculator on; each yields the tuple of MDPs it needs solved, and one
+Solver.solve_all answers the union of those requests with (ValueTable,
+JointPolicy) pairs. Round two sends each calculator still running its
+answers; one that evaluates a policy yields the (mmdp, policy) pairs it
+needs evaluated, and one Solver.evaluate_all answers their union with
+ValueTables. A calculator returns its report in either round, or before it
+makes any request (one that compares optimal values returns after its
+solves). A round in which no calculator makes a request calls neither
+method, and a third request raises RuntimeError. Solver.report runs one
+calculator; the certification harness runs every check of an instance
+together. Calculators comparing tasks of one instance share most of their
+MDPs, so running them on one Solver solves each distinct MDP once and
+evaluates each distinct policy on it once; a cached answer is the same
 arrays a fresh one would be, made read-only. A Solver is not locked, so it
 must not be shared between threads.
 """
@@ -111,28 +116,13 @@ class BoundReport:
         )
 
     def to_csv_row(self) -> dict:
-        row = {
-            "bound_name": self.bound_name,
-            "bound_value": self.bound_value,
-            "actual_value": self.actual_value,
-            "satisfied": self.satisfied,
-            "slack": self.slack,
-        }
-        row.update(self.constituents)
+        """The fields in declaration order, constituents spread after slack."""
+        row = dict(vars(self))
+        row.update(row.pop("constituents"))
         return row
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bound_name": self.bound_name,
-                "constituents": self.constituents,
-                "bound_value": self.bound_value,
-                "actual_value": self.actual_value,
-                "satisfied": self.satisfied,
-                "slack": self.slack,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def psi(
@@ -150,11 +140,8 @@ def psi(
     n = team_x.num_agents
     if team_y.num_agents != n or weights_x.num_agents != n or weights_y.num_agents != n:
         raise ValueError("both teams and weight vectors must have the same size")
-    if team_x.dim != team_y.dim:
-        raise ValueError("both teams must share one capability dimension")
-    mat_y = team_y.matrix()
-    term_members = float(np.max(np.abs(weights_x.a @ (team_x.matrix() - mat_y))))
-    term_weights = float(np.max(np.abs((weights_x.a - weights_y.a) @ mat_y)))
+    term_members = d_a_metric(team_x, team_y, weights_x)
+    term_weights = float(np.max(np.abs((weights_x.a - weights_y.a) @ team_y.matrix())))
     return term_members + term_weights
 
 
@@ -435,30 +422,48 @@ def _array_digest(arr: np.ndarray) -> bytes:
     return digest.digest()
 
 
-def _value_gap(vt_x: ValueTable, vt_y: ValueTable, rho_x, rho_y):
-    """Gap between two tasks' optimal values.
+def _optimal_gap(mmdp_x, mmdp_y, rho_x, rho_y, names=("value_x", "value_y")):
+    """Request the optimal solves of (x, y) and measure the gap between their values.
 
-    Returns (value_x, value_y, |value_x - value_y|, per-state max gap).
+    Returns (y's optimal ValueTable, |value_x - value_y|, columns): the
+    columns hold the rho-weighted optimal values under names and the
+    per-state max gap as actual_state_max.
     """
+    (vt_x, _), (vt_y, _) = yield mmdp_x, mmdp_y
     value_x = vt_x.scalar(rho_x)
     value_y = vt_y.scalar(rho_y)
-    return value_x, value_y, abs(value_x - value_y), float(np.max(np.abs(vt_x.v - vt_y.v)))
+    columns = {
+        names[0]: value_x,
+        names[1]: value_y,
+        "actual_state_max": float(np.max(np.abs(vt_x.v - vt_y.v))),
+    }
+    return vt_y, abs(value_x - value_y), columns
 
 
-def _transfer_regret(optimal: ValueTable, executed: ValueTable, rho, tol: float, label):
-    """Regret of a policy whose evaluation is executed, against the optimal values.
+def _transfer_regret(mmdp, source, tol: float, label, executed_name="value_transferred"):
+    """Request the solves of (mmdp, source), then source's optimal policy run on mmdp.
 
-    Returns (value_optimal, value_executed, regret, per-state max regret).
-    A regret below -2 * tol means the solver contradicted itself.
+    Returns (source's optimal ValueTable, the regret V*_mmdp - V^{pi*_source}_mmdp,
+    columns): the columns hold the rho-weighted optimal value as
+    value_optimal, the executed policy's as executed_name, and the per-state
+    max regret as actual_state_max. A regret below -2 * tol means the solver
+    contradicted itself.
     """
-    value_optimal = optimal.scalar(rho)
-    value_executed = executed.scalar(rho)
+    (optimal, _), (vt_source, policy) = yield mmdp, source
+    [executed] = yield ((mmdp, policy),)
+    value_optimal = optimal.scalar(mmdp.rho)
+    value_executed = executed.scalar(mmdp.rho)
     actual = value_optimal - value_executed
     if actual < -2.0 * tol:
         raise RuntimeError(
             f"{label} policy beat the optimal value by {-actual:.3e}; solver inconsistency"
         )
-    return value_optimal, value_executed, actual, float(np.max(optimal.v - executed.v))
+    columns = {
+        "value_optimal": value_optimal,
+        executed_name: value_executed,
+        "actual_state_max": float(np.max(optimal.v - executed.v)),
+    }
+    return vt_source, actual, columns
 
 
 def _linear_scale(spec: LinearMMDPSpec, reference: ValueTable, leading: dict):
@@ -503,12 +508,12 @@ def certify_team_generalization(spec_x, spec_y, *, tol: float):
     max difference is reported alongside. Requests (x, y).
     """
     _require_shared_frame(spec_x, spec_y)
-    (vt_x, _), (vt_y, _) = yield assemble_linear_mmdp(spec_x), assemble_linear_mmdp(spec_y)
+    vt_y, actual, columns = yield from _optimal_gap(
+        assemble_linear_mmdp(spec_x), assemble_linear_mmdp(spec_y), spec_x.rho, spec_y.rho
+    )
     scale, parts = _psi_scale(spec_x, spec_y, vt_y)
     bound = scale * parts["psi"]
-    value_x, value_y, actual, state_max = _value_gap(vt_x, vt_y, spec_x.rho, spec_y.rho)
-    parts.update({"value_x": value_x, "value_y": value_y, "actual_state_max": state_max})
-    return BoundReport.build("team_generalization", parts, bound, actual)
+    return BoundReport.build("team_generalization", {**parts, **columns}, bound, actual)
 
 
 def certify_policy_transfer(spec_x, spec_y, *, tol: float):
@@ -519,22 +524,12 @@ def certify_policy_transfer(spec_x, spec_y, *, tol: float):
     then the evaluation of pi*_y on x.
     """
     _require_shared_frame(spec_x, spec_y)
-    mmdp_x = assemble_linear_mmdp(spec_x)
-    (vt_x, _), (vt_y, policy_y) = yield mmdp_x, assemble_linear_mmdp(spec_y)
-    [executed] = yield ((mmdp_x, policy_y),)
-    value_optimal, value_transferred, actual, state_max = _transfer_regret(
-        vt_x, executed, spec_x.rho, tol, "transferred"
+    vt_y, actual, columns = yield from _transfer_regret(
+        assemble_linear_mmdp(spec_x), assemble_linear_mmdp(spec_y), tol, "transferred"
     )
     scale, parts = _psi_scale(spec_x, spec_y, vt_y)
     bound = 2.0 * scale * parts["psi"]
-    parts.update(
-        {
-            "value_optimal": value_optimal,
-            "value_transferred": value_transferred,
-            "actual_state_max": state_max,
-        }
-    )
-    return BoundReport.build("policy_transfer", parts, bound, actual)
+    return BoundReport.build("policy_transfer", {**parts, **columns}, bound, actual)
 
 
 def certify_out_of_distribution(support_teams, query_spec, *, tol: float):
@@ -551,24 +546,14 @@ def certify_out_of_distribution(support_teams, query_spec, *, tol: float):
     selected = int(np.argmin(distances))
     distance = distances[selected]
     spec_sel = query_spec.with_team(support_teams[selected], query_spec.weights)
-    mmdp_query = assemble_linear_mmdp(query_spec)
-    (vt_query, _), (vt_sel, policy_sel) = yield mmdp_query, assemble_linear_mmdp(spec_sel)
-    [executed] = yield ((mmdp_query, policy_sel),)
-    value_optimal, value_transferred, actual, state_max = _transfer_regret(
-        vt_query, executed, query_spec.rho, tol, "selected"
+    vt_sel, actual, columns = yield from _transfer_regret(
+        assemble_linear_mmdp(query_spec), assemble_linear_mmdp(spec_sel), tol, "selected"
     )
     scale, parts = _linear_scale(
         query_spec, vt_sel, {"d_a": distance, "selected_index": float(selected)}
     )
     bound = 2.0 * scale * distance
-    parts.update(
-        {
-            "value_optimal": value_optimal,
-            "value_transferred": value_transferred,
-            "actual_state_max": state_max,
-        }
-    )
-    return BoundReport.build("out_of_distribution", parts, bound, actual)
+    return BoundReport.build("out_of_distribution", {**parts, **columns}, bound, actual)
 
 
 def certify_population_change(
@@ -596,9 +581,8 @@ def certify_population_change(
             raise ValueError("the last member carries all influence; removal is degenerate")
         reduced_weights = a[:-1] / (1.0 - last_weight)
         reduced_team = spec.team.drop_last()
-        mixture_gap = float(
-            np.max(np.abs(reduced_weights @ reduced_team.matrix() - spec.team.members[-1].c))
-        )
+        mixture = reduced_weights @ reduced_team.matrix()
+        changed_member = spec.team.members[-1]
         changed = spec.with_team(reduced_team, InfluenceWeights(reduced_weights))
         changed_weight = last_weight
         name = "population_decrease"
@@ -611,9 +595,8 @@ def certify_population_change(
         if not isinstance(new_capability, CapabilityVector):
             new_capability = CapabilityVector(np.asarray(new_capability, dtype=float))
         enlarged_team = spec.team.append_member(new_capability)
-        mixture_gap = float(
-            np.max(np.abs(spec.weights.a @ spec.team.matrix() - enlarged_team.members[-1].c))
-        )
+        mixture = spec.weights.a @ spec.team.matrix()
+        changed_member = enlarged_team.members[-1]
         enlarged_weights = np.concatenate(
             [spec.weights.a * (1.0 - new_weight), [new_weight]]
         )
@@ -622,21 +605,19 @@ def certify_population_change(
         name = "population_increase"
     else:
         raise ValueError(f"unknown population-change mode {mode!r}")
-
-    (vt_before, _), (vt_after, _) = yield (
-        assemble_linear_mmdp(spec), assemble_linear_mmdp(changed)
+    mixture_gap = float(np.max(np.abs(mixture - changed_member.c)))
+    vt_after, actual, columns = yield from _optimal_gap(
+        assemble_linear_mmdp(spec),
+        assemble_linear_mmdp(changed),
+        spec.rho,
+        spec.rho,
+        names=("value_before", "value_after"),
     )
     scale, parts = _linear_scale(
         spec, vt_after, {"changed_weight": changed_weight, "mixture_gap": mixture_gap}
     )
     bound = scale * changed_weight * mixture_gap
-    value_before, value_after, actual, state_max = _value_gap(
-        vt_before, vt_after, spec.rho, spec.rho
-    )
-    parts.update(
-        {"value_before": value_before, "value_after": value_after, "actual_state_max": state_max}
-    )
-    return BoundReport.build(name, parts, bound, actual)
+    return BoundReport.build(name, {**parts, **columns}, bound, actual)
 
 
 def certify_approx_dynamics(
@@ -656,41 +637,25 @@ def certify_approx_dynamics(
     team-generalization report exactly. Requests the two actual MDPs.
     """
     _require_shared_frame(spec_x, spec_y)
-    linear_x = assemble_linear_mmdp(spec_x)
-    linear_y = assemble_linear_mmdp(spec_y)
-    for actual, linear, label in (
-        (mmdp_x_actual, linear_x, "x"),
-        (mmdp_y_actual, linear_y, "y"),
-    ):
+    eps_hat_r = eps_hat_p = 0.0
+    for actual, spec, label in ((mmdp_x_actual, spec_x, "x"), (mmdp_y_actual, spec_y, "y")):
+        linear = assemble_linear_mmdp(spec)
         if not actual.states.equals(linear.states):
             raise ValueError(f"actual MDP {label} does not share the spec's state space")
         if actual.num_joint_actions != linear.num_joint_actions:
             raise ValueError(f"actual MDP {label} does not share the spec's action space")
         if actual.gamma != linear.gamma:
             raise ValueError(f"actual MDP {label} does not share the spec's discount")
-    eps_hat_r = max(
-        float(np.max(np.abs(mmdp_x_actual.rewards - linear_x.rewards))),
-        float(np.max(np.abs(mmdp_y_actual.rewards - linear_y.rewards))),
+        eps_hat_r = max(eps_hat_r, float(np.max(np.abs(actual.rewards - linear.rewards))))
+        eps_hat_p = max(eps_hat_p, actual.transition_gaps(linear)[0])
+    vt_y, actual, columns = yield from _optimal_gap(
+        mmdp_x_actual, mmdp_y_actual, spec_x.rho, spec_y.rho
     )
-    eps_hat_p = max(
-        mmdp_x_actual.transition_gaps(linear_x)[0],
-        mmdp_y_actual.transition_gaps(linear_y)[0],
-    )
-    (vt_x, _), (vt_y, _) = yield mmdp_x_actual, mmdp_y_actual
     scale, parts = _psi_scale(spec_x, spec_y, vt_y)
     bound = scale * parts["psi"] + (
         2.0 * parts["gamma_factor"] * (eps_hat_r + spec_x.gamma * eps_hat_p * parts["v_mid"])
     )
-    value_x, value_y, actual, state_max = _value_gap(vt_x, vt_y, spec_x.rho, spec_y.rho)
-    parts.update(
-        {
-            "eps_hat_r": eps_hat_r,
-            "eps_hat_p": eps_hat_p,
-            "value_x": value_x,
-            "value_y": value_y,
-            "actual_state_max": state_max,
-        }
-    )
+    parts.update({"eps_hat_r": eps_hat_r, "eps_hat_p": eps_hat_p, **columns})
     return BoundReport.build("approx_dynamics", parts, bound, actual)
 
 
@@ -706,29 +671,21 @@ def certify_capability_estimation(spec_true, spec_inferred, *, tol: float):
     _require_shared_frame(spec_true, spec_inferred)
     if spec_true.team.num_agents != spec_inferred.team.num_agents:
         raise ValueError("true and inferred teams must have the same size")
-    if not np.allclose(spec_true.weights.a, spec_inferred.weights.a, atol=1e-12):
+    if not np.allclose(spec_true.weights.a, spec_inferred.weights.a, rtol=0.0, atol=1e-12):
         raise ValueError("capability estimation assumes identical influence weights")
     eps_t = float(
         np.max(np.abs(spec_true.team.matrix() - spec_inferred.team.matrix()))
     )
-    mmdp_true = assemble_linear_mmdp(spec_true)
-    (vt_true, _), (vt_inferred, policy_inferred) = yield (
-        mmdp_true, assemble_linear_mmdp(spec_inferred)
-    )
-    [executed] = yield ((mmdp_true, policy_inferred),)
-    value_optimal, value_executed, actual, state_max = _transfer_regret(
-        vt_true, executed, spec_true.rho, tol, "inferred"
+    vt_inferred, actual, columns = yield from _transfer_regret(
+        assemble_linear_mmdp(spec_true),
+        assemble_linear_mmdp(spec_inferred),
+        tol,
+        "inferred",
+        executed_name="value_executed",
     )
     scale, parts = _linear_scale(spec_true, vt_inferred, {"eps_t": eps_t})
     bound = 2.0 * scale * eps_t
-    parts.update(
-        {
-            "value_optimal": value_optimal,
-            "value_executed": value_executed,
-            "actual_state_max": state_max,
-        }
-    )
-    return BoundReport.build("capability_estimation", parts, bound, actual)
+    return BoundReport.build("capability_estimation", {**parts, **columns}, bound, actual)
 
 
 def certify_lipschitz(
@@ -760,19 +717,16 @@ def certify_lipschitz(
         raise ValueError("the Lipschitz bound requires identical transition dynamics")
     member_gaps = np.abs(team_x.matrix() - team_y.matrix()).max(axis=1)
     weighted_diff = float(reward_map.lipschitz_constants @ member_gaps)
-    (vt_x, _), (vt_y, _) = yield mmdp_x, mmdp_y
+    _, actual, columns = yield from _optimal_gap(mmdp_x, mmdp_y, mmdp_x.rho, mmdp_y.rho)
     smax = s_max(reward_kernel, mmdp_x.states)
     gf = gamma_factor(mmdp_x.gamma)
     bound = gf * smax * weighted_diff
-    value_x, value_y, actual, state_max = _value_gap(vt_x, vt_y, mmdp_x.rho, mmdp_y.rho)
     parts = {
         "lipschitz_weighted_diff": weighted_diff,
         "s_max": smax,
         "gamma_factor": gf,
         "gamma": mmdp_x.gamma,
-        "value_x": value_x,
-        "value_y": value_y,
-        "actual_state_max": state_max,
+        **columns,
     }
     return BoundReport.build("lipschitz", parts, bound, actual)
 

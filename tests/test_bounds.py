@@ -208,9 +208,17 @@ def test_report_json_round_trip_and_csv_row():
     report = BoundReport.build("demo", {"psi": 0.25, "s_max": 2.0}, 3.0, 1.5)
     copy = BoundReport(**json.loads(report.to_json()))
     assert copy == report
+    assert report.to_json() == (
+        '{"actual_value": 1.5, "bound_name": "demo", "bound_value": 3.0, '
+        '"constituents": {"psi": 0.25, "s_max": 2.0}, "satisfied": true, "slack": 1.5}'
+    )
     row = report.to_csv_row()
     assert row["bound_name"] == "demo"
     assert row["psi"] == 0.25 and row["slack"] == 1.5
+    # the json output format writes a row's keys in this order
+    assert list(row) == [
+        "bound_name", "bound_value", "actual_value", "satisfied", "slack", "psi", "s_max",
+    ]
 
 
 def test_solver_tol_must_be_positive_and_finite():
@@ -343,10 +351,51 @@ def test_capability_estimation_with_exact_estimates_is_zero():
 
 def test_capability_estimation_requires_identical_weights():
     spec_x, spec_y = small_pair(37)
+    # weights a relative 1e-7 apart, well inside numpy's default rtol
+    a = spec_x.weights.a
+    nudged = a * (1.0 + 1e-7 * (-1.0) ** np.arange(a.size))
+    near = spec_x.with_team(spec_x.team, InfluenceWeights(nudged / nudged.sum()))
+    assert np.max(np.abs(near.weights.a - a)) > 1e-12
+    with pytest.raises(ValueError, match="identical influence weights"):
+        Solver().report(certify_capability_estimation, spec_x, near)
     if np.allclose(spec_x.weights.a, spec_y.weights.a):
         pytest.skip("sampled pair happens to share weights")
     with pytest.raises(ValueError, match="identical influence weights"):
         Solver().report(certify_capability_estimation, spec_x, spec_y)
+
+
+@pytest.mark.parametrize(
+    ("calculator", "inputs", "label"),
+    [
+        (certify_policy_transfer, lambda x: (x, x), "transferred"),
+        (certify_capability_estimation, lambda x: (x, x), "inferred"),
+        (certify_out_of_distribution, lambda x: ([x.team], x), "selected"),
+    ],
+    ids=["policy_transfer", "capability_estimation", "out_of_distribution"],
+)
+def test_a_policy_beating_the_optimal_value_is_a_solver_inconsistency(
+    monkeypatch, calculator, inputs, label
+):
+    # unraised, each regret reads about +0.8 tol: raising every evaluated
+    # value by 2.5 tol leaves it negative but inside the -2 tol guard, by
+    # 4 tol takes it below
+    spec_x, _ = small_pair(47)
+    tol = 1e-9
+    evaluate_stack = capmdp.bounds._evaluate_stack
+
+    def raised_by(offset):
+        def raised(pairs, tol):
+            values, sweeps = evaluate_stack(pairs, tol)
+            return [ValueTable(table.v + offset) for table in values], sweeps
+
+        return raised
+
+    monkeypatch.setattr(capmdp.bounds, "_evaluate_stack", raised_by(2.5 * tol))
+    report = Solver(tol).report(calculator, *inputs(spec_x))
+    assert -2.0 * tol <= report.actual_value < -tol
+    monkeypatch.setattr(capmdp.bounds, "_evaluate_stack", raised_by(4.0 * tol))
+    with pytest.raises(RuntimeError, match=f"{label} policy beat the optimal value"):
+        Solver(tol).report(calculator, *inputs(spec_x))
 
 
 def test_approx_dynamics_with_zero_deviation_reduces_exactly():
